@@ -11,7 +11,7 @@ from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import (RankingResult, average_precision, cmc_curve,
                        evaluate_retrieval, rank_gallery)
 from .linalg import (DegenerateNormWarning, dot, finite_diff_grad,
-                     l2_normalize, relative_error)
+                     normalize_rows, relative_error)
 from .losses import (LossOutput, anchor_loss, constraint_loss, patch_rate,
                      prototype_loss, select_constraint_tokens, total_loss)
 from .memory import (InstanceMemory, PrototypeMemory, build_instance_memory,

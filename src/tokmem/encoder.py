@@ -10,8 +10,8 @@ cosine similarity.
 ``encode_backward`` is the exact analytic adjoint of ``encode`` for a
 linear functional of its outputs, including the normalization Jacobian
 ``(I - u_hat u_hat^T) / ||u||``. Where a pre-normalization vector is zero
-(the warning path of ``l2_normalize``), the Jacobian degenerates to the
-identity pass-through.
+(the warning path of ``normalize_rows``), the Jacobian degenerates to the
+identity pass-through. Both take any leading batch axes on the patches.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 
 from . import blobio
 from .errors import DataFormatError
-from .linalg import l2_normalize, normalize_rows
+from .linalg import normalize_rows
 
 __all__ = ["EncoderParams", "EncodeOutput", "EncoderGrads", "init_params",
-           "encode", "encode_backward", "part_slices",
+           "encode", "encode_backward", "image_feature", "part_slices",
            "flatten_params", "unflatten_params",
            "save_checkpoint", "load_checkpoint"]
 
@@ -69,8 +69,8 @@ class EncoderParams:
 
 @dataclass
 class EncodeOutput:
-    image_feature: np.ndarray  # (D,), unit norm
-    patch_tokens: np.ndarray   # (I, D), unit rows
+    image_feature: np.ndarray  # (..., D), unit norm
+    patch_tokens: np.ndarray   # (..., I, D), unit rows
 
 
 @dataclass
@@ -78,16 +78,6 @@ class EncoderGrads:
     w_patch: np.ndarray
     w_cls: np.ndarray
     w_part: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
-        return cls(np.zeros_like(params.w_patch), np.zeros_like(params.w_cls),
-                   np.zeros_like(params.w_part))
-
-    def add_(self, other: "EncoderGrads") -> None:
-        self.w_patch += other.w_patch
-        self.w_cls += other.w_cls
-        self.w_part += other.w_part
 
 
 def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
@@ -115,75 +105,82 @@ def part_slices(num_patches: int, part_tokens: int) -> list[slice]:
     return out
 
 
+def _check_patches(params: EncoderParams, patches: np.ndarray) -> np.ndarray:
+    patches = np.asarray(patches, dtype=np.float64)
+    if patches.ndim < 2 or patches.shape[-1] != params.patch_input_dim:
+        raise ValueError(f"patches must be (..., I, {params.patch_input_dim})")
+    return patches
+
+
+def _head(params: EncoderParams,
+          patches: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The image feature before normalization, W_cls xbar + mean_z W_part[z] xbar_z,
+    with the patch mean xbar and the stripe means xbar_z it is made of."""
+    z = params.part_tokens
+    xbar = patches.mean(axis=-2)
+    stripe_means = [patches[..., sl, :].mean(axis=-2)
+                    for sl in part_slices(patches.shape[-2], z)]
+    pre = xbar @ params.w_cls.T
+    for wz, sm in zip(params.w_part, stripe_means):
+        pre = pre + (sm @ wz.T) / z
+    return pre, xbar, stripe_means
+
+
+def image_feature(params: EncoderParams, patches: np.ndarray) -> np.ndarray:
+    """The image feature of ``encode`` alone, (..., D); builds no tokens."""
+    return normalize_rows(_head(params, _check_patches(params, patches))[0])
+
+
 def encode(params: EncoderParams, patches: np.ndarray) -> EncodeOutput:
-    """Forward pass for one image's (I, d_in) patch stack.
+    """Forward pass for (..., I, d_in) patch stacks; leading axes are a batch.
 
     tokens[i] = normalize(W_patch @ patches[i]);
     f = normalize(W_cls @ mean(patches) + mean_z(W_part[z] @ stripe_mean_z)).
     """
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 2 or patches.shape[1] != params.patch_input_dim:
-        raise ValueError(f"patches must be (I, {params.patch_input_dim})")
-    z = params.part_tokens
-    slices = part_slices(patches.shape[0], z)
-
-    tokens = normalize_rows(patches @ params.w_patch.T)
-    xbar = patches.mean(axis=0)
-    pre = params.w_cls @ xbar
-    for wz, sl in zip(params.w_part, slices):
-        pre = pre + (wz @ patches[sl].mean(axis=0)) / z
-    return EncodeOutput(image_feature=l2_normalize(pre), patch_tokens=tokens)
+    patches = _check_patches(params, patches)
+    return EncodeOutput(image_feature=normalize_rows(_head(params, patches)[0]),
+                        patch_tokens=normalize_rows(patches @ params.w_patch.T))
 
 
 def _normalize_backward(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Adjoint of v -> v/||v||: (g - (g . v_hat) v_hat) / ||v||; identity at ||v|| = 0."""
-    norm = float(np.linalg.norm(pre))
-    if norm == 0.0:
-        return grad_out.copy()
-    unit = pre / norm
-    return (grad_out - np.dot(grad_out, unit) * unit) / norm
+    """Adjoint of v -> v/||v|| along the last axis: (g - (g . v_hat) v_hat) / ||v||;
+    identity where ||v|| = 0."""
+    norms = np.linalg.norm(pre, axis=-1, keepdims=True)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    units = pre / safe
+    proj = np.einsum("...d,...d->...", grad_out, units)[..., None]
+    return np.where(norms == 0.0, grad_out, (grad_out - proj * units) / safe)
 
 
 def encode_backward(params: EncoderParams, patches: np.ndarray,
                     grad_image_feature: np.ndarray,
                     grad_tokens: np.ndarray) -> EncoderGrads:
-    """Gradient of <g_f, image_feature> + sum_i <g_t[i], token_i> w.r.t. params.
+    """Gradient of <g_f, image_feature> + sum_i <g_t[i], token_i> w.r.t. params,
+    summed over any leading batch axes of ``patches`` (..., I, d_in).
 
-    The image feature does not depend on ``w_patch``, and the tokens do
-    not depend on the head matrices, so the two output gradients touch
-    disjoint parameter blocks.
+    The batch sum is one reshaped matmul per parameter block, so its order
+    is fixed. The image feature does not depend on ``w_patch``, and the
+    tokens do not depend on the head matrices, so the two output gradients
+    touch disjoint parameter blocks.
     """
-    patches = np.asarray(patches, dtype=np.float64)
+    patches = _check_patches(params, patches)
     grad_image_feature = np.asarray(grad_image_feature, dtype=np.float64)
     grad_tokens = np.asarray(grad_tokens, dtype=np.float64)
-    num_patches = patches.shape[0]
-    d = params.feature_dim
-    if grad_image_feature.shape != (d,):
-        raise ValueError(f"grad_image_feature must be ({d},)")
-    if grad_tokens.shape != (num_patches, d):
-        raise ValueError(f"grad_tokens must be ({num_patches}, {d})")
-    z = params.part_tokens
-    slices = part_slices(num_patches, z)
+    d, d_in, z = params.feature_dim, params.patch_input_dim, params.part_tokens
+    if grad_image_feature.shape != patches.shape[:-2] + (d,):
+        raise ValueError(f"grad_image_feature must be {patches.shape[:-2] + (d,)}")
+    if grad_tokens.shape != patches.shape[:-1] + (d,):
+        raise ValueError(f"grad_tokens must be {patches.shape[:-1] + (d,)}")
 
-    # Token path: t_i = normalize(W_patch p_i); rowwise normalization adjoint.
-    pre_tokens = patches @ params.w_patch.T
-    norms = np.linalg.norm(pre_tokens, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    units = pre_tokens / safe
-    proj = np.einsum("ij,ij->i", grad_tokens, units)[:, None]
-    g_pre_tokens = np.where(norms == 0.0, grad_tokens,
-                            (grad_tokens - proj * units) / safe)
-    g_w_patch = g_pre_tokens.T @ patches
+    # Token path: t_i = normalize(W_patch p_i).
+    g_pre_tokens = _normalize_backward(grad_tokens, patches @ params.w_patch.T)
+    g_w_patch = g_pre_tokens.reshape(-1, d).T @ patches.reshape(-1, d_in)
 
     # Image-feature path: f = normalize(W_cls xbar + mean_z W_part[z] xbar_z).
-    xbar = patches.mean(axis=0)
-    stripe_means = [patches[sl].mean(axis=0) for sl in slices]
-    pre = params.w_cls @ xbar
-    for wz, sm in zip(params.w_part, stripe_means):
-        pre = pre + (wz @ sm) / z
-    g_pre = _normalize_backward(grad_image_feature, pre)
-    g_w_cls = np.outer(g_pre, xbar)
-    g_w_part = np.stack([np.outer(g_pre, sm) / z for sm in stripe_means])
+    pre, xbar, stripe_means = _head(params, patches)
+    g_pre = _normalize_backward(grad_image_feature, pre).reshape(-1, d)
+    g_w_cls = g_pre.T @ xbar.reshape(-1, d_in)
+    g_w_part = np.stack([g_pre.T @ sm.reshape(-1, d_in) / z for sm in stripe_means])
     return EncoderGrads(w_patch=g_w_patch, w_cls=g_w_cls, w_part=g_w_part)
 
 

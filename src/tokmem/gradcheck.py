@@ -22,6 +22,7 @@ TOLERANCE = 1e-4
 STEP = 1e-5
 
 _TEMPERATURES = (0.05, 0.2, 1.0)
+_ENCODER_BATCH = 3
 
 
 def _units(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -85,15 +86,16 @@ def _check_anchor(rng: np.random.Generator) -> float:
 
 def _check_encoder(rng: np.random.Generator) -> float:
     """Check the parameter gradient of a random linear functional of the
-    encoder outputs over every parameter entry."""
+    encoder outputs over every parameter entry, summed over a batch of
+    distinct patch stacks."""
     d = int(rng.integers(3, 6))
     d_in = int(rng.integers(3, 7))
     z = int(rng.integers(1, 4))
     num_patches = int(rng.integers(z, z + 5))
     params = encoder_mod.init_params(d, d_in, z, seed=int(rng.integers(0, 2**63)))
-    patches = rng.normal(size=(num_patches, d_in))
-    g_f = rng.normal(size=d)
-    g_t = rng.normal(size=(num_patches, d))
+    patches = rng.normal(size=(_ENCODER_BATCH, num_patches, d_in))
+    g_f = rng.normal(size=(_ENCODER_BATCH, d))
+    g_t = rng.normal(size=(_ENCODER_BATCH, num_patches, d))
 
     grads = encoder_mod.encode_backward(params, patches, g_f, g_t)
     analytic = np.concatenate([grads.w_patch.ravel(), grads.w_cls.ravel(),
@@ -102,7 +104,7 @@ def _check_encoder(rng: np.random.Generator) -> float:
     def value_at(vec: np.ndarray) -> float:
         p = encoder_mod.unflatten_params(vec, params)
         out = encoder_mod.encode(p, patches)
-        return float(np.dot(g_f, out.image_feature) + np.sum(g_t * out.patch_tokens))
+        return float(np.sum(g_f * out.image_feature) + np.sum(g_t * out.patch_tokens))
 
     numeric = finite_diff_grad(value_at, encoder_mod.flatten_params(params), STEP)
     return relative_error(analytic, numeric)

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "DegenerateNormWarning",
-    "l2_normalize",
     "normalize_rows",
     "dot",
     "finite_diff_grad",
@@ -26,32 +25,21 @@ class DegenerateNormWarning(UserWarning):
     """A zero vector could not be normalized and was returned unchanged."""
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Return ``v / ||v||_2`` as a new float64 array.
-
-    A zero vector is returned unchanged (as a copy) with a
-    :class:`DegenerateNormWarning`; degenerate inputs must not abort a
-    training run.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        warnings.warn("cannot normalize a zero vector; returning it unchanged",
-                      DegenerateNormWarning, stacklevel=2)
-        return v.copy()
-    return v / norm
-
-
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """L2-normalize each row of a 2-D array; zero rows pass through with a warning."""
+    """L2-normalize a vector, or each row along the last axis, as a new
+    float64 array.
+
+    Zero rows are returned unchanged with a :class:`DegenerateNormWarning`;
+    degenerate inputs must not abort a training run.
+    """
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
     zero = norms == 0.0
     if zero.any():
         warnings.warn("cannot normalize zero rows; returning them unchanged",
                       DegenerateNormWarning, stacklevel=2)
         norms = np.where(zero, 1.0, norms)
-    return m / norms[:, None]
+    return m / norms
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

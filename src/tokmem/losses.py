@@ -7,7 +7,9 @@ similarities,
     value = -log( exp(s_pos/t) / sum_j exp(s_j/t) ),
 
 evaluated with the max-shifted log-sum-exp so the value stays finite for
-similarity/temperature ratios up to +-1000 and far beyond.
+similarity/temperature ratios up to +-1000 and far beyond. One batched
+kernel, ``softmax_ce``, implements it for a whole batch of anchors; the
+single-anchor functions below are B = 1 calls into it.
 
 * token-constraint loss: positive is the patch token most similar to the
   image feature, negatives are its R least similar tokens; gradients
@@ -33,21 +35,20 @@ import numpy as np
 
 from .memory import PrototypeMemory
 
-__all__ = ["LossOutput", "patch_rate", "select_constraint_tokens",
-           "constraint_loss", "prototype_loss", "anchor_loss", "total_loss",
-           "scatter_token_gradients"]
+__all__ = ["LossOutput", "patch_rate", "select_constraint_tokens", "softmax_ce",
+           "constraint_loss", "prototype_loss", "anchor_loss", "total_loss"]
 
 
 @dataclass
 class LossOutput:
-    """value is a non-negative negative-log-probability.
+    """value is a non-negative negative-log-probability (one per row if batched).
 
-    ``grad_tokens`` is present for the token-constraint loss only; its
-    rows follow the call's token arguments: row 0 is the positive token,
-    rows 1.. are the negatives in argument order.
+    ``grad_tokens`` is present when the candidates are per-row (the
+    constraint loss's tokens); its rows follow the candidates: row 0 is
+    the positive, rows 1.. are the negatives in argument order.
     """
 
-    value: float
+    value: float | np.ndarray
     grad_image_feature: np.ndarray
     grad_tokens: np.ndarray | None = None
 
@@ -66,79 +67,100 @@ def patch_rate(num_patches: int, rate: float) -> int:
 
 
 def select_constraint_tokens(image_feature: np.ndarray, tokens: np.ndarray,
-                             rate: float) -> tuple[int, np.ndarray]:
+                             rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Pick the most similar token as positive and the R least similar as
     negatives (ascending similarity), positive excluded, ties to the
-    lowest index."""
+    lowest index.
+
+    Takes any leading batch axes, ``(..., D)`` features against
+    ``(..., I, D)`` tokens, and returns positives ``(...)`` and negatives
+    ``(..., R)``.
+    """
+    f = np.asarray(image_feature, dtype=np.float64)
     tokens = np.asarray(tokens, dtype=np.float64)
-    num = tokens.shape[0]
+    num = tokens.shape[-2]
     r = patch_rate(num, rate)
     if num <= r:
         raise ValueError(f"need more than {r} tokens to pick {r} negatives, got {num}")
-    sims = tokens @ np.asarray(image_feature, dtype=np.float64)
-    pos = int(np.argmax(sims))  # first max = lowest index on ties
-    order = np.argsort(sims, kind="stable")
-    negs = order[order != pos][:r]
+    sims = (tokens @ f[..., None])[..., 0]
+    pos = np.argmax(sims, axis=-1)  # first max = lowest index on ties
+    order = np.argsort(sims, axis=-1, kind="stable")
+    negs = order[order != pos[..., None]].reshape(*order.shape[:-1], num - 1)[..., :r]
     return pos, negs.astype(np.int64)
 
 
-def _softmax_ce(sims: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
-    """(-log softmax[0], softmax weights) over sims/temperature, max-shifted."""
+def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
+               target: int | np.ndarray, temperature: float,
+               valid: np.ndarray | None = None) -> LossOutput:
+    """Batched softmax cross-entropy, the one kernel behind all three losses.
+
+    Row b scores ``image_features[b]`` (B, D) against its candidates:
+    ``candidates[b]`` (B, K, D), or one shared (K, D) set for every row.
+    ``target`` (int or (B,)) is the column of each row's positive, and
+    ``valid`` (B, K) masks absent candidates to a -inf logit. With
+    softmax weights w and s = candidates . f,
+
+      value      = -log w[target],  evaluated max-shifted
+      d/d f      = (1/t) sum_k (w_k - [k == target]) c_k
+      d/d c_k    = (1/t) (w_k - [k == target]) f
+
+    ``grad_tokens`` holds d/d c_k for per-row candidates; shared
+    candidates are memory constants and get none.
+    """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    z = np.asarray(sims, dtype=np.float64) / temperature
-    shift = z.max()
+    f = np.asarray(image_features, dtype=np.float64)
+    cand = np.asarray(candidates, dtype=np.float64)
+    shared = cand.ndim == 2
+    sims = f @ cand.T if shared else (cand @ f[:, :, None])[:, :, 0]
+    z = sims / temperature
+    if valid is not None:
+        z = np.where(valid, z, -np.inf)
+    shift = z.max(axis=1, keepdims=True)
     exp = np.exp(z - shift)
-    total = exp.sum()
-    value = float(np.log(total) + shift - z[0])
-    return value, exp / total
+    total = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(z.shape[0])
+    value = np.log(total[:, 0]) + shift[:, 0] - z[rows, target]
+    coeff = exp / total
+    coeff[rows, target] -= 1.0
+    if shared:
+        return LossOutput(value=value, grad_image_feature=(coeff @ cand) / temperature)
+    grad_f = (coeff[:, None, :] @ cand)[:, 0, :] / temperature
+    return LossOutput(value=value, grad_image_feature=grad_f,
+                      grad_tokens=coeff[:, :, None] * f[:, None, :] / temperature)
+
+
+def _single(image_feature: np.ndarray, candidates: np.ndarray, target: int,
+            temperature: float) -> LossOutput:
+    """Row 0 of a B = 1 kernel call."""
+    out = softmax_ce(np.asarray(image_feature, dtype=np.float64)[None], candidates,
+                     target, temperature)
+    grad_tokens = None if out.grad_tokens is None else out.grad_tokens[0]
+    return LossOutput(float(out.value[0]), out.grad_image_feature[0], grad_tokens)
+
+
+def _stack(positive: np.ndarray, negatives: np.ndarray) -> np.ndarray:
+    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if negs.shape[0] < 1:
+        raise ValueError("need at least one negative")
+    return np.vstack([np.asarray(positive, dtype=np.float64)[None, :], negs])
 
 
 def constraint_loss(image_feature: np.ndarray, pos_token: np.ndarray,
                     neg_tokens: np.ndarray, temperature: float) -> LossOutput:
     """Softmax cross-entropy pulling the image feature toward its best
-    token and away from the selected negatives.
-
-    With softmax weights w over [pos] + negs:
-      d/d f      = (1/t) [(w_0 - 1) pos + sum_r w_r neg_r]
-      d/d pos    = (1/t) (w_0 - 1) f
-      d/d neg_r  = (1/t) w_r f
-    """
-    f = np.asarray(image_feature, dtype=np.float64)
-    pos = np.asarray(pos_token, dtype=np.float64)
-    negs = np.atleast_2d(np.asarray(neg_tokens, dtype=np.float64))
-    sims = np.concatenate(([pos @ f], negs @ f))
-    value, w = _softmax_ce(sims, temperature)
-    coeff = w.copy()
-    coeff[0] -= 1.0
-    stacked = np.vstack([pos[None, :], negs])
-    grad_f = (coeff @ stacked) / temperature
-    grad_tokens = np.outer(coeff, f) / temperature
-    return LossOutput(value=value, grad_image_feature=grad_f, grad_tokens=grad_tokens)
+    token and away from the selected negatives; gradients flow into the
+    feature and every token."""
+    return _single(image_feature, _stack(pos_token, neg_tokens)[None], 0, temperature)
 
 
 def prototype_loss(image_feature: np.ndarray, protos: PrototypeMemory,
                    label: int, temperature: float) -> LossOutput:
-    """Softmax cross-entropy of the anchor against every cluster prototype.
-
-    d/d f = (1/t) sum_c (w_c - [c == label]) p_c; prototypes carry no
-    gradient.
-    """
+    """Softmax cross-entropy of the anchor against every cluster prototype;
+    prototypes carry no gradient."""
     if not 0 <= label < protos.num_clusters:
         raise ValueError(f"label {label} out of range [0, {protos.num_clusters})")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    f = np.asarray(image_feature, dtype=np.float64)
-    sims = protos.prototypes @ f
-    z = sims / temperature
-    shift = z.max()
-    exp = np.exp(z - shift)
-    total = exp.sum()
-    value = float(np.log(total) + shift - z[label])
-    coeff = exp / total
-    coeff[label] -= 1.0
-    grad_f = (coeff @ protos.prototypes) / temperature
-    return LossOutput(value=value, grad_image_feature=grad_f)
+    return _single(image_feature, protos.prototypes, label, temperature)
 
 
 def anchor_loss(image_feature: np.ndarray, positive: np.ndarray,
@@ -146,18 +168,7 @@ def anchor_loss(image_feature: np.ndarray, positive: np.ndarray,
     """Same softmax cross-entropy form as the constraint loss, but the
     positive/negative features are memory constants: only the image
     feature receives a gradient."""
-    f = np.asarray(image_feature, dtype=np.float64)
-    pos = np.asarray(positive, dtype=np.float64)
-    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if negs.shape[0] < 1:
-        raise ValueError("need at least one negative")
-    sims = np.concatenate(([pos @ f], negs @ f))
-    value, w = _softmax_ce(sims, temperature)
-    coeff = w.copy()
-    coeff[0] -= 1.0
-    stacked = np.vstack([pos[None, :], negs])
-    grad_f = (coeff @ stacked) / temperature
-    return LossOutput(value=value, grad_image_feature=grad_f)
+    return _single(image_feature, _stack(positive, negatives), 0, temperature)
 
 
 def total_loss(constraint: LossOutput | None, prototype: LossOutput | None,
@@ -165,7 +176,8 @@ def total_loss(constraint: LossOutput | None, prototype: LossOutput | None,
                weight_prototype: float, weight_anchor: float) -> LossOutput:
     """Weighted sum of the three terms; a None term contributes nothing.
 
-    token gradients pass through scaled by the constraint weight.
+    Works on single-anchor and batched outputs alike; token gradients
+    pass through scaled by the constraint weight.
     """
     for name, weight in (("weight_constraint", weight_constraint),
                          ("weight_prototype", weight_prototype),
@@ -174,29 +186,12 @@ def total_loss(constraint: LossOutput | None, prototype: LossOutput | None,
             raise ValueError(f"{name} must be >= 0")
     terms = [(constraint, weight_constraint), (prototype, weight_prototype),
              (anchor, weight_anchor)]
-    present = [t for t, _ in terms if t is not None]
-    if not present:
+    terms = [(t, w) for t, w in terms if t is not None]
+    if not terms:
         raise ValueError("at least one loss term is required")
-    value = sum(w * t.value for t, w in terms if t is not None)
-    grad_f = np.zeros_like(present[0].grad_image_feature)
-    for t, w in terms:
-        if t is not None:
-            grad_f = grad_f + w * t.grad_image_feature
+    value = sum(w * t.value for t, w in terms)
+    grad_f = sum(w * t.grad_image_feature for t, w in terms)
     grad_tokens = None
     if constraint is not None and constraint.grad_tokens is not None:
         grad_tokens = weight_constraint * constraint.grad_tokens
-    return LossOutput(value=float(value), grad_image_feature=grad_f,
-                      grad_tokens=grad_tokens)
-
-
-def scatter_token_gradients(grad_selected: np.ndarray, pos_index: int,
-                            neg_indices: np.ndarray, num_tokens: int) -> np.ndarray:
-    """Expand per-selected-token gradients (row 0 = positive) to a full
-    (num_tokens, D) array with zeros at unselected rows."""
-    grad_selected = np.asarray(grad_selected, dtype=np.float64)
-    if grad_selected.shape[0] != 1 + len(neg_indices):
-        raise ValueError("grad_selected rows must cover the positive plus each negative")
-    full = np.zeros((num_tokens, grad_selected.shape[1]))
-    full[pos_index] = grad_selected[0]
-    full[np.asarray(neg_indices, dtype=np.int64)] = grad_selected[1:]
-    return full
+    return LossOutput(value=value, grad_image_feature=grad_f, grad_tokens=grad_tokens)

@@ -11,7 +11,8 @@ scaled softmaxes drift).
 Mining rules: the positive for a clustered anchor is its least similar
 same-cluster memory entry; negatives are the k most similar entries of
 any other label, outliers included. Ties always break toward the lowest
-index via stable sorts.
+index via stable sorts. ``mine`` does this for a whole batch with one
+similarity matmul; the single-anchor functions are B = 1 views of it.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blobio
 from .cluster import OUTLIER, PseudoLabels
-from .errors import DataFormatError
-from .linalg import l2_normalize, normalize_rows
+from .linalg import normalize_rows
 
 __all__ = ["InstanceMemory", "PrototypeMemory", "build_instance_memory",
-           "compute_prototypes", "hardest_positive", "top_k_negatives",
-           "momentum_update_prototype", "momentum_update_instance",
-           "save_instance_memory", "load_instance_memory",
-           "save_prototype_memory", "load_prototype_memory"]
+           "compute_prototypes", "mine", "hardest_positive", "top_k_negatives",
+           "momentum_update_prototype", "momentum_update_instance"]
 
 
 @dataclass
@@ -79,15 +76,48 @@ def compute_prototypes(mem: InstanceMemory) -> PrototypeMemory:
     return PrototypeMemory(prototypes=normalize_rows(protos))
 
 
+def mine(mem: InstanceMemory, features: np.ndarray, labels: np.ndarray, k: int,
+         include_outliers: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Mine a batch of (B, D) anchors with one (B, N) similarity matmul.
+
+    Returns (B, 1 + min(k, N)) memory indices and a validity mask of the
+    same shape. Column 0 is the row's hardest positive, the least similar
+    entry of its label (masked argmin); the rest are its negatives, the
+    most similar entries of any other label in descending similarity
+    (stable top-k), invalid past the row's candidate count.
+    ``include_outliers=False`` drops outliers from the candidates.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if (labels < 0).any():
+        raise ValueError("anchor label must be a cluster id (>= 0)")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    same = mem.labels == labels[:, None]
+    missing = ~same.any(axis=1)
+    if missing.any():
+        raise ValueError(f"no memory entry carries label {labels[missing][0]}")
+    sims = features @ mem.features.T
+    cand = ~same
+    if not include_outliers:
+        cand &= mem.labels != OUTLIER
+    picked = np.empty((len(labels), 1 + min(k, mem.size)), dtype=np.int64)
+    picked[:, 0] = np.argmin(np.where(same, sims, np.inf), axis=1)
+    # Stable top-k as k masked argmax passes (argmax takes the first
+    # maximum); for small k this is far cheaper than sorting every row.
+    key = np.where(cand, sims, -np.inf)
+    rows = np.arange(len(labels))
+    for j in range(1, picked.shape[1]):
+        picked[:, j] = np.argmax(key, axis=1)
+        key[rows, picked[:, j]] = -np.inf
+    valid = np.arange(picked.shape[1]) <= cand.sum(axis=1)[:, None]
+    return picked, valid
+
+
 def hardest_positive(mem: InstanceMemory, feature: np.ndarray, label: int) -> np.ndarray:
     """Least similar same-label memory entry; ties go to the lowest index."""
-    if label < 0:
-        raise ValueError("anchor label must be a cluster id (>= 0)")
-    idx = np.flatnonzero(mem.labels == label)
-    if idx.size == 0:
-        raise ValueError(f"no memory entry carries label {label}")
-    sims = mem.features[idx] @ np.asarray(feature, dtype=np.float64)
-    return mem.features[idx[int(np.argmin(sims))]].copy()
+    picked, _ = mine(mem, np.asarray(feature)[None], [label], 1)
+    return mem.features[picked[0, 0]].copy()
 
 
 def top_k_negatives(mem: InstanceMemory, feature: np.ndarray, label: int, k: int,
@@ -98,19 +128,10 @@ def top_k_negatives(mem: InstanceMemory, feature: np.ndarray, label: int, k: int
     toward the lowest index. ``include_outliers=False`` restricts the
     candidate pool to clustered entries (ablation switch).
     """
-    if label < 0:
-        raise ValueError("anchor label must be a cluster id (>= 0)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cand = mem.labels != label
-    if not include_outliers:
-        cand &= mem.labels != OUTLIER
-    idx = np.flatnonzero(cand)
-    if idx.size == 0:
+    picked, valid = mine(mem, np.asarray(feature)[None], [label], k, include_outliers)
+    if not valid[0, 1:].any():
         raise ValueError("no negative candidates in memory")
-    sims = mem.features[idx] @ np.asarray(feature, dtype=np.float64)
-    order = np.argsort(-sims, kind="stable")[: min(k, idx.size)]
-    return mem.features[idx[order]].copy()
+    return mem.features[picked[0, 1:][valid[0, 1:]]].copy()
 
 
 def _momentum_mix(stored: np.ndarray, feature: np.ndarray, momentum: float) -> np.ndarray:
@@ -119,7 +140,7 @@ def _momentum_mix(stored: np.ndarray, feature: np.ndarray, momentum: float) -> n
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape != stored.shape:
         raise ValueError(f"feature shape {feature.shape} != stored {stored.shape}")
-    return l2_normalize(momentum * stored + (1.0 - momentum) * feature)
+    return normalize_rows(momentum * stored + (1.0 - momentum) * feature)
 
 
 def momentum_update_prototype(mem: PrototypeMemory, cluster: int,
@@ -130,38 +151,17 @@ def momentum_update_prototype(mem: PrototypeMemory, cluster: int,
     mem.prototypes[cluster] = _momentum_mix(mem.prototypes[cluster], feature, momentum)
 
 
-def momentum_update_instance(mem: InstanceMemory, index: int,
-                             feature: np.ndarray, momentum: float) -> None:
-    """In-place update of the sample's own slot, same mixing rule."""
-    if not 0 <= index < mem.size:
+def momentum_update_instance(mem: InstanceMemory, index, feature: np.ndarray,
+                             momentum: float) -> None:
+    """In-place update of the samples' own slots, same mixing rule.
+
+    ``index`` is one slot with a (D,) feature or B unique slots with
+    (B, D) features; unique slots make the one vectorised write equal to
+    B sequential ones.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if ((index < 0) | (index >= mem.size)).any():
         raise ValueError(f"index {index} out of range [0, {mem.size})")
+    if (np.diff(np.sort(index, axis=None)) == 0).any():
+        raise ValueError("instance indices must be unique")
     mem.features[index] = _momentum_mix(mem.features[index], feature, momentum)
-
-
-def save_instance_memory(mem: InstanceMemory, prefix) -> None:
-    manifest = {"num_entries": mem.size, "feature_dim": mem.features.shape[1]}
-    blob = blobio.floats_to_bytes(mem.features) + blobio.ints_to_bytes(mem.labels)
-    blobio.write_pair(prefix, manifest, blob)
-
-
-def load_instance_memory(prefix) -> InstanceMemory:
-    manifest, blob = blobio.read_pair(prefix)
-    n, d = int(manifest["num_entries"]), int(manifest["feature_dim"])
-    if len(blob) != 4 * n * d + 4 * n:
-        raise DataFormatError("instance-memory blob length does not match manifest dims")
-    features = blobio.floats_from_bytes(blob, n * d).reshape(n, d)
-    labels = blobio.ints_from_bytes(blob, n, offset=4 * n * d)
-    return InstanceMemory(features=features, labels=labels)
-
-
-def save_prototype_memory(mem: PrototypeMemory, prefix) -> None:
-    manifest = {"num_clusters": mem.num_clusters, "feature_dim": mem.prototypes.shape[1]}
-    blobio.write_pair(prefix, manifest, blobio.floats_to_bytes(mem.prototypes))
-
-
-def load_prototype_memory(prefix) -> PrototypeMemory:
-    manifest, blob = blobio.read_pair(prefix)
-    c, d = int(manifest["num_clusters"]), int(manifest["feature_dim"])
-    if len(blob) != 4 * c * d:
-        raise DataFormatError("prototype-memory blob length does not match manifest dims")
-    return PrototypeMemory(prototypes=blobio.floats_from_bytes(blob, c * d).reshape(c, d))

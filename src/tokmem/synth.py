@@ -128,11 +128,16 @@ def save_dataset(ds: SynthDataset, prefix) -> None:
 def load_dataset(prefix) -> SynthDataset:
     """Read a dataset pair written by :func:`save_dataset`.
 
-    Values come back as float64 (converted from the stored float32).
+    Values come back as float64 (converted from the stored float32). A
+    missing or mistyped manifest field or a non-finite patch value raises
+    DataFormatError.
     """
     manifest, blob = blobio.read_pair(prefix)
-    spec = SynthSpec(**{f.name: manifest[f.name] for f in fields(SynthSpec)})
-    spec.validate()
+    try:
+        spec = SynthSpec(**{f.name: manifest[f.name] for f in fields(SynthSpec)})
+        spec.validate()
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"dataset manifest field missing or mistyped: {exc}") from exc
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
     if manifest.get("num_samples") != n:
         raise DataFormatError(
@@ -142,5 +147,8 @@ def load_dataset(prefix) -> SynthDataset:
         raise DataFormatError(
             f"dataset blob has {len(blob)} bytes, expected {expected} from manifest fields")
     patches = blobio.floats_from_bytes(blob, n * i * d).reshape(n, i, d)
+    # a float64 sum of float32 values is finite iff all are; it needs no mask
+    if not np.isfinite(patches.sum()):
+        raise DataFormatError("dataset blob has non-finite patch values")
     identities = blobio.ints_from_bytes(blob, n, offset=4 * n * i * d)
     return SynthDataset(patches=patches, identities=identities, spec=spec)

@@ -3,12 +3,15 @@
 Per epoch: re-encode the whole dataset with the current encoder, cluster
 the fresh features into pseudo-labels, rebuild the instance memory from
 them (stale features would poison the clustering), and compute cluster
-prototypes. Per iteration: encode a batch of clustered anchors, compute
-the three losses against a frozen memory snapshot, momentum-update both
-memories with the freshly encoded batch features, then apply one plain
-SGD step. Memory updates never run before all batch losses are computed,
-and gradients are reduced in fixed batch order, so a config reproduces
-bit-identically on one platform.
+prototypes. Per iteration, ``train_step`` makes one array pass over the
+batch: encode all anchors, select their tokens, compute the three losses
+against the frozen memory snapshot (one mining matmul), run one batched
+backward, then write the memories and apply one plain SGD step. Every
+loss reads the snapshot before any write; instance writes are one
+vectorised update (slots are unique in a batch); prototype writes run in
+batch order, so the last writer wins on a shared cluster. Gradients are
+summed in a fixed order, so a config reproduces bit-identically on one
+platform; the last bits of logged loss means depend on that order.
 
 Outlier-labeled samples never appear as anchors (they have no prototype
 to serve as a positive) but stay in the instance memory as negative
@@ -33,8 +36,8 @@ from . import memory as memory_mod
 from .errors import NumericError
 from .synth import SynthDataset
 
-__all__ = ["TrainConfig", "TrainResult", "learning_rate", "sample_batches",
-           "encode_dataset", "train"]
+__all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
+           "sample_batches", "encode_dataset", "train", "train_step"]
 
 logger = logging.getLogger(__name__)
 
@@ -123,10 +126,7 @@ def sample_batches(labels: cluster_mod.PseudoLabels, batch_size: int,
 def encode_dataset(params: encoder_mod.EncoderParams,
                    dataset: SynthDataset) -> np.ndarray:
     """Image features for every sample, (N, D)."""
-    out = np.empty((dataset.num_samples, params.feature_dim))
-    for n in range(dataset.num_samples):
-        out[n] = encoder_mod.encode(params, dataset.patches[n]).image_feature
-    return out
+    return encoder_mod.image_feature(params, dataset.patches)
 
 
 def _check_dims(config: TrainConfig, dataset: SynthDataset) -> None:
@@ -179,70 +179,20 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
         mem = memory_mod.build_instance_memory(features, plabels)
         protos = memory_mod.compute_prototypes(mem)
         sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
-        sample_count = 0
         anchor_count = 0
         for iteration, batch in enumerate(batches):
-            grads = encoder_mod.EncoderGrads.zeros_like(params)
-            batch_features = np.empty((batch.size, config.feature_dim))
-            for position, n in enumerate(batch):
-                patches = dataset.patches[n]
-                out = encoder_mod.encode(params, patches)
-                f = out.image_feature
-                batch_features[position] = f
-                label = int(plabels.labels[n])
+            try:
+                step = train_step(config, params, dataset.patches[batch],
+                                  batch, plabels.labels[batch], mem, protos, lr)
+            except NumericError as exc:
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch} iteration {iteration}",
+                    {"epoch": epoch, "iteration": iteration, **exc.diagnostics}) from None
+            for key in sums:
+                sums[key] += float(getattr(step, key).sum())
+            anchor_count += int(step.has_anchor.sum())
 
-                pos_idx, neg_idx = losses_mod.select_constraint_tokens(
-                    f, out.patch_tokens, config.neg_token_rate)
-                con = losses_mod.constraint_loss(
-                    f, out.patch_tokens[pos_idx], out.patch_tokens[neg_idx],
-                    config.temperature)
-                pro = losses_mod.prototype_loss(f, protos, label, config.temperature)
-                anc = None
-                if _has_negative_candidates(mem, label, config.anchor_include_outliers):
-                    hardest = memory_mod.hardest_positive(mem, f, label)
-                    negatives = memory_mod.top_k_negatives(
-                        mem, f, label, config.num_negatives,
-                        include_outliers=config.anchor_include_outliers)
-                    anc = losses_mod.anchor_loss(f, hardest, negatives,
-                                                 config.temperature)
-                    anchor_count += 1
-                total = losses_mod.total_loss(
-                    con, pro, anc, config.weight_constraint,
-                    config.weight_prototype, config.weight_anchor)
-                if not np.isfinite(total.value):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch} iteration {iteration}",
-                        diagnostics={
-                            "epoch": epoch, "iteration": iteration,
-                            "sample": int(n), "constraint": con.value,
-                            "proto": pro.value,
-                            "anchor": None if anc is None else anc.value,
-                            "lr": lr, "C": plabels.num_clusters,
-                        })
-                grad_tokens = losses_mod.scatter_token_gradients(
-                    total.grad_tokens, pos_idx, neg_idx, patches.shape[0])
-                grads.add_(encoder_mod.encode_backward(
-                    params, patches, total.grad_image_feature, grad_tokens))
-
-                sums["constraint"] += con.value
-                sums["proto"] += pro.value
-                sums["anchor"] += 0.0 if anc is None else anc.value
-                sums["total"] += total.value
-                sample_count += 1
-
-            # Momentum updates run strictly after every loss in the batch,
-            # in ascending batch order; last writer wins on shared clusters.
-            for position, n in enumerate(batch):
-                f = batch_features[position]
-                memory_mod.momentum_update_prototype(
-                    protos, int(plabels.labels[n]), f, config.momentum)
-                memory_mod.momentum_update_instance(mem, int(n), f, config.momentum)
-
-            scale = lr / batch.size
-            params.w_patch -= scale * grads.w_patch
-            params.w_cls -= scale * grads.w_cls
-            params.w_part -= scale * grads.w_part
-
+        sample_count = len(batches) * config.batch_size
         record["mean_constraint"] = sums["constraint"] / sample_count
         record["mean_proto"] = sums["proto"] / sample_count
         record["mean_anchor"] = (sums["anchor"] / anchor_count) if anchor_count else None
@@ -251,9 +201,69 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     return TrainResult(params=params, log=log)
 
 
-def _has_negative_candidates(mem: memory_mod.InstanceMemory, label: int,
-                             include_outliers: bool) -> bool:
-    cand = mem.labels != label
-    if not include_outliers:
-        cand &= mem.labels >= 0
-    return bool(cand.any())
+@dataclass
+class StepLosses:
+    """Per-anchor loss values of one step, (B,) each; ``anchor`` is 0
+    where ``has_anchor`` is False (no negative candidate in memory)."""
+    constraint: np.ndarray
+    proto: np.ndarray
+    anchor: np.ndarray
+    total: np.ndarray
+    has_anchor: np.ndarray
+
+
+def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
+               patches: np.ndarray, indices: np.ndarray, labels: np.ndarray,
+               mem: memory_mod.InstanceMemory, protos: memory_mod.PrototypeMemory,
+               lr: float) -> StepLosses:
+    """One iteration on a batch of B clustered anchors, in place on
+    ``params``, ``mem`` and ``protos``.
+
+    ``patches`` (B, I, d_in) are the anchors' patch stacks, ``indices``
+    their (unique) memory slots and ``labels`` their clusters. Raises
+    NumericError, before any write, if an anchor's total loss is not
+    finite; its diagnostics name the first such ``sample``.
+    """
+    t = config.temperature
+    out = encoder_mod.encode(params, patches)
+    f, tokens = out.image_feature, out.patch_tokens
+    rows = np.arange(f.shape[0])[:, None]
+
+    pos, negs = losses_mod.select_constraint_tokens(f, tokens, config.neg_token_rate)
+    selected = np.concatenate([pos[:, None], negs], axis=1)
+    con = losses_mod.softmax_ce(f, tokens[rows, selected], 0, t)
+    pro = losses_mod.softmax_ce(f, protos.prototypes, labels, t)
+    # Missing negatives get -inf logits. A row without any candidate then
+    # scores only its positive: its anchor term is exactly 0 with zero
+    # gradient, the same as leaving the term out.
+    picked, valid = memory_mod.mine(mem, f, labels, config.num_negatives,
+                                    config.anchor_include_outliers)
+    anc = losses_mod.softmax_ce(f, mem.features[picked], 0, t, valid=valid)
+    total = losses_mod.total_loss(con, pro, anc, config.weight_constraint,
+                                  config.weight_prototype, config.weight_anchor)
+    has_anchor = valid[:, 1]
+    bad = np.flatnonzero(~np.isfinite(total.value))
+    if bad.size:
+        b = bad[0]
+        raise NumericError("non-finite loss", diagnostics={
+            "sample": int(indices[b]), "constraint": float(con.value[b]),
+            "proto": float(pro.value[b]), "lr": lr, "C": protos.num_clusters,
+            "anchor": float(anc.value[b]) if has_anchor[b] else None})
+
+    grad_tokens = np.zeros_like(tokens)
+    grad_tokens[rows, selected] = total.grad_tokens
+    grads = encoder_mod.encode_backward(params, patches, total.grad_image_feature,
+                                        grad_tokens)
+
+    # Writes only now, after every read of the snapshot; prototypes in
+    # batch order because clusters are shared.
+    memory_mod.momentum_update_instance(mem, indices, f, config.momentum)
+    for label, row in zip(labels, f):
+        memory_mod.momentum_update_prototype(protos, int(label), row, config.momentum)
+
+    scale = lr / f.shape[0]
+    params.w_patch -= scale * grads.w_patch
+    params.w_cls -= scale * grads.w_cls
+    params.w_part -= scale * grads.w_part
+    return StepLosses(constraint=con.value, proto=pro.value, anchor=anc.value,
+                      total=total.value, has_anchor=has_anchor)

@@ -89,3 +89,160 @@ def cmc_oracle(all_ranked_ids, query_ids, k_max):
             if first <= k + 1:
                 totals[k] += 1
     return totals / valid if valid else None
+
+
+# ------------------------------------------------ per-anchor training step
+#
+# The training step as it ran before it was batched: one encode, token
+# selection, three softmax cross-entropies, mining and backward pass per
+# anchor, with per-anchor sorts and sequential momentum updates. It reuses
+# only the pipeline stages the batching leaves alone (init, DBSCAN, batch
+# sampling, memory construction) and is the equivalence oracle for the
+# batched step in tokmem.training.
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def encode_one(params, patches):
+    """(image feature, tokens) of one (I, d_in) patch stack."""
+    from tokmem.encoder import part_slices
+
+    z = params.part_tokens
+    pre_tokens = patches @ params.w_patch.T
+    tokens = pre_tokens / np.linalg.norm(pre_tokens, axis=1, keepdims=True)
+    pre = params.w_cls @ patches.mean(axis=0)
+    for wz, sl in zip(params.w_part, part_slices(patches.shape[0], z)):
+        pre = pre + (wz @ patches[sl].mean(axis=0)) / z
+    return _unit(pre), tokens
+
+
+def encode_backward_one(params, patches, g_f, g_t):
+    """(g_w_patch, g_w_cls, g_w_part) of <g_f, f> + sum_i <g_t[i], t_i>."""
+    from tokmem.encoder import part_slices
+
+    z = params.part_tokens
+    pre_tokens = patches @ params.w_patch.T
+    norms = np.linalg.norm(pre_tokens, axis=1, keepdims=True)
+    units = pre_tokens / norms
+    proj = np.einsum("ij,ij->i", g_t, units)[:, None]
+    g_w_patch = ((g_t - proj * units) / norms).T @ patches
+
+    xbar = patches.mean(axis=0)
+    stripes = [patches[sl].mean(axis=0) for sl in part_slices(patches.shape[0], z)]
+    pre = params.w_cls @ xbar
+    for wz, sm in zip(params.w_part, stripes):
+        pre = pre + (wz @ sm) / z
+    norm = np.linalg.norm(pre)
+    unit = pre / norm
+    g_pre = (g_f - np.dot(g_f, unit) * unit) / norm
+    return (g_w_patch, np.outer(g_pre, xbar),
+            np.stack([np.outer(g_pre, sm) / z for sm in stripes]))
+
+
+def softmax_ce_one(sims, target, temperature):
+    """(-log softmax(sims/t)[target], softmax - onehot(target))."""
+    z = sims / temperature
+    shift = z.max()
+    exp = np.exp(z - shift)
+    total = exp.sum()
+    coeff = exp / total
+    coeff[target] -= 1.0
+    return float(np.log(total) + shift - z[target]), coeff
+
+
+def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
+    """One iteration, anchor by anchor, in place on params, mem and protos.
+
+    Returns one (constraint, proto, anchor or None, total) tuple per anchor.
+    """
+    from tokmem.losses import patch_rate
+
+    t = config.temperature
+    wc, wp, wa = (config.weight_constraint, config.weight_prototype,
+                  config.weight_anchor)
+    g_patch = np.zeros_like(params.w_patch)
+    g_cls = np.zeros_like(params.w_cls)
+    g_part = np.zeros_like(params.w_part)
+    feats, rows = [], []
+    for n in batch:
+        x = patches[n]
+        f, tokens = encode_one(params, x)
+        feats.append(f)
+        label = int(labels[n])
+
+        sims = tokens @ f
+        pos = int(np.argmax(sims))
+        order = np.argsort(sims, kind="stable")
+        r = patch_rate(len(sims), config.neg_token_rate)
+        sel = np.concatenate([[pos], order[order != pos][:r]])
+        con, coeff = softmax_ce_one(tokens[sel] @ f, 0, t)
+        grad_f = wc * ((coeff @ tokens[sel]) / t)
+        grad_tokens = np.zeros_like(tokens)
+        grad_tokens[sel] = wc * (np.outer(coeff, f) / t)
+
+        pro, coeff = softmax_ce_one(protos.prototypes @ f, label, t)
+        grad_f = grad_f + wp * ((coeff @ protos.prototypes) / t)
+
+        anc = None
+        same = np.flatnonzero(mem.labels == label)
+        hardest = same[int(np.argmin(mem.features[same] @ f))]
+        cand = mem.labels != label
+        if not config.anchor_include_outliers:
+            cand &= mem.labels >= 0
+        idx = np.flatnonzero(cand)
+        if idx.size:
+            order = np.argsort(-(mem.features[idx] @ f), kind="stable")
+            top = idx[order[:config.num_negatives]]
+            stacked = mem.features[np.concatenate([[hardest], top])]
+            anc, coeff = softmax_ce_one(stacked @ f, 0, t)
+            grad_f = grad_f + wa * ((coeff @ stacked) / t)
+        total = wc * con + wp * pro + (0.0 if anc is None else wa * anc)
+        rows.append((con, pro, anc, total))
+
+        gp, gc, gz = encode_backward_one(params, x, grad_f, grad_tokens)
+        g_patch += gp
+        g_cls += gc
+        g_part += gz
+
+    for n, f in zip(batch, feats):
+        m = config.momentum
+        label = int(labels[n])
+        protos.prototypes[label] = _unit(m * protos.prototypes[label] + (1 - m) * f)
+        mem.features[n] = _unit(m * mem.features[n] + (1 - m) * f)
+    scale = lr / len(batch)
+    params.w_patch -= scale * g_patch
+    params.w_cls -= scale * g_cls
+    params.w_part -= scale * g_part
+    return rows
+
+
+def per_anchor_train(config, dataset):
+    """The whole epoch loop around :func:`per_anchor_step`.
+
+    Returns (params, log); each log record carries epoch, C, outliers and
+    the per-anchor loss rows of the epoch.
+    """
+    from tokmem.cluster import dbscan
+    from tokmem.encoder import init_params
+    from tokmem.memory import build_instance_memory, compute_prototypes
+    from tokmem.training import learning_rate, sample_batches
+
+    params = init_params(config.feature_dim, config.patch_input_dim,
+                         config.part_tokens, config.seed)
+    log = []
+    for epoch in range(config.epochs):
+        feats = np.stack([encode_one(params, x)[0] for x in dataset.patches])
+        plabels = dbscan(feats, config.dbscan_eps, config.dbscan_min_pts)
+        record = {"epoch": epoch, "C": plabels.num_clusters,
+                  "outliers": plabels.outlier_count, "rows": []}
+        batches = sample_batches(plabels, config.batch_size, config.seed, epoch)
+        if batches and plabels.num_clusters:
+            mem = build_instance_memory(feats, plabels)
+            protos = compute_prototypes(mem)
+            for batch in batches:
+                record["rows"] += per_anchor_step(
+                    params, dataset.patches, batch, plabels.labels, mem, protos,
+                    config, learning_rate(config, epoch))
+        log.append(record)
+    return params, log

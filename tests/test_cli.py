@@ -115,6 +115,41 @@ def test_train_runs_are_byte_identical(tmp_path):
     assert (tmp_path / "run" / "log.jsonl").read_bytes() == first_log
 
 
+def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    blob_path = tmp_path / "run" / "data.f32"
+    blob = bytearray(blob_path.read_bytes())
+    blob[40:44] = np.array([np.nan], dtype="<f4").tobytes()
+    blob_path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field,value,message", [("seed", None, "seed"),
+                                                 ("num_identities", "4", "str")])
+def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, message):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    manifest_path = tmp_path / "run" / "data.json"
+    manifest = json.loads(manifest_path.read_text())
+    if value is None:
+        del manifest[field]
+    else:
+        manifest[field] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_eval_writes_metrics(tmp_path, capsys):
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
@@ -165,13 +200,13 @@ def test_train_numeric_failure_exits_3_with_diagnostics(tmp_path, capsys, monkey
     import tokmem.training as training_mod
     from tokmem.losses import LossOutput
 
-    def broken(*args, **kwargs):
-        return LossOutput(value=float("nan"), grad_image_feature=np.zeros(8),
-                          grad_tokens=np.zeros((2, 8)))
+    def broken(image_features, *args, **kwargs):
+        return LossOutput(value=np.full(len(image_features), np.nan),
+                          grad_image_feature=np.zeros_like(image_features))
 
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
-    monkeypatch.setattr(training_mod.losses_mod, "constraint_loss", broken)
+    monkeypatch.setattr(training_mod.losses_mod, "softmax_ce", broken)
     assert main(["train", "--config", str(cfg)]) == 3
     assert "non-finite" in capsys.readouterr().err
     diag = json.loads((tmp_path / "run" / "log.jsonl.diag.json").read_text())

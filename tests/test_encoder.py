@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tokmem.encoder import (EncoderParams, encode, encode_backward,
-                            flatten_params, init_params, load_checkpoint,
-                            part_slices, save_checkpoint, unflatten_params)
+                            flatten_params, image_feature, init_params,
+                            load_checkpoint, part_slices, save_checkpoint,
+                            unflatten_params)
 from tokmem.errors import DataFormatError
 from tokmem.linalg import finite_diff_grad, relative_error
 
@@ -149,6 +150,30 @@ def test_backward_matches_finite_differences(trial):
 
     numeric = finite_diff_grad(value_at, flatten_params(params), h=1e-5)
     assert relative_error(analytic, numeric) < 1e-4
+
+
+def test_batch_axes_match_single_images(rng):
+    params = init_params(4, 6, 3, seed=21)
+    patches = rng.normal(size=(2, 3, 7, 6))
+    g_f = rng.normal(size=(2, 3, 4))
+    g_t = rng.normal(size=(2, 3, 7, 4))
+    out = encode(params, patches)
+    assert out.image_feature.shape == (2, 3, 4)
+    np.testing.assert_array_equal(image_feature(params, patches), out.image_feature)
+    grads = encode_backward(params, patches, g_f, g_t)
+    summed = [np.zeros_like(params.w_patch), np.zeros_like(params.w_cls),
+              np.zeros_like(params.w_part)]
+    for idx in np.ndindex(2, 3):
+        single = encode(params, patches[idx])
+        np.testing.assert_allclose(out.image_feature[idx], single.image_feature,
+                                   atol=1e-15)
+        np.testing.assert_allclose(out.patch_tokens[idx], single.patch_tokens,
+                                   atol=1e-15)
+        g = encode_backward(params, patches[idx], g_f[idx], g_t[idx])
+        for acc, block in zip(summed, (g.w_patch, g.w_cls, g.w_part)):
+            acc += block
+    for acc, block in zip(summed, (grads.w_patch, grads.w_cls, grads.w_part)):
+        np.testing.assert_allclose(block, acc, rtol=1e-12, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tokmem.linalg import (DegenerateNormWarning, dot, finite_diff_grad,
-                           l2_normalize, normalize_rows, relative_error)
+                           normalize_rows, relative_error)
 from tokmem.losses import constraint_loss
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -13,18 +13,18 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
 
 
 def test_normalize_345_triangle():
-    np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8],
+    np.testing.assert_allclose(normalize_rows(np.array([3.0, 4.0])), [0.6, 0.8],
                                rtol=0, atol=1e-15)
 
 
 def test_normalize_already_unit():
     v = np.array([0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(l2_normalize(v), v)
+    np.testing.assert_array_equal(normalize_rows(v), v)
 
 
 def test_normalize_zero_vector_warns_and_passes_through():
     with pytest.warns(DegenerateNormWarning):
-        out = l2_normalize(np.zeros(2))
+        out = normalize_rows(np.zeros(2))
     np.testing.assert_array_equal(out, np.zeros(2))
 
 
@@ -40,7 +40,7 @@ def test_normalize_rows_zero_row_warns():
 def test_normalize_unit_norm(v):
     if np.linalg.norm(v) == 0.0:
         return
-    assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) <= 1e-9
+    assert abs(np.linalg.norm(normalize_rows(v)) - 1.0) <= 1e-9
 
 
 def test_dot_examples():

@@ -9,8 +9,7 @@ from conftest import unit_rows
 from oracles import topk_by_full_sort
 from tokmem.linalg import finite_diff_grad, relative_error
 from tokmem.losses import (anchor_loss, constraint_loss, patch_rate,
-                           prototype_loss, scatter_token_gradients,
-                           select_constraint_tokens, total_loss)
+                           prototype_loss, select_constraint_tokens, total_loss)
 from tokmem.memory import PrototypeMemory
 
 
@@ -243,16 +242,6 @@ def test_total_accepts_missing_terms(rng):
         total_loss(None, None, None, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         total_loss(con, pro, None, -1.0, 1.0, 1.0)
-
-
-def test_scatter_places_rows():
-    grads = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    full = scatter_token_gradients(grads, pos_index=2, neg_indices=np.array([0, 4]),
-                                   num_tokens=5)
-    np.testing.assert_array_equal(full[2], [1.0, 2.0])
-    np.testing.assert_array_equal(full[0], [3.0, 4.0])
-    np.testing.assert_array_equal(full[4], [5.0, 6.0])
-    np.testing.assert_array_equal(full[[1, 3]], np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------ invariants

@@ -4,12 +4,9 @@ import pytest
 from conftest import unit_rows
 from oracles import topk_by_full_sort
 from tokmem.cluster import PseudoLabels
-from tokmem.memory import (InstanceMemory, build_instance_memory,
-                           compute_prototypes, hardest_positive,
-                           load_instance_memory, load_prototype_memory,
-                           momentum_update_instance, momentum_update_prototype,
-                           save_instance_memory, save_prototype_memory,
-                           top_k_negatives)
+from tokmem.memory import (build_instance_memory, compute_prototypes,
+                           hardest_positive, momentum_update_instance,
+                           momentum_update_prototype, top_k_negatives)
 
 
 def labels_of(values):
@@ -229,6 +226,20 @@ def test_momentum_validation():
         momentum_update_instance(mem, 0, np.array([1.0, 0.0]), 1.5)
 
 
+def test_momentum_instance_batch_equals_sequential_updates(rng):
+    feats = unit_rows(rng, 8, 4)
+    batched = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, 0])
+    sequential = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, 0])
+    index = np.array([5, 0, 7, 2])
+    fresh = unit_rows(rng, 4, 4)
+    momentum_update_instance(batched, index, fresh, 0.2)
+    for i, f in zip(index, fresh):
+        momentum_update_instance(sequential, int(i), f, 0.2)
+    np.testing.assert_allclose(batched.features, sequential.features, atol=1e-15)
+    with pytest.raises(ValueError, match="unique"):
+        momentum_update_instance(batched, np.array([1, 3, 1]), fresh[:3], 0.2)
+
+
 def test_updates_keep_unit_norm(rng):
     feats = unit_rows(rng, 10, 4)
     mem = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, -1, 0, 1])
@@ -239,19 +250,3 @@ def test_updates_keep_unit_norm(rng):
         momentum_update_prototype(protos, int(rng.integers(0, 3)), f, 0.2)
     np.testing.assert_allclose(np.linalg.norm(mem.features, axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(np.linalg.norm(protos.prototypes, axis=1), 1.0, atol=1e-9)
-
-
-def test_memory_round_trips(tmp_path, rng):
-    feats = unit_rows(rng, 6, 3)
-    mem = memory_from(feats, [0, 1, -1, 0, 1, 2])
-    save_instance_memory(mem, tmp_path / "ins")
-    loaded = load_instance_memory(tmp_path / "ins")
-    np.testing.assert_array_equal(loaded.labels, mem.labels)
-    np.testing.assert_array_equal(loaded.features,
-                                  mem.features.astype(np.float32).astype(np.float64))
-
-    protos = compute_prototypes(mem)
-    save_prototype_memory(protos, tmp_path / "proto")
-    loaded_p = load_prototype_memory(tmp_path / "proto")
-    np.testing.assert_array_equal(loaded_p.prototypes,
-                                  protos.prototypes.astype(np.float32).astype(np.float64))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import tokmem.training as training_mod
-from tokmem.cluster import PseudoLabels
+from tokmem.cluster import PseudoLabels, dbscan
+from tokmem.encoder import init_params
 from tokmem.errors import NumericError
-from tokmem.losses import LossOutput
 from tokmem.synth import SynthSpec, generate
-from tokmem.training import TrainConfig, learning_rate, sample_batches, train
+from tokmem.training import (TrainConfig, encode_dataset, learning_rate,
+                             sample_batches, train)
 
 
 def tiny_dataset(seed=3, num_identities=4, spi=6, noise=0.1):
@@ -149,42 +150,53 @@ def test_dimension_mismatch_rejected():
 
 
 def test_losses_read_snapshot_before_updates(monkeypatch):
-    """Within an iteration every mining/loss read happens before the first
-    momentum write."""
+    """Within an iteration every loss and mining read happens before the
+    first memory write."""
     timeline = []
-    real_hardest = training_mod.memory_mod.hardest_positive
-    real_update = training_mod.memory_mod.momentum_update_instance
 
-    def spy_hardest(*args, **kwargs):
-        timeline.append("read")
-        return real_hardest(*args, **kwargs)
+    def spy(module, name, kind):
+        real = getattr(module, name)
 
-    def spy_update(*args, **kwargs):
-        timeline.append("write")
-        return real_update(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            timeline.append(kind)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(training_mod.memory_mod, "hardest_positive", spy_hardest)
-    monkeypatch.setattr(training_mod.memory_mod, "momentum_update_instance", spy_update)
+    spy(training_mod.losses_mod, "softmax_ce", "read")
+    spy(training_mod.memory_mod, "mine", "read")
+    spy(training_mod.memory_mod, "momentum_update_instance", "write")
+    spy(training_mod.memory_mod, "momentum_update_prototype", "write")
     ds = tiny_dataset()
-    train(tiny_config(epochs=1, batch_size=4), ds)
-    assert "read" in timeline and "write" in timeline
     batch = 4
-    for i in range(0, len(timeline), 2 * batch):
-        window = timeline[i:i + 2 * batch]
-        assert window == ["read"] * batch + ["write"] * batch
+    train(tiny_config(epochs=1, batch_size=batch), ds)
+    # three loss kernels and one mining pass, then one vectorised instance
+    # write and one prototype write per anchor
+    iteration = ["read"] * 4 + ["write"] * (1 + batch)
+    assert len(timeline) >= len(iteration)
+    assert len(timeline) % len(iteration) == 0
+    assert timeline == iteration * (len(timeline) // len(iteration))
 
 
 def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
-    def broken(*args, **kwargs):
-        return LossOutput(value=float("nan"), grad_image_feature=np.zeros(8),
-                          grad_tokens=np.zeros((3, 8)))
+    real = training_mod.losses_mod.softmax_ce
 
-    monkeypatch.setattr(training_mod.losses_mod, "constraint_loss", broken)
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.value[1] = float("nan")
+        return out
+
+    monkeypatch.setattr(training_mod.losses_mod, "softmax_ce", broken)
     ds = tiny_dataset()
+    cfg = tiny_config(epochs=1)
     with pytest.raises(NumericError) as info:
-        train(tiny_config(epochs=1), ds)
-    assert "epoch" in info.value.diagnostics
-    assert info.value.diagnostics["epoch"] == 0
+        train(cfg, ds)
+    fresh = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, cfg.seed)
+    plabels = dbscan(encode_dataset(fresh, ds), cfg.dbscan_eps, cfg.dbscan_min_pts)
+    first_batch = sample_batches(plabels, cfg.batch_size, cfg.seed, 0)[0]
+    diagnostics = info.value.diagnostics
+    assert diagnostics["epoch"] == 0
+    assert diagnostics["iteration"] == 0
+    assert diagnostics["sample"] == int(first_batch[1])
 
 
 def test_loss_decreases_on_easy_task():
@@ -203,3 +215,83 @@ def test_config_validation_messages():
         tiny_config(momentum=1.5).validate()
     with pytest.raises(ValueError, match="part_tokens"):
         tiny_config(patches_per_image=1, part_tokens=2).validate()
+
+
+# ------------------------------------- batched step vs the per-anchor oracle
+
+def _layout(name, rng, n):
+    """Memory labels, the anchor batch and the outlier switch of one case."""
+    if name.startswith("mixed"):
+        labels = np.concatenate([np.arange(4), rng.integers(-1, 4, size=n - 4)])
+        return labels, np.flatnonzero(labels >= 0)[:6], name == "mixed"
+    if name == "fewer_than_k":
+        # cluster-0 anchors see only the two cluster-1 entries (k = 4)
+        labels = np.array([1, 1, -1, -1] + [0] * (n - 4))
+        return labels, np.array([0, 4, 5, 1, 6, 7]), False
+    assert name == "none"
+    labels = np.array([-1, -1] + [0] * (n - 2))
+    return labels, np.arange(2, 8), False
+
+
+@pytest.mark.parametrize("name", ["mixed", "mixed_no_outliers", "fewer_than_k", "none"])
+def test_batched_step_matches_per_anchor_oracle(name):
+    from oracles import encode_one, per_anchor_step
+    from tokmem.memory import build_instance_memory, compute_prototypes
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([55, len(name)],
+                                                            dtype=np.uint64)))
+    n = 20
+    labels, batch, include = _layout(name, rng, n)
+    candidates = ((labels != labels[batch, None]) & (include | (labels >= 0))).sum(axis=1)
+    if name == "fewer_than_k":
+        assert ((candidates > 0) & (candidates < 4)).any()
+    cfg = tiny_config(num_negatives=4, anchor_include_outliers=include)
+    patches = rng.normal(size=(n, cfg.patches_per_image, cfg.patch_input_dim))
+    params = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, 5)
+    feats = np.stack([encode_one(params, x)[0] for x in patches])
+
+    def fresh_state():
+        mem = build_instance_memory(feats, labels_of(labels))
+        return params.copy(), mem, compute_prototypes(mem)
+
+    p_b, mem_b, protos_b = fresh_state()
+    step = training_mod.train_step(cfg, p_b, patches[batch], batch, labels[batch],
+                                   mem_b, protos_b, lr=0.05)
+    p_o, mem_o, protos_o = fresh_state()
+    rows = per_anchor_step(p_o, patches, batch, labels, mem_o, protos_o, cfg, lr=0.05)
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    con, pro, anc, total = zip(*rows)
+    close(step.constraint, con)
+    close(step.proto, pro)
+    close(step.total, total)
+    np.testing.assert_array_equal(step.has_anchor, [a is not None for a in anc])
+    close(step.anchor, [0.0 if a is None else a for a in anc])
+    np.testing.assert_array_equal(step.has_anchor, name != "none")
+    for block in ("w_patch", "w_cls", "w_part"):
+        close(getattr(p_b, block), getattr(p_o, block))
+    close(mem_b.features, mem_o.features)
+    close(protos_b.prototypes, protos_o.prototypes)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"dbscan_eps": 0.15,
+                                            "anchor_include_outliers": False}])
+def test_batched_training_matches_per_anchor_oracle(overrides):
+    from oracles import per_anchor_train
+
+    ds = tiny_dataset()
+    cfg = tiny_config(epochs=3, **overrides)
+    result = train(cfg, ds)
+    params, log = per_anchor_train(cfg, ds)
+    assert [(r["C"], r["outliers"]) for r in result.log] == \
+        [(r["C"], r["outliers"]) for r in log]
+    for ours, oracle in zip(result.log, log):
+        con, pro, anc, total = zip(*oracle["rows"])
+        np.testing.assert_allclose(
+            [ours["mean_constraint"], ours["mean_proto"], ours["mean_total"]],
+            [np.mean(con), np.mean(pro), np.mean(total)], rtol=1e-12)
+    for block in ("w_patch", "w_cls", "w_part"):
+        np.testing.assert_allclose(getattr(result.params, block),
+                                   getattr(params, block), rtol=1e-9, atol=1e-9)
