@@ -15,8 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tokmem import (encode_dataset, evaluate_retrieval, generate, init_params,
-                    load_run_config, split_query_gallery, train)
+from tokmem import evaluate_encoder, generate, init_params, load_run_config, train
 
 VARIANTS = {
     "constraint": dict(weight_prototype=0.0, weight_anchor=0.0),
@@ -42,14 +41,9 @@ def main() -> int:
     for seed in args.seeds:
         data_spec = dataclasses.replace(cfg.data, seed=seed)
         ds = generate(data_spec)
-        query, gallery = split_query_gallery(ds, cfg.eval.query_per_identity,
-                                             cfg.eval.seed)
 
         def retrieval(params):
-            feats = encode_dataset(params, ds)
-            return evaluate_retrieval(feats[query], ds.identities[query],
-                                      feats[gallery], ds.identities[gallery],
-                                      cfg.eval.k_max).mean_ap
+            return evaluate_encoder(params, ds, cfg.eval).mean_ap
 
         fresh_scores.append(retrieval(init_params(
             cfg.train.feature_dim, cfg.train.patch_input_dim,

@@ -9,8 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tokmem import (encode_dataset, evaluate_retrieval, generate, init_params,
-                    load_run_config, split_query_gallery, train)
+from tokmem import evaluate_encoder, generate, init_params, load_run_config, train
 
 
 def main() -> int:
@@ -31,18 +30,10 @@ def main() -> int:
     print(f"final epoch: total={last['mean_total']:.4f} C={last['C']} "
           f"outliers={last['outliers']}")
 
-    query, gallery = split_query_gallery(ds, cfg.eval.query_per_identity,
-                                         cfg.eval.seed)
-
-    def retrieval(params):
-        feats = encode_dataset(params, ds)
-        return evaluate_retrieval(feats[query], ds.identities[query],
-                                  feats[gallery], ds.identities[gallery],
-                                  cfg.eval.k_max)
-
-    trained = retrieval(result.params)
-    fresh = retrieval(init_params(cfg.train.feature_dim, cfg.train.patch_input_dim,
-                                  cfg.train.part_tokens, cfg.train.seed))
+    trained = evaluate_encoder(result.params, ds, cfg.eval)
+    fresh = evaluate_encoder(init_params(cfg.train.feature_dim, cfg.train.patch_input_dim,
+                                         cfg.train.part_tokens, cfg.train.seed),
+                             ds, cfg.eval)
     print(f"trained : mAP={trained.mean_ap:.4f} rank1={trained.cmc[0]:.4f}")
     print(f"fresh   : mAP={fresh.mean_ap:.4f} rank1={fresh.cmc[0]:.4f}")
     print(f"margin  : {trained.mean_ap - fresh.mean_ap:+.4f}")

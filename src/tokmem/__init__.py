@@ -9,15 +9,14 @@ from .encoder import (EncodeOutput, EncoderGrads, EncoderParams, encode,
                       save_checkpoint)
 from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import (RankingResult, average_precision, cmc_curve,
-                       evaluate_retrieval, rank_gallery)
-from .linalg import (DegenerateNormWarning, dot, finite_diff_grad,
-                     normalize_rows, relative_error)
-from .losses import (LossOutput, anchor_loss, constraint_loss, patch_rate,
-                     prototype_loss, select_constraint_tokens, total_loss)
+                       evaluate_encoder, evaluate_retrieval, rank_gallery)
+from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,
+                     relative_error)
+from .losses import (LossOutput, patch_rate, select_constraint_tokens,
+                     softmax_ce)
 from .memory import (InstanceMemory, PrototypeMemory, build_instance_memory,
-                     compute_prototypes, hardest_positive,
-                     momentum_update_instance, momentum_update_prototype,
-                     top_k_negatives)
+                     compute_prototypes, mine, momentum_update_instance,
+                     momentum_update_prototype)
 from .synth import (SynthDataset, SynthSpec, generate, load_dataset,
                     save_dataset, split_query_gallery)
 from .training import TrainConfig, TrainResult, encode_dataset, sample_batches, train

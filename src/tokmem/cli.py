@@ -100,12 +100,7 @@ def _cmd_eval(args) -> int:
     params = encoder_mod.load_checkpoint(checkpoint)
     _check_checkpoint_dims(cfg, params)
     ds = synth_mod.load_dataset(cfg.paths.dataset)
-    features = train_mod.encode_dataset(params, ds)
-    query_idx, gallery_idx = synth_mod.split_query_gallery(
-        ds, cfg.eval.query_per_identity, cfg.eval.seed)
-    result = evaluate_mod.evaluate_retrieval(
-        features[query_idx], ds.identities[query_idx],
-        features[gallery_idx], ds.identities[gallery_idx], cfg.eval.k_max)
+    result = evaluate_mod.evaluate_encoder(params, ds, cfg.eval)
     csv_path = Path(args.per_query_csv) if args.per_query_csv else None
     evaluate_mod.write_metrics(result, cfg.paths.metrics, per_query_csv=csv_path)
     print(f"mAP={result.mean_ap:.4f} rank1={result.cmc[0]:.4f} "

@@ -5,7 +5,8 @@ Sections: ``data`` (dataset recipe, all fields required), ``train``
 protocol, optional with defaults), ``paths`` (artifact locations, all
 required). ``format_version: 1`` is mandatory. Unknown keys anywhere are
 rejected so hyperparameter typos cannot pass silently; every validation
-message names the offending field path.
+message names the offending field path. Limits across sections (query
+split, ``k_max``, batch size) are checked at load, before any command runs.
 
 The patch geometry (``patches_per_image``, ``patch_input_dim``) lives in
 ``data`` only and is injected into the training config, so the two can
@@ -94,11 +95,27 @@ def _parse_section(section: dict, section_name: str, cls, *, required_all: bool,
     for name, f in fields.items():
         path = f"{section_name}.{name}"
         if name in section:
-            ftype = {"int": int, "float": float, "bool": bool}.get(f.type, f.type)
+            ftype = {"int": int, "float": float, "bool": bool, "str": str,
+                     "Path": str}.get(f.type, f.type)
             kwargs[name] = _check_type(path, section[name], ftype)
         elif required_all or f.default is dataclasses.MISSING:
             raise ConfigError(f"missing `{path}`")
     return kwargs
+
+
+def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> None:
+    """Limits across sections, checked at load so that no command runs
+    (say, 30 epochs of training) on a config that ``eval`` must reject."""
+    spi, query = data.samples_per_identity, eval_cfg.query_per_identity
+    gallery = data.num_identities * (spi - query)
+    for ok, name, value, bound in [
+            (1 <= query < spi, "eval.query_per_identity", query, f"in [1, {spi - 1}]"),
+            (1 <= eval_cfg.k_max <= gallery, "eval.k_max", eval_cfg.k_max,
+             f"in [1, {gallery}], the gallery size"),
+            (train.batch_size <= data.num_samples, "train.batch_size", train.batch_size,
+             f"<= {data.num_samples}, the dataset size")]:
+        if not ok:
+            raise ConfigError(f"`{name}` must be {bound}, got {value}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -143,21 +160,10 @@ def load_run_config(path) -> RunConfig:
     eval_kwargs = _parse_section(doc.get("eval", {}), "eval", EvalConfig,
                                  required_all=False)
     eval_cfg = EvalConfig(**eval_kwargs)
-    if eval_cfg.query_per_identity < 1:
-        raise ConfigError("`eval.query_per_identity` must be >= 1")
-    if eval_cfg.k_max < 1:
-        raise ConfigError("`eval.k_max` must be >= 1")
+    _check_limits(data, train, eval_cfg)
 
-    paths_section = _require_section(doc, "paths")
-    known_paths = {"dataset", "checkpoint", "log", "metrics"}
-    for key in paths_section:
-        if key not in known_paths:
-            raise ConfigError(f"unknown key `paths.{key}`")
-    kwargs = {}
-    for name in known_paths:
-        if name not in paths_section:
-            raise ConfigError(f"missing `paths.{name}`")
-        kwargs[name] = Path(_check_type(f"paths.{name}", paths_section[name], str))
-    paths = RunPaths(**kwargs)
+    paths_kwargs = _parse_section(_require_section(doc, "paths"), "paths", RunPaths,
+                                  required_all=True)
+    paths = RunPaths(**{name: Path(value) for name, value in paths_kwargs.items()})
 
     return RunConfig(data=data, train=train, eval=eval_cfg, paths=paths)

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import synth as synth_mod
+from . import training as training_mod
+
 __all__ = ["RankingResult", "rank_gallery", "average_precision", "cmc_curve",
-           "evaluate_retrieval", "metrics_dict", "write_metrics"]
+           "evaluate_retrieval", "evaluate_encoder", "metrics_dict", "write_metrics"]
 
 
 @dataclass
@@ -100,6 +103,17 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
         num_queries=int(valid.sum()),
         excluded_queries=excluded,
     )
+
+
+def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> RankingResult:
+    """Retrieval metrics of an encoder: encode every sample, then split and
+    rank as ``eval_cfg`` (an ``EvalConfig``) says."""
+    features = training_mod.encode_dataset(params, dataset)
+    query, gallery = synth_mod.split_query_gallery(
+        dataset, eval_cfg.query_per_identity, eval_cfg.seed)
+    return evaluate_retrieval(features[query], dataset.identities[query],
+                              features[gallery], dataset.identities[gallery],
+                              eval_cfg.k_max)
 
 
 def metrics_dict(result: RankingResult) -> dict:

@@ -3,8 +3,13 @@
 Each component check builds a random instance (unit-Gaussian features,
 normalized), evaluates the analytic gradient, and compares it against
 the central-difference oracle from :mod:`tokmem.linalg` over all
-differentiated inputs. The report text is deterministic for a fixed
-seed.
+differentiated inputs. The three loss checks call the batched
+``losses.softmax_ce`` on B >= 2 rows the way training does: per-row
+token candidates, one shared prototype set, and masked per-row memory
+candidates. Each row's target is its least similar candidate: a
+dominant target would leave a gradient so small that the rounding error
+of the central difference swamps it. The report text is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import numpy as np
 from . import encoder as encoder_mod
 from . import losses as losses_mod
 from .linalg import finite_diff_grad, normalize_rows, relative_error
-from .memory import PrototypeMemory
 
 __all__ = ["COMPONENTS", "run_gradcheck", "format_report", "TOLERANCE", "STEP"]
 
@@ -23,65 +27,70 @@ STEP = 1e-5
 
 _TEMPERATURES = (0.05, 0.2, 1.0)
 _ENCODER_BATCH = 3
+_MAX_BATCH = 4
 
 
 def _units(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return normalize_rows(rng.normal(size=(n, d)))
 
 
-def _check_constraint(rng: np.random.Generator) -> float:
-    """Compare against finite differences over the image feature, the
-    positive token, and every negative token jointly."""
-    d = int(rng.integers(4, 10))
-    r = int(rng.integers(1, 8))
-    temperature = float(rng.choice(_TEMPERATURES))
-    f, pos = _units(rng, 2, d)
-    negs = _units(rng, r, d)
-
-    out = losses_mod.constraint_loss(f, pos, negs, temperature)
-    analytic = np.concatenate([out.grad_image_feature, out.grad_tokens.ravel()])
+def _softmax_ce_error(f: np.ndarray, cand: np.ndarray, target, temperature: float,
+                      valid: np.ndarray | None = None, wrt_cand: bool = False) -> float:
+    """Relative gradient error of the row-summed ``softmax_ce`` value over
+    the (B, D) features, and over per-row candidates too if ``wrt_cand``."""
+    out = losses_mod.softmax_ce(f, cand, target, temperature, valid)
 
     def value_at(x: np.ndarray) -> float:
-        ff = x[:d]
-        toks = x[d:].reshape(1 + r, d)
-        return losses_mod.constraint_loss(ff, toks[0], toks[1:], temperature).value
+        c = x[f.size:].reshape(cand.shape) if wrt_cand else cand
+        return losses_mod.softmax_ce(x[:f.size].reshape(f.shape), c, target,
+                                     temperature, valid).value.sum()
 
-    x0 = np.concatenate([f, pos, negs.ravel()])
-    numeric = finite_diff_grad(value_at, x0, STEP)
-    return relative_error(analytic, numeric)
+    x0, analytic = f.ravel(), out.grad_image_feature.ravel()
+    if wrt_cand:
+        x0 = np.concatenate([x0, cand.ravel()])
+        analytic = np.concatenate([analytic, out.grad_tokens.ravel()])
+    return relative_error(analytic, finite_diff_grad(value_at, x0, STEP))
+
+
+def _instance(rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """A temperature and (B, D) unit features with B >= 2 rows."""
+    b, d = int(rng.integers(2, _MAX_BATCH + 1)), int(rng.integers(4, 10))
+    return float(rng.choice(_TEMPERATURES)), _units(rng, b, d)
+
+
+def _hardest_first(rng: np.random.Generator, f: np.ndarray, k: int) -> np.ndarray:
+    """Random per-row (B, K, D) unit candidates in ascending similarity:
+    each row's target, column 0, is its least similar candidate."""
+    b, d = f.shape
+    cand = _units(rng, b * k, d).reshape(b, k, d)
+    order = np.argsort((cand @ f[:, :, None])[:, :, 0], axis=1)
+    return np.take_along_axis(cand, order[:, :, None], axis=1)
+
+
+def _check_constraint(rng: np.random.Generator) -> float:
+    """Per-row (B, 1 + R, D) token candidates, differentiated jointly
+    with the features."""
+    temperature, f = _instance(rng)
+    tokens = _hardest_first(rng, f, 1 + int(rng.integers(1, 8)))
+    return _softmax_ce_error(f, tokens, 0, temperature, wrt_cand=True)
 
 
 def _check_prototype(rng: np.random.Generator) -> float:
-    d = int(rng.integers(4, 10))
-    c = int(rng.integers(2, 10))
-    temperature = float(rng.choice(_TEMPERATURES))
-    f = _units(rng, 1, d)[0]
-    protos = PrototypeMemory(prototypes=_units(rng, c, d))
-    label = int(rng.integers(0, c))
-
-    out = losses_mod.prototype_loss(f, protos, label, temperature)
-
-    def value_at(x: np.ndarray) -> float:
-        return losses_mod.prototype_loss(x, protos, label, temperature).value
-
-    numeric = finite_diff_grad(value_at, f, STEP)
-    return relative_error(out.grad_image_feature, numeric)
+    """One shared (C, D) prototype set with per-row targets."""
+    temperature, f = _instance(rng)
+    protos = _units(rng, int(rng.integers(2, 10)), f.shape[1])
+    return _softmax_ce_error(f, protos, np.argmin(f @ protos.T, axis=1), temperature)
 
 
 def _check_anchor(rng: np.random.Generator) -> float:
-    d = int(rng.integers(4, 10))
+    """Per-row constant (B, 1 + k, D) memory candidates under a validity
+    mask in which one row keeps fewer than k negatives, possibly none."""
+    temperature, f = _instance(rng)
     k = int(rng.integers(1, 8))
-    temperature = float(rng.choice(_TEMPERATURES))
-    f, pos = _units(rng, 2, d)
-    negs = _units(rng, k, d)
-
-    out = losses_mod.anchor_loss(f, pos, negs, temperature)
-
-    def value_at(x: np.ndarray) -> float:
-        return losses_mod.anchor_loss(x, pos, negs, temperature).value
-
-    numeric = finite_diff_grad(value_at, f, STEP)
-    return relative_error(out.grad_image_feature, numeric)
+    cand = _hardest_first(rng, f, 1 + k)
+    valid = np.ones(cand.shape[:2], dtype=bool)
+    valid[int(rng.integers(0, len(f))), 1 + int(rng.integers(0, k)):] = False
+    return _softmax_ce_error(f, cand, 0, temperature, valid)
 
 
 def _check_encoder(rng: np.random.Generator) -> float:

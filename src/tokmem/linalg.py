@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "DegenerateNormWarning",
     "normalize_rows",
-    "dot",
     "finite_diff_grad",
     "relative_error",
 ]
@@ -34,25 +33,18 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    zero = norms == 0.0
-    if zero.any():
-        warnings.warn("cannot normalize zero rows; returning them unchanged",
-                      DegenerateNormWarning, stacklevel=2)
-        norms = np.where(zero, 1.0, norms)
+    tiny = norms < 1e-150
+    if tiny.any():
+        # Squares this small are subnormal and lose precision: divide such
+        # rows by their largest entry first. Other rows keep their bits.
+        peak = np.where(tiny, np.abs(m).max(axis=-1, keepdims=True, initial=0.0), 1.0)
+        if (peak == 0.0).any():
+            warnings.warn("cannot normalize zero rows; returning them unchanged",
+                          DegenerateNormWarning, stacklevel=2)
+        m = m / np.where(peak == 0.0, 1.0, peak)
+        norms = np.linalg.norm(m, axis=-1, keepdims=True)
+        norms[norms == 0.0] = 1.0
     return m / norms
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of two equal-dimension vectors.
-
-    On unit vectors this is the cosine similarity in [-1, 1] up to
-    rounding. Dimension mismatch is a hard error.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

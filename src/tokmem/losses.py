@@ -8,8 +8,7 @@ similarities,
 
 evaluated with the max-shifted log-sum-exp so the value stays finite for
 similarity/temperature ratios up to +-1000 and far beyond. One batched
-kernel, ``softmax_ce``, implements it for a whole batch of anchors; the
-single-anchor functions below are B = 1 calls into it.
+kernel, ``softmax_ce``, implements it for a whole batch of anchors.
 
 * token-constraint loss: positive is the patch token most similar to the
   image feature, negatives are its R least similar tokens; gradients
@@ -33,22 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import PrototypeMemory
-
-__all__ = ["LossOutput", "patch_rate", "select_constraint_tokens", "softmax_ce",
-           "constraint_loss", "prototype_loss", "anchor_loss", "total_loss"]
+__all__ = ["LossOutput", "patch_rate", "select_constraint_tokens", "softmax_ce"]
 
 
 @dataclass
 class LossOutput:
-    """value is a non-negative negative-log-probability (one per row if batched).
+    """``value`` holds one non-negative negative-log-probability per row.
 
     ``grad_tokens`` is present when the candidates are per-row (the
-    constraint loss's tokens); its rows follow the candidates: row 0 is
-    the positive, rows 1.. are the negatives in argument order.
+    constraint loss's tokens); it follows the candidates' layout.
     """
 
-    value: float | np.ndarray
+    value: np.ndarray
     grad_image_feature: np.ndarray
     grad_tokens: np.ndarray | None = None
 
@@ -114,6 +109,8 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     shared = cand.ndim == 2
     sims = f @ cand.T if shared else (cand @ f[:, :, None])[:, :, 0]
     z = sims / temperature
+    if np.min(target) < 0 or np.max(target) >= z.shape[1]:
+        raise ValueError(f"target out of range [0, {z.shape[1]})")
     if valid is not None:
         z = np.where(valid, z, -np.inf)
     shift = z.max(axis=1, keepdims=True)
@@ -128,70 +125,3 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     grad_f = (coeff[:, None, :] @ cand)[:, 0, :] / temperature
     return LossOutput(value=value, grad_image_feature=grad_f,
                       grad_tokens=coeff[:, :, None] * f[:, None, :] / temperature)
-
-
-def _single(image_feature: np.ndarray, candidates: np.ndarray, target: int,
-            temperature: float) -> LossOutput:
-    """Row 0 of a B = 1 kernel call."""
-    out = softmax_ce(np.asarray(image_feature, dtype=np.float64)[None], candidates,
-                     target, temperature)
-    grad_tokens = None if out.grad_tokens is None else out.grad_tokens[0]
-    return LossOutput(float(out.value[0]), out.grad_image_feature[0], grad_tokens)
-
-
-def _stack(positive: np.ndarray, negatives: np.ndarray) -> np.ndarray:
-    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if negs.shape[0] < 1:
-        raise ValueError("need at least one negative")
-    return np.vstack([np.asarray(positive, dtype=np.float64)[None, :], negs])
-
-
-def constraint_loss(image_feature: np.ndarray, pos_token: np.ndarray,
-                    neg_tokens: np.ndarray, temperature: float) -> LossOutput:
-    """Softmax cross-entropy pulling the image feature toward its best
-    token and away from the selected negatives; gradients flow into the
-    feature and every token."""
-    return _single(image_feature, _stack(pos_token, neg_tokens)[None], 0, temperature)
-
-
-def prototype_loss(image_feature: np.ndarray, protos: PrototypeMemory,
-                   label: int, temperature: float) -> LossOutput:
-    """Softmax cross-entropy of the anchor against every cluster prototype;
-    prototypes carry no gradient."""
-    if not 0 <= label < protos.num_clusters:
-        raise ValueError(f"label {label} out of range [0, {protos.num_clusters})")
-    return _single(image_feature, protos.prototypes, label, temperature)
-
-
-def anchor_loss(image_feature: np.ndarray, positive: np.ndarray,
-                negatives: np.ndarray, temperature: float) -> LossOutput:
-    """Same softmax cross-entropy form as the constraint loss, but the
-    positive/negative features are memory constants: only the image
-    feature receives a gradient."""
-    return _single(image_feature, _stack(positive, negatives), 0, temperature)
-
-
-def total_loss(constraint: LossOutput | None, prototype: LossOutput | None,
-               anchor: LossOutput | None, weight_constraint: float,
-               weight_prototype: float, weight_anchor: float) -> LossOutput:
-    """Weighted sum of the three terms; a None term contributes nothing.
-
-    Works on single-anchor and batched outputs alike; token gradients
-    pass through scaled by the constraint weight.
-    """
-    for name, weight in (("weight_constraint", weight_constraint),
-                         ("weight_prototype", weight_prototype),
-                         ("weight_anchor", weight_anchor)):
-        if weight < 0:
-            raise ValueError(f"{name} must be >= 0")
-    terms = [(constraint, weight_constraint), (prototype, weight_prototype),
-             (anchor, weight_anchor)]
-    terms = [(t, w) for t, w in terms if t is not None]
-    if not terms:
-        raise ValueError("at least one loss term is required")
-    value = sum(w * t.value for t, w in terms)
-    grad_f = sum(w * t.grad_image_feature for t, w in terms)
-    grad_tokens = None
-    if constraint is not None and constraint.grad_tokens is not None:
-        grad_tokens = weight_constraint * constraint.grad_tokens
-    return LossOutput(value=value, grad_image_feature=grad_f, grad_tokens=grad_tokens)

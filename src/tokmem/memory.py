@@ -12,7 +12,7 @@ Mining rules: the positive for a clustered anchor is its least similar
 same-cluster memory entry; negatives are the k most similar entries of
 any other label, outliers included. Ties always break toward the lowest
 index via stable sorts. ``mine`` does this for a whole batch with one
-similarity matmul; the single-anchor functions are B = 1 views of it.
+similarity matmul.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .cluster import OUTLIER, PseudoLabels
 from .linalg import normalize_rows
 
 __all__ = ["InstanceMemory", "PrototypeMemory", "build_instance_memory",
-           "compute_prototypes", "mine", "hardest_positive", "top_k_negatives",
-           "momentum_update_prototype", "momentum_update_instance"]
+           "compute_prototypes", "mine", "momentum_update_prototype",
+           "momentum_update_instance"]
 
 
 @dataclass
@@ -55,9 +55,6 @@ def build_instance_memory(features: np.ndarray, labels: PseudoLabels) -> Instanc
     if features.shape[0] != label_arr.shape[0]:
         raise ValueError(
             f"{features.shape[0]} features but {label_arr.shape[0]} labels")
-    if features.shape[0] == 0:
-        return InstanceMemory(features=features.reshape(0, features.shape[-1] if features.ndim == 2 else 0),
-                              labels=label_arr.copy())
     return InstanceMemory(features=normalize_rows(features), labels=label_arr.copy())
 
 
@@ -112,26 +109,6 @@ def mine(mem: InstanceMemory, features: np.ndarray, labels: np.ndarray, k: int,
         key[rows, picked[:, j]] = -np.inf
     valid = np.arange(picked.shape[1]) <= cand.sum(axis=1)[:, None]
     return picked, valid
-
-
-def hardest_positive(mem: InstanceMemory, feature: np.ndarray, label: int) -> np.ndarray:
-    """Least similar same-label memory entry; ties go to the lowest index."""
-    picked, _ = mine(mem, np.asarray(feature)[None], [label], 1)
-    return mem.features[picked[0, 0]].copy()
-
-
-def top_k_negatives(mem: InstanceMemory, feature: np.ndarray, label: int, k: int,
-                    include_outliers: bool = True) -> np.ndarray:
-    """The k most similar entries with a different label, outliers included.
-
-    Returns min(k, candidates) rows in descending similarity; ties break
-    toward the lowest index. ``include_outliers=False`` restricts the
-    candidate pool to clustered entries (ablation switch).
-    """
-    picked, valid = mine(mem, np.asarray(feature)[None], [label], k, include_outliers)
-    if not valid[0, 1:].any():
-        raise ValueError("no negative candidates in memory")
-    return mem.features[picked[0, 1:][valid[0, 1:]]].copy()
 
 
 def _momentum_mix(stored: np.ndarray, feature: np.ndarray, momentum: float) -> np.ndarray:

@@ -239,10 +239,11 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     picked, valid = memory_mod.mine(mem, f, labels, config.num_negatives,
                                     config.anchor_include_outliers)
     anc = losses_mod.softmax_ce(f, mem.features[picked], 0, t, valid=valid)
-    total = losses_mod.total_loss(con, pro, anc, config.weight_constraint,
-                                  config.weight_prototype, config.weight_anchor)
+    w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,
+                           config.weight_anchor)
+    total = w_con * con.value + w_pro * pro.value + w_anc * anc.value
     has_anchor = valid[:, 1]
-    bad = np.flatnonzero(~np.isfinite(total.value))
+    bad = np.flatnonzero(~np.isfinite(total))
     if bad.size:
         b = bad[0]
         raise NumericError("non-finite loss", diagnostics={
@@ -251,9 +252,10 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
             "anchor": float(anc.value[b]) if has_anchor[b] else None})
 
     grad_tokens = np.zeros_like(tokens)
-    grad_tokens[rows, selected] = total.grad_tokens
-    grads = encoder_mod.encode_backward(params, patches, total.grad_image_feature,
-                                        grad_tokens)
+    grad_tokens[rows, selected] = w_con * con.grad_tokens
+    grad_f = (w_con * con.grad_image_feature + w_pro * pro.grad_image_feature
+              + w_anc * anc.grad_image_feature)
+    grads = encoder_mod.encode_backward(params, patches, grad_f, grad_tokens)
 
     # Writes only now, after every read of the snapshot; prototypes in
     # batch order because clusters are shared.
@@ -266,4 +268,4 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     params.w_cls -= scale * grads.w_cls
     params.w_part -= scale * grads.w_part
     return StepLosses(constraint=con.value, proto=pro.value, anchor=anc.value,
-                      total=total.value, has_anchor=has_anchor)
+                      total=total, has_anchor=has_anchor)

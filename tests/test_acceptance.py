@@ -19,18 +19,17 @@ from conftest import (REFERENCE_EVAL, REFERENCE_SPEC, REFERENCE_TRAIN,
                       unit_rows)
 from oracles import (average_precision_oracle, cmc_oracle, dbscan_oracle,
                      partition_of_core_points, topk_by_full_sort)
-from tokmem import (anchor_loss, average_precision, cmc_curve, constraint_loss,
-                    dbscan, evaluate_retrieval, generate, hardest_positive,
-                    pairwise_cosine_dist, patch_rate, prototype_loss,
-                    rank_gallery, select_constraint_tokens,
-                    split_query_gallery, top_k_negatives)
+from tokmem import (EvalConfig, average_precision, cmc_curve, dbscan,
+                    evaluate_encoder, generate, mine, pairwise_cosine_dist,
+                    patch_rate, rank_gallery, select_constraint_tokens,
+                    softmax_ce)
 from tokmem.cluster import PseudoLabels
 from tokmem.encoder import init_params
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
 from tokmem.memory import (InstanceMemory, PrototypeMemory,
-                           build_instance_memory, compute_prototypes,
-                           momentum_update_instance, momentum_update_prototype)
-from tokmem.training import encode_dataset, train
+                           build_instance_memory, momentum_update_instance,
+                           momentum_update_prototype)
+from tokmem.training import train
 
 # Regression constants pinned from the first oracle run of the committed
 # reference configuration (see conftest.REFERENCE_*), with safety slack
@@ -99,20 +98,21 @@ def test_criterion_3_closed_form_uniform_losses():
             toks[i, 1 + i % (d - 1)] = 1.0
         return toks
 
+    # token constraint: per-row candidates; prototype and anchor: one set
     for r in (1, 4, 9, 31):
         toks = tokens_with_sim(1 + r, 0.37)
-        out = constraint_loss(f, toks[0], toks[1:], temperature=0.05)
-        assert abs(out.value - math.log(1 + r)) <= 1e-12
+        out = softmax_ce(f[None], toks[None], 0, temperature=0.05)
+        assert abs(out.value[0] - math.log(1 + r)) <= 1e-12
 
     for c in (2, 5, 16):
-        protos = PrototypeMemory(prototypes=tokens_with_sim(c, -0.2))
-        out = prototype_loss(f, protos, label=c // 2, temperature=0.7)
-        assert abs(out.value - math.log(c)) <= 1e-12
+        protos = tokens_with_sim(c, -0.2)
+        out = softmax_ce(f[None], protos, c // 2, temperature=0.7)
+        assert abs(out.value[0] - math.log(c)) <= 1e-12
 
     for k in (1, 4, 12):
         toks = tokens_with_sim(1 + k, 0.8)
-        out = anchor_loss(f, toks[0], toks[1:], temperature=0.05)
-        assert abs(out.value - math.log(1 + k)) <= 1e-12
+        out = softmax_ce(f[None], toks, 0, temperature=0.05)
+        assert abs(out.value[0] - math.log(1 + k)) <= 1e-12
     report(3, "uniform-similarity losses equal ln(1+R), ln C, ln(1+k) within 1e-12")
 
 
@@ -157,17 +157,16 @@ def test_criterion_5_mining_matches_full_sort():
         anchor = unit_rows(rng, 1, d)[0]
         sims = mem.features @ anchor
 
+        neg_pool = np.flatnonzero(labels != 0)
+        k = int(rng.integers(1, 9)) if neg_pool.size else 1
+        picked, valid = mine(mem, anchor[None], np.array([0]), k)
+
         pos_pool = np.flatnonzero(labels == 0)
         expected_pos = pos_pool[topk_by_full_sort(sims[pos_pool], 1, descending=False)[0]]
-        np.testing.assert_array_equal(hardest_positive(mem, anchor, 0),
-                                      mem.features[expected_pos])
+        assert picked[0, 0] == expected_pos
 
-        neg_pool = np.flatnonzero(labels != 0)
-        if neg_pool.size:
-            k = int(rng.integers(1, 9))
-            expected = neg_pool[topk_by_full_sort(sims[neg_pool], min(k, neg_pool.size))]
-            np.testing.assert_array_equal(top_k_negatives(mem, anchor, 0, k),
-                                          mem.features[expected])
+        expected = neg_pool[topk_by_full_sort(sims[neg_pool], min(k, neg_pool.size))]
+        np.testing.assert_array_equal(picked[0, 1:][valid[0, 1:]], expected)
 
         # token selection against the same sorted oracle
         tokens = unit_rows(rng, 24, d)
@@ -254,28 +253,20 @@ def test_criterion_7_metric_oracles():
 ABLATION_SEEDS = (42, 43, 44, 45, 46)
 
 
-def _retrieval_map(params, ds, query, gallery):
-    feats = encode_dataset(params, ds)
-    return evaluate_retrieval(feats[query], ds.identities[query],
-                              feats[gallery], ds.identities[gallery],
-                              REFERENCE_EVAL["k_max"]).mean_ap
-
-
 def _reference_run(seed, **overrides):
     import dataclasses
 
     spec = dataclasses.replace(REFERENCE_SPEC, seed=seed)
     ds = generate(spec)
-    query, gallery = split_query_gallery(ds, REFERENCE_EVAL["query_per_identity"],
-                                         REFERENCE_EVAL["seed"])
     cfg = dataclasses.replace(REFERENCE_TRAIN, seed=seed, **overrides)
     start = time.time()
     result = train(cfg, ds)
     elapsed = time.time() - start
     fresh = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, seed)
+    eval_cfg = EvalConfig(**REFERENCE_EVAL)
     return {
-        "fresh": _retrieval_map(fresh, ds, query, gallery),
-        "trained": _retrieval_map(result.params, ds, query, gallery),
+        "fresh": evaluate_encoder(fresh, ds, eval_cfg).mean_ap,
+        "trained": evaluate_encoder(result.params, ds, eval_cfg).mean_ap,
         "elapsed": elapsed,
         "log": result.log,
     }

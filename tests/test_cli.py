@@ -102,6 +102,23 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eval_override, field", [
+    ({"query_per_identity": 6}, "eval.query_per_identity"),
+    ({"k_max": 10000}, "eval.k_max"),
+])
+def test_train_rejects_eval_limits_before_training(tmp_path, capsys, eval_override,
+                                                   field):
+    main(["gen-data", "--config", str(write_config(tmp_path))])
+    capsys.readouterr()
+    cfg = write_config(tmp_path, eval=eval_override)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and field in err
+    assert not list((tmp_path / "run").glob("ckpt*"))
+    assert not (tmp_path / "run" / "log.jsonl").exists()
+    assert main(["gen-data", "--config", str(cfg)]) == 2
+
+
 def test_train_runs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])

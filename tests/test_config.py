@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,7 @@ def test_valid_config_parses(tmp_path):
 
 def test_train_and_eval_defaults(tmp_path):
     doc = valid_doc()
+    doc["data"]["samples_per_identity"] = 8  # room for the default batch of 32
     doc["train"] = {}
     del doc["eval"]
     cfg = load_run_config(write_config(tmp_path, doc))
@@ -133,3 +138,47 @@ def test_malformed_json_and_missing_file(tmp_path):
         load_run_config(bad)
     with pytest.raises(ConfigError, match="not found"):
         load_run_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    # samples_per_identity is 6: at most 5 queries per identity
+    ("eval", "query_per_identity", 6, "eval.query_per_identity"),
+    ("eval", "query_per_identity", 0, "eval.query_per_identity"),
+    # the gallery holds 4 identities x (6 - 2) samples = 16
+    ("eval", "k_max", 17, "eval.k_max"),
+    ("eval", "k_max", 10000, "eval.k_max"),
+    ("eval", "k_max", 0, "eval.k_max"),
+    # the dataset holds 4 x 6 = 24 samples
+    ("train", "batch_size", 25, "train.batch_size"),
+])
+def test_cross_section_limits_rejected_at_load(tmp_path, section, key, value, message):
+    doc = valid_doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(write_config(tmp_path, doc))
+
+
+def test_cross_section_limits_accept_the_extremes(tmp_path):
+    doc = valid_doc()
+    doc["eval"].update(query_per_identity=5, k_max=4)  # gallery 4 x 1
+    doc["train"]["batch_size"] = 24
+    cfg = load_run_config(write_config(tmp_path, doc))
+    assert (cfg.eval.query_per_identity, cfg.eval.k_max, cfg.train.batch_size) == (5, 4, 24)
+
+
+def test_missing_paths_named_in_field_order_under_any_hash_seed(tmp_path):
+    """`paths` holding only `dataset` names `paths.checkpoint`, the first
+    missing field, whatever the string hash seed of the process."""
+    doc = valid_doc()
+    doc["paths"] = {"dataset": "runs/t/data"}
+    config = write_config(tmp_path, doc)
+    src = Path(__file__).resolve().parent.parent / "src"
+    messages = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "tokmem.cli", "train",
+                               "--config", str(config)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2
+        messages.add(proc.stderr)
+    assert messages == {"error: missing `paths.checkpoint`\n"}

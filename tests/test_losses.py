@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import unit_rows
 from oracles import topk_by_full_sort
+from tokmem.cluster import PseudoLabels
+from tokmem.encoder import flatten_params, image_feature, init_params
 from tokmem.linalg import finite_diff_grad, relative_error
-from tokmem.losses import (anchor_loss, constraint_loss, patch_rate,
-                           prototype_loss, select_constraint_tokens, total_loss)
-from tokmem.memory import PrototypeMemory
+from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
+from tokmem.memory import build_instance_memory, compute_prototypes
+from tokmem.training import TrainConfig, train_step
 
 
 def make_rng(*key):
@@ -81,19 +83,30 @@ def test_select_matches_full_sort_oracle(trial):
 
 
 # ----------------------------------------------------------------- the losses
+# Every loss is one ``softmax_ce`` call: the constraint loss with per-row
+# token candidates, the prototype loss with one shared prototype set, the
+# anchor loss with constant memory candidates. These tests use B = 1.
+
+def constraint(f, pos, negs, temperature):
+    return softmax_ce(f[None], np.vstack([pos, negs])[None], 0, temperature)
+
+
+def anchor(f, pos, negs, temperature):
+    return softmax_ce(f[None], np.vstack([pos, negs]), 0, temperature)
+
 
 def test_constraint_uniform_similarities_closed_form():
     f, tokens = token_set_for([0.3] * 10)
-    out = constraint_loss(f, tokens[0], tokens[1:], temperature=0.05)
-    assert out.value == pytest.approx(math.log(10), abs=1e-12)
+    out = softmax_ce(f[None], tokens[None], 0, temperature=0.05)
+    assert out.value[0] == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_constraint_dominant_positive_is_tiny():
     f = np.zeros(4)
     f[0] = 1.0
     negs = np.eye(4)[1:]  # orthogonal to f
-    out = constraint_loss(f, f, negs, temperature=0.05)
-    assert 0.0 <= out.value < 1e-7
+    out = constraint(f, f, negs, temperature=0.05)
+    assert 0.0 <= out.value[0] < 1e-7
 
 
 def test_constraint_gradients_match_finite_differences():
@@ -101,15 +114,15 @@ def test_constraint_gradients_match_finite_differences():
         rng = make_rng(32, trial)
         d, r = 5, 4
         vecs = unit_rows(rng, 2 + r, d)
-        f, pos, negs = vecs[0], vecs[1], vecs[2:]
-        out = constraint_loss(f, pos, negs, temperature=0.1)
-        analytic = np.concatenate([out.grad_image_feature, out.grad_tokens.ravel()])
+        f, toks = vecs[0], vecs[1:]
+        out = softmax_ce(f[None], toks[None], 0, temperature=0.1)
+        analytic = np.concatenate([out.grad_image_feature[0], out.grad_tokens[0].ravel()])
 
         def value_at(x):
-            toks = x[d:].reshape(1 + r, d)
-            return constraint_loss(x[:d], toks[0], toks[1:], temperature=0.1).value
+            return softmax_ce(x[None, :d], x[d:].reshape(1, 1 + r, d), 0,
+                              temperature=0.1).value[0]
 
-        numeric = finite_diff_grad(value_at, np.concatenate([f, pos, negs.ravel()]))
+        numeric = finite_diff_grad(value_at, np.concatenate([f, toks.ravel()]))
         assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -118,49 +131,51 @@ def test_constraint_token_gradients_sum_to_zero(rng):
     weight-coefficient times the image feature) cancel exactly."""
     vecs = unit_rows(rng, 6, 4)
     f, pos, negs = vecs[0], vecs[1], vecs[2:]
-    out = constraint_loss(f, pos, negs, temperature=0.05)
-    np.testing.assert_allclose(out.grad_tokens.sum(axis=0), np.zeros(4), atol=1e-12)
+    grad_tokens = constraint(f, pos, negs, temperature=0.05).grad_tokens[0]
+    np.testing.assert_allclose(grad_tokens.sum(axis=0), np.zeros(4), atol=1e-12)
     # recover the weights from the gradients and check they sum to 1
-    coeffs = out.grad_tokens @ f * 0.05  # w - [is positive]
+    coeffs = grad_tokens @ f * 0.05  # w - [is positive]
     weights = coeffs + np.eye(1 + 4)[0][: len(coeffs)]
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (weights > 0).all()
 
 
 def test_prototype_two_equal_prototypes_closed_form():
-    f = np.array([1.0, 0.0, 0.0])
-    protos = PrototypeMemory(prototypes=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    out = prototype_loss(f, protos, label=0, temperature=0.7)
-    assert out.value == pytest.approx(math.log(2), abs=1e-12)
+    f = np.array([[1.0, 0.0, 0.0]])
+    protos = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    out = softmax_ce(f, protos, 0, temperature=0.7)
+    assert out.value[0] == pytest.approx(math.log(2), abs=1e-12)
+    assert out.grad_tokens is None
 
 
 def test_prototype_own_prototype_closed_form():
-    protos = PrototypeMemory(prototypes=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = prototype_loss(np.array([1.0, 0.0]), protos, label=0, temperature=1.0)
-    assert out.value == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-12)
+    protos = np.array([[1.0, 0.0], [0.0, 1.0]])
+    out = softmax_ce(np.array([[1.0, 0.0]]), protos, 0, temperature=1.0)
+    assert out.value[0] == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-12)
 
 
 def test_prototype_label_validation():
-    protos = PrototypeMemory(prototypes=np.eye(2))
-    with pytest.raises(ValueError):
-        prototype_loss(np.array([1.0, 0.0]), protos, label=2, temperature=0.5)
-    with pytest.raises(ValueError):
-        prototype_loss(np.array([1.0, 0.0]), protos, label=-1, temperature=0.5)
-    with pytest.raises(ValueError):
-        prototype_loss(np.array([1.0, 0.0]), protos, label=0, temperature=0.0)
+    protos = np.eye(2)
+    f = np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="target"):
+        softmax_ce(f, protos, 2, temperature=0.5)
+    with pytest.raises(ValueError, match="target"):
+        softmax_ce(f, protos, -1, temperature=0.5)
+    with pytest.raises(ValueError, match="temperature"):
+        softmax_ce(f, protos, 0, temperature=0.0)
 
 
 def test_prototype_gradients_match_finite_differences():
     for trial in range(10):
         rng = make_rng(33, trial)
         c, d = 8, 5
-        protos = PrototypeMemory(prototypes=unit_rows(rng, c, d))
-        f = unit_rows(rng, 1, d)[0]
+        protos = unit_rows(rng, c, d)
+        f = unit_rows(rng, 1, d)
         label = int(rng.integers(0, c))
-        out = prototype_loss(f, protos, label, temperature=0.1)
+        out = softmax_ce(f, protos, label, temperature=0.1)
 
         def value_at(x):
-            return prototype_loss(x, protos, label, temperature=0.1).value
+            return softmax_ce(x, protos, label, temperature=0.1).value[0]
 
         numeric = finite_diff_grad(value_at, f)
         assert relative_error(out.grad_image_feature, numeric) < 1e-4
@@ -168,16 +183,16 @@ def test_prototype_gradients_match_finite_differences():
 
 def test_anchor_uniform_similarities_closed_form():
     f, tokens = token_set_for([0.2] * 5)
-    out = anchor_loss(f, tokens[0], tokens[1:], temperature=0.05)
-    assert out.value == pytest.approx(math.log(5), abs=1e-12)
+    out = softmax_ce(f[None], tokens, 0, temperature=0.05)
+    assert out.value[0] == pytest.approx(math.log(5), abs=1e-12)
     assert out.grad_tokens is None
 
 
 def test_anchor_dominant_positive_is_tiny():
     f = np.zeros(3)
     f[0] = 1.0
-    out = anchor_loss(f, f, np.tile(-f, (4, 1)), temperature=0.05)
-    assert 0.0 <= out.value < 1e-12
+    out = anchor(f, f, np.tile(-f, (4, 1)), temperature=0.05)
+    assert 0.0 <= out.value[0] < 1e-12
 
 
 def test_anchor_gradients_match_finite_differences():
@@ -185,63 +200,71 @@ def test_anchor_gradients_match_finite_differences():
         rng = make_rng(34, trial)
         d, k = 6, 3
         vecs = unit_rows(rng, 2 + k, d)
-        f, pos, negs = vecs[0], vecs[1], vecs[2:]
-        out = anchor_loss(f, pos, negs, temperature=0.05)
+        f, cand = vecs[:1], vecs[1:]
+        out = softmax_ce(f, cand, 0, temperature=0.05)
 
         def value_at(x):
-            return anchor_loss(x, pos, negs, temperature=0.05).value
+            return softmax_ce(x, cand, 0, temperature=0.05).value[0]
 
         numeric = finite_diff_grad(value_at, f)
         assert relative_error(out.grad_image_feature, numeric) < 1e-4
 
 
 # ------------------------------------------------------------- combinations
+# ``train_step`` sums the three terms as w_con*con + w_pro*pro + w_anc*anc;
+# the SGD step is linear in that sum's gradient, so parameter changes add
+# and scale with the weights.
 
-def combo(rng):
-    vecs = unit_rows(rng, 8, 4)
-    f = vecs[0]
-    con = constraint_loss(f, vecs[1], vecs[2:4], temperature=0.1)
-    pro = prototype_loss(f, PrototypeMemory(prototypes=vecs[4:6]), 0, temperature=0.1)
-    anc = anchor_loss(f, vecs[6], vecs[7:], temperature=0.1)
-    return con, pro, anc
-
-
-def test_total_unit_weights_is_plain_sum(rng):
-    con, pro, anc = combo(rng)
-    out = total_loss(con, pro, anc, 1.0, 1.0, 1.0)
-    assert out.value == pytest.approx(con.value + pro.value + anc.value, rel=1e-15)
-    np.testing.assert_allclose(
-        out.grad_image_feature,
-        con.grad_image_feature + pro.grad_image_feature + anc.grad_image_feature,
-        atol=1e-15)
-    np.testing.assert_array_equal(out.grad_tokens, con.grad_tokens)
-
-
-def test_total_zero_weights_zero_everything(rng):
-    con, pro, anc = combo(rng)
-    out = total_loss(con, pro, anc, 0.0, 0.0, 0.0)
-    assert out.value == 0.0
-    np.testing.assert_array_equal(out.grad_image_feature, np.zeros(4))
-    np.testing.assert_array_equal(out.grad_tokens, np.zeros_like(con.grad_tokens))
+def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
+    """One ``train_step`` on a fixed instance: (step losses, parameter change)."""
+    cfg = TrainConfig(batch_size=4, temperature=0.1, neg_token_rate=0.2,
+                      num_negatives=2, feature_dim=4, patch_input_dim=3,
+                      patches_per_image=6, part_tokens=2, **overrides)
+    labels = np.asarray(labels, dtype=np.int64)
+    patches = make_rng(35, 0).normal(size=(len(labels), 6, 3))
+    params = init_params(4, 3, 2, seed=1)
+    mem = build_instance_memory(image_feature(params, patches),
+                                PseudoLabels(labels, int(labels.max()) + 1))
+    batch = np.flatnonzero(labels >= 0)[:4]
+    before = flatten_params(params)
+    step = train_step(cfg, params, patches[batch], batch, labels[batch], mem,
+                      compute_prototypes(mem), lr=0.1)
+    return step, flatten_params(params) - before
 
 
-def test_total_scales_single_term(rng):
-    con, pro, anc = combo(rng)
-    out = total_loss(con, pro, anc, 2.0, 0.0, 0.0)
-    assert out.value == pytest.approx(2 * con.value, rel=1e-15)
-    np.testing.assert_allclose(out.grad_image_feature, 2 * con.grad_image_feature,
-                               atol=1e-15)
-    np.testing.assert_array_equal(out.grad_tokens, 2 * con.grad_tokens)
+def weights(con, pro, anc):
+    return dict(weight_constraint=con, weight_prototype=pro, weight_anchor=anc)
 
 
-def test_total_accepts_missing_terms(rng):
-    con, pro, _ = combo(rng)
-    out = total_loss(con, pro, None, 1.0, 1.0, 1.0)
-    assert out.value == pytest.approx(con.value + pro.value, rel=1e-15)
-    with pytest.raises(ValueError):
-        total_loss(None, None, None, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        total_loss(con, pro, None, -1.0, 1.0, 1.0)
+def test_total_unit_weights_is_plain_sum():
+    step, delta = step_with()
+    np.testing.assert_array_equal(step.total, step.constraint + step.proto + step.anchor)
+    parts = sum(step_with(**weights(*w))[1] for w in np.eye(3))
+    np.testing.assert_allclose(delta, parts, rtol=1e-12, atol=1e-15)
+
+
+def test_total_zero_weights_zero_everything():
+    step, delta = step_with(**weights(0.0, 0.0, 0.0))
+    np.testing.assert_array_equal(step.total, np.zeros(4))
+    np.testing.assert_array_equal(delta, np.zeros_like(delta))
+
+
+def test_total_scales_single_term():
+    step, delta = step_with(**weights(2.0, 0.0, 0.0))
+    np.testing.assert_array_equal(step.total, 2 * step.constraint)
+    _, unit = step_with(**weights(1.0, 0.0, 0.0))
+    np.testing.assert_allclose(delta, 2 * unit, rtol=1e-12, atol=1e-15)
+
+
+def test_total_accepts_missing_terms():
+    """Rows without a negative candidate carry no anchor term."""
+    layout = dict(labels=(0, 0, 0, 0, 0, -1, -1), anchor_include_outliers=False)
+    step, delta = step_with(**layout)
+    assert not step.has_anchor.any()
+    np.testing.assert_array_equal(step.total, step.constraint + step.proto)
+    np.testing.assert_array_equal(delta, step_with(**layout, weight_anchor=0.0)[1])
+    with pytest.raises(ValueError, match="weight_constraint"):
+        TrainConfig(weight_constraint=-1.0).validate()
 
 
 # ------------------------------------------------------------ invariants
@@ -251,9 +274,9 @@ def test_total_accepts_missing_terms(rng):
 @settings(max_examples=60, deadline=None)
 def test_losses_nonnegative(sims, temperature):
     f, tokens = token_set_for(sims)
-    out = anchor_loss(f, tokens[0], tokens[1:], temperature)
-    assert out.value >= 0.0
-    assert np.isfinite(out.value)
+    out = softmax_ce(f[None], tokens, 0, temperature)
+    assert out.value[0] >= 0.0
+    assert np.isfinite(out.value[0])
 
 
 def test_monotone_in_positive_similarity():
@@ -261,7 +284,7 @@ def test_monotone_in_positive_similarity():
     values = []
     for pos_sim in (-0.5, 0.0, 0.4, 0.9):
         f, tokens = token_set_for([pos_sim] + base)
-        values.append(anchor_loss(f, tokens[0], tokens[1:], temperature=0.1).value)
+        values.append(softmax_ce(f[None], tokens, 0, temperature=0.1).value[0])
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -270,8 +293,8 @@ def test_numerically_stable_at_extreme_ratios():
     f = np.array([50.0, 0.0])
     pos = np.array([1.0, 0.0])
     negs = np.array([[-1.0, 0.0]])
-    out = constraint_loss(f, pos, negs, temperature=0.05)
-    assert np.isfinite(out.value) and out.value >= 0.0
-    out2 = constraint_loss(f, negs[0], pos[None, :], temperature=0.05)
-    assert np.isfinite(out2.value)
-    assert out2.value == pytest.approx(2000.0, rel=1e-12)
+    out = constraint(f, pos, negs, temperature=0.05)
+    assert np.isfinite(out.value[0]) and out.value[0] >= 0.0
+    out2 = constraint(f, negs[0], pos[None, :], temperature=0.05)
+    assert np.isfinite(out2.value[0])
+    assert out2.value[0] == pytest.approx(2000.0, rel=1e-12)

@@ -4,9 +4,8 @@ import pytest
 from conftest import unit_rows
 from oracles import topk_by_full_sort
 from tokmem.cluster import PseudoLabels
-from tokmem.memory import (build_instance_memory, compute_prototypes,
-                           hardest_positive, momentum_update_instance,
-                           momentum_update_prototype, top_k_negatives)
+from tokmem.memory import (build_instance_memory, compute_prototypes, mine,
+                           momentum_update_instance, momentum_update_prototype)
 
 
 def labels_of(values):
@@ -78,11 +77,23 @@ def test_prototypes_all_outliers_rejected():
         compute_prototypes(mem)
 
 
+def hardest(mem, anchor, label):
+    """Memory index of the anchor's hardest positive."""
+    picked, _ = mine(mem, anchor[None], np.array([label]), 1)
+    return picked[0, 0]
+
+
+def negatives(mem, anchor, label, k, include_outliers=True):
+    """Memory indices of the anchor's valid negatives, most similar first."""
+    picked, valid = mine(mem, anchor[None], np.array([label]), k, include_outliers)
+    return picked[0, 1:][valid[0, 1:]]
+
+
 def test_hardest_positive_is_least_similar():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.1, 1.2, 0.6])
     mem = memory_from(feats, [0, 0, 0])
-    np.testing.assert_array_equal(hardest_positive(mem, anchor, 0), mem.features[1])
+    assert hardest(mem, anchor, 0) == 1
 
 
 def on_angles(angles):
@@ -93,7 +104,7 @@ def on_angles(angles):
 def test_hardest_positive_singleton_returns_own_slot():
     feats = on_angles([0.3, 1.0])
     mem = memory_from(feats, [0, 1])
-    np.testing.assert_array_equal(hardest_positive(mem, feats[0], 0), mem.features[0])
+    assert hardest(mem, feats[0], 0) == 0
 
 
 def test_hardest_positive_tie_lowest_index():
@@ -101,52 +112,54 @@ def test_hardest_positive_tie_lowest_index():
     mem = memory_from(feats, [0, 0, 0])
     anchor = np.array([0.0, 1.0])
     # entries 0 and 2 tie at similarity 1; entry 1 at 0 is the hardest
-    np.testing.assert_array_equal(hardest_positive(mem, anchor, 0), mem.features[1])
+    assert hardest(mem, anchor, 0) == 1
     anchor2 = np.array([1.0, 0.0])
     # now entries 0 and 2 tie at the minimum; the lower index wins
-    np.testing.assert_array_equal(hardest_positive(mem, anchor2, 0), mem.features[0])
+    assert hardest(mem, anchor2, 0) == 0
 
 
 def test_hardest_positive_requires_cluster_label():
     mem = memory_from([[1.0, 0.0]], [0])
-    with pytest.raises(ValueError):
-        hardest_positive(mem, np.array([1.0, 0.0]), -1)
-    with pytest.raises(ValueError):
-        hardest_positive(mem, np.array([1.0, 0.0]), 5)
+    with pytest.raises(ValueError, match="cluster id"):
+        hardest(mem, np.array([1.0, 0.0]), -1)
+    with pytest.raises(ValueError, match="label 5"):
+        hardest(mem, np.array([1.0, 0.0]), 5)
 
 
 def test_top_k_includes_outliers():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.0, 1.4, 0.2, 1.0])
     mem = memory_from(feats, [0, 1, -1, 1])
-    negs = top_k_negatives(mem, anchor, 0, k=2)
     # candidates are indices 1, 2, 3 with sims cos(1.4) < cos(0.2) > cos(1.0);
     # the outlier at index 2 is the most similar
-    np.testing.assert_array_equal(negs[0], mem.features[2])
-    np.testing.assert_array_equal(negs[1], mem.features[3])
+    np.testing.assert_array_equal(negatives(mem, anchor, 0, k=2), [2, 3])
 
 
 def test_top_k_exclude_outliers_switch():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.0, 1.4, 0.2, 1.0])
     mem = memory_from(feats, [0, 1, -1, 1])
-    negs = top_k_negatives(mem, anchor, 0, k=2, include_outliers=False)
-    np.testing.assert_array_equal(negs[0], mem.features[3])
-    np.testing.assert_array_equal(negs[1], mem.features[1])
+    np.testing.assert_array_equal(
+        negatives(mem, anchor, 0, k=2, include_outliers=False), [3, 1])
 
 
 def test_top_k_truncates_to_candidate_count():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.0, 1.4, 0.2])
     mem = memory_from(feats, [0, 1, -1])
-    negs = top_k_negatives(mem, anchor, 0, k=10)
-    assert negs.shape == (2, 2)
+    picked, valid = mine(mem, anchor[None], np.array([0]), k=10)
+    assert picked.shape == (1, 4)  # 1 + min(k, N) columns
+    np.testing.assert_array_equal(valid[0], [True, True, True, False])
+    np.testing.assert_array_equal(negatives(mem, anchor, 0, k=10), [2, 1])
 
 
-def test_top_k_zero_candidates_rejected():
-    mem = memory_from([[1.0, 0.0]], [0])
-    with pytest.raises(ValueError, match="candidates"):
-        top_k_negatives(mem, np.array([1.0, 0.0]), 0, k=1)
+def test_mine_zero_candidates_marks_every_negative_invalid():
+    mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, -1])
+    anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
+    _, with_outliers = mine(mem, anchors, np.array([0, 0]), k=1)
+    np.testing.assert_array_equal(with_outliers, [[True, True], [True, True]])
+    _, valid = mine(mem, anchors, np.array([0, 0]), k=1, include_outliers=False)
+    np.testing.assert_array_equal(valid, [[True, False], [True, False]])
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -164,15 +177,13 @@ def test_mining_matches_full_sort_oracle(trial):
 
     pos_pool = np.flatnonzero(mem.labels == 0)
     expected_pos = pos_pool[topk_by_full_sort(sims[pos_pool], 1, descending=False)[0]]
-    np.testing.assert_array_equal(hardest_positive(mem, anchor, 0),
-                                  mem.features[expected_pos])
+    assert hardest(mem, anchor, 0) == expected_pos
 
     neg_pool = np.flatnonzero(mem.labels != 0)
     if neg_pool.size:
         k = int(rng.integers(1, 8))
         expected = neg_pool[topk_by_full_sort(sims[neg_pool], min(k, neg_pool.size))]
-        np.testing.assert_array_equal(top_k_negatives(mem, anchor, 0, k),
-                                      mem.features[expected])
+        np.testing.assert_array_equal(negatives(mem, anchor, 0, k), expected)
 
 
 def test_with_outliers_dominates_without(rng):
@@ -185,8 +196,9 @@ def test_with_outliers_dominates_without(rng):
             continue
         mem = memory_from(feats, labels)
         anchor = unit_rows(rng, 1, 5)[0]
-        with_out = top_k_negatives(mem, anchor, 0, k=5) @ anchor
-        without = top_k_negatives(mem, anchor, 0, k=5, include_outliers=False) @ anchor
+        with_out = mem.features[negatives(mem, anchor, 0, k=5)] @ anchor
+        without = mem.features[negatives(mem, anchor, 0, k=5,
+                                         include_outliers=False)] @ anchor
         for j in range(min(len(with_out), len(without))):
             assert with_out[j] >= without[j] - 1e-12
 

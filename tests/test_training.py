@@ -213,6 +213,8 @@ def test_config_validation_messages():
         tiny_config(temperature=0.0).validate()
     with pytest.raises(ValueError, match="momentum"):
         tiny_config(momentum=1.5).validate()
+    with pytest.raises(ValueError, match="weight_anchor"):
+        tiny_config(weight_anchor=-1.0).validate()
     with pytest.raises(ValueError, match="part_tokens"):
         tiny_config(patches_per_image=1, part_tokens=2).validate()
 
