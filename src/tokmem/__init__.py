@@ -2,14 +2,13 @@
 banks, DBSCAN pseudo-labels, and retrieval evaluation on synthetic
 identity data."""
 
-from .cluster import PseudoLabels, dbscan, pairwise_cosine_dist
+from .cluster import PseudoLabels, dbscan
 from .config import EvalConfig, RunConfig, RunPaths, load_run_config
 from .encoder import (EncodeOutput, EncoderGrads, EncoderParams, encode,
                       encode_backward, init_params, load_checkpoint,
                       save_checkpoint)
 from .errors import ConfigError, DataFormatError, NumericError
-from .evaluate import (RankingResult, average_precision, cmc_curve,
-                       evaluate_encoder, evaluate_retrieval, rank_gallery)
+from .evaluate import RankingResult, evaluate_encoder, evaluate_retrieval
 from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,
                      relative_error)
 from .losses import (LossOutput, patch_rate, select_constraint_tokens,

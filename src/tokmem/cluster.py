@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PseudoLabels", "pairwise_cosine_dist", "dbscan"]
+__all__ = ["PseudoLabels", "dbscan"]
 
 OUTLIER = -1
 
@@ -35,42 +35,32 @@ class PseudoLabels:
         return np.flatnonzero(self.labels >= 0)
 
 
-def pairwise_cosine_dist(features: np.ndarray) -> np.ndarray:
-    """``d[i][j] = 1 - f_i . f_j`` for unit-norm rows; clamped to [0, 2].
-
-    Inputs are required to be normalized (checked to 1e-6) so the dot
-    product is a true cosine; the matrix is exactly symmetric with a
-    zero diagonal.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a (N, D) array")
-    if features.shape[0]:
-        norms = np.linalg.norm(features, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("features must be unit-norm (tolerance 1e-6)")
-    dist = 1.0 - features @ features.T
-    dist = (dist + dist.T) / 2.0  # kill BLAS round-off asymmetry
-    np.clip(dist, 0.0, 2.0, out=dist)
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
-
 def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
     """Cluster unit-norm features; returns dense labels with -1 outliers."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    features = np.asarray(features, dtype=np.float64)
+    # In C order numpy computes F @ F.T with syrk (one triangle, mirrored),
+    # so distances, and hence neighbours, are exactly symmetric.
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError("features must be a (N, D) array")
     n = features.shape[0]
     if n == 0:
         return PseudoLabels(labels=np.empty(0, dtype=np.int64), num_clusters=0)
+    if np.abs(np.linalg.norm(features, axis=1) - 1.0).max() > 1e-6:
+        raise ValueError("features must be unit-norm (tolerance 1e-6)")
 
-    dist = pairwise_cosine_dist(features)
+    # One (N, N) float buffer. Only an eps >= 2 sees round-off above 2, and
+    # no eps > 0 sees round-off below 0, so one clamp suffices.
+    dist = features @ features.T
+    np.subtract(1.0, dist, out=dist)
+    np.minimum(dist, 2.0, out=dist)
     within = dist <= eps
-    neighbor_counts = within.sum(axis=1)  # self included: diagonal distance is 0
-    core = neighbor_counts >= min_pts
+    del dist
+    np.fill_diagonal(within, True)  # every point neighbours itself
+    core = within.sum(axis=1) >= min_pts
 
     labels = np.full(n, OUTLIER, dtype=np.int64)
     cluster_id = 0

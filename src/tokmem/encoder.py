@@ -215,12 +215,8 @@ def save_checkpoint(params: EncoderParams, prefix) -> None:
 
 def load_checkpoint(prefix) -> EncoderParams:
     manifest, blob = blobio.read_pair(prefix)
-    try:
-        d = int(manifest["feature_dim"])
-        d_in = int(manifest["patch_input_dim"])
-        z = int(manifest["part_tokens"])
-    except KeyError as exc:
-        raise DataFormatError(f"checkpoint manifest missing field {exc}") from exc
+    d, d_in, z = (blobio.manifest_int(manifest, field, prefix)
+                  for field in ("feature_dim", "patch_input_dim", "part_tokens"))
     mat = d * d_in
     expected = 4 * mat * (2 + z)
     if len(blob) != expected:

@@ -18,8 +18,8 @@ import numpy as np
 from . import synth as synth_mod
 from . import training as training_mod
 
-__all__ = ["RankingResult", "rank_gallery", "average_precision", "cmc_curve",
-           "evaluate_retrieval", "evaluate_encoder", "metrics_dict", "write_metrics"]
+__all__ = ["RankingResult", "evaluate_retrieval", "evaluate_encoder", "metrics_dict",
+           "write_metrics"]
 
 
 @dataclass
@@ -32,76 +32,41 @@ class RankingResult:
     excluded_queries: int
 
 
-def rank_gallery(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Gallery indices sorted by descending similarity to the query."""
-    gallery = np.asarray(gallery, dtype=np.float64)
-    if gallery.ndim != 2 or gallery.shape[0] < 1:
-        raise ValueError("gallery must be a non-empty (G, D) array")
-    sims = gallery @ np.asarray(query, dtype=np.float64)
-    return np.argsort(-sims, kind="stable").astype(np.int64)
-
-
-def average_precision(ranking: np.ndarray, query_id: int,
-                      gallery_ids: np.ndarray) -> float:
-    """AP = (1/P) * sum over match positions r of (matches up to r) / r."""
-    gallery_ids = np.asarray(gallery_ids)
-    matches = gallery_ids[np.asarray(ranking)] == query_id
-    positives = int(matches.sum())
-    if positives == 0:
-        raise ValueError(f"query id {query_id} has no gallery positives")
-    ranks = np.flatnonzero(matches) + 1  # 1-based positions of the matches
-    precisions = np.arange(1, positives + 1) / ranks
-    return float(precisions.sum() / positives)
-
-
-def cmc_curve(rankings: np.ndarray, query_ids: np.ndarray,
-              gallery_ids: np.ndarray, k_max: int) -> np.ndarray:
-    """cmc[k] = fraction of queries whose first match is at rank <= k+1.
-
-    Queries with no gallery positives are excluded from the denominator.
-    """
-    rankings = np.asarray(rankings)
-    gallery_ids = np.asarray(gallery_ids)
-    if not 1 <= k_max <= rankings.shape[1]:
-        raise ValueError(f"k_max must be in [1, {rankings.shape[1]}]")
-    hits = np.zeros(k_max)
-    valid = 0
-    for ranking, qid in zip(rankings, np.asarray(query_ids)):
-        matches = gallery_ids[ranking] == qid
-        if not matches.any():
-            continue
-        valid += 1
-        first = int(np.flatnonzero(matches)[0])  # 0-based rank of first match
-        if first < k_max:
-            hits[first:] += 1
-    if valid == 0:
-        raise ValueError("no query has any gallery positive")
-    return hits / valid
-
-
 def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
                        gallery_features: np.ndarray, gallery_ids: np.ndarray,
                        k_max: int) -> RankingResult:
+    """Rank the gallery for all queries in one ``(Q, G)`` pass; AP and CMC are
+    read from the match positions, so no other ``(Q, G)`` float array exists."""
     query_features = np.asarray(query_features, dtype=np.float64)
-    gallery_ids = np.asarray(gallery_ids)
-    num_q = query_features.shape[0]
-    rankings = np.stack([rank_gallery(q, gallery_features) for q in query_features])
-    per_query_ap = np.full(num_q, np.nan)
-    for i, qid in enumerate(np.asarray(query_ids)):
-        if (gallery_ids == qid).any():
-            per_query_ap[i] = average_precision(rankings[i], qid, gallery_ids)
-    valid = ~np.isnan(per_query_ap)
-    excluded = int(num_q - valid.sum())
+    gallery_features = np.asarray(gallery_features, dtype=np.float64)
+    query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
+    if gallery_features.ndim != 2 or gallery_features.shape[0] < 1:
+        raise ValueError("gallery must be a non-empty (G, D) array")
+    num_q, num_g = len(query_features), len(gallery_features)
+    if not 1 <= k_max <= num_g:
+        raise ValueError(f"k_max must be in [1, {num_g}]")
+    rankings = np.argsort(-(query_features @ gallery_features.T), axis=1, kind="stable")
+    matches = gallery_ids[rankings] == query_ids[:, None]
+    positives = matches.sum(axis=1)
+    valid = positives > 0
     if not valid.any():
         raise ValueError("every query lacks gallery positives")
-    cmc = cmc_curve(rankings[valid], np.asarray(query_ids)[valid], gallery_ids, k_max)
+    # Row-major match positions: a match's hit count is its place in its row.
+    rows, cols = np.nonzero(matches)
+    row_start = np.cumsum(positives) - positives
+    hits = np.arange(1, len(rows) + 1) - row_start[rows]
+    precision_sums = np.bincount(rows, weights=hits / (cols + 1), minlength=num_q)
+    per_query_ap = np.full(num_q, np.nan)
+    per_query_ap[valid] = precision_sums[valid] / positives[valid]
+    first = cols[row_start[valid]]  # 0-based rank of each valid query's first match
+    cmc = np.cumsum(np.bincount(first[first < k_max], minlength=k_max)) / valid.sum()
     return RankingResult(
         rankings=rankings,
         per_query_ap=per_query_ap,
         cmc=cmc,
         mean_ap=float(per_query_ap[valid].mean()),
         num_queries=int(valid.sum()),
-        excluded_queries=excluded,
+        excluded_queries=int(num_q - valid.sum()),
     )
 
 

@@ -134,7 +134,9 @@ def load_dataset(prefix) -> SynthDataset:
     """
     manifest, blob = blobio.read_pair(prefix)
     try:
-        spec = SynthSpec(**{f.name: manifest[f.name] for f in fields(SynthSpec)})
+        spec = SynthSpec(**{f.name: blobio.manifest_int(manifest, f.name, prefix)
+                            if f.type == "int" else manifest[f.name]
+                            for f in fields(SynthSpec)})
         spec.validate()
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"dataset manifest field missing or mistyped: {exc}") from exc

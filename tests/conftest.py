@@ -49,3 +49,14 @@ def rng():
 def unit_rows(rng, n, d):
     rows = rng.normal(size=(n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def features_ranking_as(rankings):
+    """(query, gallery) features under which retrieval ranks the gallery of
+    query q in the order ``rankings[q]``: the queries are the identity, so
+    the similarities are exactly the gallery's columns, descending scores."""
+    rankings = np.asarray(rankings)
+    num_q, num_g = rankings.shape
+    scores = np.empty((num_q, num_g))
+    scores[np.arange(num_q)[:, None], rankings] = np.arange(num_g, 0, -1)
+    return np.eye(num_q), scores.T

@@ -44,6 +44,14 @@ def dbscan_oracle(dist, eps, min_pts):
     return core, clusters, border, noise
 
 
+def cosine_dist_oracle(features):
+    """``1 - f_i . f_j`` for every pair, clamped to [0, 2], zero diagonal."""
+    features = np.asarray(features, dtype=np.float64)
+    dist = np.clip(1.0 - features @ features.T, 0.0, 2.0)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def partition_of_core_points(labels, core):
     """Group core-point indices by their assigned label."""
     out = {}

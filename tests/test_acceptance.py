@@ -16,12 +16,11 @@ import pytest
 
 import tokmem.cli as cli_mod
 from conftest import (REFERENCE_EVAL, REFERENCE_SPEC, REFERENCE_TRAIN,
-                      unit_rows)
-from oracles import (average_precision_oracle, cmc_oracle, dbscan_oracle,
-                     partition_of_core_points, topk_by_full_sort)
-from tokmem import (EvalConfig, average_precision, cmc_curve, dbscan,
-                    evaluate_encoder, generate, mine, pairwise_cosine_dist,
-                    patch_rate, rank_gallery, select_constraint_tokens,
+                      features_ranking_as, unit_rows)
+from oracles import (average_precision_oracle, cmc_oracle, cosine_dist_oracle,
+                     dbscan_oracle, partition_of_core_points, topk_by_full_sort)
+from tokmem import (EvalConfig, dbscan, evaluate_encoder, evaluate_retrieval,
+                    generate, mine, patch_rate, select_constraint_tokens,
                     softmax_ce)
 from tokmem.cluster import PseudoLabels
 from tokmem.encoder import init_params
@@ -128,7 +127,7 @@ def test_criterion_4_dbscan_matches_brute_force():
         eps = float(rng.uniform(0.02, 1.2))
         min_pts = int(rng.integers(1, 10))
         result = dbscan(feats, eps, min_pts)
-        dist = pairwise_cosine_dist(feats)
+        dist = cosine_dist_oracle(feats)
         core, clusters, border, noise = dbscan_oracle(dist, eps, min_pts)
         assert partition_of_core_points(result.labels, core) == set(clusters), \
             f"trial {trial}"
@@ -179,8 +178,9 @@ def test_criterion_5_mining_matches_full_sort():
 
         # gallery ranking
         gallery = unit_rows(rng, 50, d)
-        np.testing.assert_array_equal(rank_gallery(anchor, gallery),
-                                      topk_by_full_sort(gallery @ anchor, 50))
+        ranked = evaluate_retrieval(anchor[None], np.zeros(1), gallery, np.zeros(50),
+                                    k_max=1).rankings[0]
+        np.testing.assert_array_equal(ranked, topk_by_full_sort(gallery @ anchor, 50))
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(5, f"hardest positive, top-k negatives, token selection, gallery "
@@ -216,6 +216,12 @@ def test_criterion_6_momentum_algebra():
 # --------------------------------------------------------------- criterion 7
 
 def test_criterion_7_metric_oracles():
+    def evaluate_rankings(rankings, query_ids, gallery_ids, k_max):
+        query, gallery = features_ranking_as(rankings)
+        result = evaluate_retrieval(query, query_ids, gallery, gallery_ids, k_max)
+        np.testing.assert_array_equal(result.rankings, rankings)
+        return result
+
     for trial in range(100):
         rng = make_rng(1007, trial)
         num_g = int(rng.integers(3, 60))
@@ -226,22 +232,24 @@ def test_criterion_7_metric_oracles():
         rankings = np.stack([rng.permutation(num_g) for _ in range(num_q)])
         ranked_ids = [gallery_ids[r] for r in rankings]
 
-        for r, qid, ranked in zip(rankings, query_ids, ranked_ids):
-            expected = average_precision_oracle(list(ranked), qid)
-            if expected is None:
-                with pytest.raises(ValueError):
-                    average_precision(r, qid, gallery_ids)
-            else:
-                assert abs(average_precision(r, qid, gallery_ids) - expected) <= 1e-12
-
         k_max = int(rng.integers(1, num_g + 1))
         expected_cmc = cmc_oracle(ranked_ids, query_ids, k_max)
-        if expected_cmc is not None:
-            got = cmc_curve(rankings, query_ids, gallery_ids, k_max)
-            np.testing.assert_allclose(got, expected_cmc, atol=1e-12)
+        if expected_cmc is None:
+            with pytest.raises(ValueError):
+                evaluate_rankings(rankings, query_ids, gallery_ids, k_max)
+            continue
+        result = evaluate_rankings(rankings, query_ids, gallery_ids, k_max)
+        for ap, qid, ranked in zip(result.per_query_ap, query_ids, ranked_ids):
+            expected = average_precision_oracle(list(ranked), qid)
+            if expected is None:
+                assert np.isnan(ap)
+            else:
+                assert abs(ap - expected) <= 1e-12
+        np.testing.assert_allclose(result.cmc, expected_cmc, atol=1e-12)
 
     # the worked example: matches at ranks 1 and 3 of a 3-item gallery
-    ap = average_precision(np.array([0, 1, 2]), 1, np.array([1, 0, 1]))
+    ap = evaluate_rankings(np.array([[0, 1, 2]]), np.array([1]), np.array([1, 0, 1]),
+                           k_max=3).per_query_ap[0]
     assert abs(ap - (1.0 + 2.0 / 3.0) / 2.0) <= 1e-12
     assert f"{ap:.4f}" == "0.8333"
     report(7, "AP and CMC match brute-force oracles on 100 instances to 1e-12; "

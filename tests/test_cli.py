@@ -149,13 +149,19 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value,message", [("seed", None, "seed"),
-                                                 ("num_identities", "4", "str")])
+                                                 ("num_identities", "4", "str"),
+                                                 ("num_identities", 4.0, "num_identities"),
+                                                 ("seed", True, "seed"),
+                                                 (None, [], "not a JSON object")])
 def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, message):
+    """``value`` None deletes the field; ``field`` None replaces the manifest."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     manifest_path = tmp_path / "run" / "data.json"
     manifest = json.loads(manifest_path.read_text())
-    if value is None:
+    if field is None:
+        manifest = value
+    elif value is None:
         del manifest[field]
     else:
         manifest[field] = value
@@ -164,6 +170,22 @@ def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, mess
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [None, [8], 8.7])
+def test_checkpoint_manifest_bad_dim_exits_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    manifest_path = tmp_path / "run" / "ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["feature_dim"] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "feature_dim" in err and "must be an integer" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import unit_rows
-from oracles import dbscan_oracle, partition_of_core_points
-from tokmem.cluster import PseudoLabels, dbscan, pairwise_cosine_dist
+from oracles import cosine_dist_oracle, dbscan_oracle, partition_of_core_points
+from tokmem.cluster import PseudoLabels, dbscan
 
 
 def on_circle(angles):
@@ -12,24 +14,56 @@ def on_circle(angles):
 
 
 def test_pairwise_identical_orthogonal_antipodal():
+    # cosine distances: 0 (identical), 1 (orthogonal), 2 (antipodal)
     feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    d = pairwise_cosine_dist(feats)
-    assert d[0, 1] == 0.0
-    assert d[0, 2] == pytest.approx(1.0, abs=1e-15)
-    assert d[0, 3] == pytest.approx(2.0, abs=1e-15)
+    np.testing.assert_array_equal(dbscan(feats, 0.999, 1).labels, [0, 0, 1, 2])
+    np.testing.assert_array_equal(dbscan(feats, 1.0, 1).labels, [0, 0, 0, 0])
+    antipodal = feats[[0, 3]]
+    np.testing.assert_array_equal(dbscan(antipodal, 1.999, 1).labels, [0, 1])
+    np.testing.assert_array_equal(dbscan(antipodal, 2.0, 1).labels, [0, 0])
 
 
 def test_pairwise_requires_normalized_inputs():
     with pytest.raises(ValueError, match="unit-norm"):
-        pairwise_cosine_dist(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        dbscan(np.array([[2.0, 0.0], [0.0, 1.0]]), eps=0.5, min_pts=1)
+    with pytest.raises(ValueError, match=r"\(N, D\)"):
+        dbscan(np.array([1.0, 0.0]), eps=0.5, min_pts=1)
 
 
 def test_pairwise_symmetric_zero_diagonal_clamped(rng):
     feats = unit_rows(rng, 40, 5)
-    d = pairwise_cosine_dist(feats)
-    np.testing.assert_array_equal(d, d.T)
-    np.testing.assert_array_equal(np.diag(d), np.zeros(40))
-    assert d.min() >= 0.0 and d.max() <= 2.0
+    raw = 1.0 - feats @ feats.T
+    # round-off leaves some self-distances above 1e-18; every point still
+    # neighbours itself, so with min_pts = 1 each is its own cluster
+    assert np.diag(raw).max() > 1e-18
+    np.testing.assert_array_equal(dbscan(feats, 1e-18, 1).labels, np.arange(40))
+    # norms within the 1e-6 tolerance put antipodes at 2 + 2e-7, which the
+    # clamp to 2 brings within eps = 2, but not within a smaller eps
+    antipodes = np.array([[1.0 + 1e-7, 0.0], [-1.0 - 1e-7, 0.0]])
+    np.testing.assert_array_equal(dbscan(antipodes, 2.0, 2).labels, [0, 0])
+    np.testing.assert_array_equal(dbscan(antipodes, 1.999, 2).labels, [-1, -1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 6000])
+def test_gram_matrix_is_bitwise_symmetric(n):
+    """dbscan relies on F @ F.T being exactly symmetric (numpy computes it
+    with syrk), so that its neighbour relation is symmetric."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([556, n], dtype=np.uint64)))
+    feats = unit_rows(rng, n, 32)
+    gram = feats @ feats.T
+    assert np.array_equal(gram, gram.T)
+
+
+def test_peak_memory_is_one_float_matrix(rng):
+    n = 1500
+    feats = unit_rows(rng, n, 8)
+    tracemalloc.start()
+    try:
+        dbscan(feats, eps=0.05, min_pts=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_two_pairs_and_a_singleton():
@@ -80,7 +114,7 @@ def assert_labels_well_formed(result: PseudoLabels):
 def assert_matches_oracle(feats, eps, min_pts):
     result = dbscan(feats, eps, min_pts)
     assert_labels_well_formed(result)
-    dist = pairwise_cosine_dist(feats)
+    dist = cosine_dist_oracle(feats)
     core, clusters, border, noise = dbscan_oracle(dist, eps, min_pts)
 
     # exact agreement on the partition of core points
@@ -128,7 +162,7 @@ def test_core_membership_invariant_under_permutation(rng):
     feats = unit_rows(rng, 50, 4)
     eps, min_pts = 0.6, 3
     base = dbscan(feats, eps, min_pts)
-    dist = pairwise_cosine_dist(feats)
+    dist = cosine_dist_oracle(feats)
     core, _, _, _ = dbscan_oracle(dist, eps, min_pts)
 
     perm = rng.permutation(50)

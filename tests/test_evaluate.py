@@ -1,12 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import unit_rows
+from conftest import features_ranking_as, unit_rows
 from oracles import average_precision_oracle, cmc_oracle, topk_by_full_sort
-from tokmem.evaluate import (average_precision, cmc_curve, evaluate_retrieval,
-                             metrics_dict, rank_gallery, write_metrics)
+from tokmem.evaluate import evaluate_retrieval, metrics_dict, write_metrics
 
 
 def gallery_with_sims(sims):
@@ -18,19 +18,50 @@ def gallery_with_sims(sims):
     return np.array([1.0, 0.0]), g
 
 
+def rank(query, gallery):
+    """The gallery ranking of one query; every gallery item is a positive."""
+    result = evaluate_retrieval(np.asarray(query)[None], np.zeros(1), gallery,
+                                np.zeros(len(gallery)), k_max=1)
+    return result.rankings[0]
+
+
+def evaluate_rankings(rankings, query_ids, gallery_ids, k_max):
+    query, gallery = features_ranking_as(rankings)
+    result = evaluate_retrieval(query, np.asarray(query_ids), gallery,
+                                np.asarray(gallery_ids), k_max)
+    np.testing.assert_array_equal(result.rankings, rankings)
+    return result
+
+
 def test_rank_example():
     q, g = gallery_with_sims([0.2, 0.9, 0.5])
-    np.testing.assert_array_equal(rank_gallery(q, g), [1, 2, 0])
+    np.testing.assert_array_equal(rank(q, g), [1, 2, 0])
 
 
-def test_rank_ties_keep_index_order():
+def test_rank_ties_keep_index_order(rng):
     q, g = gallery_with_sims([0.5, 0.5, 0.5])
-    np.testing.assert_array_equal(rank_gallery(q, g), [0, 1, 2])
+    np.testing.assert_array_equal(rank(q, g), [0, 1, 2])
+    # every query row: scores from a small set of exact values, so most
+    # gallery items tie with others; ties go to the lower gallery index
+    num_q, num_g = 12, 40
+    scores = rng.integers(0, 4, size=(num_q, num_g)).astype(np.float64)
+    result = evaluate_retrieval(np.eye(num_q), np.zeros(num_q), scores.T,
+                                np.zeros(num_g), k_max=1)
+    for row, ranking in zip(scores, result.rankings):
+        np.testing.assert_array_equal(ranking, topk_by_full_sort(row, num_g))
 
 
 def test_rank_empty_gallery_rejected():
-    with pytest.raises(ValueError):
-        rank_gallery(np.array([1.0, 0.0]), np.empty((0, 2)))
+    with pytest.raises(ValueError, match="non-empty"):
+        evaluate_retrieval(np.array([[1.0, 0.0]]), np.zeros(1), np.empty((0, 2)),
+                           np.empty(0), k_max=1)
+
+
+def test_k_max_range_checked():
+    q, g = gallery_with_sims([0.2, 0.9, 0.5])
+    for k_max in (0, 4):
+        with pytest.raises(ValueError, match=r"k_max must be in \[1, 3\]"):
+            evaluate_retrieval(q[None], np.zeros(1), g, np.zeros(3), k_max)
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -38,43 +69,41 @@ def test_rank_matches_full_sort_oracle(trial):
     rng = np.random.Generator(np.random.Philox(key=np.array([91, trial],
                                                             dtype=np.uint64)))
     q, g = gallery_with_sims(rng.uniform(-1, 1, size=100))
-    np.testing.assert_array_equal(rank_gallery(q, g),
-                                  topk_by_full_sort(g @ q, 100))
+    np.testing.assert_array_equal(rank(q, g), topk_by_full_sort(g @ q, 100))
 
 
 def test_ap_worked_example():
     # matches at ranks 1 and 3 of a 3-item gallery
-    ranking = np.array([0, 1, 2])
-    gallery_ids = np.array([7, 5, 7])
-    ap = average_precision(ranking, query_id=7, gallery_ids=gallery_ids)
+    result = evaluate_rankings([[0, 1, 2]], [7], [7, 5, 7], k_max=3)
+    ap = result.per_query_ap[0]
     assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
     assert ap == pytest.approx(0.83333, abs=1e-4)
 
 
 def test_ap_single_positive_first_and_last():
-    gallery_ids = np.array([3, 0, 0, 0])
-    assert average_precision(np.arange(4), 3, gallery_ids) == 1.0
-    gallery_ids = np.array([0, 0, 0, 3])
-    assert average_precision(np.arange(4), 3, gallery_ids) == pytest.approx(1 / 4)
+    first = evaluate_rankings([np.arange(4)], [3], [3, 0, 0, 0], k_max=4)
+    assert first.per_query_ap[0] == 1.0
+    last = evaluate_rankings([np.arange(4)], [3], [0, 0, 0, 3], k_max=4)
+    assert last.per_query_ap[0] == pytest.approx(1 / 4)
 
 
 def test_ap_zero_positives_signalled():
-    with pytest.raises(ValueError, match="no gallery positives"):
-        average_precision(np.arange(3), 9, np.array([0, 1, 2]))
+    result = evaluate_rankings([np.arange(3)] * 2, [9, 1], [0, 1, 2], k_max=3)
+    assert np.isnan(result.per_query_ap[0])
+    assert result.excluded_queries == 1
+    with pytest.raises(ValueError, match="every query lacks gallery positives"):
+        evaluate_rankings([np.arange(3)], [9], [0, 1, 2], k_max=3)
 
 
 def test_cmc_all_first():
-    rankings = np.tile(np.arange(4), (3, 1))
-    gallery_ids = np.array([1, 0, 0, 0])
-    cmc = cmc_curve(rankings, np.array([1, 1, 1]), gallery_ids, k_max=3)
-    np.testing.assert_array_equal(cmc, [1.0, 1.0, 1.0])
+    result = evaluate_rankings(np.tile(np.arange(4), (3, 1)), [1, 1, 1],
+                               [1, 0, 0, 0], k_max=3)
+    np.testing.assert_array_equal(result.cmc, [1.0, 1.0, 1.0])
 
 
 def test_cmc_split_first_matches():
-    gallery_ids = np.array([1, 2])
-    rankings = np.array([[0, 1], [0, 1]])
-    cmc = cmc_curve(rankings, np.array([1, 2]), gallery_ids, k_max=2)
-    np.testing.assert_array_equal(cmc, [0.5, 1.0])
+    result = evaluate_rankings([[0, 1], [0, 1]], [1, 2], [1, 2], k_max=2)
+    np.testing.assert_array_equal(result.cmc, [0.5, 1.0])
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -87,19 +116,19 @@ def test_metrics_match_brute_force(trial):
     rankings = np.stack([rng.permutation(num_g) for _ in range(num_q)])
 
     ranked_id_lists = [gallery_ids[r] for r in rankings]
-    for r, qid, ranked in zip(rankings, query_ids, ranked_id_lists):
+    expected_cmc = cmc_oracle(ranked_id_lists, query_ids, k_max=10)
+    if expected_cmc is None:
+        with pytest.raises(ValueError):
+            evaluate_rankings(rankings, query_ids, gallery_ids, k_max=10)
+        return
+    result = evaluate_rankings(rankings, query_ids, gallery_ids, k_max=10)
+    for ap, qid, ranked in zip(result.per_query_ap, query_ids, ranked_id_lists):
         expected = average_precision_oracle(list(ranked), qid)
         if expected is None:
-            with pytest.raises(ValueError):
-                average_precision(r, qid, gallery_ids)
+            assert np.isnan(ap)
         else:
-            assert average_precision(r, qid, gallery_ids) == pytest.approx(
-                expected, abs=1e-12)
-
-    expected_cmc = cmc_oracle(ranked_id_lists, query_ids, k_max=10)
-    if expected_cmc is not None:
-        got = cmc_curve(rankings, query_ids, gallery_ids, k_max=10)
-        np.testing.assert_allclose(got, expected_cmc, atol=1e-12)
+            assert ap == pytest.approx(expected, abs=1e-12)
+    np.testing.assert_allclose(result.cmc, expected_cmc, atol=1e-12)
 
 
 def test_cmc_monotone_and_saturates(rng):
@@ -126,11 +155,10 @@ def test_rank_invariant_under_increasing_transform(rng):
     coordinate; rankings must not move."""
     gallery = unit_rows(rng, 25, 5)
     query = unit_rows(rng, 1, 5)[0]
-    base = rank_gallery(query, gallery)
+    base = rank(query, gallery)
     transformed_gallery = np.hstack([2.0 * gallery, 3.0 * np.ones((25, 1))])
     transformed_query = np.concatenate([query, [1.0]])
-    np.testing.assert_array_equal(base, rank_gallery(transformed_query,
-                                                     transformed_gallery))
+    np.testing.assert_array_equal(base, rank(transformed_query, transformed_gallery))
 
 
 def test_excluded_queries_counted(rng):
@@ -142,6 +170,21 @@ def test_excluded_queries_counted(rng):
     assert result.num_queries == 2
     assert result.excluded_queries == 1
     assert np.isnan(result.per_query_ap[2])
+
+
+def test_peak_memory_is_about_two_query_gallery_arrays(rng):
+    """Beside the (Q, G) rankings it returns, evaluation holds one more
+    (Q, G) 8-byte array at a time: no float cumsum or precision matrix."""
+    num_q, num_g = 400, 3000
+    queries, gallery = unit_rows(rng, num_q, 16), unit_rows(rng, num_g, 16)
+    query_ids, gallery_ids = rng.integers(0, 100, num_q), rng.integers(0, 100, num_g)
+    tracemalloc.start()
+    try:
+        evaluate_retrieval(queries, query_ids, gallery, gallery_ids, k_max=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * num_q * num_g
 
 
 def test_metrics_file_outputs(tmp_path, rng):
