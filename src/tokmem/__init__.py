@@ -13,9 +13,8 @@ from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,
                      relative_error)
 from .losses import (LossOutput, patch_rate, select_constraint_tokens,
                      softmax_ce)
-from .memory import (InstanceMemory, PrototypeMemory, build_instance_memory,
-                     compute_prototypes, mine, momentum_update_instance,
-                     momentum_update_prototype)
+from .memory import (InstanceMemory, build_instance_memory, compute_prototypes,
+                     mine, momentum_update)
 from .synth import (SynthDataset, SynthSpec, generate, load_dataset,
                     save_dataset, split_query_gallery)
 from .training import TrainConfig, TrainResult, encode_dataset, sample_batches, train

@@ -76,11 +76,20 @@ def read_pair(prefix: str | Path) -> tuple[dict, bytes]:
 
 def manifest_int(manifest: dict, field: str, source) -> int:
     """``manifest[field]`` if it is a JSON integer (no bool, no float), else DataFormatError."""
+    return _manifest_value(manifest, field, source, (int,), "an integer")
+
+
+def manifest_number(manifest: dict, field: str, source) -> int | float:
+    """``manifest[field]`` if it is a JSON number (no bool), else DataFormatError."""
+    return _manifest_value(manifest, field, source, (int, float), "a number")
+
+
+def _manifest_value(manifest: dict, field: str, source, types: tuple, kind: str):
     if field not in manifest:
         raise DataFormatError(f"{source}: manifest field {field!r} is missing")
     value = manifest[field]
-    if type(value) is not int:
-        raise DataFormatError(f"{source}: manifest field {field!r} must be an integer, "
+    if type(value) not in types:
+        raise DataFormatError(f"{source}: manifest field {field!r} must be {kind}, "
                               f"got {type(value).__name__} {value!r}")
     return value
 

@@ -1,12 +1,11 @@
 """Instance and prototype memory banks, hard-sample mining, momentum updates.
 
 The instance memory stores one feature per training sample, outliers
-included; the prototype memory stores one normalized centroid per
-cluster. Memory entries are gradient constants: the trainer reads them
-as fixed targets and refreshes them only through the momentum mixing
-rule ``stored <- mu * stored + (1 - mu) * fresh`` followed by
-re-normalization (without it, mixing shrinks norms and the temperature-
-scaled softmaxes drift).
+included; the prototype memory is a plain (C, D) array of normalized
+cluster centroids. Memory entries are gradient constants, refreshed only
+by ``momentum_update``: ``stored <- mu * stored + (1 - mu) * fresh``
+followed by re-normalization (without it, mixing shrinks norms and the
+temperature-scaled softmaxes drift).
 
 Mining rules: the positive for a clustered anchor is its least similar
 same-cluster memory entry; negatives are the k most similar entries of
@@ -24,9 +23,8 @@ import numpy as np
 from .cluster import OUTLIER, PseudoLabels
 from .linalg import normalize_rows
 
-__all__ = ["InstanceMemory", "PrototypeMemory", "build_instance_memory",
-           "compute_prototypes", "mine", "momentum_update_prototype",
-           "momentum_update_instance"]
+__all__ = ["InstanceMemory", "build_instance_memory", "compute_prototypes",
+           "mine", "momentum_update"]
 
 
 @dataclass
@@ -39,15 +37,6 @@ class InstanceMemory:
         return self.features.shape[0]
 
 
-@dataclass
-class PrototypeMemory:
-    prototypes: np.ndarray  # (C, D), unit rows
-
-    @property
-    def num_clusters(self) -> int:
-        return self.prototypes.shape[0]
-
-
 def build_instance_memory(features: np.ndarray, labels: PseudoLabels) -> InstanceMemory:
     """Store normalized copies of ALL features, outliers included."""
     features = np.asarray(features, dtype=np.float64)
@@ -58,10 +47,9 @@ def build_instance_memory(features: np.ndarray, labels: PseudoLabels) -> Instanc
     return InstanceMemory(features=normalize_rows(features), labels=label_arr.copy())
 
 
-def compute_prototypes(mem: InstanceMemory) -> PrototypeMemory:
-    """Normalized per-cluster centroids over non-outlier members only."""
-    clustered = mem.labels >= 0
-    if not clustered.any():
+def compute_prototypes(mem: InstanceMemory) -> np.ndarray:
+    """(C, D) normalized per-cluster centroids over non-outlier members only."""
+    if (mem.labels < 0).all():
         raise ValueError("no clustered samples: every label is -1")
     num_clusters = int(mem.labels.max()) + 1
     protos = np.empty((num_clusters, mem.features.shape[1]))
@@ -70,7 +58,7 @@ def compute_prototypes(mem: InstanceMemory) -> PrototypeMemory:
         if members.shape[0] == 0:
             raise ValueError(f"cluster ids are not dense: no member for cluster {c}")
         protos[c] = members.mean(axis=0)
-    return PrototypeMemory(prototypes=normalize_rows(protos))
+    return normalize_rows(protos)
 
 
 def mine(mem: InstanceMemory, features: np.ndarray, labels: np.ndarray, k: int,
@@ -111,34 +99,29 @@ def mine(mem: InstanceMemory, features: np.ndarray, labels: np.ndarray, k: int,
     return picked, valid
 
 
-def _momentum_mix(stored: np.ndarray, feature: np.ndarray, momentum: float) -> np.ndarray:
+def momentum_update(bank: np.ndarray, index, features: np.ndarray,
+                    momentum: float) -> None:
+    """In place, exactly as B sequential writes in batch order:
+    ``bank[index[b]] <- normalize(mu * bank[index[b]] + (1 - mu) * features[b])``.
+
+    ``bank`` is (R, D), ``index`` (B,) slots, ``features`` (B, D); a repeated
+    slot mixes every occurrence, each earlier one decayed by mu. Round j
+    writes the j-th occurrence of every slot at once (its rank in a stable
+    argsort of ``index``), so there are as many rounds as the top multiplicity.
+    """
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must be in [0, 1]")
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != stored.shape:
-        raise ValueError(f"feature shape {feature.shape} != stored {stored.shape}")
-    return normalize_rows(momentum * stored + (1.0 - momentum) * feature)
-
-
-def momentum_update_prototype(mem: PrototypeMemory, cluster: int,
-                              feature: np.ndarray, momentum: float) -> None:
-    """In-place: prototypes[cluster] <- normalize(mu*p + (1-mu)*feature)."""
-    if not 0 <= cluster < mem.num_clusters:
-        raise ValueError(f"cluster {cluster} out of range [0, {mem.num_clusters})")
-    mem.prototypes[cluster] = _momentum_mix(mem.prototypes[cluster], feature, momentum)
-
-
-def momentum_update_instance(mem: InstanceMemory, index, feature: np.ndarray,
-                             momentum: float) -> None:
-    """In-place update of the samples' own slots, same mixing rule.
-
-    ``index`` is one slot with a (D,) feature or B unique slots with
-    (B, D) features; unique slots make the one vectorised write equal to
-    B sequential ones.
-    """
     index = np.asarray(index, dtype=np.int64)
-    if ((index < 0) | (index >= mem.size)).any():
-        raise ValueError(f"index {index} out of range [0, {mem.size})")
-    if (np.diff(np.sort(index, axis=None)) == 0).any():
-        raise ValueError("instance indices must be unique")
-    mem.features[index] = _momentum_mix(mem.features[index], feature, momentum)
+    features = np.asarray(features, dtype=np.float64)
+    if index.ndim != 1 or features.shape != (index.size, bank.shape[1]):
+        raise ValueError(f"need (B,) slots and (B, {bank.shape[1]}) features, "
+                         f"got {index.shape} and {features.shape}")
+    if ((index < 0) | (index >= len(bank))).any():
+        raise ValueError(f"index {index} out of range [0, {len(bank)})")
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    rank = np.empty_like(index)
+    rank[order] = np.arange(index.size) - np.searchsorted(ranked, ranked)
+    for j in range(int(rank.max(initial=-1)) + 1):
+        slots, fresh = index[rank == j], features[rank == j]
+        bank[slots] = normalize_rows(momentum * bank[slots] + (1.0 - momentum) * fresh)

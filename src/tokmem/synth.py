@@ -46,7 +46,7 @@ class SynthSpec:
             raise ValueError("patches_per_image must be >= 4")
         if self.patch_input_dim < 1:
             raise ValueError("patch_input_dim must be >= 1")
-        if self.identity_spread < 0:
+        if not self.identity_spread >= 0:  # NaN fails too
             raise ValueError("identity_spread must be >= 0")
         if not 0.0 <= self.noise_patch_prob < 1.0:
             raise ValueError("noise_patch_prob must be in [0, 1)")
@@ -129,21 +129,18 @@ def load_dataset(prefix) -> SynthDataset:
     """Read a dataset pair written by :func:`save_dataset`.
 
     Values come back as float64 (converted from the stored float32). A
-    missing or mistyped manifest field or a non-finite patch value raises
-    DataFormatError.
+    missing or mistyped manifest field, a non-finite patch value or
+    identity labels other than the spec's raise DataFormatError.
     """
     manifest, blob = blobio.read_pair(prefix)
-    try:
-        spec = SynthSpec(**{f.name: blobio.manifest_int(manifest, f.name, prefix)
-                            if f.type == "int" else manifest[f.name]
-                            for f in fields(SynthSpec)})
-        spec.validate()
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"dataset manifest field missing or mistyped: {exc}") from exc
+    decode = {"int": blobio.manifest_int, "float": blobio.manifest_number}
+    spec = SynthSpec(**{f.name: decode[f.type](manifest, f.name, prefix)
+                        for f in fields(SynthSpec)})
+    spec.validate()
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
-    if manifest.get("num_samples") != n:
-        raise DataFormatError(
-            f"manifest num_samples {manifest.get('num_samples')} does not match spec ({n})")
+    num_samples = blobio.manifest_int(manifest, "num_samples", prefix)
+    if num_samples != n:
+        raise DataFormatError(f"manifest num_samples {num_samples} does not match spec ({n})")
     expected = 4 * n * i * d + 4 * n
     if len(blob) != expected:
         raise DataFormatError(
@@ -153,4 +150,7 @@ def load_dataset(prefix) -> SynthDataset:
     if not np.isfinite(patches.sum()):
         raise DataFormatError("dataset blob has non-finite patch values")
     identities = blobio.ints_from_bytes(blob, n, offset=4 * n * i * d)
+    if not np.array_equal(identities, np.arange(n) // spec.samples_per_identity):
+        raise DataFormatError("dataset blob has identity labels other than the spec's "
+                              "(sample n has identity n // samples_per_identity)")
     return SynthDataset(patches=patches, identities=identities, spec=spec)

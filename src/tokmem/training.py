@@ -7,9 +7,9 @@ prototypes. Per iteration, ``train_step`` makes one array pass over the
 batch: encode all anchors, select their tokens, compute the three losses
 against the frozen memory snapshot (one mining matmul), run one batched
 backward, then write the memories and apply one plain SGD step. Every
-loss reads the snapshot before any write; instance writes are one
-vectorised update (slots are unique in a batch); prototype writes run in
-batch order, so the last writer wins on a shared cluster. Gradients are
+loss reads the snapshot before any write; then each bank takes one
+batched ``momentum_update`` that equals writing the rows in batch order
+(anchors sharing a cluster all mix into its prototype). Gradients are
 summed in a fixed order, so a config reproduces bit-identically on one
 platform; the last bits of logged loss means depend on that order.
 
@@ -214,15 +214,16 @@ class StepLosses:
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
                patches: np.ndarray, indices: np.ndarray, labels: np.ndarray,
-               mem: memory_mod.InstanceMemory, protos: memory_mod.PrototypeMemory,
+               mem: memory_mod.InstanceMemory, protos: np.ndarray,
                lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
     ``params``, ``mem`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``indices``
-    their (unique) memory slots and ``labels`` their clusters. Raises
-    NumericError, before any write, if an anchor's total loss is not
-    finite; its diagnostics name the first such ``sample``.
+    their memory slots, ``labels`` their clusters and ``protos`` the
+    (C, D) prototype bank. Raises NumericError, before any write, if an
+    anchor's total loss is not finite; its diagnostics name the first
+    such ``sample``.
     """
     t = config.temperature
     out = encoder_mod.encode(params, patches)
@@ -232,7 +233,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     pos, negs = losses_mod.select_constraint_tokens(f, tokens, config.neg_token_rate)
     selected = np.concatenate([pos[:, None], negs], axis=1)
     con = losses_mod.softmax_ce(f, tokens[rows, selected], 0, t)
-    pro = losses_mod.softmax_ce(f, protos.prototypes, labels, t)
+    pro = losses_mod.softmax_ce(f, protos, labels, t)
     # Missing negatives get -inf logits. A row without any candidate then
     # scores only its positive: its anchor term is exactly 0 with zero
     # gradient, the same as leaving the term out.
@@ -248,7 +249,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
         b = bad[0]
         raise NumericError("non-finite loss", diagnostics={
             "sample": int(indices[b]), "constraint": float(con.value[b]),
-            "proto": float(pro.value[b]), "lr": lr, "C": protos.num_clusters,
+            "proto": float(pro.value[b]), "lr": lr, "C": protos.shape[0],
             "anchor": float(anc.value[b]) if has_anchor[b] else None})
 
     grad_tokens = np.zeros_like(tokens)
@@ -257,11 +258,9 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
               + w_anc * anc.grad_image_feature)
     grads = encoder_mod.encode_backward(params, patches, grad_f, grad_tokens)
 
-    # Writes only now, after every read of the snapshot; prototypes in
-    # batch order because clusters are shared.
-    memory_mod.momentum_update_instance(mem, indices, f, config.momentum)
-    for label, row in zip(labels, f):
-        memory_mod.momentum_update_prototype(protos, int(label), row, config.momentum)
+    # Writes only now, after every read of the snapshot.
+    memory_mod.momentum_update(mem.features, indices, f, config.momentum)
+    memory_mod.momentum_update(protos, labels, f, config.momentum)
 
     scale = lr / f.shape[0]
     params.w_patch -= scale * grads.w_patch

@@ -112,6 +112,17 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def sequential_momentum(bank, index, features, momentum):
+    """Write ``features`` into ``bank`` one row at a time in batch order,
+    in place. Each row is normalized by ``normalize_rows``, the batched
+    update's own primitive, so the two can be compared bit for bit: this
+    oracle checks the order of the writes, not the normalization."""
+    from tokmem.linalg import normalize_rows
+
+    for slot, f in zip(index, features):
+        bank[slot] = normalize_rows(momentum * bank[slot] + (1.0 - momentum) * f)
+
+
 def encode_one(params, patches):
     """(image feature, tokens) of one (I, d_in) patch stack."""
     from tokmem.encoder import part_slices
@@ -189,8 +200,8 @@ def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
         grad_tokens = np.zeros_like(tokens)
         grad_tokens[sel] = wc * (np.outer(coeff, f) / t)
 
-        pro, coeff = softmax_ce_one(protos.prototypes @ f, label, t)
-        grad_f = grad_f + wp * ((coeff @ protos.prototypes) / t)
+        pro, coeff = softmax_ce_one(protos @ f, label, t)
+        grad_f = grad_f + wp * ((coeff @ protos) / t)
 
         anc = None
         same = np.flatnonzero(mem.labels == label)
@@ -216,7 +227,7 @@ def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
     for n, f in zip(batch, feats):
         m = config.momentum
         label = int(labels[n])
-        protos.prototypes[label] = _unit(m * protos.prototypes[label] + (1 - m) * f)
+        protos[label] = _unit(m * protos[label] + (1 - m) * f)
         mem.features[n] = _unit(m * mem.features[n] + (1 - m) * f)
     scale = lr / len(batch)
     params.w_patch -= scale * g_patch

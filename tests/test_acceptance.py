@@ -25,9 +25,7 @@ from tokmem import (EvalConfig, dbscan, evaluate_encoder, evaluate_retrieval,
 from tokmem.cluster import PseudoLabels
 from tokmem.encoder import init_params
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
-from tokmem.memory import (InstanceMemory, PrototypeMemory,
-                           build_instance_memory, momentum_update_instance,
-                           momentum_update_prototype)
+from tokmem.memory import InstanceMemory, build_instance_memory, momentum_update
 from tokmem.training import train
 
 # Regression constants pinned from the first oracle run of the committed
@@ -190,24 +188,24 @@ def test_criterion_5_mining_matches_full_sort():
 # --------------------------------------------------------------- criterion 6
 
 def test_criterion_6_momentum_algebra():
-    protos = PrototypeMemory(prototypes=np.array([[1.0, 0.0]]))
-    momentum_update_prototype(protos, 0, np.array([0.0, 1.0]), momentum=1.0)
-    np.testing.assert_array_equal(protos.prototypes[0], [1.0, 0.0])  # exact
-    momentum_update_prototype(protos, 0, np.array([0.0, 1.0]), momentum=0.0)
-    np.testing.assert_array_equal(protos.prototypes[0], [0.0, 1.0])  # exact
+    protos = np.array([[1.0, 0.0]])
+    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=1.0)
+    np.testing.assert_array_equal(protos[0], [1.0, 0.0])  # exact
+    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=0.0)
+    np.testing.assert_array_equal(protos[0], [0.0, 1.0])  # exact
 
     mem = InstanceMemory(features=np.array([[0.0, 1.0]]),
                          labels=np.array([0], dtype=np.int64))
-    momentum_update_instance(mem, 0, np.array([1.0, 0.0]), momentum=1.0)
+    momentum_update(mem.features, [0], np.array([[1.0, 0.0]]), momentum=1.0)
     np.testing.assert_array_equal(mem.features[0], [0.0, 1.0])
-    momentum_update_instance(mem, 0, np.array([1.0, 0.0]), momentum=0.0)
+    momentum_update(mem.features, [0], np.array([[1.0, 0.0]]), momentum=0.0)
     np.testing.assert_array_equal(mem.features[0], [1.0, 0.0])
 
-    protos = PrototypeMemory(prototypes=np.array([[1.0, 0.0]]))
-    momentum_update_prototype(protos, 0, np.array([0.0, 1.0]), momentum=0.2)
+    protos = np.array([[1.0, 0.0]])
+    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=0.2)
     mixed = np.array([0.2 * 1.0 + 0.8 * 0.0, 0.2 * 0.0 + 0.8 * 1.0])
     assert abs(mixed[0] - 0.2) <= 1e-12 and abs(mixed[1] - 0.8) <= 1e-12
-    np.testing.assert_allclose(protos.prototypes[0], mixed / np.linalg.norm(mixed),
+    np.testing.assert_allclose(protos[0], mixed / np.linalg.norm(mixed),
                                atol=1e-12)
     report(6, "momentum endpoints mu=1/mu=0 exact; mu=0.2 mixing matches hand "
               "arithmetic within 1e-12")

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokmem.gradcheck as gradcheck_mod
 from tokmem.cli import main
@@ -152,7 +156,11 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
                                                  ("num_identities", "4", "str"),
                                                  ("num_identities", 4.0, "num_identities"),
                                                  ("seed", True, "seed"),
-                                                 (None, [], "not a JSON object")])
+                                                 (None, [], "not a JSON object"),
+                                                 ("identity_spread", True, "identity_spread"),
+                                                 ("noise_patch_prob", False,
+                                                  "noise_patch_prob"),
+                                                 ("num_samples", 24.0, "num_samples")])
 def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, message):
     """``value`` None deletes the field; ``field`` None replaces the manifest."""
     cfg = write_config(tmp_path)
@@ -170,6 +178,26 @@ def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, mess
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("sample,label", [(0, 999), (1, -5), (None, 0)])
+def test_eval_rejects_changed_identity_labels_exit_2(tmp_path, capsys, sample, label):
+    """``sample`` None sets every label."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    blob_path = tmp_path / "run" / "data.f32"
+    blob = bytearray(blob_path.read_bytes())
+    start = 4 * 24 * 6 * 5   # labels follow the 24 x 6 x 5 float32 patches
+    labels = np.frombuffer(blob, dtype="<i4", offset=start).copy()
+    labels[slice(None) if sample is None else sample] = label
+    blob[start:] = labels.tobytes()
+    blob_path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "identity labels" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -231,6 +259,71 @@ def test_eval_dimension_mismatch_exits_2(tmp_path, capsys):
     mismatched = write_config(tmp_path, train={"feature_dim": 16})
     assert main(["eval", "--config", str(mismatched)]) == 2
     assert "feature_dim" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pristine_run(tmp_path_factory):
+    """Config path and the bytes of a tiny trained run's four artifact files."""
+    tmp_path = tmp_path_factory.mktemp("pristine")
+    cfg = write_config(tmp_path, train={"epochs": 1})
+    assert main(["gen-data", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    files = {f"{name}{suffix}": tmp_path / "run" / f"{name}{suffix}"
+             for name in ("data", "ckpt") for suffix in (".json", ".f32")}
+    return cfg, {key: (path, path.read_bytes()) for key, path in files.items()}
+
+
+def json_value_of_another_type(value):
+    """A JSON value whose type differs from ``value``'s (int and float are
+    told apart only for integer fields, as the manifest decoders do)."""
+    choices = [st.none(), st.booleans(), st.text(max_size=3),
+               st.lists(st.integers(), max_size=2),
+               st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)]
+    if type(value) is int:
+        choices.append(st.floats())
+    return st.one_of(choices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_eval_survives_corrupt_artifacts(pristine_run, data):
+    """One drawn mutation of the dataset or checkpoint pair: ``eval`` returns
+    0 or 2 with at most one stderr line, and 2 for every manifest type
+    change, missing field, blob length change, identity-label change or
+    non-finite float word."""
+    cfg, files = pristine_run
+    for path, content in files.values():
+        path.write_bytes(content)
+    name = data.draw(st.sampled_from(["data", "ckpt"]))
+    manifest_path, manifest_bytes = files[name + ".json"]
+    blob_path, blob = files[name + ".f32"]
+    manifest = json.loads(manifest_bytes)
+    kind = data.draw(st.sampled_from(["type", "delete", "length", "word"]))
+    must_fail = True
+    if kind in ("type", "delete"):
+        field = data.draw(st.sampled_from(sorted(manifest)))
+        if kind == "type":
+            manifest[field] = data.draw(json_value_of_another_type(manifest[field]))
+        else:
+            del manifest[field]
+        manifest_path.write_text(json.dumps(manifest))
+    elif kind == "length":
+        delta = data.draw(st.integers(-len(blob), 64).filter(bool))
+        blob_path.write_bytes(blob[:len(blob) + delta] + bytes(max(delta, 0)))
+    else:
+        at = 4 * data.draw(st.integers(0, len(blob) // 4 - 1))
+        mask = data.draw(st.integers(1, 2**32 - 1))
+        word = (int.from_bytes(blob[at:at + 4], "little") ^ mask).to_bytes(4, "little")
+        blob_path.write_bytes(blob[:at] + word + blob[at + 4:])
+        patch_dims = ("num_samples", "patches_per_image", "patch_input_dim")
+        labels_at = (4 * int(np.prod([manifest[k] for k in patch_dims]))
+                     if name == "data" else len(blob))
+        must_fail = at >= labels_at or not np.isfinite(np.frombuffer(word, "<f4")[0])
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["eval", "--config", str(cfg)])
+    assert code in ((2,) if must_fail else (0, 2))
+    assert len(err.getvalue().strip().splitlines()) <= 1
 
 
 def test_train_numeric_failure_exits_3_with_diagnostics(tmp_path, capsys, monkeypatch):

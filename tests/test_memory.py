@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from oracles import topk_by_full_sort
+from oracles import sequential_momentum, topk_by_full_sort
 from tokmem.cluster import PseudoLabels
 from tokmem.memory import (build_instance_memory, compute_prototypes, mine,
-                           momentum_update_instance, momentum_update_prototype)
+                           momentum_update)
 
 
 def labels_of(values):
@@ -41,24 +41,22 @@ def test_build_length_mismatch():
 def test_prototype_two_member_cluster():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, 0])
     protos = compute_prototypes(mem)
-    np.testing.assert_allclose(protos.prototypes[0],
-                               [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
+    np.testing.assert_allclose(protos[0], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
 
 
 def test_prototype_singleton_cluster_is_the_feature():
     f = np.array([0.6, 0.8])
     mem = memory_from([f], [0])
     protos = compute_prototypes(mem)
-    np.testing.assert_allclose(protos.prototypes[0], f, atol=1e-15)
+    np.testing.assert_allclose(protos[0], f, atol=1e-15)
 
 
 def test_prototype_weighted_centroid():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [0, 0, 0])
     protos = compute_prototypes(mem)
     centroid = np.array([2 / 3, 1 / 3])
-    np.testing.assert_allclose(protos.prototypes[0],
-                               centroid / np.linalg.norm(centroid), atol=1e-12)
-    np.testing.assert_allclose(protos.prototypes[0], [0.8944, 0.4472], atol=1e-4)
+    np.testing.assert_allclose(protos[0], centroid / np.linalg.norm(centroid), atol=1e-12)
+    np.testing.assert_allclose(protos[0], [0.8944, 0.4472], atol=1e-4)
 
 
 def test_prototypes_ignore_outliers(rng):
@@ -67,8 +65,8 @@ def test_prototypes_ignore_outliers(rng):
     with_outliers = memory_from(
         np.concatenate([feats, unit_rows(rng, 3, 4)]),
         [0, 0, 1, 1, 1, 2, 2, 2, -1, -1, -1])
-    np.testing.assert_array_equal(compute_prototypes(base).prototypes,
-                                  compute_prototypes(with_outliers).prototypes)
+    np.testing.assert_array_equal(compute_prototypes(base),
+                                  compute_prototypes(with_outliers))
 
 
 def test_prototypes_all_outliers_rejected():
@@ -205,24 +203,23 @@ def test_with_outliers_dominates_without(rng):
 
 def test_momentum_endpoints_exact():
     protos = compute_prototypes(memory_from([[1.0, 0.0]], [0]))
-    momentum_update_prototype(protos, 0, np.array([0.0, 1.0]), momentum=1.0)
-    np.testing.assert_array_equal(protos.prototypes[0], [1.0, 0.0])
-    momentum_update_prototype(protos, 0, np.array([0.0, 1.0]), momentum=0.0)
-    np.testing.assert_array_equal(protos.prototypes[0], [0.0, 1.0])
+    momentum_update(protos, [0], [[0.0, 1.0]], momentum=1.0)
+    np.testing.assert_array_equal(protos[0], [1.0, 0.0])
+    momentum_update(protos, [0], [[0.0, 1.0]], momentum=0.0)
+    np.testing.assert_array_equal(protos[0], [0.0, 1.0])
 
 
 def test_momentum_prototype_mixing():
     protos = compute_prototypes(memory_from([[1.0, 0.0]], [0]))
-    momentum_update_prototype(protos, 0, np.array([0.0, 1.0]), momentum=0.2)
+    momentum_update(protos, [0], [[0.0, 1.0]], momentum=0.2)
     mixed = np.array([0.2, 0.8])
-    np.testing.assert_allclose(protos.prototypes[0], mixed / np.linalg.norm(mixed),
-                               atol=1e-15)
-    np.testing.assert_allclose(protos.prototypes[0], [0.2425, 0.9701], atol=1e-4)
+    np.testing.assert_allclose(protos[0], mixed / np.linalg.norm(mixed), atol=1e-15)
+    np.testing.assert_allclose(protos[0], [0.2425, 0.9701], atol=1e-4)
 
 
 def test_momentum_instance_mixing():
     mem = memory_from([[0.0, 1.0]], [0])
-    momentum_update_instance(mem, 0, np.array([1.0, 0.0]), momentum=0.5)
+    momentum_update(mem.features, [0], [[1.0, 0.0]], momentum=0.5)
     np.testing.assert_allclose(mem.features[0], [np.sqrt(0.5), np.sqrt(0.5)],
                                atol=1e-15)
 
@@ -230,26 +227,53 @@ def test_momentum_instance_mixing():
 def test_momentum_validation():
     mem = memory_from([[1.0, 0.0]], [0])
     protos = compute_prototypes(mem)
-    with pytest.raises(ValueError):
-        momentum_update_instance(mem, 3, np.array([1.0, 0.0]), 0.5)
-    with pytest.raises(ValueError):
-        momentum_update_prototype(protos, -1, np.array([1.0, 0.0]), 0.5)
-    with pytest.raises(ValueError):
-        momentum_update_instance(mem, 0, np.array([1.0, 0.0]), 1.5)
+    with pytest.raises(ValueError, match="range"):
+        momentum_update(mem.features, [3], [[1.0, 0.0]], 0.5)
+    with pytest.raises(ValueError, match="range"):
+        momentum_update(protos, [-1], [[1.0, 0.0]], 0.5)
+    with pytest.raises(ValueError, match="momentum"):
+        momentum_update(mem.features, [0], [[1.0, 0.0]], 1.5)
+    # one form only: (B,) slots with (B, D) features
+    for index, fresh in ((0, [1.0, 0.0]), ([0], [1.0, 0.0]), ([0, 0], [[1.0, 0.0]]),
+                         ([0], [[1.0, 0.0, 0.0]])):
+        with pytest.raises(ValueError, match="slots"):
+            momentum_update(mem.features, index, fresh, 0.5)
+    np.testing.assert_array_equal(mem.features, [[1.0, 0.0]])
 
 
 def test_momentum_instance_batch_equals_sequential_updates(rng):
+    """Repeated slots mean sequential writes in batch order."""
     feats = unit_rows(rng, 8, 4)
     batched = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, 0])
     sequential = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, 0])
-    index = np.array([5, 0, 7, 2])
-    fresh = unit_rows(rng, 4, 4)
-    momentum_update_instance(batched, index, fresh, 0.2)
+    index = np.array([5, 0, 7, 5, 2, 0, 5])
+    fresh = unit_rows(rng, 7, 4)
+    momentum_update(batched.features, index, fresh, 0.2)
     for i, f in zip(index, fresh):
-        momentum_update_instance(sequential, int(i), f, 0.2)
-    np.testing.assert_allclose(batched.features, sequential.features, atol=1e-15)
-    with pytest.raises(ValueError, match="unique"):
-        momentum_update_instance(batched, np.array([1, 3, 1]), fresh[:3], 0.2)
+        momentum_update(sequential.features, [i], f[None], 0.2)
+    np.testing.assert_array_equal(batched.features, sequential.features)
+    # every occurrence counts: the last writer alone gives another result
+    last_only = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, 0])
+    momentum_update(last_only.features, index[4:], fresh[4:], 0.2)
+    assert not np.allclose(last_only.features[5], batched.features[5])
+
+
+def test_momentum_repeated_slots_match_sequential_oracle():
+    """240 random banks and batches, repeated slots included: the batched
+    write equals the per-row loop bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=91))
+    for case in range(240):
+        rows = int(rng.integers(1, 25))
+        batch = int(rng.integers(0, 40))
+        dim = int(rng.integers(1, 7))
+        momentum = (0.0, 1.0, 0.2, float(rng.random()))[case % 4]
+        bank = unit_rows(rng, rows, dim)
+        index = rng.integers(0, rows, size=batch)
+        fresh = unit_rows(rng, batch, dim)
+        expected = bank.copy()
+        sequential_momentum(expected, index, fresh, momentum)
+        momentum_update(bank, index, fresh, momentum)
+        np.testing.assert_array_equal(bank, expected)
 
 
 def test_updates_keep_unit_norm(rng):
@@ -257,8 +281,8 @@ def test_updates_keep_unit_norm(rng):
     mem = memory_from(feats, [0, 0, 1, 1, 2, 2, -1, -1, 0, 1])
     protos = compute_prototypes(mem)
     for _ in range(25):
-        f = unit_rows(rng, 1, 4)[0]
-        momentum_update_instance(mem, int(rng.integers(0, 10)), f, 0.2)
-        momentum_update_prototype(protos, int(rng.integers(0, 3)), f, 0.2)
+        f = unit_rows(rng, 1, 4)
+        momentum_update(mem.features, rng.integers(0, 10, size=1), f, 0.2)
+        momentum_update(protos, rng.integers(0, 3, size=1), f, 0.2)
     np.testing.assert_allclose(np.linalg.norm(mem.features, axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(np.linalg.norm(protos.prototypes, axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-9)

@@ -41,6 +41,7 @@ def test_different_seeds_differ():
     ("noise_patch_prob", 1.0, "noise_patch_prob"),
     ("samples_per_identity", 0, "samples_per_identity"),
     ("identity_spread", -0.5, "identity_spread"),
+    ("identity_spread", float("nan"), "identity_spread"),
     ("seed", -1, "seed"),
 ])
 def test_invalid_spec_names_field(field, value, message):

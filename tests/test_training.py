@@ -164,14 +164,12 @@ def test_losses_read_snapshot_before_updates(monkeypatch):
 
     spy(training_mod.losses_mod, "softmax_ce", "read")
     spy(training_mod.memory_mod, "mine", "read")
-    spy(training_mod.memory_mod, "momentum_update_instance", "write")
-    spy(training_mod.memory_mod, "momentum_update_prototype", "write")
+    spy(training_mod.memory_mod, "momentum_update", "write")
     ds = tiny_dataset()
     batch = 4
     train(tiny_config(epochs=1, batch_size=batch), ds)
-    # three loss kernels and one mining pass, then one vectorised instance
-    # write and one prototype write per anchor
-    iteration = ["read"] * 4 + ["write"] * (1 + batch)
+    # three loss kernels and one mining pass, then one batched write per bank
+    iteration = ["read"] * 4 + ["write"] * 2
     assert len(timeline) >= len(iteration)
     assert len(timeline) % len(iteration) == 0
     assert timeline == iteration * (len(timeline) // len(iteration))
@@ -275,7 +273,7 @@ def test_batched_step_matches_per_anchor_oracle(name):
     for block in ("w_patch", "w_cls", "w_part"):
         close(getattr(p_b, block), getattr(p_o, block))
     close(mem_b.features, mem_o.features)
-    close(protos_b.prototypes, protos_o.prototypes)
+    close(protos_b, protos_o)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"dbscan_eps": 0.15,
