@@ -3,15 +3,16 @@
 Classic DBSCAN on cosine distance: a core point has at least ``min_pts``
 neighbors within ``eps`` (itself included), clusters are maximal
 density-connected sets, and points reachable from no core point are
-outliers with label -1. Scan order is ascending index throughout, so
-border points join the first core cluster that reaches them and the
-whole labeling is reproducible. Cluster ids are dense, numbered by order
-of first appearance.
+outliers with label -1. Each unlabeled core point, in ascending index
+order, seeds a cluster that grows one breadth-first level per array pass:
+every still-unlabeled neighbour of the frontier joins it, and its core
+points form the next frontier. So cluster ids are dense and follow each
+cluster's smallest core index, and a border point within eps of several
+clusters' cores joins the lowest-numbered one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +65,14 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
 
     labels = np.full(n, OUTLIER, dtype=np.int64)
     cluster_id = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] >= 0:
+    for seed in np.flatnonzero(core):
+        if labels[seed] >= 0:
             continue
         labels[seed] = cluster_id
-        queue = deque([seed])
-        while queue:
-            point = queue.popleft()
-            for nb in np.flatnonzero(within[point]):
-                if labels[nb] >= 0:
-                    continue
-                labels[nb] = cluster_id
-                if core[nb]:
-                    queue.append(nb)
+        frontier = np.array([seed])
+        while frontier.size:
+            reached = within[frontier].any(axis=0) & (labels == OUTLIER)
+            labels[reached] = cluster_id
+            frontier = np.flatnonzero(reached & core)
         cluster_id += 1
     return PseudoLabels(labels=labels, num_clusters=cluster_id)

@@ -64,25 +64,23 @@ def _require_section(doc: dict, name: str) -> dict:
     return section
 
 
-def _check_type(path: str, value, expected: type):
-    # bool is an int subclass; keep the two strictly separate
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"`{path}` must be a number, got {type(value).__name__}")
+# field annotation -> the exact JSON types it accepts (a bool is no int
+# here, though Python makes it one) and how a message names them
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "bool": ((bool,), "a boolean"), "str": ((str,), "a string"),
+               "Path": ((str,), "a string")}
+
+
+def _check_type(path: str, value, annotation: str):
+    types, kind = _JSON_TYPES[annotation]
+    if type(value) not in types:
+        raise ConfigError(f"`{path}` must be {kind}, got {type(value).__name__}")
+    if annotation != "float":
+        return value
+    try:
         return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"`{path}` must be an integer, got {type(value).__name__}")
-        return value
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"`{path}` must be a boolean, got {type(value).__name__}")
-        return value
-    if expected is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"`{path}` must be a string, got {type(value).__name__}")
-        return value
-    raise AssertionError(f"unhandled config field type {expected}")
+    except OverflowError:
+        raise ConfigError(f"`{path}` is too large for a float") from None
 
 
 def _parse_section(section: dict, section_name: str, cls, *, required_all: bool,
@@ -95,17 +93,15 @@ def _parse_section(section: dict, section_name: str, cls, *, required_all: bool,
     for name, f in fields.items():
         path = f"{section_name}.{name}"
         if name in section:
-            ftype = {"int": int, "float": float, "bool": bool, "str": str,
-                     "Path": str}.get(f.type, f.type)
-            kwargs[name] = _check_type(path, section[name], ftype)
+            kwargs[name] = _check_type(path, section[name], f.type)
         elif required_all or f.default is dataclasses.MISSING:
             raise ConfigError(f"missing `{path}`")
     return kwargs
 
 
 def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> None:
-    """Limits across sections, checked at load so that no command runs
-    (say, 30 epochs of training) on a config that ``eval`` must reject."""
+    """Limits across sections and ``eval.seed``, checked at load so that no
+    command runs (say, 30 epochs of training) on a config ``eval`` rejects."""
     spi, query = data.samples_per_identity, eval_cfg.query_per_identity
     gallery = data.num_identities * (spi - query)
     for ok, name, value, bound in [
@@ -113,7 +109,8 @@ def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> 
             (1 <= eval_cfg.k_max <= gallery, "eval.k_max", eval_cfg.k_max,
              f"in [1, {gallery}], the gallery size"),
             (train.batch_size <= data.num_samples, "train.batch_size", train.batch_size,
-             f"<= {data.num_samples}, the dataset size")]:
+             f"<= {data.num_samples}, the dataset size"),
+            (0 <= eval_cfg.seed < 2**64, "eval.seed", eval_cfg.seed, "in [0, 2**64)")]:
         if not ok:
             raise ConfigError(f"`{name}` must be {bound}, got {value}")
 

@@ -12,6 +12,8 @@ linear functional of its outputs, including the normalization Jacobian
 ``(I - u_hat u_hat^T) / ||u||``. Where a pre-normalization vector is zero
 (the warning path of ``normalize_rows``), the Jacobian degenerates to the
 identity pass-through. Both take any leading batch axes on the patches.
+The backward takes the forward's ``EncodeOutput``, which records every
+intermediate the adjoint reads, so no part of the forward runs twice.
 """
 
 from __future__ import annotations
@@ -69,8 +71,12 @@ class EncoderParams:
 
 @dataclass
 class EncodeOutput:
+    """The outputs of ``encode`` and the record its backward reads."""
     image_feature: np.ndarray  # (..., D), unit norm
     patch_tokens: np.ndarray   # (..., I, D), unit rows
+    patches: np.ndarray        # (..., I, d_in), the input
+    pre_tokens: np.ndarray     # (..., I, D), the tokens before normalization
+    head: tuple                # _head's (feature before normalization, xbar, stripe means)
 
 
 @dataclass
@@ -138,8 +144,9 @@ def encode(params: EncoderParams, patches: np.ndarray) -> EncodeOutput:
     f = normalize(W_cls @ mean(patches) + mean_z(W_part[z] @ stripe_mean_z)).
     """
     patches = _check_patches(params, patches)
-    return EncodeOutput(image_feature=normalize_rows(_head(params, patches)[0]),
-                        patch_tokens=normalize_rows(patches @ params.w_patch.T))
+    head, pre_tokens = _head(params, patches), patches @ params.w_patch.T
+    return EncodeOutput(normalize_rows(head[0]), normalize_rows(pre_tokens), patches,
+                        pre_tokens, head)
 
 
 def _normalize_backward(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
@@ -152,32 +159,30 @@ def _normalize_backward(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
     return np.where(norms == 0.0, grad_out, (grad_out - proj * units) / safe)
 
 
-def encode_backward(params: EncoderParams, patches: np.ndarray,
-                    grad_image_feature: np.ndarray,
+def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
                     grad_tokens: np.ndarray) -> EncoderGrads:
-    """Gradient of <g_f, image_feature> + sum_i <g_t[i], token_i> w.r.t. params,
-    summed over any leading batch axes of ``patches`` (..., I, d_in).
+    """Gradient of <g_f, image_feature> + sum_i <g_t[i], token_i> w.r.t. the
+    params of the ``encode`` call that made ``out``, summed over its batch axes.
 
     The batch sum is one reshaped matmul per parameter block, so its order
     is fixed. The image feature does not depend on ``w_patch``, and the
     tokens do not depend on the head matrices, so the two output gradients
     touch disjoint parameter blocks.
     """
-    patches = _check_patches(params, patches)
     grad_image_feature = np.asarray(grad_image_feature, dtype=np.float64)
     grad_tokens = np.asarray(grad_tokens, dtype=np.float64)
-    d, d_in, z = params.feature_dim, params.patch_input_dim, params.part_tokens
-    if grad_image_feature.shape != patches.shape[:-2] + (d,):
-        raise ValueError(f"grad_image_feature must be {patches.shape[:-2] + (d,)}")
-    if grad_tokens.shape != patches.shape[:-1] + (d,):
-        raise ValueError(f"grad_tokens must be {patches.shape[:-1] + (d,)}")
+    if grad_image_feature.shape != out.image_feature.shape:
+        raise ValueError(f"grad_image_feature must be {out.image_feature.shape}")
+    if grad_tokens.shape != out.patch_tokens.shape:
+        raise ValueError(f"grad_tokens must be {out.patch_tokens.shape}")
+    pre, xbar, stripe_means = out.head
+    d, d_in, z = pre.shape[-1], xbar.shape[-1], len(stripe_means)
 
     # Token path: t_i = normalize(W_patch p_i).
-    g_pre_tokens = _normalize_backward(grad_tokens, patches @ params.w_patch.T)
-    g_w_patch = g_pre_tokens.reshape(-1, d).T @ patches.reshape(-1, d_in)
+    g_pre_tokens = _normalize_backward(grad_tokens, out.pre_tokens)
+    g_w_patch = g_pre_tokens.reshape(-1, d).T @ out.patches.reshape(-1, d_in)
 
     # Image-feature path: f = normalize(W_cls xbar + mean_z W_part[z] xbar_z).
-    pre, xbar, stripe_means = _head(params, patches)
     g_pre = _normalize_backward(grad_image_feature, pre).reshape(-1, d)
     g_w_cls = g_pre.T @ xbar.reshape(-1, d_in)
     g_w_part = np.stack([g_pre.T @ sm.reshape(-1, d_in) / z for sm in stripe_means])

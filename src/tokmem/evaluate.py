@@ -24,7 +24,6 @@ __all__ = ["RankingResult", "evaluate_retrieval", "evaluate_encoder", "metrics_d
 
 @dataclass
 class RankingResult:
-    rankings: np.ndarray      # (Q, G) gallery indices, best first
     per_query_ap: np.ndarray  # (Q,), NaN for excluded queries
     cmc: np.ndarray           # (k_max,)
     mean_ap: float
@@ -45,8 +44,8 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     num_q, num_g = len(query_features), len(gallery_features)
     if not 1 <= k_max <= num_g:
         raise ValueError(f"k_max must be in [1, {num_g}]")
-    rankings = np.argsort(-(query_features @ gallery_features.T), axis=1, kind="stable")
-    matches = gallery_ids[rankings] == query_ids[:, None]
+    order = np.argsort(-(query_features @ gallery_features.T), axis=1, kind="stable")
+    matches = gallery_ids[order] == query_ids[:, None]
     positives = matches.sum(axis=1)
     valid = positives > 0
     if not valid.any():
@@ -61,7 +60,6 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     first = cols[row_start[valid]]  # 0-based rank of each valid query's first match
     cmc = np.cumsum(np.bincount(first[first < k_max], minlength=k_max)) / valid.sum()
     return RankingResult(
-        rankings=rankings,
         per_query_ap=per_query_ap,
         cmc=cmc,
         mean_ap=float(per_query_ap[valid].mean()),

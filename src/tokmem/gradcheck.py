@@ -106,7 +106,7 @@ def _check_encoder(rng: np.random.Generator) -> float:
     g_f = rng.normal(size=(_ENCODER_BATCH, d))
     g_t = rng.normal(size=(_ENCODER_BATCH, num_patches, d))
 
-    grads = encoder_mod.encode_backward(params, patches, g_f, g_t)
+    grads = encoder_mod.encode_backward(encoder_mod.encode(params, patches), g_f, g_t)
     analytic = np.concatenate([grads.w_patch.ravel(), grads.w_cls.ravel(),
                                grads.w_part.ravel()])
 
@@ -132,6 +132,8 @@ def run_gradcheck(seed: int = 0, trials: int = 50) -> dict[str, float]:
     """Max relative error per component over ``trials`` random instances."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2**64)")
     results: dict[str, float] = {}
     for name, check in COMPONENTS.items():
         rng = np.random.Generator(np.random.Philox(key=np.array(

@@ -256,7 +256,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     grad_tokens[rows, selected] = w_con * con.grad_tokens
     grad_f = (w_con * con.grad_image_feature + w_pro * pro.grad_image_feature
               + w_anc * anc.grad_image_feature)
-    grads = encoder_mod.encode_backward(params, patches, grad_f, grad_tokens)
+    grads = encoder_mod.encode_backward(out, grad_f, grad_tokens)
 
     # Writes only now, after every read of the snapshot.
     memory_mod.momentum_update(mem.features, indices, f, config.momentum)

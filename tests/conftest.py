@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tokmem.evaluate import evaluate_retrieval
 from tokmem.synth import SynthSpec
 from tokmem.training import TrainConfig
 
@@ -60,3 +61,16 @@ def features_ranking_as(rankings):
     scores = np.empty((num_q, num_g))
     scores[np.arange(num_q)[:, None], rankings] = np.arange(num_g, 0, -1)
     return np.eye(num_q), scores.T
+
+
+def observed_rankings(queries, gallery):
+    """The (Q, G) gallery order that retrieval gives each query, read back
+    through AP alone. Copy g of query q has gallery item g as its only
+    positive, so its AP is 1 / (1 + place of g), and sorting the gallery by
+    1 / AP restores the order."""
+    queries, gallery = np.atleast_2d(queries), np.asarray(gallery)
+    num_q, num_g = len(queries), len(gallery)
+    result = evaluate_retrieval(np.repeat(queries, num_g, axis=0),
+                                np.tile(np.arange(num_g), num_q), gallery,
+                                np.arange(num_g), k_max=1)
+    return np.argsort(np.rint(1.0 / result.per_query_ap).reshape(num_q, num_g), axis=1)

@@ -109,6 +109,7 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("eval_override, field", [
     ({"query_per_identity": 6}, "eval.query_per_identity"),
     ({"k_max": 10000}, "eval.k_max"),
+    ({"seed": -1}, "eval.seed"),
 ])
 def test_train_rejects_eval_limits_before_training(tmp_path, capsys, eval_override,
                                                    field):
@@ -368,3 +369,14 @@ def test_gradcheck_broken_gradient_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL anchor_loss" in captured.out
     assert "anchor_loss" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_gradcheck_out_of_range_seed_exits_2(monkeypatch, capsys, seed):
+    ran = []
+    for name in gradcheck_mod.COMPONENTS:
+        monkeypatch.setitem(gradcheck_mod.COMPONENTS, name, ran.append)
+    assert main(["gradcheck", "--seed", seed, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be in [0, 2**64)\n"
+    assert captured.out == "" and ran == []

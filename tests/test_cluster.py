@@ -112,22 +112,20 @@ def assert_labels_well_formed(result: PseudoLabels):
 
 
 def assert_matches_oracle(feats, eps, min_pts):
+    """The full labeling rule: cluster k is the k-th core component in order
+    of smallest core index, each border point takes the smallest label among
+    its core neighbours, and every other point is an outlier."""
     result = dbscan(feats, eps, min_pts)
     assert_labels_well_formed(result)
     dist = cosine_dist_oracle(feats)
     core, clusters, border, noise = dbscan_oracle(dist, eps, min_pts)
-
-    # exact agreement on the partition of core points
-    assert partition_of_core_points(result.labels, core) == set(clusters)
-    # every core point is clustered; border points are clustered into a
-    # cluster owning a core point within eps; noise points are outliers
-    assert (result.labels[core] >= 0).all()
+    expected = np.full(len(feats), -1)
+    for k, members in enumerate(clusters):  # listed by smallest core index
+        expected[sorted(members)] = k
     for b in np.flatnonzero(border):
-        label = result.labels[b]
-        assert label >= 0
-        owners = np.flatnonzero(core & (dist[b] <= eps))
-        assert label in set(result.labels[owners])
-    assert (result.labels[noise] == -1).all()
+        expected[b] = expected[core & (dist[b] <= eps)].min()
+    np.testing.assert_array_equal(result.labels, expected)
+    assert result.num_clusters == len(clusters)
 
 
 @pytest.mark.parametrize("trial", range(30))
@@ -140,6 +138,38 @@ def test_matches_brute_force_oracle(trial):
     eps = float(rng.uniform(0.05, 1.5))
     min_pts = int(rng.integers(1, 9))
     assert_matches_oracle(feats, eps, min_pts)
+
+
+def test_full_labeling_rule_on_hard_instances():
+    """300 instances, a third of them clustered, with exact duplicates,
+    exact antipodes and eps at the ends of the distance range [0, 2]."""
+    rng = np.random.Generator(np.random.Philox(key=557))
+    edge_eps = (1e-18, 1.999, 2.0, 2.5)
+    for trial in range(300):
+        n, d = int(rng.integers(1, 300)), int(rng.integers(2, 8))
+        feats = unit_rows(rng, n, d)
+        if trial % 3 == 0:
+            centers = unit_rows(rng, int(rng.integers(1, 6)), d)
+            feats = centers[rng.integers(0, len(centers), n)] + 0.05 * feats
+            feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        half = n // 2
+        if trial % 5 == 1:
+            feats[half:] = feats[:n - half]
+        elif trial % 5 == 2:
+            feats[half:] = -feats[:n - half]
+        eps = edge_eps[trial // 2 % 4] if trial % 2 else float(rng.uniform(0.01, 1.5))
+        assert_matches_oracle(feats, eps, int(rng.integers(1, 8)))
+
+
+def test_border_point_between_two_clusters_joins_cluster_0():
+    # two 4-point arcs 0.26 rad apart and a point 0.13 rad from the nearest
+    # core of each; it has 3 neighbours, so with min_pts = 4 it is a border
+    # point, and it takes the lower id whichever arc comes first
+    arc_a, arc_b = [0.0, 0.01, 0.02, 0.03], [0.29, 0.30, 0.31, 0.32]
+    eps = 1.0 - np.cos(0.135)
+    for first, second in ((arc_a, arc_b), (arc_b, arc_a)):
+        result = dbscan(on_circle([0.16] + first + second), eps, min_pts=4)
+        np.testing.assert_array_equal(result.labels, [0] * 5 + [1] * 4)
 
 
 def test_clustered_blobs_recovered(rng):

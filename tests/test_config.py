@@ -111,6 +111,10 @@ def test_type_errors_name_field(tmp_path):
     doc["paths"]["log"] = 5
     with pytest.raises(ConfigError, match="paths.log"):
         load_run_config(write_config(tmp_path, doc))
+    doc = valid_doc()
+    doc["data"]["identity_spread"] = 10**400  # a JSON integer no float holds
+    with pytest.raises(ConfigError, match="data.identity_spread"):
+        load_run_config(write_config(tmp_path, doc))
 
 
 def test_invalid_values_rejected(tmp_path):
@@ -150,6 +154,9 @@ def test_malformed_json_and_missing_file(tmp_path):
     ("eval", "k_max", 0, "eval.k_max"),
     # the dataset holds 4 x 6 = 24 samples
     ("train", "batch_size", 25, "train.batch_size"),
+    # a Philox key is a 64-bit unsigned integer
+    ("eval", "seed", -1, "eval.seed"),
+    ("eval", "seed", 2**64, "eval.seed"),
 ])
 def test_cross_section_limits_rejected_at_load(tmp_path, section, key, value, message):
     doc = valid_doc()

@@ -94,7 +94,7 @@ def test_fewer_patches_than_part_tokens_rejected():
 def test_backward_zero_grads_give_zero(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grads = encode_backward(params, patches, np.zeros(4), np.zeros((5, 4)))
+    grads = encode_backward(encode(params, patches), np.zeros(4), np.zeros((5, 4)))
     assert not grads.w_patch.any()
     assert not grads.w_cls.any()
     assert not grads.w_part.any()
@@ -103,7 +103,7 @@ def test_backward_zero_grads_give_zero(rng):
 def test_backward_image_grad_never_touches_patch_projection(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grads = encode_backward(params, patches, rng.normal(size=4), np.zeros((5, 4)))
+    grads = encode_backward(encode(params, patches), rng.normal(size=4), np.zeros((5, 4)))
     assert not grads.w_patch.any()
     assert grads.w_cls.any()
 
@@ -111,7 +111,7 @@ def test_backward_image_grad_never_touches_patch_projection(rng):
 def test_backward_token_grad_never_touches_heads(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grads = encode_backward(params, patches, np.zeros(4), rng.normal(size=(5, 4)))
+    grads = encode_backward(encode(params, patches), np.zeros(4), rng.normal(size=(5, 4)))
     assert grads.w_patch.any()
     assert not grads.w_cls.any()
     assert not grads.w_part.any()
@@ -121,9 +121,9 @@ def test_backward_shape_mismatch_rejected(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
     with pytest.raises(ValueError):
-        encode_backward(params, patches, np.zeros(3), np.zeros((5, 4)))
+        encode_backward(encode(params, patches), np.zeros(3), np.zeros((5, 4)))
     with pytest.raises(ValueError):
-        encode_backward(params, patches, np.zeros(4), np.zeros((4, 4)))
+        encode_backward(encode(params, patches), np.zeros(4), np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -139,7 +139,7 @@ def test_backward_matches_finite_differences(trial):
     g_f = rng.normal(size=d)
     g_t = rng.normal(size=(num_patches, d))
 
-    grads = encode_backward(params, patches, g_f, g_t)
+    grads = encode_backward(encode(params, patches), g_f, g_t)
     analytic = np.concatenate([grads.w_patch.ravel(), grads.w_cls.ravel(),
                                grads.w_part.ravel()])
 
@@ -160,7 +160,7 @@ def test_batch_axes_match_single_images(rng):
     out = encode(params, patches)
     assert out.image_feature.shape == (2, 3, 4)
     np.testing.assert_array_equal(image_feature(params, patches), out.image_feature)
-    grads = encode_backward(params, patches, g_f, g_t)
+    grads = encode_backward(encode(params, patches), g_f, g_t)
     summed = [np.zeros_like(params.w_patch), np.zeros_like(params.w_cls),
               np.zeros_like(params.w_part)]
     for idx in np.ndindex(2, 3):
@@ -169,7 +169,7 @@ def test_batch_axes_match_single_images(rng):
                                    atol=1e-15)
         np.testing.assert_allclose(out.patch_tokens[idx], single.patch_tokens,
                                    atol=1e-15)
-        g = encode_backward(params, patches[idx], g_f[idx], g_t[idx])
+        g = encode_backward(encode(params, patches[idx]), g_f[idx], g_t[idx])
         for acc, block in zip(summed, (g.w_patch, g.w_cls, g.w_part)):
             acc += block
     for acc, block in zip(summed, (grads.w_patch, grads.w_cls, grads.w_part)):

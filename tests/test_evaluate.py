@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import features_ranking_as, unit_rows
+from conftest import features_ranking_as, observed_rankings, unit_rows
 from oracles import average_precision_oracle, cmc_oracle, topk_by_full_sort
 from tokmem.evaluate import evaluate_retrieval, metrics_dict, write_metrics
 
@@ -19,18 +19,15 @@ def gallery_with_sims(sims):
 
 
 def rank(query, gallery):
-    """The gallery ranking of one query; every gallery item is a positive."""
-    result = evaluate_retrieval(np.asarray(query)[None], np.zeros(1), gallery,
-                                np.zeros(len(gallery)), k_max=1)
-    return result.rankings[0]
+    """The gallery ranking of one query."""
+    return observed_rankings(query, gallery)[0]
 
 
 def evaluate_rankings(rankings, query_ids, gallery_ids, k_max):
     query, gallery = features_ranking_as(rankings)
-    result = evaluate_retrieval(query, np.asarray(query_ids), gallery,
-                                np.asarray(gallery_ids), k_max)
-    np.testing.assert_array_equal(result.rankings, rankings)
-    return result
+    np.testing.assert_array_equal(observed_rankings(query, gallery), rankings)
+    return evaluate_retrieval(query, np.asarray(query_ids), gallery,
+                              np.asarray(gallery_ids), k_max)
 
 
 def test_rank_example():
@@ -45,9 +42,7 @@ def test_rank_ties_keep_index_order(rng):
     # gallery items tie with others; ties go to the lower gallery index
     num_q, num_g = 12, 40
     scores = rng.integers(0, 4, size=(num_q, num_g)).astype(np.float64)
-    result = evaluate_retrieval(np.eye(num_q), np.zeros(num_q), scores.T,
-                                np.zeros(num_g), k_max=1)
-    for row, ranking in zip(scores, result.rankings):
+    for row, ranking in zip(scores, observed_rankings(np.eye(num_q), scores.T)):
         np.testing.assert_array_equal(ranking, topk_by_full_sort(row, num_g))
 
 
@@ -173,8 +168,8 @@ def test_excluded_queries_counted(rng):
 
 
 def test_peak_memory_is_about_two_query_gallery_arrays(rng):
-    """Beside the (Q, G) rankings it returns, evaluation holds one more
-    (Q, G) 8-byte array at a time: no float cumsum or precision matrix."""
+    """Evaluation holds about two (Q, G) 8-byte arrays at a time, the
+    similarities and their argsort: no float cumsum or precision matrix."""
     num_q, num_g = 400, 3000
     queries, gallery = unit_rows(rng, num_q, 16), unit_rows(rng, num_g, 16)
     query_ids, gallery_ids = rng.integers(0, 100, num_q), rng.integers(0, 100, num_g)

@@ -175,6 +175,30 @@ def test_losses_read_snapshot_before_updates(monkeypatch):
     assert timeline == iteration * (len(timeline) // len(iteration))
 
 
+def test_step_runs_the_encoder_head_once(monkeypatch):
+    """The backward reads the forward's record: one train_step evaluates
+    the image-feature head once, for all anchors at once."""
+    from tokmem.memory import build_instance_memory, compute_prototypes
+
+    calls = []
+    real = training_mod.encoder_mod._head
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    cfg = tiny_config()
+    ds = tiny_dataset()
+    params = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, cfg.seed)
+    labels = np.repeat(np.arange(4), 6)
+    mem = build_instance_memory(encode_dataset(params, ds), labels_of(labels))
+    batch = np.array([0, 7, 14, 21])
+    monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
+    training_mod.train_step(cfg, params, ds.patches[batch], batch, labels[batch],
+                            mem, compute_prototypes(mem), lr=0.05)
+    assert len(calls) == 1
+
+
 def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
     real = training_mod.losses_mod.softmax_ce
 
