@@ -46,7 +46,7 @@ def main() -> int:
             return evaluate_encoder(params, ds, cfg.eval).mean_ap
 
         fresh_scores.append(retrieval(init_params(
-            cfg.train.feature_dim, cfg.train.patch_input_dim,
+            cfg.train.feature_dim, cfg.data.patch_input_dim,
             cfg.train.part_tokens, seed)))
         for name, overrides in VARIANTS.items():
             variant_cfg = dataclasses.replace(cfg.train, seed=seed, **overrides)

@@ -31,7 +31,7 @@ def main() -> int:
           f"outliers={last['outliers']}")
 
     trained = evaluate_encoder(result.params, ds, cfg.eval)
-    fresh = evaluate_encoder(init_params(cfg.train.feature_dim, cfg.train.patch_input_dim,
+    fresh = evaluate_encoder(init_params(cfg.train.feature_dim, cfg.data.patch_input_dim,
                                          cfg.train.part_tokens, cfg.train.seed),
                              ds, cfg.eval)
     print(f"trained : mAP={trained.mean_ap:.4f} rank1={trained.cmc[0]:.4f}")

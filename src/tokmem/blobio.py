@@ -1,13 +1,16 @@
-"""Manifest+blob file pairs.
+"""Manifest+blob file pairs, atomic file writes, and the JSON field decoder.
 
 Every on-disk artifact (dataset, checkpoint) is a JSON manifest next to
 a raw binary blob of little-endian float32 / int32 values; the manifest
-records the blob's byte length so readers can detect truncation.
+records the blob's byte length so readers can detect truncation. Every
+typed JSON value the package reads, config or manifest, goes through
+:func:`decode`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -27,26 +30,30 @@ def pair_paths(prefix: str | Path) -> tuple[Path, Path]:
     return Path(str(prefix) + ".json"), Path(str(prefix) + BLOB_SUFFIX)
 
 
-def write_pair(prefix: str | Path, manifest: dict, blob: bytes) -> tuple[Path, Path]:
-    """Write ``<prefix>.json`` and ``<prefix>.f32``; returns both paths. Both
-    go to temporary siblings first, then are renamed over their targets,
-    blob before manifest, so a failed write leaves the previous pair."""
-    manifest = dict(manifest)
-    manifest["format_version"] = FORMAT_VERSION
-    manifest["blob_bytes"] = len(blob)
-    manifest_path, blob_path = pair_paths(prefix)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    staged = [(path, path.with_name(path.name + ".tmp"), data)
-              for path, data in ((blob_path, blob), (manifest_path, text.encode()))]
+def write_atomic(files) -> None:
+    """Write each ``(path, data)`` of ``files`` to a temporary sibling, then
+    rename the siblings over their targets in order, so a failed write
+    leaves the previous files and no temporary one."""
+    staged = [(path, path.with_name(path.name + ".tmp"), data) for path, data in files]
     try:
-        for _, tmp, data in staged:
+        for path, tmp, data in staged:
+            path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(data)
         for path, tmp, _ in staged:
             os.replace(tmp, path)
     finally:
         for _, tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+
+
+def write_pair(prefix: str | Path, manifest: dict, blob: bytes) -> tuple[Path, Path]:
+    """Write ``<prefix>.json`` and ``<prefix>.f32``; returns both paths. The
+    blob is renamed into place before the manifest, so a failed write
+    leaves the previous pair."""
+    manifest = dict(manifest, format_version=FORMAT_VERSION, blob_bytes=len(blob))
+    manifest_path, blob_path = pair_paths(prefix)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic([(blob_path, blob), (manifest_path, text.encode())])
     return manifest_path, blob_path
 
 
@@ -63,35 +70,50 @@ def read_pair(prefix: str | Path) -> tuple[dict, bytes]:
         raise DataFormatError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"manifest {manifest_path} is not a JSON object")
-    version = manifest_int(manifest, "format_version", manifest_path)
+    version = manifest_field(manifest, "format_version", "int", manifest_path)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{manifest_path}: unsupported format_version {version}")
     blob = blob_path.read_bytes()
-    expected = manifest_int(manifest, "blob_bytes", manifest_path)
+    expected = manifest_field(manifest, "blob_bytes", "int", manifest_path)
     if expected != len(blob):
         raise DataFormatError(
             f"{blob_path}: manifest declares {expected} blob bytes but file has {len(blob)}")
     return manifest, blob
 
 
-def manifest_int(manifest: dict, field: str, source) -> int:
-    """``manifest[field]`` if it is a JSON integer (no bool, no float), else DataFormatError."""
-    return _manifest_value(manifest, field, source, (int,), "an integer")
+# field annotation -> the JSON types it accepts (a bool is no int here,
+# though Python makes it one), how a message names them, and the value
+# made from it
+_JSON_TYPES = {"int": ((int,), "an integer", int),
+              "float": ((int, float), "a finite number", float),
+              "bool": ((bool,), "a boolean", bool),
+              "str": ((str,), "a string", str),
+              "Path": ((str,), "a string", Path)}
 
 
-def manifest_number(manifest: dict, field: str, source) -> int | float:
-    """``manifest[field]`` if it is a JSON number (no bool), else DataFormatError."""
-    return _manifest_value(manifest, field, source, (int, float), "a number")
-
-
-def _manifest_value(manifest: dict, field: str, source, types: tuple, kind: str):
-    if field not in manifest:
-        raise DataFormatError(f"{source}: manifest field {field!r} is missing")
-    value = manifest[field]
+def decode(value, annotation: str, label: str, error=DataFormatError):
+    """A parsed JSON ``value`` as a field of type ``annotation``; ``error``
+    naming the field by ``label`` for another JSON type, and for a float
+    field no finite float holds (inf, nan, an integer beyond the range)."""
+    types, kind, convert = _JSON_TYPES[annotation]
     if type(value) not in types:
-        raise DataFormatError(f"{source}: manifest field {field!r} must be {kind}, "
-                              f"got {type(value).__name__} {value!r}")
+        raise error(f"{label} must be {kind}, got {type(value).__name__}")
+    try:
+        value = convert(value)
+    except OverflowError:
+        value = math.inf
+    if annotation == "float" and not math.isfinite(value):
+        raise error(f"{label} must be {kind}")
     return value
+
+
+def manifest_field(manifest: dict, name: str, annotation: str, source):
+    """``manifest[name]`` decoded as a field of type ``annotation``; a
+    DataFormatError naming ``source`` and the field if missing or mistyped."""
+    label = f"{source}: manifest field {name!r}"
+    if name not in manifest:
+        raise DataFormatError(f"{label} is missing")
+    return decode(manifest[name], annotation, label)
 
 
 def floats_to_bytes(arr: np.ndarray) -> bytes:

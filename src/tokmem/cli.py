@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import blobio
 from . import encoder as encoder_mod
 from . import evaluate as evaluate_mod
 from . import gradcheck as gradcheck_mod
@@ -61,23 +62,31 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _load_dataset(cfg: RunConfig) -> synth_mod.SynthDataset:
+    """The dataset at ``paths.dataset``; ConfigError unless its spec is ``cfg.data``."""
+    ds = synth_mod.load_dataset(cfg.paths.dataset)
+    found = ds.spec.to_dict()
+    for name, expected in cfg.data.to_dict().items():
+        if found[name] != expected:
+            raise ConfigError(f"dataset {cfg.paths.dataset} has `data.{name}` {found[name]}, "
+                              f"config has {expected}; run gen-data again")
+    return ds
+
+
 def _cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    ds = synth_mod.load_dataset(cfg.paths.dataset)
+    ds = _load_dataset(cfg)
     try:
         result = train_mod.train(cfg.train, ds)
     except NumericError as exc:
         diag_path = Path(str(cfg.paths.log) + ".diag.json")
-        diag_path.parent.mkdir(parents=True, exist_ok=True)
-        diag_path.write_text(json.dumps(exc.diagnostics, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(exc.diagnostics, indent=2, sort_keys=True) + "\n"
+        blobio.write_atomic([(diag_path, text.encode())])
         print(f"error: {exc} (diagnostics in {diag_path})", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     encoder_mod.save_checkpoint(result.params, cfg.paths.checkpoint)
-    log_path = cfg.paths.log
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    with log_path.open("w") as fh:
-        for record in result.log:
-            fh.write(json.dumps(record) + "\n")
+    log = "".join(json.dumps(record) + "\n" for record in result.log)
+    blobio.write_atomic([(cfg.paths.log, log.encode())])
     if result.log:
         last = result.log[-1]
         print(f"epoch {last['epoch']}: total={_fmt(last['mean_total'])} "
@@ -97,9 +106,9 @@ def _fmt(value) -> str:
 def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     checkpoint = Path(args.checkpoint) if args.checkpoint else cfg.paths.checkpoint
+    ds = _load_dataset(cfg)
     params = encoder_mod.load_checkpoint(checkpoint)
     _check_checkpoint_dims(cfg, params)
-    ds = synth_mod.load_dataset(cfg.paths.dataset)
     result = evaluate_mod.evaluate_encoder(params, ds, cfg.eval)
     csv_path = Path(args.per_query_csv) if args.per_query_csv else None
     evaluate_mod.write_metrics(result, cfg.paths.metrics, per_query_csv=csv_path)
@@ -110,7 +119,7 @@ def _cmd_eval(args) -> int:
 
 def _check_checkpoint_dims(cfg: RunConfig, params: encoder_mod.EncoderParams) -> None:
     pairs = [("feature_dim", params.feature_dim, cfg.train.feature_dim),
-             ("patch_input_dim", params.patch_input_dim, cfg.train.patch_input_dim),
+             ("patch_input_dim", params.patch_input_dim, cfg.data.patch_input_dim),
              ("part_tokens", params.part_tokens, cfg.train.part_tokens)]
     for name, actual, expected in pairs:
         if actual != expected:
@@ -141,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -6,11 +6,11 @@ protocol, optional with defaults), ``paths`` (artifact locations, all
 required). ``format_version: 1`` is mandatory. Unknown keys anywhere are
 rejected so hyperparameter typos cannot pass silently; every validation
 message names the offending field path. Limits across sections (query
-split, ``k_max``, batch size) are checked at load, before any command runs.
+split, ``k_max``, batch size, part tokens) are checked at load, before
+any command runs.
 
 The patch geometry (``patches_per_image``, ``patch_input_dim``) lives in
-``data`` only and is injected into the training config, so the two can
-never disagree inside one file.
+``data`` only; training reads it from the dataset it trains on.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .blobio import decode
 from .errors import ConfigError
-from .synth import SynthSpec
+from .synth import MAX_SEED, SEED_RANGE, SynthSpec
 from .training import TrainConfig
 
 __all__ = ["EvalConfig", "RunPaths", "RunConfig", "load_run_config"]
 
 FORMAT_VERSION = 1
-
-# train-section keys supplied by the data section, not by the user
-_INJECTED_TRAIN_KEYS = {"patches_per_image", "patch_input_dim"}
 
 
 @dataclass
@@ -55,37 +53,13 @@ class RunConfig:
     paths: RunPaths
 
 
-def _require_section(doc: dict, name: str) -> dict:
-    if name not in doc:
-        raise ConfigError(f"missing section `{name}`")
-    section = doc[name]
+def _parse_section(doc: dict, section_name: str, cls):
+    """An instance of ``cls`` from the section of ``doc`` so named; a field
+    without a default is required."""
+    section = doc.get(section_name, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"section `{name}` must be an object")
-    return section
-
-
-# field annotation -> the exact JSON types it accepts (a bool is no int
-# here, though Python makes it one) and how a message names them
-_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-               "bool": ((bool,), "a boolean"), "str": ((str,), "a string"),
-               "Path": ((str,), "a string")}
-
-
-def _check_type(path: str, value, annotation: str):
-    types, kind = _JSON_TYPES[annotation]
-    if type(value) not in types:
-        raise ConfigError(f"`{path}` must be {kind}, got {type(value).__name__}")
-    if annotation != "float":
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"`{path}` is too large for a float") from None
-
-
-def _parse_section(section: dict, section_name: str, cls, *, required_all: bool,
-                   skip: set[str] = frozenset()):
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
+        raise ConfigError(f"section `{section_name}` must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in section:
         if key not in fields:
             raise ConfigError(f"unknown key `{section_name}.{key}`")
@@ -93,10 +67,10 @@ def _parse_section(section: dict, section_name: str, cls, *, required_all: bool,
     for name, f in fields.items():
         path = f"{section_name}.{name}"
         if name in section:
-            kwargs[name] = _check_type(path, section[name], f.type)
-        elif required_all or f.default is dataclasses.MISSING:
+            kwargs[name] = decode(section[name], f.type, f"`{path}`", ConfigError)
+        elif f.default is dataclasses.MISSING:
             raise ConfigError(f"missing `{path}`")
-    return kwargs
+    return cls(**kwargs)
 
 
 def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> None:
@@ -110,7 +84,9 @@ def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> 
              f"in [1, {gallery}], the gallery size"),
             (train.batch_size <= data.num_samples, "train.batch_size", train.batch_size,
              f"<= {data.num_samples}, the dataset size"),
-            (0 <= eval_cfg.seed < 2**64, "eval.seed", eval_cfg.seed, "in [0, 2**64)")]:
+            (train.part_tokens <= data.patches_per_image, "train.part_tokens",
+             train.part_tokens, f"<= {data.patches_per_image}, the patches per image"),
+            (0 <= eval_cfg.seed < MAX_SEED, "eval.seed", eval_cfg.seed, f"in {SEED_RANGE}")]:
         if not ok:
             raise ConfigError(f"`{name}` must be {bound}, got {value}")
 
@@ -133,34 +109,18 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"unknown key `{key}`")
     if "format_version" not in doc:
         raise ConfigError("missing `format_version`")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported `format_version` {doc['format_version']!r} (expected {FORMAT_VERSION})")
+    version = decode(doc["format_version"], "int", "`format_version`", ConfigError)
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported `format_version` {version} (expected {FORMAT_VERSION})")
 
-    data_kwargs = _parse_section(_require_section(doc, "data"), "data",
-                                 SynthSpec, required_all=True)
-    data = SynthSpec(**data_kwargs)
-    try:
-        data.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid `data` section: {exc}") from exc
-
-    train_kwargs = _parse_section(doc.get("train", {}), "train", TrainConfig,
-                                  required_all=False, skip=_INJECTED_TRAIN_KEYS)
-    train = TrainConfig(patches_per_image=data.patches_per_image,
-                        patch_input_dim=data.patch_input_dim, **train_kwargs)
-    try:
-        train.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid `train` section: {exc}") from exc
-
-    eval_kwargs = _parse_section(doc.get("eval", {}), "eval", EvalConfig,
-                                 required_all=False)
-    eval_cfg = EvalConfig(**eval_kwargs)
+    data = _parse_section(doc, "data", SynthSpec)
+    train = _parse_section(doc, "train", TrainConfig)
+    for name, section in (("data", data), ("train", train)):
+        try:
+            section.validate()
+        except ValueError as exc:
+            raise ConfigError(f"invalid `{name}` section: {exc}") from exc
+    eval_cfg = _parse_section(doc, "eval", EvalConfig)
     _check_limits(data, train, eval_cfg)
-
-    paths_kwargs = _parse_section(_require_section(doc, "paths"), "paths", RunPaths,
-                                  required_all=True)
-    paths = RunPaths(**{name: Path(value) for name, value in paths_kwargs.items()})
-
+    paths = _parse_section(doc, "paths", RunPaths)
     return RunConfig(data=data, train=train, eval=eval_cfg, paths=paths)

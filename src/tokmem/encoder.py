@@ -220,7 +220,7 @@ def save_checkpoint(params: EncoderParams, prefix) -> None:
 
 def load_checkpoint(prefix) -> EncoderParams:
     manifest, blob = blobio.read_pair(prefix)
-    d, d_in, z = (blobio.manifest_int(manifest, field, prefix)
+    d, d_in, z = (blobio.manifest_field(manifest, field, "int", prefix)
                   for field in ("feature_dim", "patch_input_dim", "part_tokens"))
     mat = d * d_in
     expected = 4 * mat * (2 + z)

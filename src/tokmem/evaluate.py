@@ -8,13 +8,13 @@ and reported, never silently counted as zero.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import blobio
 from . import synth as synth_mod
 from . import training as training_mod
 
@@ -89,14 +89,12 @@ def metrics_dict(result: RankingResult) -> dict:
 
 
 def write_metrics(result: RankingResult, path, per_query_csv=None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(metrics_dict(result), indent=2, sort_keys=True) + "\n")
+    """Write the metrics JSON and, if asked, the per-query AP CSV (CRLF
+    rows, empty AP for an excluded query), each atomically."""
+    text = json.dumps(metrics_dict(result), indent=2, sort_keys=True) + "\n"
+    files = [(Path(path), text.encode())]
     if per_query_csv is not None:
-        per_query_csv = Path(per_query_csv)
-        per_query_csv.parent.mkdir(parents=True, exist_ok=True)
-        with per_query_csv.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query", "average_precision"])
-            for i, ap in enumerate(result.per_query_ap):
-                writer.writerow([i, "" if np.isnan(ap) else repr(float(ap))])
+        rows = "".join(f"{i},{'' if np.isnan(ap) else repr(float(ap))}\r\n"
+                       for i, ap in enumerate(result.per_query_ap))
+        files.append((Path(per_query_csv), f"query,average_precision\r\n{rows}".encode()))
+    blobio.write_atomic(files)

@@ -23,7 +23,8 @@ from .linalg import normalize_rows
 __all__ = ["SynthSpec", "SynthDataset", "generate", "split_query_gallery",
            "save_dataset", "load_dataset"]
 
-_MAX_SEED = 2**64
+MAX_SEED = 2**64  # every seed keys a Philox generator: a 64-bit unsigned integer
+SEED_RANGE = f"[0, 2**{MAX_SEED.bit_length() - 1})"
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class SynthSpec:
             raise ValueError("identity_spread must be >= 0")
         if not 0.0 <= self.noise_patch_prob < 1.0:
             raise ValueError("noise_patch_prob must be in [0, 1)")
-        if not 0 <= self.seed < _MAX_SEED:
+        if not 0 <= self.seed < MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
     @property
@@ -133,12 +134,11 @@ def load_dataset(prefix) -> SynthDataset:
     identity labels other than the spec's raise DataFormatError.
     """
     manifest, blob = blobio.read_pair(prefix)
-    decode = {"int": blobio.manifest_int, "float": blobio.manifest_number}
-    spec = SynthSpec(**{f.name: decode[f.type](manifest, f.name, prefix)
+    spec = SynthSpec(**{f.name: blobio.manifest_field(manifest, f.name, f.type, prefix)
                         for f in fields(SynthSpec)})
     spec.validate()
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
-    num_samples = blobio.manifest_int(manifest, "num_samples", prefix)
+    num_samples = blobio.manifest_field(manifest, "num_samples", "int", prefix)
     if num_samples != n:
         raise DataFormatError(f"manifest num_samples {num_samples} does not match spec ({n})")
     expected = 4 * n * i * d + 4 * n

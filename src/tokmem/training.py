@@ -34,14 +34,12 @@ from . import encoder as encoder_mod
 from . import losses as losses_mod
 from . import memory as memory_mod
 from .errors import NumericError
-from .synth import SynthDataset
+from .synth import MAX_SEED, SynthDataset
 
 __all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
            "sample_batches", "encode_dataset", "train", "train_step"]
 
 logger = logging.getLogger(__name__)
-
-_MAX_SEED = 2**64
 
 
 @dataclass
@@ -62,8 +60,6 @@ class TrainConfig:
     dbscan_min_pts: int = 4
     seed: int = 42
     feature_dim: int = 32
-    patch_input_dim: int = 16
-    patches_per_image: int = 16
     part_tokens: int = 3
     anchor_include_outliers: bool = True
 
@@ -83,12 +79,9 @@ class TrainConfig:
             (self.weight_anchor >= 0, "weight_anchor must be >= 0"),
             (self.dbscan_eps > 0, "dbscan_eps must be positive"),
             (self.dbscan_min_pts >= 1, "dbscan_min_pts must be >= 1"),
-            (0 <= self.seed < _MAX_SEED, "seed must be a 64-bit unsigned integer"),
+            (0 <= self.seed < MAX_SEED, "seed must be a 64-bit unsigned integer"),
             (self.feature_dim >= 2, "feature_dim must be >= 2"),
-            (self.patch_input_dim >= 1, "patch_input_dim must be >= 1"),
             (self.part_tokens >= 1, "part_tokens must be >= 1"),
-            (self.patches_per_image >= self.part_tokens,
-             "patches_per_image must be >= part_tokens"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -130,20 +123,17 @@ def encode_dataset(params: encoder_mod.EncoderParams,
 
 
 def _check_dims(config: TrainConfig, dataset: SynthDataset) -> None:
-    spec = dataset.spec
-    if spec.patch_input_dim != config.patch_input_dim:
-        raise ValueError(
-            f"dataset patch_input_dim {spec.patch_input_dim} != config {config.patch_input_dim}")
-    if spec.patches_per_image != config.patches_per_image:
-        raise ValueError(
-            f"dataset patches_per_image {spec.patches_per_image} != config {config.patches_per_image}")
     if config.batch_size > dataset.num_samples:
         raise ValueError(
             f"batch_size {config.batch_size} exceeds dataset size {dataset.num_samples}")
+    if config.part_tokens > dataset.spec.patches_per_image:
+        raise ValueError(f"part_tokens {config.part_tokens} exceeds the dataset's "
+                         f"patches_per_image {dataset.spec.patches_per_image}")
 
 
 def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     """Run the full loop; returns final params plus one log record per epoch.
+    The encoder's patch geometry is the one of ``dataset.spec``.
 
     Log record keys: epoch, mean_constraint, mean_proto, mean_anchor,
     mean_total, C (cluster count), outliers, lr. Loss means are null for
@@ -154,7 +144,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
         raise ValueError("dataset is empty")
     _check_dims(config, dataset)
 
-    params = encoder_mod.init_params(config.feature_dim, config.patch_input_dim,
+    params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
                                      config.part_tokens, config.seed)
     log: list[dict] = []
     for epoch in range(config.epochs):

@@ -34,8 +34,6 @@ REFERENCE_TRAIN = TrainConfig(
     dbscan_min_pts=4,
     seed=42,
     feature_dim=32,
-    patch_input_dim=16,
-    patches_per_image=16,
     part_tokens=3,
 )
 

@@ -247,7 +247,7 @@ def per_anchor_train(config, dataset):
     from tokmem.memory import build_instance_memory, compute_prototypes
     from tokmem.training import learning_rate, sample_batches
 
-    params = init_params(config.feature_dim, config.patch_input_dim,
+    params = init_params(config.feature_dim, dataset.spec.patch_input_dim,
                          config.part_tokens, config.seed)
     log = []
     for epoch in range(config.epochs):

@@ -266,7 +266,7 @@ def _reference_run(seed, **overrides):
     start = time.time()
     result = train(cfg, ds)
     elapsed = time.time() - start
-    fresh = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, seed)
+    fresh = init_params(cfg.feature_dim, spec.patch_input_dim, cfg.part_tokens, seed)
     eval_cfg = EvalConfig(**REFERENCE_EVAL)
     return {
         "fresh": evaluate_encoder(fresh, ds, eval_cfg).mean_ap,
@@ -338,8 +338,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     config = {
         "format_version": 1,
         "data": dataclass_dict(REFERENCE_SPEC),
-        "train": {k: v for k, v in dataclass_dict(REFERENCE_TRAIN).items()
-                  if k not in ("patches_per_image", "patch_input_dim")},
+        "train": dataclass_dict(REFERENCE_TRAIN),
         "eval": dict(REFERENCE_EVAL),
         "paths": {
             "dataset": str(tmp_path / "run" / "dataset"),

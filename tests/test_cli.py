@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -161,11 +162,15 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
                                                  ("identity_spread", True, "identity_spread"),
                                                  ("noise_patch_prob", False,
                                                   "noise_patch_prob"),
-                                                 ("num_samples", 24.0, "num_samples")])
+                                                 ("num_samples", 24.0, "num_samples"),
+                                                 ("identity_spread", float("inf"),
+                                                  "identity_spread")])
 def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, message):
-    """``value`` None deletes the field; ``field`` None replaces the manifest."""
+    """``value`` None deletes the field; ``field`` None replaces the manifest.
+    Both commands that read the dataset reject it."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
     manifest_path = tmp_path / "run" / "data.json"
     manifest = json.loads(manifest_path.read_text())
     if field is None:
@@ -176,10 +181,71 @@ def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, mess
         manifest[field] = value
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
-    assert main(["train", "--config", str(cfg)]) == 2
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value", [("seed", 4), ("identity_spread", 0.2),
+                                          ("patch_input_dim", 6)])
+def test_stale_dataset_exits_2_naming_field(tmp_path, capsys, field, value):
+    """A dataset file generated from another ``data`` section is refused."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    checkpoint = (tmp_path / "run" / "ckpt.f32").read_bytes()
+    stale = write_config(tmp_path, data={field: value})
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(stale)]) == 2
+        err = capsys.readouterr().err
+        assert f"`data.{field}`" in err and "gen-data" in err
+        assert len(err.strip().splitlines()) == 1
+    assert (tmp_path / "run" / "ckpt.f32").read_bytes() == checkpoint
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("directory", ["config.json", "run/data.json", "run/log.jsonl"])
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, directory):
+    """An OSError reading the config or dataset, or writing the log (after
+    the whole run), exits 2 with one line."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    config = tmp_path / "other.json"
+    config.write_bytes(cfg.read_bytes())
+    (tmp_path / directory).unlink(missing_ok=True)
+    (tmp_path / directory).mkdir()
+    config = tmp_path / directory if directory == "config.json" else config
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert message in err
+    assert err.startswith("error: ") and directory.split("/")[-1] in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_failed_log_rename_keeps_previous_log(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    log_path = tmp_path / "run" / "log.jsonl"
+    previous = log_path.read_bytes()
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if dst == log_path:
+            raise OSError("rename failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    cfg = write_config(tmp_path, train={"epochs": 1})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: rename failed\n"
+    monkeypatch.undo()
+    assert log_path.read_bytes() == previous
+    assert not list((tmp_path / "run").glob("*.tmp"))
 
 
 @pytest.mark.parametrize("sample,label", [(0, 999), (1, -5), (None, 0)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 from tokmem.config import load_run_config
 from tokmem.errors import ConfigError
+from tokmem.synth import SynthSpec
+from tokmem.training import TrainConfig
 
 
 def valid_doc():
@@ -40,9 +43,8 @@ def test_valid_config_parses(tmp_path):
     cfg = load_run_config(write_config(tmp_path, valid_doc()))
     assert cfg.data.num_identities == 4
     assert cfg.train.batch_size == 4
-    # patch geometry is injected from the data section
-    assert cfg.train.patches_per_image == 6
-    assert cfg.train.patch_input_dim == 5
+    # the patch geometry lives in the data section only
+    assert (cfg.data.patches_per_image, cfg.data.patch_input_dim) == (6, 5)
     assert cfg.eval.k_max == 5
     assert str(cfg.paths.checkpoint) == "runs/t/ckpt"
 
@@ -64,6 +66,9 @@ def test_missing_data_seed_names_field(tmp_path):
     doc = valid_doc()
     del doc["data"]["seed"]
     with pytest.raises(ConfigError, match="data.seed"):
+        load_run_config(write_config(tmp_path, doc))
+    del doc["data"]  # a missing section names its first field
+    with pytest.raises(ConfigError, match="missing `data.num_identities`"):
         load_run_config(write_config(tmp_path, doc))
 
 
@@ -96,6 +101,9 @@ def test_format_version_required_and_checked(tmp_path):
     doc["format_version"] = 2
     with pytest.raises(ConfigError, match="format_version"):
         load_run_config(write_config(tmp_path, doc))
+    doc["format_version"] = True  # equal to 1 in Python, but no JSON integer
+    with pytest.raises(ConfigError, match="`format_version` must be an integer, got bool"):
+        load_run_config(write_config(tmp_path, doc))
 
 
 def test_type_errors_name_field(tmp_path):
@@ -115,6 +123,21 @@ def test_type_errors_name_field(tmp_path):
     doc["data"]["identity_spread"] = 10**400  # a JSON integer no float holds
     with pytest.raises(ConfigError, match="data.identity_spread"):
         load_run_config(write_config(tmp_path, doc))
+    # JSON texts that no finite float holds (1e400 and 1e999 parse to inf)
+    for section, key, text in [("train", "lr", "1e400"), ("train", "temperature", "Infinity"),
+                               ("train", "dbscan_eps", "1e999"), ("train", "momentum", "NaN"),
+                               ("data", "identity_spread", "Infinity")]:
+        doc = valid_doc()
+        doc[section][key] = "@"
+        path = write_config(tmp_path, doc)
+        path.write_text(path.read_text().replace('"@"', text))
+        with pytest.raises(ConfigError, match=f"`{section}.{key}` must be a finite number"):
+            load_run_config(path)
+    for section in ("data", "train", "eval", "paths"):
+        doc = valid_doc()
+        doc[section] = None
+        with pytest.raises(ConfigError, match=f"section `{section}` must be an object"):
+            load_run_config(write_config(tmp_path, doc))
 
 
 def test_invalid_values_rejected(tmp_path):
@@ -154,6 +177,8 @@ def test_malformed_json_and_missing_file(tmp_path):
     ("eval", "k_max", 0, "eval.k_max"),
     # the dataset holds 4 x 6 = 24 samples
     ("train", "batch_size", 25, "train.batch_size"),
+    # 6 patches per image: at most 6 part stripes
+    ("train", "part_tokens", 7, "train.part_tokens"),
     # a Philox key is a 64-bit unsigned integer
     ("eval", "seed", -1, "eval.seed"),
     ("eval", "seed", 2**64, "eval.seed"),
@@ -168,9 +193,10 @@ def test_cross_section_limits_rejected_at_load(tmp_path, section, key, value, me
 def test_cross_section_limits_accept_the_extremes(tmp_path):
     doc = valid_doc()
     doc["eval"].update(query_per_identity=5, k_max=4)  # gallery 4 x 1
-    doc["train"]["batch_size"] = 24
+    doc["train"].update(batch_size=24, part_tokens=6)
     cfg = load_run_config(write_config(tmp_path, doc))
     assert (cfg.eval.query_per_identity, cfg.eval.k_max, cfg.train.batch_size) == (5, 4, 24)
+    assert cfg.train.part_tokens == 6
 
 
 def test_missing_paths_named_in_field_order_under_any_hash_seed(tmp_path):
@@ -189,3 +215,19 @@ def test_missing_paths_named_in_field_order_under_any_hash_seed(tmp_path):
         assert proc.returncode == 2
         messages.add(proc.stderr)
     assert messages == {"error: missing `paths.checkpoint`\n"}
+
+
+def readme_table(heading):
+    """The first-column names and second-column cells of the table under a
+    README heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split(heading, 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `")]
+    return {name.strip().strip("`"): cell.strip() for name, cell in rows}
+
+
+def test_readme_schema_tables_match_the_dataclasses():
+    train = readme_table("### `train`")
+    assert train == {f.name: json.dumps(f.default) for f in dataclasses.fields(TrainConfig)}
+    assert list(readme_table("### `data`")) == [f.name for f in dataclasses.fields(SynthSpec)]

@@ -218,8 +218,7 @@ def test_anchor_gradients_match_finite_differences():
 def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     """One ``train_step`` on a fixed instance: (step losses, parameter change)."""
     cfg = TrainConfig(batch_size=4, temperature=0.1, neg_token_rate=0.2,
-                      num_negatives=2, feature_dim=4, patch_input_dim=3,
-                      patches_per_image=6, part_tokens=2, **overrides)
+                      num_negatives=2, feature_dim=4, part_tokens=2, **overrides)
     labels = np.asarray(labels, dtype=np.int64)
     patches = make_rng(35, 0).normal(size=(len(labels), 6, 3))
     params = init_params(4, 3, 2, seed=1)

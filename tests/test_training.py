@@ -22,8 +22,7 @@ def tiny_dataset(seed=3, num_identities=4, spi=6, noise=0.1):
 def tiny_config(**overrides):
     base = dict(epochs=3, batch_size=4, lr=0.05, temperature=0.05, momentum=0.2,
                 neg_token_rate=0.2, num_negatives=2, dbscan_eps=0.3,
-                dbscan_min_pts=2, seed=11, feature_dim=8, patch_input_dim=5,
-                patches_per_image=6, part_tokens=2)
+                dbscan_min_pts=2, seed=11, feature_dim=8, part_tokens=2)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -83,7 +82,7 @@ def test_zero_epochs_returns_initial_params():
     cfg = tiny_config(epochs=0)
     result = train(cfg, ds)
     import tokmem.encoder as enc
-    fresh = enc.init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens,
+    fresh = enc.init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens,
                             cfg.seed)
     np.testing.assert_array_equal(result.params.w_patch, fresh.w_patch)
     np.testing.assert_array_equal(result.params.w_cls, fresh.w_cls)
@@ -97,7 +96,7 @@ def test_zero_weights_leave_params_unchanged():
                       weight_anchor=0.0)
     result = train(cfg, ds)
     import tokmem.encoder as enc
-    fresh = enc.init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens,
+    fresh = enc.init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens,
                             cfg.seed)
     np.testing.assert_array_equal(result.params.w_patch, fresh.w_patch)
     np.testing.assert_array_equal(result.params.w_cls, fresh.w_cls)
@@ -142,9 +141,9 @@ def test_skipped_epoch_logs_null_means():
 
 
 def test_dimension_mismatch_rejected():
-    ds = tiny_dataset()
-    with pytest.raises(ValueError, match="patch_input_dim"):
-        train(tiny_config(patch_input_dim=9), ds)
+    ds = tiny_dataset()  # 6 patches per image
+    with pytest.raises(ValueError, match="part_tokens"):
+        train(tiny_config(part_tokens=7), ds)
     with pytest.raises(ValueError, match="batch_size"):
         train(tiny_config(batch_size=1000), ds)
 
@@ -189,7 +188,7 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
 
     cfg = tiny_config()
     ds = tiny_dataset()
-    params = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, cfg.seed)
+    params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
     labels = np.repeat(np.arange(4), 6)
     mem = build_instance_memory(encode_dataset(params, ds), labels_of(labels))
     batch = np.array([0, 7, 14, 21])
@@ -212,7 +211,7 @@ def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
     cfg = tiny_config(epochs=1)
     with pytest.raises(NumericError) as info:
         train(cfg, ds)
-    fresh = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, cfg.seed)
+    fresh = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
     plabels = dbscan(encode_dataset(fresh, ds), cfg.dbscan_eps, cfg.dbscan_min_pts)
     first_batch = sample_batches(plabels, cfg.batch_size, cfg.seed, 0)[0]
     diagnostics = info.value.diagnostics
@@ -237,8 +236,6 @@ def test_config_validation_messages():
         tiny_config(momentum=1.5).validate()
     with pytest.raises(ValueError, match="weight_anchor"):
         tiny_config(weight_anchor=-1.0).validate()
-    with pytest.raises(ValueError, match="part_tokens"):
-        tiny_config(patches_per_image=1, part_tokens=2).validate()
 
 
 # ------------------------------------- batched step vs the per-anchor oracle
@@ -270,8 +267,8 @@ def test_batched_step_matches_per_anchor_oracle(name):
     if name == "fewer_than_k":
         assert ((candidates > 0) & (candidates < 4)).any()
     cfg = tiny_config(num_negatives=4, anchor_include_outliers=include)
-    patches = rng.normal(size=(n, cfg.patches_per_image, cfg.patch_input_dim))
-    params = init_params(cfg.feature_dim, cfg.patch_input_dim, cfg.part_tokens, 5)
+    patches = rng.normal(size=(n, 6, 5))  # the geometry of tiny_dataset
+    params = init_params(cfg.feature_dim, 5, cfg.part_tokens, 5)
     feats = np.stack([encode_one(params, x)[0] for x in patches])
 
     def fresh_state():
