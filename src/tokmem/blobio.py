@@ -33,8 +33,12 @@ def pair_paths(prefix: str | Path) -> tuple[Path, Path]:
 def write_atomic(files) -> None:
     """Write each ``(path, data)`` of ``files`` to a temporary sibling, then
     rename the siblings over their targets in order, so a failed write
-    leaves the previous files and no temporary one."""
+    leaves the previous files and no temporary one. A target that is a
+    directory raises IsADirectoryError before anything is written."""
     staged = [(path, path.with_name(path.name + ".tmp"), data) for path, data in files]
+    for path, _, _ in staged:
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
     try:
         for path, tmp, data in staged:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -46,14 +50,17 @@ def write_atomic(files) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def write_pair(prefix: str | Path, manifest: dict, blob: bytes) -> tuple[Path, Path]:
+def write_pair(prefix: str | Path, manifest: dict, blob: bytes,
+               with_files=()) -> tuple[Path, Path]:
     """Write ``<prefix>.json`` and ``<prefix>.f32``; returns both paths. The
     blob is renamed into place before the manifest, so a failed write
-    leaves the previous pair."""
+    leaves the previous pair. ``with_files``, more ``(path, data)``
+    entries, are written by the same :func:`write_atomic` call after the
+    pair, so they and the pair are replaced together."""
     manifest = dict(manifest, format_version=FORMAT_VERSION, blob_bytes=len(blob))
     manifest_path, blob_path = pair_paths(prefix)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_atomic([(blob_path, blob), (manifest_path, text.encode())])
+    write_atomic([(blob_path, blob), (manifest_path, text.encode()), *with_files])
     return manifest_path, blob_path
 
 

@@ -84,9 +84,9 @@ def _cmd_train(args) -> int:
         blobio.write_atomic([(diag_path, text.encode())])
         print(f"error: {exc} (diagnostics in {diag_path})", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    encoder_mod.save_checkpoint(result.params, cfg.paths.checkpoint)
     log = "".join(json.dumps(record) + "\n" for record in result.log)
-    blobio.write_atomic([(cfg.paths.log, log.encode())])
+    encoder_mod.save_checkpoint(result.params, cfg.paths.checkpoint,
+                                with_files=[(cfg.paths.log, log.encode())])
     if result.log:
         last = result.log[-1]
         print(f"epoch {last['epoch']}: total={_fmt(last['mean_total'])} "

@@ -20,6 +20,8 @@ import numpy as np
 __all__ = ["PseudoLabels", "dbscan"]
 
 OUTLIER = -1
+BLOCK = 128         # rows per distance block; larger blocks raise peak memory
+ZERO_DIST = 1e-12   # neighbour radius floor: round-off of a unit-norm dot is ~1e-15
 
 
 @dataclass
@@ -42,8 +44,6 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    # In C order numpy computes F @ F.T with syrk (one triangle, mirrored),
-    # so distances, and hence neighbours, are exactly symmetric.
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a (N, D) array")
@@ -53,13 +53,26 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
     if np.abs(np.linalg.norm(features, axis=1) - 1.0).max() > 1e-6:
         raise ValueError("features must be unit-norm (tolerance 1e-6)")
 
-    # One (N, N) float buffer. Only an eps >= 2 sees round-off above 2, and
-    # no eps > 0 sees round-off below 0, so one clamp suffices.
-    dist = features @ features.T
-    np.subtract(1.0, dist, out=dist)
-    np.minimum(dist, 2.0, out=dist)
-    within = dist <= eps
-    del dist
+    # Distances are thresholded one row block at a time, so the float
+    # buffer is at most (BLOCK, N). Each block of rows makes one diagonal
+    # block, which numpy computes with syrk (one triangle, mirrored) and so
+    # exactly symmetric, and one gemm strip right of it, whose threshold is
+    # mirrored below the diagonal: each pair is thresholded once, so the
+    # neighbour relation is exactly symmetric. Only an eps >= 2 sees
+    # round-off above 2, so one clamp suffices. Exact duplicates, at
+    # distance 0, round to at most ~1e-15 whichever kernel computed their
+    # block, so every pair within ZERO_DIST neighbours, whatever eps.
+    radius = max(eps, ZERO_DIST)
+    within = np.empty((n, n), dtype=bool)
+    for i in range(0, n, BLOCK):
+        rows = features[i:i + BLOCK]
+        end = i + len(rows)
+        for j, cols in ((i, rows), (end, features[end:])):
+            dist = rows @ cols.T
+            np.subtract(1.0, dist, out=dist)
+            np.minimum(dist, 2.0, out=dist)
+            np.less_equal(dist, radius, out=within[i:end, j:j + len(cols)])
+        within[end:, i:end] = within[i:end, end:].T
     np.fill_diagonal(within, True)  # every point neighbours itself
     core = within.sum(axis=1) >= min_pts
 

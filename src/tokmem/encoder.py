@@ -205,8 +205,10 @@ def unflatten_params(vec: np.ndarray, like: EncoderParams) -> EncoderParams:
     return EncoderParams(a.copy(), b.copy(), c.copy())
 
 
-def save_checkpoint(params: EncoderParams, prefix) -> None:
-    """Manifest records dims; blob is w_patch, w_cls, w_part[0..Z-1] as float32."""
+def save_checkpoint(params: EncoderParams, prefix, with_files=()) -> None:
+    """Manifest records dims; blob is w_patch, w_cls, w_part[0..Z-1] as
+    float32. ``with_files`` (``(path, bytes)`` entries) are replaced
+    together with the checkpoint, see :func:`blobio.write_pair`."""
     manifest = {
         "feature_dim": params.feature_dim,
         "patch_input_dim": params.patch_input_dim,
@@ -215,7 +217,7 @@ def save_checkpoint(params: EncoderParams, prefix) -> None:
     blob = (blobio.floats_to_bytes(params.w_patch)
             + blobio.floats_to_bytes(params.w_cls)
             + blobio.floats_to_bytes(params.w_part))
-    blobio.write_pair(prefix, manifest, blob)
+    blobio.write_pair(prefix, manifest, blob, with_files)
 
 
 def load_checkpoint(prefix) -> EncoderParams:

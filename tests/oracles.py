@@ -7,18 +7,28 @@ share no code with the implementations they check.
 
 import numpy as np
 
+# Exact duplicates are at distance 0, but a rounded unit-norm dot product
+# can put them at about 1e-15; every pair within this radius neighbours,
+# whatever eps, so the answer does not depend on how the BLAS rounds.
+ZERO_DIST = 1e-12
+
+
+def neighbours(dist, eps):
+    """``dist <= max(eps, ZERO_DIST)``: the neighbour relation of ``dist``."""
+    return np.asarray(dist) <= max(eps, ZERO_DIST)
+
 
 def dbscan_oracle(dist, eps, min_pts):
     """Classify points by explicit density-reachability closure.
 
     Returns (core mask, list of core-point index frozensets = clusters,
     border mask, noise mask). Border points are non-core points within
-    eps of at least one core point; which cluster claims them is
-    order-dependent and deliberately left open here.
+    eps (at least ZERO_DIST) of at least one core point; which cluster
+    claims them is order-dependent and deliberately left open here.
     """
     dist = np.asarray(dist)
     n = dist.shape[0]
-    within = dist <= eps
+    within = neighbours(dist, eps)
     core = within.sum(axis=1) >= min_pts
 
     # transitive closure of core-core adjacency by boolean matrix powers

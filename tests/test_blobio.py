@@ -33,6 +33,17 @@ def test_failed_manifest_write_keeps_previous_pair(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.f32", "pair.json"]
 
 
+def test_directory_target_fails_before_any_rename(tmp_path):
+    write_pair(tmp_path / "pair", {"n": 1}, b"old!")
+    (tmp_path / "log").mkdir()
+    with pytest.raises(IsADirectoryError, match="log"):
+        write_pair(tmp_path / "pair", {"n": 2}, b"new blob",
+                   with_files=[(tmp_path / "log", b"lines")])
+    manifest, blob = read_pair(tmp_path / "pair")
+    assert manifest["n"] == 1 and blob == b"old!"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "pair.f32", "pair.json"]
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("format_version", True, "format_version' must be an integer, got bool"),
     ("format_version", 1.0, "format_version' must be an integer, got float"),

@@ -225,6 +225,26 @@ def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, directory):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_log_directory_keeps_previous_checkpoint(tmp_path, capsys):
+    """The checkpoint and the log of one run are replaced together: a log
+    path that is a directory fails the train before the checkpoint moves."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    assert main(["train", "--config", str(cfg)]) == 0
+    checkpoint = [(tmp_path / "run" / name).read_bytes() for name in ("ckpt.json", "ckpt.f32")]
+    (tmp_path / "logdir").mkdir()
+    cfg = write_config(tmp_path, train={"epochs": 1},
+                       paths={"log": str(tmp_path / "logdir")})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "logdir" in err
+    assert len(err.strip().splitlines()) == 1
+    assert [(tmp_path / "run" / name).read_bytes()
+            for name in ("ckpt.json", "ckpt.f32")] == checkpoint
+    assert not list((tmp_path / "run").glob("*.tmp"))
+
+
 def test_failed_log_rename_keeps_previous_log(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from oracles import cosine_dist_oracle, dbscan_oracle, partition_of_core_points
-from tokmem.cluster import PseudoLabels, dbscan
+from oracles import (cosine_dist_oracle, dbscan_oracle, neighbours,
+                     partition_of_core_points)
+from tokmem.cluster import BLOCK, PseudoLabels, dbscan
 
 
 def on_circle(angles):
@@ -46,15 +47,17 @@ def test_pairwise_symmetric_zero_diagonal_clamped(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 6000])
 def test_gram_matrix_is_bitwise_symmetric(n):
-    """dbscan relies on F @ F.T being exactly symmetric (numpy computes it
-    with syrk), so that its neighbour relation is symmetric."""
+    """dbscan relies on each diagonal block R @ R.T, R a row slice of the
+    C-ordered features, being exactly symmetric (numpy computes it with
+    syrk); the off-diagonal strips are gemm and are mirrored instead."""
     rng = np.random.Generator(np.random.Philox(key=np.array([556, n], dtype=np.uint64)))
     feats = unit_rows(rng, n, 32)
-    gram = feats @ feats.T
-    assert np.array_equal(gram, gram.T)
+    for rows in (feats, feats[n // 3:n // 3 + BLOCK]):
+        gram = rows @ rows.T
+        assert np.array_equal(gram, gram.T)
 
 
-def test_peak_memory_is_one_float_matrix(rng):
+def test_peak_memory_is_bool_matrix_and_one_block_strip(rng):
     n = 1500
     feats = unit_rows(rng, n, 8)
     tracemalloc.start()
@@ -63,7 +66,7 @@ def test_peak_memory_is_one_float_matrix(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n
+    assert peak <= n * n + 2 * 8 * BLOCK * n
 
 
 def test_two_pairs_and_a_singleton():
@@ -123,7 +126,7 @@ def assert_matches_oracle(feats, eps, min_pts):
     for k, members in enumerate(clusters):  # listed by smallest core index
         expected[sorted(members)] = k
     for b in np.flatnonzero(border):
-        expected[b] = expected[core & (dist[b] <= eps)].min()
+        expected[b] = expected[core & neighbours(dist[b], eps)].min()
     np.testing.assert_array_equal(result.labels, expected)
     assert result.num_clusters == len(clusters)
 
@@ -159,6 +162,31 @@ def test_full_labeling_rule_on_hard_instances():
             feats[half:] = -feats[:n - half]
         eps = edge_eps[trial // 2 % 4] if trial % 2 else float(rng.uniform(0.01, 1.5))
         assert_matches_oracle(feats, eps, int(rng.integers(1, 8)))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 641])
+def test_matches_oracle_at_block_edges(n):
+    """Sizes on either side of one, two and five row blocks, clustered
+    around a few centers, with eps across the distance range."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([558, n], dtype=np.uint64)))
+    centers = unit_rows(rng, 6, 4)
+    feats = centers[rng.integers(0, 6, n)] + 0.2 * unit_rows(rng, n, 4)
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    for eps in (0.05, 0.3, 1.0, 1.999, 2.0):
+        assert_matches_oracle(feats, eps, min_pts=4)
+
+
+def test_duplicates_in_different_blocks_are_neighbours(rng):
+    # each row of the first block is repeated in the third; at eps = 1e-18
+    # only the ZERO_DIST floor makes the copies neighbours, however the
+    # BLAS rounds their dot product
+    n = 3 * BLOCK
+    feats = unit_rows(rng, n, 5)
+    feats[2 * BLOCK:] = feats[:BLOCK]
+    result = dbscan(feats, eps=1e-18, min_pts=2)
+    expected = np.full(n, -1)
+    expected[:BLOCK] = expected[2 * BLOCK:] = np.arange(BLOCK)
+    np.testing.assert_array_equal(result.labels, expected)
 
 
 def test_border_point_between_two_clusters_joins_cluster_0():
