@@ -4,9 +4,8 @@ identity data."""
 
 from .cluster import PseudoLabels, dbscan
 from .config import EvalConfig, RunConfig, RunPaths, load_run_config
-from .encoder import (EncodeOutput, EncoderGrads, EncoderParams, encode,
-                      encode_backward, init_params, load_checkpoint,
-                      save_checkpoint)
+from .encoder import (EncodeOutput, EncoderParams, encode, encode_backward,
+                      init_params, load_checkpoint, save_checkpoint)
 from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import RankingResult, evaluate_encoder, evaluate_retrieval
 from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,

@@ -32,9 +32,11 @@ def pair_paths(prefix: str | Path) -> tuple[Path, Path]:
 
 def write_atomic(files) -> None:
     """Write each ``(path, data)`` of ``files`` to a temporary sibling, then
-    rename the siblings over their targets in order, so a failed write
-    leaves the previous files and no temporary one. A target that is a
-    directory raises IsADirectoryError before anything is written."""
+    rename the siblings over their targets one by one, in order. A failure
+    before the first rename leaves every previous file and no temporary
+    one; a target that is a directory raises IsADirectoryError before
+    anything is written. A failed rename leaves the targets renamed before
+    it already replaced, so the files are not replaced as one unit."""
     staged = [(path, path.with_name(path.name + ".tmp"), data) for path, data in files]
     for path, _, _ in staged:
         if path.is_dir():
@@ -53,10 +55,11 @@ def write_atomic(files) -> None:
 def write_pair(prefix: str | Path, manifest: dict, blob: bytes,
                with_files=()) -> tuple[Path, Path]:
     """Write ``<prefix>.json`` and ``<prefix>.f32``; returns both paths. The
-    blob is renamed into place before the manifest, so a failed write
-    leaves the previous pair. ``with_files``, more ``(path, data)``
-    entries, are written by the same :func:`write_atomic` call after the
-    pair, so they and the pair are replaced together."""
+    blob is renamed into place before the manifest. ``with_files``, more
+    ``(path, data)`` entries, are written by the same :func:`write_atomic`
+    call after the pair: a failed write before any rename leaves the
+    previous pair and files, but a failed rename of one of them leaves the
+    new pair beside the previous file."""
     manifest = dict(manifest, format_version=FORMAT_VERSION, blob_bytes=len(blob))
     manifest_path, blob_path = pair_paths(prefix)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -131,10 +134,9 @@ def ints_to_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype=I32).tobytes()
 
 
-def floats_from_bytes(buf: bytes, count: int, offset: int = 0) -> np.ndarray:
-    """Decode ``count`` float32 values starting at ``offset`` bytes, as float64."""
-    arr = np.frombuffer(buf, dtype=F32, count=count, offset=offset)
-    return arr.astype(np.float64)
+def floats_from_bytes(buf: bytes, count: int) -> np.ndarray:
+    """Decode the first ``count`` float32 values, as float64."""
+    return np.frombuffer(buf, dtype=F32, count=count).astype(np.float64)
 
 
 def ints_from_bytes(buf: bytes, count: int, offset: int = 0) -> np.ndarray:

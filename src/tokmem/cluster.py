@@ -84,7 +84,11 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
         labels[seed] = cluster_id
         frontier = np.array([seed])
         while frontier.size:
-            reached = within[frontier].any(axis=0) & (labels == OUTLIER)
+            # BLOCK frontier rows at a time, so no (frontier, N) copy is made
+            reached = np.zeros(n, dtype=bool)
+            for k in range(0, frontier.size, BLOCK):
+                reached |= within[frontier[k:k + BLOCK]].any(axis=0)
+            reached &= labels == OUTLIER
             labels[reached] = cluster_id
             frontier = np.flatnonzero(reached & core)
         cluster_id += 1

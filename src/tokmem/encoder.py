@@ -26,32 +26,48 @@ from . import blobio
 from .errors import DataFormatError
 from .linalg import normalize_rows
 
-__all__ = ["EncoderParams", "EncodeOutput", "EncoderGrads", "init_params",
-           "encode", "encode_backward", "image_feature", "part_slices",
-           "flatten_params", "unflatten_params",
+__all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
+           "encode_backward", "image_feature", "part_slices",
            "save_checkpoint", "load_checkpoint"]
 
 
-@dataclass
 class EncoderParams:
-    w_patch: np.ndarray  # (D, d_in) shared patch projection
-    w_cls: np.ndarray    # (D, d_in) global head
-    w_part: np.ndarray   # (Z, D, d_in) part heads
+    """The encoder weights as one float64 vector ``vec``, laid out as the
+    blocks w_patch (D, d_in), w_cls (D, d_in) and w_part (Z, D, d_in) in
+    this order, the checkpoint's. Each block attribute is a view of
+    ``vec``, so an in-place update of either updates both."""
 
-    def __post_init__(self) -> None:
-        self.w_patch = np.asarray(self.w_patch, dtype=np.float64)
-        self.w_cls = np.asarray(self.w_cls, dtype=np.float64)
-        self.w_part = np.asarray(self.w_part, dtype=np.float64)
-        d, d_in = self.w_patch.shape
+    def __init__(self, w_patch, w_cls, w_part) -> None:
+        w_patch, w_cls, w_part = (np.asarray(w, dtype=np.float64)
+                                  for w in (w_patch, w_cls, w_part))
+        d, d_in = w_patch.shape
         if d < 2:
             raise ValueError("feature_dim must be >= 2")
-        if self.w_cls.shape != (d, d_in):
+        if w_cls.shape != (d, d_in):
             raise ValueError("w_cls shape does not match w_patch")
-        if self.w_part.ndim != 3 or self.w_part.shape[1:] != (d, d_in) or self.w_part.shape[0] < 1:
+        if w_part.ndim != 3 or w_part.shape[1:] != (d, d_in) or w_part.shape[0] < 1:
             raise ValueError("w_part must be (Z, D, d_in) with Z >= 1")
+        self.vec = np.concatenate([w_patch.ravel(), w_cls.ravel(), w_part.ravel()])
+        self.w_patch, self.w_cls, self.w_part = self._blocks(self.vec, d, d_in)
         for name in ("w_patch", "w_cls", "w_part"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} contains non-finite entries")
+
+    @staticmethod
+    def _blocks(vec: np.ndarray, d: int, d_in: int) -> tuple[np.ndarray, ...]:
+        """(w_patch, w_cls, w_part) as views of a vector in this layout."""
+        mat = d * d_in
+        return (vec[:mat].reshape(d, d_in), vec[mat:2 * mat].reshape(d, d_in),
+                vec[2 * mat:].reshape(-1, d, d_in))
+
+    @classmethod
+    def from_vector(cls, vec, feature_dim: int, patch_input_dim: int) -> "EncoderParams":
+        """Params whose ``vec`` is a copy of ``vec``; Z follows from its length."""
+        vec = np.asarray(vec, dtype=np.float64)
+        mat = feature_dim * patch_input_dim
+        if vec.ndim != 1 or mat < 1 or vec.size % mat:
+            raise ValueError("parameter vector has the wrong length")
+        return cls(*cls._blocks(vec, feature_dim, patch_input_dim))
 
     @property
     def feature_dim(self) -> int:
@@ -65,9 +81,6 @@ class EncoderParams:
     def part_tokens(self) -> int:
         return self.w_part.shape[0]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.w_patch.copy(), self.w_cls.copy(), self.w_part.copy())
-
 
 @dataclass
 class EncodeOutput:
@@ -79,13 +92,6 @@ class EncodeOutput:
     head: tuple                # _head's (feature before normalization, xbar, stripe means)
 
 
-@dataclass
-class EncoderGrads:
-    w_patch: np.ndarray
-    w_cls: np.ndarray
-    w_part: np.ndarray
-
-
 def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
                 seed: int) -> EncoderParams:
     """Entries i.i.d. Gaussian with std 1/sqrt(d_in), Philox-keyed by seed."""
@@ -93,12 +99,8 @@ def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
         raise ValueError("encoder dimensions must be positive (feature_dim >= 2)")
     rng = np.random.Generator(np.random.Philox(key=seed))
     std = 1.0 / np.sqrt(patch_input_dim)
-    shape = (feature_dim, patch_input_dim)
-    return EncoderParams(
-        w_patch=std * rng.normal(size=shape),
-        w_cls=std * rng.normal(size=shape),
-        w_part=std * rng.normal(size=(part_tokens, *shape)),
-    )
+    vec = std * rng.normal(size=(2 + part_tokens) * feature_dim * patch_input_dim)
+    return EncoderParams.from_vector(vec, feature_dim, patch_input_dim)
 
 
 def part_slices(num_patches: int, part_tokens: int) -> list[slice]:
@@ -160,9 +162,10 @@ def _normalize_backward(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
 
 
 def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
-                    grad_tokens: np.ndarray) -> EncoderGrads:
+                    grad_tokens: np.ndarray) -> np.ndarray:
     """Gradient of <g_f, image_feature> + sum_i <g_t[i], token_i> w.r.t. the
-    params of the ``encode`` call that made ``out``, summed over its batch axes.
+    params of the ``encode`` call that made ``out``, summed over its batch
+    axes: one vector laid out like ``EncoderParams.vec``.
 
     The batch sum is one reshaped matmul per parameter block, so its order
     is fixed. The image feature does not depend on ``w_patch``, and the
@@ -177,59 +180,42 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
         raise ValueError(f"grad_tokens must be {out.patch_tokens.shape}")
     pre, xbar, stripe_means = out.head
     d, d_in, z = pre.shape[-1], xbar.shape[-1], len(stripe_means)
+    grad = np.zeros((2 + z) * d * d_in)
+    g_w_patch, g_w_cls, g_w_part = EncoderParams._blocks(grad, d, d_in)
 
     # Token path: t_i = normalize(W_patch p_i).
     g_pre_tokens = _normalize_backward(grad_tokens, out.pre_tokens)
-    g_w_patch = g_pre_tokens.reshape(-1, d).T @ out.patches.reshape(-1, d_in)
+    g_w_patch[...] = g_pre_tokens.reshape(-1, d).T @ out.patches.reshape(-1, d_in)
 
     # Image-feature path: f = normalize(W_cls xbar + mean_z W_part[z] xbar_z).
     g_pre = _normalize_backward(grad_image_feature, pre).reshape(-1, d)
-    g_w_cls = g_pre.T @ xbar.reshape(-1, d_in)
-    g_w_part = np.stack([g_pre.T @ sm.reshape(-1, d_in) / z for sm in stripe_means])
-    return EncoderGrads(w_patch=g_w_patch, w_cls=g_w_cls, w_part=g_w_part)
+    g_w_cls[...] = g_pre.T @ xbar.reshape(-1, d_in)
+    for g_wz, sm in zip(g_w_part, stripe_means):
+        g_wz[...] = g_pre.T @ sm.reshape(-1, d_in) / z
+    return grad
 
 
-def flatten_params(params: EncoderParams) -> np.ndarray:
-    return np.concatenate([params.w_patch.ravel(), params.w_cls.ravel(),
-                           params.w_part.ravel()])
-
-
-def unflatten_params(vec: np.ndarray, like: EncoderParams) -> EncoderParams:
-    vec = np.asarray(vec, dtype=np.float64)
-    sizes = [like.w_patch.size, like.w_cls.size, like.w_part.size]
-    if vec.size != sum(sizes):
-        raise ValueError("parameter vector has the wrong length")
-    a = vec[:sizes[0]].reshape(like.w_patch.shape)
-    b = vec[sizes[0]:sizes[0] + sizes[1]].reshape(like.w_cls.shape)
-    c = vec[sizes[0] + sizes[1]:].reshape(like.w_part.shape)
-    return EncoderParams(a.copy(), b.copy(), c.copy())
+# checkpoint manifest field -> its least valid value
+_DIMS = {"feature_dim": 2, "patch_input_dim": 1, "part_tokens": 1}
 
 
 def save_checkpoint(params: EncoderParams, prefix, with_files=()) -> None:
-    """Manifest records dims; blob is w_patch, w_cls, w_part[0..Z-1] as
-    float32. ``with_files`` (``(path, bytes)`` entries) are replaced
-    together with the checkpoint, see :func:`blobio.write_pair`."""
-    manifest = {
-        "feature_dim": params.feature_dim,
-        "patch_input_dim": params.patch_input_dim,
-        "part_tokens": params.part_tokens,
-    }
-    blob = (blobio.floats_to_bytes(params.w_patch)
-            + blobio.floats_to_bytes(params.w_cls)
-            + blobio.floats_to_bytes(params.w_part))
-    blobio.write_pair(prefix, manifest, blob, with_files)
+    """Manifest records dims; blob is ``params.vec`` as float32.
+    ``with_files`` (``(path, bytes)`` entries) are written with the
+    checkpoint, see :func:`blobio.write_pair`."""
+    manifest = {name: getattr(params, name) for name in _DIMS}
+    blobio.write_pair(prefix, manifest, blobio.floats_to_bytes(params.vec), with_files)
 
 
 def load_checkpoint(prefix) -> EncoderParams:
     manifest, blob = blobio.read_pair(prefix)
-    d, d_in, z = (blobio.manifest_field(manifest, field, "int", prefix)
-                  for field in ("feature_dim", "patch_input_dim", "part_tokens"))
-    mat = d * d_in
-    expected = 4 * mat * (2 + z)
-    if len(blob) != expected:
+    d, d_in, z = dims = [blobio.manifest_field(manifest, name, "int", prefix) for name in _DIMS]
+    for (name, low), value in zip(_DIMS.items(), dims):
+        if value < low:
+            raise DataFormatError(
+                f"{prefix}: manifest field {name!r} must be >= {low}, got {value}")
+    count = (2 + z) * d * d_in
+    if len(blob) != 4 * count:
         raise DataFormatError(
-            f"checkpoint blob has {len(blob)} bytes, expected {expected} from manifest dims")
-    w_patch = blobio.floats_from_bytes(blob, mat).reshape(d, d_in)
-    w_cls = blobio.floats_from_bytes(blob, mat, offset=4 * mat).reshape(d, d_in)
-    w_part = blobio.floats_from_bytes(blob, mat * z, offset=8 * mat).reshape(z, d, d_in)
-    return EncoderParams(w_patch, w_cls, w_part)
+            f"checkpoint blob has {len(blob)} bytes, expected {4 * count} from manifest dims")
+    return EncoderParams.from_vector(blobio.floats_from_bytes(blob, count), d, d_in)

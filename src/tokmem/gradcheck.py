@@ -107,16 +107,14 @@ def _check_encoder(rng: np.random.Generator) -> float:
     g_f = rng.normal(size=(_ENCODER_BATCH, d))
     g_t = rng.normal(size=(_ENCODER_BATCH, num_patches, d))
 
-    grads = encoder_mod.encode_backward(encoder_mod.encode(params, patches), g_f, g_t)
-    analytic = np.concatenate([grads.w_patch.ravel(), grads.w_cls.ravel(),
-                               grads.w_part.ravel()])
+    analytic = encoder_mod.encode_backward(encoder_mod.encode(params, patches), g_f, g_t)
 
     def value_at(vec: np.ndarray) -> float:
-        p = encoder_mod.unflatten_params(vec, params)
+        p = encoder_mod.EncoderParams.from_vector(vec, d, d_in)
         out = encoder_mod.encode(p, patches)
         return float(np.sum(g_f * out.image_feature) + np.sum(g_t * out.patch_tokens))
 
-    numeric = finite_diff_grad(value_at, encoder_mod.flatten_params(params), STEP)
+    numeric = finite_diff_grad(value_at, params.vec, STEP)
     return relative_error(analytic, numeric)
 
 

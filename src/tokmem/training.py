@@ -246,15 +246,12 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     grad_tokens[rows, selected] = w_con * con.grad_tokens
     grad_f = (w_con * con.grad_image_feature + w_pro * pro.grad_image_feature
               + w_anc * anc.grad_image_feature)
-    grads = encoder_mod.encode_backward(out, grad_f, grad_tokens)
+    grad = encoder_mod.encode_backward(out, grad_f, grad_tokens)
 
     # Writes only now, after every read of the snapshot.
     memory_mod.momentum_update(mem.features, indices, f, config.momentum)
     memory_mod.momentum_update(protos, labels, f, config.momentum)
 
-    scale = lr / f.shape[0]
-    params.w_patch -= scale * grads.w_patch
-    params.w_cls -= scale * grads.w_cls
-    params.w_part -= scale * grads.w_part
+    params.vec -= (lr / f.shape[0]) * grad
     return StepLosses(constraint=con.value, proto=pro.value, anchor=anc.value,
                       total=total, has_anchor=has_anchor)

@@ -96,8 +96,7 @@ def test_train_zero_epochs_checkpoint_is_initial(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 0
     params = load_checkpoint(tmp_path / "run" / "ckpt")
     fresh = init_params(8, 5, 2, seed=11)
-    np.testing.assert_array_equal(
-        params.w_patch, fresh.w_patch.astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(params.vec, fresh.vec.astype(np.float32))
     assert (tmp_path / "run" / "log.jsonl").read_text() == ""
 
 
@@ -226,8 +225,8 @@ def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, directory):
 
 
 def test_log_directory_keeps_previous_checkpoint(tmp_path, capsys):
-    """The checkpoint and the log of one run are replaced together: a log
-    path that is a directory fails the train before the checkpoint moves."""
+    """A log path that is a directory fails the train before any rename,
+    so the previous checkpoint stays."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     assert main(["train", "--config", str(cfg)]) == 0
@@ -246,6 +245,8 @@ def test_log_directory_keeps_previous_checkpoint(tmp_path, capsys):
 
 
 def test_failed_log_rename_keeps_previous_log(tmp_path, capsys, monkeypatch):
+    """A failed rename of the log leaves the previous log; the checkpoint,
+    renamed before it, is already replaced."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
@@ -301,6 +302,31 @@ def test_checkpoint_manifest_bad_dim_exits_2(tmp_path, capsys, value):
     assert main(["eval", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "feature_dim" in err and "must be an integer" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("dims,field", [
+    ({"feature_dim": -8, "patch_input_dim": -5}, "feature_dim"),
+    ({"patch_input_dim": 0}, "patch_input_dim"),
+    ({"part_tokens": 0}, "part_tokens"),
+])
+def test_checkpoint_manifest_dim_out_of_range_exits_2(tmp_path, capsys, dims, field):
+    """The blob is cut to the length the bad dims ask for, so only the
+    range check can catch them."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    manifest_path, blob_path = tmp_path / "run" / "ckpt.json", tmp_path / "run" / "ckpt.f32"
+    manifest = {**json.loads(manifest_path.read_text()), **dims}
+    d, d_in, z = (manifest[k] for k in ("feature_dim", "patch_input_dim", "part_tokens"))
+    size = 4 * (2 + z) * d * d_in
+    blob_path.write_bytes(blob_path.read_bytes()[:size])
+    manifest["blob_bytes"] = size
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'run' / 'ckpt'}: manifest field '{field}' must be >=" in err
     assert len(err.strip().splitlines()) == 1
 
 

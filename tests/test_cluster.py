@@ -58,15 +58,20 @@ def test_gram_matrix_is_bitwise_symmetric(n):
 
 
 def test_peak_memory_is_bool_matrix_and_one_block_strip(rng):
-    n = 1500
-    feats = unit_rows(rng, n, 8)
-    tracemalloc.start()
-    try:
-        dbscan(feats, eps=0.05, min_pts=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * n + 2 * 8 * BLOCK * n
+    """Spread features, and features within 1e-3 of one direction, whose
+    single cluster grows from frontiers of thousands of rows."""
+    center = unit_rows(rng, 1, 8)
+    collapsed = unit_rows(rng, 3000, 8) * 1e-3 + center
+    collapsed /= np.linalg.norm(collapsed, axis=1, keepdims=True)
+    for feats in (unit_rows(rng, 1500, 8), collapsed):
+        n = len(feats)
+        tracemalloc.start()
+        try:
+            dbscan(feats, eps=0.05, min_pts=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n + 2 * 8 * BLOCK * n
 
 
 def test_two_pairs_and_a_singleton():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tokmem.encoder import (EncoderParams, encode, encode_backward,
-                            flatten_params, image_feature, init_params,
-                            load_checkpoint, part_slices, save_checkpoint,
-                            unflatten_params)
+                            image_feature, init_params, load_checkpoint,
+                            part_slices, save_checkpoint)
 from tokmem.errors import DataFormatError
 from tokmem.linalg import finite_diff_grad, relative_error
 
@@ -26,10 +25,60 @@ def test_init_shapes():
 
 def test_init_entry_variance_matches_fan_in():
     p = init_params(100, 25, 2, seed=5)
-    entries = flatten_params(p)  # 10^4 draws
+    entries = p.vec  # 10^4 draws
     assert entries.size == 10_000
     assert entries.var() == pytest.approx(1 / 25, abs=3e-3)
     assert entries.mean() == pytest.approx(0.0, abs=3e-3)
+
+
+@pytest.mark.parametrize("d,d_in,z,seed", [(2, 1, 1, 0), (4, 8, 3, 11), (32, 16, 3, 42),
+                                           (5, 7, 2, 2**64 - 1)])
+def test_init_is_three_block_draws_in_layout_order(d, d_in, z, seed):
+    """One draw of the whole vector equals the three block draws in
+    w_patch, w_cls, w_part order, bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    std = 1.0 / np.sqrt(d_in)
+    blocks = [std * rng.normal(size=(d, d_in)), std * rng.normal(size=(d, d_in)),
+              std * rng.normal(size=(z, d, d_in))]
+    p = init_params(d, d_in, z, seed)
+    for name, block in zip(("w_patch", "w_cls", "w_part"), blocks):
+        np.testing.assert_array_equal(getattr(p, name), block)
+    np.testing.assert_array_equal(p.vec, np.concatenate([b.ravel() for b in blocks]))
+
+
+def test_blocks_are_views_of_the_vector():
+    p = init_params(4, 6, 3, seed=1)
+    assert p.vec.shape == ((2 + 3) * 4 * 6,)
+    for block in (p.w_patch, p.w_cls, p.w_part):
+        assert np.shares_memory(block, p.vec)
+    before = p.vec.copy()
+    p.w_part[1] -= 1.0  # w_part[1] is the fourth block of 24 entries
+    np.testing.assert_array_equal(np.flatnonzero(p.vec != before), np.arange(72, 96))
+    p.vec[:] = 0.0
+    assert not p.w_patch.any() and not p.w_cls.any() and not p.w_part.any()
+
+
+def test_from_vector_copies_and_round_trips():
+    p = init_params(4, 6, 3, seed=1)
+    vec = p.vec.copy()
+    q = EncoderParams.from_vector(vec, 4, 6)
+    assert not np.shares_memory(q.vec, vec)
+    np.testing.assert_array_equal(q.vec, vec)
+    assert (q.feature_dim, q.patch_input_dim, q.part_tokens) == (4, 6, 3)
+    for name in ("w_patch", "w_cls", "w_part"):
+        np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+    vec[:] = 0.0
+    np.testing.assert_array_equal(q.vec, p.vec)
+    built = EncoderParams(p.w_patch, p.w_cls, p.w_part)
+    assert not np.shares_memory(built.vec, p.vec)
+    np.testing.assert_array_equal(built.vec, p.vec)
+
+
+@pytest.mark.parametrize("size,d,d_in", [(5 * 24 + 1, 4, 6), (2 * 24, 4, 6),
+                                         (3 * 6, 1, 6), (10, 0, 6)])
+def test_from_vector_rejects_bad_layout(size, d, d_in):
+    with pytest.raises(ValueError):
+        EncoderParams.from_vector(np.zeros(size), d, d_in)
 
 
 def test_identity_projection_passes_patch_through():
@@ -91,19 +140,24 @@ def test_fewer_patches_than_part_tokens_rejected():
         encode(params, np.zeros((2, 6)))
 
 
+def grad_blocks(params, patches, g_f, g_t):
+    """``encode_backward``'s vector, viewed as blocks laid out like ``params``."""
+    grad = encode_backward(encode(params, patches), g_f, g_t)
+    assert grad.shape == params.vec.shape
+    return EncoderParams.from_vector(grad, params.feature_dim, params.patch_input_dim)
+
+
 def test_backward_zero_grads_give_zero(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grads = encode_backward(encode(params, patches), np.zeros(4), np.zeros((5, 4)))
-    assert not grads.w_patch.any()
-    assert not grads.w_cls.any()
-    assert not grads.w_part.any()
+    grad = encode_backward(encode(params, patches), np.zeros(4), np.zeros((5, 4)))
+    assert not grad.any()
 
 
 def test_backward_image_grad_never_touches_patch_projection(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grads = encode_backward(encode(params, patches), rng.normal(size=4), np.zeros((5, 4)))
+    grads = grad_blocks(params, patches, rng.normal(size=4), np.zeros((5, 4)))
     assert not grads.w_patch.any()
     assert grads.w_cls.any()
 
@@ -111,7 +165,7 @@ def test_backward_image_grad_never_touches_patch_projection(rng):
 def test_backward_token_grad_never_touches_heads(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grads = encode_backward(encode(params, patches), np.zeros(4), rng.normal(size=(5, 4)))
+    grads = grad_blocks(params, patches, np.zeros(4), rng.normal(size=(5, 4)))
     assert grads.w_patch.any()
     assert not grads.w_cls.any()
     assert not grads.w_part.any()
@@ -139,16 +193,13 @@ def test_backward_matches_finite_differences(trial):
     g_f = rng.normal(size=d)
     g_t = rng.normal(size=(num_patches, d))
 
-    grads = encode_backward(encode(params, patches), g_f, g_t)
-    analytic = np.concatenate([grads.w_patch.ravel(), grads.w_cls.ravel(),
-                               grads.w_part.ravel()])
+    analytic = encode_backward(encode(params, patches), g_f, g_t)
 
     def value_at(vec):
-        p = unflatten_params(vec, params)
-        out = encode(p, patches)
+        out = encode(EncoderParams.from_vector(vec, d, d_in), patches)
         return float(g_f @ out.image_feature + np.sum(g_t * out.patch_tokens))
 
-    numeric = finite_diff_grad(value_at, flatten_params(params), h=1e-5)
+    numeric = finite_diff_grad(value_at, params.vec, h=1e-5)
     assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -160,29 +211,30 @@ def test_batch_axes_match_single_images(rng):
     out = encode(params, patches)
     assert out.image_feature.shape == (2, 3, 4)
     np.testing.assert_array_equal(image_feature(params, patches), out.image_feature)
-    grads = encode_backward(encode(params, patches), g_f, g_t)
-    summed = [np.zeros_like(params.w_patch), np.zeros_like(params.w_cls),
-              np.zeros_like(params.w_part)]
+    grad = encode_backward(encode(params, patches), g_f, g_t)
+    summed = np.zeros_like(params.vec)
     for idx in np.ndindex(2, 3):
         single = encode(params, patches[idx])
         np.testing.assert_allclose(out.image_feature[idx], single.image_feature,
                                    atol=1e-15)
         np.testing.assert_allclose(out.patch_tokens[idx], single.patch_tokens,
                                    atol=1e-15)
-        g = encode_backward(encode(params, patches[idx]), g_f[idx], g_t[idx])
-        for acc, block in zip(summed, (g.w_patch, g.w_cls, g.w_part)):
-            acc += block
-    for acc, block in zip(summed, (grads.w_patch, grads.w_cls, grads.w_part)):
-        np.testing.assert_allclose(block, acc, rtol=1e-12, atol=1e-12)
+        summed += encode_backward(encode(params, patches[idx]), g_f[idx], g_t[idx])
+    np.testing.assert_allclose(grad, summed, rtol=1e-12, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):
     params = init_params(6, 5, 3, seed=17)
     save_checkpoint(params, tmp_path / "ckpt")
     loaded = load_checkpoint(tmp_path / "ckpt")
-    for name in ("w_patch", "w_cls", "w_part"):
-        stored = getattr(params, name).astype(np.float32).astype(np.float64)
-        np.testing.assert_array_equal(getattr(loaded, name), stored)
+    assert (loaded.feature_dim, loaded.patch_input_dim, loaded.part_tokens) == (6, 5, 3)
+    np.testing.assert_array_equal(loaded.vec, params.vec.astype(np.float32))
+
+
+def test_checkpoint_blob_is_the_vector_as_float32(tmp_path):
+    params = init_params(6, 5, 3, seed=17)
+    save_checkpoint(params, tmp_path / "ckpt")
+    assert (tmp_path / "ckpt.f32").read_bytes() == params.vec.astype("<f4").tobytes()
 
 
 def test_checkpoint_truncated_blob_rejected(tmp_path):

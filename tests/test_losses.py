@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import unit_rows
 from oracles import topk_by_full_sort
 from tokmem.cluster import PseudoLabels
-from tokmem.encoder import flatten_params, image_feature, init_params
+from tokmem.encoder import image_feature, init_params
 from tokmem.linalg import finite_diff_grad, relative_error
 from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
 from tokmem.memory import build_instance_memory, compute_prototypes
@@ -225,10 +225,10 @@ def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     mem = build_instance_memory(image_feature(params, patches),
                                 PseudoLabels(labels, int(labels.max()) + 1))
     batch = np.flatnonzero(labels >= 0)[:4]
-    before = flatten_params(params)
+    before = params.vec.copy()
     step = train_step(cfg, params, patches[batch], batch, labels[batch], mem,
                       compute_prototypes(mem), lr=0.1)
-    return step, flatten_params(params) - before
+    return step, params.vec - before
 
 
 def weights(con, pro, anc):

@@ -5,7 +5,7 @@ import pytest
 
 import tokmem.training as training_mod
 from tokmem.cluster import PseudoLabels, dbscan
-from tokmem.encoder import init_params
+from tokmem.encoder import EncoderParams, init_params
 from tokmem.errors import NumericError
 from tokmem.synth import SynthSpec, generate
 from tokmem.training import (TrainConfig, encode_dataset, learning_rate,
@@ -84,9 +84,7 @@ def test_zero_epochs_returns_initial_params():
     import tokmem.encoder as enc
     fresh = enc.init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens,
                             cfg.seed)
-    np.testing.assert_array_equal(result.params.w_patch, fresh.w_patch)
-    np.testing.assert_array_equal(result.params.w_cls, fresh.w_cls)
-    np.testing.assert_array_equal(result.params.w_part, fresh.w_part)
+    np.testing.assert_array_equal(result.params.vec, fresh.vec)
     assert result.log == []
 
 
@@ -98,9 +96,7 @@ def test_zero_weights_leave_params_unchanged():
     import tokmem.encoder as enc
     fresh = enc.init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens,
                             cfg.seed)
-    np.testing.assert_array_equal(result.params.w_patch, fresh.w_patch)
-    np.testing.assert_array_equal(result.params.w_cls, fresh.w_cls)
-    np.testing.assert_array_equal(result.params.w_part, fresh.w_part)
+    np.testing.assert_array_equal(result.params.vec, fresh.vec)
     assert len(result.log) == 2
 
 
@@ -109,9 +105,7 @@ def test_training_is_deterministic():
     cfg = tiny_config(epochs=3)
     a = train(cfg, ds)
     b = train(cfg, ds)
-    np.testing.assert_array_equal(a.params.w_patch, b.params.w_patch)
-    np.testing.assert_array_equal(a.params.w_cls, b.params.w_cls)
-    np.testing.assert_array_equal(a.params.w_part, b.params.w_part)
+    np.testing.assert_array_equal(a.params.vec, b.params.vec)
     assert a.log == b.log
 
 
@@ -273,7 +267,8 @@ def test_batched_step_matches_per_anchor_oracle(name):
 
     def fresh_state():
         mem = build_instance_memory(feats, labels_of(labels))
-        return params.copy(), mem, compute_prototypes(mem)
+        return (EncoderParams.from_vector(params.vec, cfg.feature_dim, 5), mem,
+                compute_prototypes(mem))
 
     p_b, mem_b, protos_b = fresh_state()
     step = training_mod.train_step(cfg, p_b, patches[batch], batch, labels[batch],
@@ -291,8 +286,7 @@ def test_batched_step_matches_per_anchor_oracle(name):
     np.testing.assert_array_equal(step.has_anchor, [a is not None for a in anc])
     close(step.anchor, [0.0 if a is None else a for a in anc])
     np.testing.assert_array_equal(step.has_anchor, name != "none")
-    for block in ("w_patch", "w_cls", "w_part"):
-        close(getattr(p_b, block), getattr(p_o, block))
+    close(p_b.vec, p_o.vec)
     close(mem_b.features, mem_o.features)
     close(protos_b, protos_o)
 
@@ -313,6 +307,4 @@ def test_batched_training_matches_per_anchor_oracle(overrides):
         np.testing.assert_allclose(
             [ours["mean_constraint"], ours["mean_proto"], ours["mean_total"]],
             [np.mean(con), np.mean(pro), np.mean(total)], rtol=1e-12)
-    for block in ("w_patch", "w_cls", "w_part"):
-        np.testing.assert_allclose(getattr(result.params, block),
-                                   getattr(params, block), rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(result.params.vec, params.vec, rtol=1e-9, atol=1e-9)
