@@ -2,7 +2,7 @@
 banks, DBSCAN pseudo-labels, and retrieval evaluation on synthetic
 identity data."""
 
-from .cluster import PseudoLabels, dbscan
+from .cluster import dbscan
 from .config import EvalConfig, RunConfig, RunPaths, load_run_config
 from .encoder import (EncodeOutput, EncoderParams, encode, encode_backward,
                       init_params, load_checkpoint, save_checkpoint)
@@ -12,8 +12,7 @@ from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,
                      relative_error)
 from .losses import (LossOutput, patch_rate, select_constraint_tokens,
                      softmax_ce)
-from .memory import (InstanceMemory, build_instance_memory, compute_prototypes,
-                     mine, momentum_update)
+from .memory import compute_prototypes, mine, momentum_update
 from .synth import (SynthDataset, SynthSpec, generate, load_dataset,
                     save_dataset, split_query_gallery)
 from .training import TrainConfig, TrainResult, encode_dataset, sample_batches, train

@@ -19,7 +19,7 @@ from . import evaluate as evaluate_mod
 from . import gradcheck as gradcheck_mod
 from . import synth as synth_mod
 from . import training as train_mod
-from .config import RunConfig, load_run_config
+from .config import RunConfig, check_distinct_files, load_run_config
 from .errors import ConfigError, DataFormatError, NumericError
 
 EXIT_OK = 0
@@ -105,12 +105,14 @@ def _fmt(value) -> str:
 
 def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
-    checkpoint = Path(args.checkpoint) if args.checkpoint else cfg.paths.checkpoint
+    if args.checkpoint:
+        cfg.paths.checkpoint = Path(args.checkpoint)
+    csv_path = Path(args.per_query_csv) if args.per_query_csv else None
+    check_distinct_files(cfg.paths, csv_path)
     ds = _load_dataset(cfg)
-    params = encoder_mod.load_checkpoint(checkpoint)
+    params = encoder_mod.load_checkpoint(cfg.paths.checkpoint)
     _check_checkpoint_dims(cfg, params)
     result = evaluate_mod.evaluate_encoder(params, ds, cfg.eval)
-    csv_path = Path(args.per_query_csv) if args.per_query_csv else None
     evaluate_mod.write_metrics(result, cfg.paths.metrics, per_query_csv=csv_path)
     print(f"mAP={result.mean_ap:.4f} rank1={result.cmc[0]:.4f} "
           f"queries={result.num_queries} excluded={result.excluded_queries}")

@@ -13,33 +13,18 @@ clusters' cores joins the lowest-numbered one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["PseudoLabels", "dbscan"]
+__all__ = ["OUTLIER", "dbscan"]
 
 OUTLIER = -1
 BLOCK = 128         # rows per distance block; larger blocks raise peak memory
 ZERO_DIST = 1e-12   # neighbour radius floor: round-off of a unit-norm dot is ~1e-15
 
 
-@dataclass
-class PseudoLabels:
-    labels: np.ndarray  # (N,) int64; cluster id >= 0 or -1 for outliers
-    num_clusters: int
-
-    @property
-    def outlier_count(self) -> int:
-        return int(np.sum(self.labels == OUTLIER))
-
-    @property
-    def clustered_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels >= 0)
-
-
-def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
-    """Cluster unit-norm features; returns dense labels with -1 outliers."""
+def dbscan(features: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Cluster unit-norm features; returns (N,) int64 labels, dense cluster
+    ids from 0 and ``OUTLIER`` (-1) for outliers."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
@@ -49,7 +34,7 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
         raise ValueError("features must be a (N, D) array")
     n = features.shape[0]
     if n == 0:
-        return PseudoLabels(labels=np.empty(0, dtype=np.int64), num_clusters=0)
+        return np.empty(0, dtype=np.int64)
     if np.abs(np.linalg.norm(features, axis=1) - 1.0).max() > 1e-6:
         raise ValueError("features must be unit-norm (tolerance 1e-6)")
 
@@ -92,4 +77,4 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> PseudoLabels:
             labels[reached] = cluster_id
             frontier = np.flatnonzero(reached & core)
         cluster_id += 1
-    return PseudoLabels(labels=labels, num_clusters=cluster_id)
+    return labels

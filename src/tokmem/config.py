@@ -6,8 +6,8 @@ protocol, optional with defaults), ``paths`` (artifact locations, all
 required). ``format_version: 1`` is mandatory. Unknown keys anywhere are
 rejected so hyperparameter typos cannot pass silently; every validation
 message names the offending field path. Limits across sections (query
-split, ``k_max``, batch size, part tokens) are checked at load, before
-any command runs.
+split, ``k_max``, batch size, part and negative tokens) and distinct
+artifact files are checked at load, before any command runs.
 
 The patch geometry (``patches_per_image``, ``patch_input_dim``) lives in
 ``data`` only; training reads it from the dataset it trains on.
@@ -16,16 +16,19 @@ The patch geometry (``patches_per_image``, ``patch_input_dim``) lives in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blobio import decode
+from .blobio import decode, pair_paths
 from .errors import ConfigError
+from .losses import patch_rate
 from .synth import MAX_SEED, SEED_RANGE, SynthSpec
 from .training import TrainConfig
 
-__all__ = ["EvalConfig", "RunPaths", "RunConfig", "load_run_config"]
+__all__ = ["EvalConfig", "RunPaths", "RunConfig", "check_distinct_files", "load_run_config"]
 
 FORMAT_VERSION = 1
 
@@ -78,17 +81,39 @@ def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> 
     command runs (say, 30 epochs of training) on a config ``eval`` rejects."""
     spi, query = data.samples_per_identity, eval_cfg.query_per_identity
     gallery = data.num_identities * (spi - query)
+    patches = data.patches_per_image
     for ok, name, value, bound in [
             (1 <= query < spi, "eval.query_per_identity", query, f"in [1, {spi - 1}]"),
             (1 <= eval_cfg.k_max <= gallery, "eval.k_max", eval_cfg.k_max,
              f"in [1, {gallery}], the gallery size"),
             (train.batch_size <= data.num_samples, "train.batch_size", train.batch_size,
              f"<= {data.num_samples}, the dataset size"),
-            (train.part_tokens <= data.patches_per_image, "train.part_tokens",
-             train.part_tokens, f"<= {data.patches_per_image}, the patches per image"),
+            (train.part_tokens <= patches, "train.part_tokens",
+             train.part_tokens, f"<= {patches}, the patches per image"),
+            (patch_rate(patches, train.neg_token_rate) < patches, "train.neg_token_rate",
+             train.neg_token_rate, "small enough to pick fewer negative tokens than the "
+             f"{patches} patches per image"),
             (0 <= eval_cfg.seed < MAX_SEED, "eval.seed", eval_cfg.seed, f"in {SEED_RANGE}")]:
         if not ok:
             raise ConfigError(f"`{name}` must be {bound}, got {value}")
+
+
+def check_distinct_files(paths: RunPaths, per_query_csv: Path | None = None) -> None:
+    """ConfigError naming both fields unless the dataset pair, the checkpoint
+    pair, ``log``, ``metrics`` and ``per_query_csv`` (if given) are distinct
+    files (absolute, directories resolved): no artifact may replace another."""
+    files = [(f"paths.{name}", path) for name in ("dataset", "checkpoint")
+             for path in pair_paths(getattr(paths, name))]
+    files += [("paths.log", paths.log), ("paths.metrics", paths.metrics)]
+    if per_query_csv is not None:
+        files.append(("--per-query-csv", per_query_csv))
+    seen: dict[str, str] = {}
+    real_dir = functools.cache(os.path.realpath)  # an lstat per component: once per directory
+    for name, path in files:
+        folder, base = os.path.split(os.path.abspath(path))
+        first = seen.setdefault(os.path.join(real_dir(folder), base), name)
+        if first != name:
+            raise ConfigError(f"`{first}` and `{name}` name the same file {path}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -123,4 +148,5 @@ def load_run_config(path) -> RunConfig:
     eval_cfg = _parse_section(doc, "eval", EvalConfig)
     _check_limits(data, train, eval_cfg)
     paths = _parse_section(doc, "paths", RunPaths)
+    check_distinct_files(paths)
     return RunConfig(data=data, train=train, eval=eval_cfg, paths=paths)

@@ -1,9 +1,10 @@
 """Instance and prototype memory banks, hard-sample mining, momentum updates.
 
-The instance memory stores one feature per training sample, outliers
-included; the prototype memory is a plain (C, D) array of normalized
-cluster centroids. Memory entries are gradient constants, refreshed only
-by ``momentum_update``: ``stored <- mu * stored + (1 - mu) * fresh``
+The instance bank is an (N, D) array of unit rows, one per training
+sample, outliers included, read through the (N,) ``cluster.dbscan``
+labels; the prototype bank is a (C, D) array of normalized cluster
+centroids. Memory entries are gradient constants, refreshed only by
+``momentum_update``: ``stored <- mu * stored + (1 - mu) * fresh``
 followed by re-normalization (without it, mixing shrinks norms and the
 temperature-scaled softmaxes drift).
 
@@ -16,53 +17,30 @@ similarity matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cluster import OUTLIER, PseudoLabels
+from .cluster import OUTLIER
 from .linalg import normalize_rows
 
-__all__ = ["InstanceMemory", "build_instance_memory", "compute_prototypes",
-           "mine", "momentum_update"]
+__all__ = ["compute_prototypes", "mine", "momentum_update"]
 
 
-@dataclass
-class InstanceMemory:
-    features: np.ndarray  # (N, D), unit rows
-    labels: np.ndarray    # (N,) int64, -1 allowed
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
-def build_instance_memory(features: np.ndarray, labels: PseudoLabels) -> InstanceMemory:
-    """Store normalized copies of ALL features, outliers included."""
-    features = np.asarray(features, dtype=np.float64)
-    label_arr = np.asarray(labels.labels, dtype=np.int64)
-    if features.shape[0] != label_arr.shape[0]:
-        raise ValueError(
-            f"{features.shape[0]} features but {label_arr.shape[0]} labels")
-    return InstanceMemory(features=normalize_rows(features), labels=label_arr.copy())
-
-
-def compute_prototypes(mem: InstanceMemory) -> np.ndarray:
+def compute_prototypes(bank: np.ndarray, bank_labels: np.ndarray) -> np.ndarray:
     """(C, D) normalized per-cluster centroids over non-outlier members only."""
-    if (mem.labels < 0).all():
+    if (bank_labels < 0).all():
         raise ValueError("no clustered samples: every label is -1")
-    num_clusters = int(mem.labels.max()) + 1
-    protos = np.empty((num_clusters, mem.features.shape[1]))
+    num_clusters = int(bank_labels.max()) + 1
+    protos = np.empty((num_clusters, bank.shape[1]))
     for c in range(num_clusters):
-        members = mem.features[mem.labels == c]
+        members = bank[bank_labels == c]
         if members.shape[0] == 0:
             raise ValueError(f"cluster ids are not dense: no member for cluster {c}")
         protos[c] = members.mean(axis=0)
     return normalize_rows(protos)
 
 
-def mine(mem: InstanceMemory, features: np.ndarray, labels: np.ndarray, k: int,
-         include_outliers: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def mine(bank: np.ndarray, bank_labels: np.ndarray, features: np.ndarray, labels: np.ndarray,
+         k: int, include_outliers: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Mine a batch of (B, D) anchors with one (B, N) similarity matmul.
 
     Returns (B, 1 + min(k, N)) memory indices and a validity mask of the
@@ -78,24 +56,25 @@ def mine(mem: InstanceMemory, features: np.ndarray, labels: np.ndarray, k: int,
         raise ValueError("anchor label must be a cluster id (>= 0)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    same = mem.labels == labels[:, None]
-    missing = ~same.any(axis=1)
-    if missing.any():
-        raise ValueError(f"no memory entry carries label {labels[missing][0]}")
-    sims = features @ mem.features.T
-    cand = ~same
-    if not include_outliers:
-        cand &= mem.labels != OUTLIER
-    picked = np.empty((len(labels), 1 + min(k, mem.size)), dtype=np.int64)
+    same = bank_labels == labels[:, None]
+    same_count = same.sum(axis=1)
+    if (same_count == 0).any():
+        raise ValueError(f"no memory entry carries label {labels[same_count == 0][0]}")
+    sims = features @ bank.T
+    picked = np.empty((len(labels), 1 + min(k, len(bank))), dtype=np.int64)
     picked[:, 0] = np.argmin(np.where(same, sims, np.inf), axis=1)
+    # sims becomes the negatives' key; anchor labels are >= 0, so same and dropped are disjoint
+    dropped = (bank_labels == OUTLIER) & (not include_outliers)
+    np.copyto(sims, -np.inf, where=same)
+    np.copyto(sims, -np.inf, where=dropped)
     # Stable top-k as k masked argmax passes (argmax takes the first
     # maximum); for small k this is far cheaper than sorting every row.
-    key = np.where(cand, sims, -np.inf)
     rows = np.arange(len(labels))
     for j in range(1, picked.shape[1]):
-        picked[:, j] = np.argmax(key, axis=1)
-        key[rows, picked[:, j]] = -np.inf
-    valid = np.arange(picked.shape[1]) <= cand.sum(axis=1)[:, None]
+        picked[:, j] = np.argmax(sims, axis=1)
+        sims[rows, picked[:, j]] = -np.inf
+    candidates = len(bank) - same_count - np.count_nonzero(dropped)
+    valid = np.arange(picked.shape[1]) <= candidates[:, None]
     return picked, valid
 
 

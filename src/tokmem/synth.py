@@ -38,7 +38,7 @@ class SynthSpec:
     seed: int
 
     def validate(self) -> None:
-        """Raise ValueError naming the first violated field."""
+        """Raise ValueError whose message starts with the violated field's name."""
         if self.num_identities < 2:
             raise ValueError("num_identities must be >= 2")
         if self.samples_per_identity < 1:
@@ -130,13 +130,18 @@ def load_dataset(prefix) -> SynthDataset:
     """Read a dataset pair written by :func:`save_dataset`.
 
     Values come back as float64 (converted from the stored float32). A
-    missing or mistyped manifest field, a non-finite patch value or
+    missing, mistyped or invalid manifest field, a non-finite patch value or
     identity labels other than the spec's raise DataFormatError.
     """
     manifest, blob = blobio.read_pair(prefix)
     spec = SynthSpec(**{f.name: blobio.manifest_field(manifest, f.name, f.type, prefix)
                         for f in fields(SynthSpec)})
-    spec.validate()
+    try:
+        spec.validate()
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise DataFormatError(f"{prefix}: manifest field {name!r} {rule}, "
+                              f"got {getattr(spec, name)}") from None
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
     num_samples = blobio.manifest_field(manifest, "num_samples", "int", prefix)
     if num_samples != n:

@@ -1,7 +1,7 @@
 """Epoch-based training loop over the full pipeline.
 
 Per epoch: re-encode the whole dataset with the current encoder, cluster
-the fresh features into pseudo-labels, rebuild the instance memory from
+the fresh features into a label vector, rebuild the instance bank from
 them (stale features would poison the clustering), and compute cluster
 prototypes. Per iteration, ``train_step`` makes one array pass over the
 batch: encode all anchors, select their tokens, compute the three losses
@@ -34,6 +34,7 @@ from . import encoder as encoder_mod
 from . import losses as losses_mod
 from . import memory as memory_mod
 from .errors import NumericError
+from .linalg import normalize_rows
 from .synth import MAX_SEED, SynthDataset
 
 __all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
@@ -99,12 +100,12 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.lr_decay_factor ** (epoch // config.lr_decay_every)
 
 
-def sample_batches(labels: cluster_mod.PseudoLabels, batch_size: int,
-                   seed: int, epoch: int) -> list[np.ndarray]:
-    """Shuffle the clustered indices and emit floor(N_clustered / B) full
-    batches; outliers never appear. Returns [] (with a warning) when
-    fewer than one full batch of clustered samples exists."""
-    clustered = labels.clustered_indices
+def sample_batches(labels: np.ndarray, batch_size: int, seed: int,
+                   epoch: int) -> list[np.ndarray]:
+    """Shuffle the clustered indices of ``labels`` and emit floor(N_clustered
+    / B) full batches; outliers never appear. Returns [] (with a warning)
+    when fewer than one full batch of clustered samples exists."""
+    clustered = np.flatnonzero(labels >= 0)
     if clustered.size < batch_size:
         logger.warning("epoch %d skipped: %d clustered samples < batch size %d",
                        epoch, clustered.size, batch_size)
@@ -150,30 +151,31 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     for epoch in range(config.epochs):
         lr = learning_rate(config, epoch)
         features = encode_dataset(params, dataset)
-        plabels = cluster_mod.dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
+        labels = cluster_mod.dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
         record = {
             "epoch": epoch,
             "mean_constraint": None,
             "mean_proto": None,
             "mean_anchor": None,
             "mean_total": None,
-            "C": plabels.num_clusters,
-            "outliers": plabels.outlier_count,
+            "C": int(labels.max(initial=-1)) + 1,
+            "outliers": int((labels == cluster_mod.OUTLIER).sum()),
             "lr": lr,
         }
-        batches = sample_batches(plabels, config.batch_size, config.seed, epoch)
-        if not batches or plabels.num_clusters == 0:
+        batches = sample_batches(labels, config.batch_size, config.seed, epoch)
+        if not batches:
             log.append(record)
             continue
 
-        mem = memory_mod.build_instance_memory(features, plabels)
-        protos = memory_mod.compute_prototypes(mem)
+        # unit rows already, but renormalizing moves some last bits, and training follows
+        bank = normalize_rows(features)
+        protos = memory_mod.compute_prototypes(bank, labels)
         sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
         anchor_count = 0
         for iteration, batch in enumerate(batches):
             try:
                 step = train_step(config, params, dataset.patches[batch],
-                                  batch, plabels.labels[batch], mem, protos, lr)
+                                  batch, bank, labels, protos, lr)
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} iteration {iteration}",
@@ -203,19 +205,19 @@ class StepLosses:
 
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
-               patches: np.ndarray, indices: np.ndarray, labels: np.ndarray,
-               mem: memory_mod.InstanceMemory, protos: np.ndarray,
-               lr: float) -> StepLosses:
+               patches: np.ndarray, indices: np.ndarray, bank: np.ndarray,
+               bank_labels: np.ndarray, protos: np.ndarray, lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
-    ``params``, ``mem`` and ``protos``.
+    ``params``, ``bank`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``indices``
-    their memory slots, ``labels`` their clusters and ``protos`` the
-    (C, D) prototype bank. Raises NumericError, before any write, if an
-    anchor's total loss is not finite; its diagnostics name the first
-    such ``sample``.
+    their slots in the (N, D) instance ``bank``, whose (N,) pseudo-labels
+    are ``bank_labels``, and ``protos`` the (C, D) prototype bank. Raises
+    NumericError, before any write, if an anchor's total loss is not
+    finite; its diagnostics name the first such ``sample``.
     """
     t = config.temperature
+    labels = bank_labels[indices]
     out = encoder_mod.encode(params, patches)
     f, tokens = out.image_feature, out.patch_tokens
     rows = np.arange(f.shape[0])[:, None]
@@ -227,9 +229,9 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     # Missing negatives get -inf logits. A row without any candidate then
     # scores only its positive: its anchor term is exactly 0 with zero
     # gradient, the same as leaving the term out.
-    picked, valid = memory_mod.mine(mem, f, labels, config.num_negatives,
+    picked, valid = memory_mod.mine(bank, bank_labels, f, labels, config.num_negatives,
                                     config.anchor_include_outliers)
-    anc = losses_mod.softmax_ce(f, mem.features[picked], 0, t, valid=valid)
+    anc = losses_mod.softmax_ce(f, bank[picked], 0, t, valid=valid)
     w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,
                            config.weight_anchor)
     total = w_con * con.value + w_pro * pro.value + w_anc * anc.value
@@ -249,7 +251,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     grad = encoder_mod.encode_backward(out, grad_f, grad_tokens)
 
     # Writes only now, after every read of the snapshot.
-    memory_mod.momentum_update(mem.features, indices, f, config.momentum)
+    memory_mod.momentum_update(bank, indices, f, config.momentum)
     memory_mod.momentum_update(protos, labels, f, config.momentum)
 
     params.vec -= (lr / f.shape[0]) * grad

@@ -115,7 +115,7 @@ def cmc_oracle(all_ranked_ids, query_ids, k_max):
 # selection, three softmax cross-entropies, mining and backward pass per
 # anchor, with per-anchor sorts and sequential momentum updates. It reuses
 # only the pipeline stages the batching leaves alone (init, DBSCAN, batch
-# sampling, memory construction) and is the equivalence oracle for the
+# sampling, prototypes) and is the equivalence oracle for the
 # batched step in tokmem.training.
 
 def _unit(v):
@@ -180,8 +180,8 @@ def softmax_ce_one(sims, target, temperature):
     return float(np.log(total) + shift - z[target]), coeff
 
 
-def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
-    """One iteration, anchor by anchor, in place on params, mem and protos.
+def per_anchor_step(params, patches, batch, bank, bank_labels, protos, config, lr):
+    """One iteration, anchor by anchor, in place on params, bank and protos.
 
     Returns one (constraint, proto, anchor or None, total) tuple per anchor.
     """
@@ -198,7 +198,7 @@ def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
         x = patches[n]
         f, tokens = encode_one(params, x)
         feats.append(f)
-        label = int(labels[n])
+        label = int(bank_labels[n])
 
         sims = tokens @ f
         pos = int(np.argmax(sims))
@@ -214,16 +214,16 @@ def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
         grad_f = grad_f + wp * ((coeff @ protos) / t)
 
         anc = None
-        same = np.flatnonzero(mem.labels == label)
-        hardest = same[int(np.argmin(mem.features[same] @ f))]
-        cand = mem.labels != label
+        same = np.flatnonzero(bank_labels == label)
+        hardest = same[int(np.argmin(bank[same] @ f))]
+        cand = bank_labels != label
         if not config.anchor_include_outliers:
-            cand &= mem.labels >= 0
+            cand &= bank_labels >= 0
         idx = np.flatnonzero(cand)
         if idx.size:
-            order = np.argsort(-(mem.features[idx] @ f), kind="stable")
+            order = np.argsort(-(bank[idx] @ f), kind="stable")
             top = idx[order[:config.num_negatives]]
-            stacked = mem.features[np.concatenate([[hardest], top])]
+            stacked = bank[np.concatenate([[hardest], top])]
             anc, coeff = softmax_ce_one(stacked @ f, 0, t)
             grad_f = grad_f + wa * ((coeff @ stacked) / t)
         total = wc * con + wp * pro + (0.0 if anc is None else wa * anc)
@@ -236,9 +236,9 @@ def per_anchor_step(params, patches, batch, labels, mem, protos, config, lr):
 
     for n, f in zip(batch, feats):
         m = config.momentum
-        label = int(labels[n])
+        label = int(bank_labels[n])
         protos[label] = _unit(m * protos[label] + (1 - m) * f)
-        mem.features[n] = _unit(m * mem.features[n] + (1 - m) * f)
+        bank[n] = _unit(m * bank[n] + (1 - m) * f)
     scale = lr / len(batch)
     params.w_patch -= scale * g_patch
     params.w_cls -= scale * g_cls
@@ -254,7 +254,8 @@ def per_anchor_train(config, dataset):
     """
     from tokmem.cluster import dbscan
     from tokmem.encoder import init_params
-    from tokmem.memory import build_instance_memory, compute_prototypes
+    from tokmem.linalg import normalize_rows
+    from tokmem.memory import compute_prototypes
     from tokmem.training import learning_rate, sample_batches
 
     params = init_params(config.feature_dim, dataset.spec.patch_input_dim,
@@ -262,16 +263,16 @@ def per_anchor_train(config, dataset):
     log = []
     for epoch in range(config.epochs):
         feats = np.stack([encode_one(params, x)[0] for x in dataset.patches])
-        plabels = dbscan(feats, config.dbscan_eps, config.dbscan_min_pts)
-        record = {"epoch": epoch, "C": plabels.num_clusters,
-                  "outliers": plabels.outlier_count, "rows": []}
-        batches = sample_batches(plabels, config.batch_size, config.seed, epoch)
-        if batches and plabels.num_clusters:
-            mem = build_instance_memory(feats, plabels)
-            protos = compute_prototypes(mem)
+        labels = dbscan(feats, config.dbscan_eps, config.dbscan_min_pts)
+        record = {"epoch": epoch, "C": len(np.unique(labels[labels >= 0])),
+                  "outliers": int(np.sum(labels < 0)), "rows": []}
+        batches = sample_batches(labels, config.batch_size, config.seed, epoch)
+        if batches:
+            bank = normalize_rows(feats)
+            protos = compute_prototypes(bank, labels)
             for batch in batches:
                 record["rows"] += per_anchor_step(
-                    params, dataset.patches, batch, plabels.labels, mem, protos,
+                    params, dataset.patches, batch, bank, labels, protos,
                     config, learning_rate(config, epoch))
         log.append(record)
     return params, log

@@ -163,7 +163,9 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
                                                   "noise_patch_prob"),
                                                  ("num_samples", 24.0, "num_samples"),
                                                  ("identity_spread", float("inf"),
-                                                  "identity_spread")])
+                                                  "identity_spread"),
+                                                 ("num_identities", 1,
+                                                  "manifest field 'num_identities'")])
 def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, message):
     """``value`` None deletes the field; ``field`` None replaces the manifest.
     Both commands that read the dataset reject it."""
@@ -185,6 +187,56 @@ def test_dataset_manifest_bad_field_exits_2(tmp_path, capsys, field, value, mess
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
+
+
+def run_files(run):
+    return {path.name: path.read_bytes() for path in run.iterdir()}
+
+
+@pytest.mark.parametrize("command, field, target, other", [
+    ("train", "log", "data.json", "paths.dataset"),
+    ("eval", "metrics", "ckpt.json", "paths.checkpoint"),
+    ("train", "log", "ckpt.json", "paths.checkpoint"),
+])
+def test_colliding_artifact_paths_exit_2_and_keep_files(tmp_path, capsys, command, field,
+                                                        target, other):
+    """A config whose artifact paths name one file twice is refused before
+    any write, so no artifact replaces another."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    run = tmp_path / "run"
+    before = run_files(run)
+    capsys.readouterr()
+    write_config(tmp_path, paths={field: str(run / target)})
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"`{other}` and `paths.{field}`" in err
+    assert len(err.strip().splitlines()) == 1
+    assert run_files(run) == before
+    write_config(tmp_path)
+    assert main(["eval", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("flag, target, names", [
+    ("--checkpoint", "metrics", "`paths.checkpoint` and `paths.metrics`"),
+    ("--per-query-csv", "ckpt.json", "`paths.checkpoint` and `--per-query-csv`"),
+    ("--per-query-csv", "data.f32", "`paths.dataset` and `--per-query-csv`"),
+    ("--per-query-csv", "metrics.json", "`paths.metrics` and `--per-query-csv`"),
+])
+def test_eval_override_colliding_with_an_artifact_exits_2(tmp_path, capsys, flag, target,
+                                                          names):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    run = tmp_path / "run"
+    before = run_files(run)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), flag, str(run / target)]) == 2
+    err = capsys.readouterr().err
+    assert names in err
+    assert len(err.strip().splitlines()) == 1
+    assert run_files(run) == before
 
 
 @pytest.mark.parametrize("field, value", [("seed", 4), ("identity_spread", 0.2),

@@ -6,7 +6,11 @@ import pytest
 from conftest import unit_rows
 from oracles import (cosine_dist_oracle, dbscan_oracle, neighbours,
                      partition_of_core_points)
-from tokmem.cluster import BLOCK, PseudoLabels, dbscan
+from tokmem.cluster import BLOCK, OUTLIER, dbscan
+
+
+def num_clusters(labels):
+    return int(labels.max(initial=OUTLIER)) + 1
 
 
 def on_circle(angles):
@@ -17,11 +21,11 @@ def on_circle(angles):
 def test_pairwise_identical_orthogonal_antipodal():
     # cosine distances: 0 (identical), 1 (orthogonal), 2 (antipodal)
     feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_array_equal(dbscan(feats, 0.999, 1).labels, [0, 0, 1, 2])
-    np.testing.assert_array_equal(dbscan(feats, 1.0, 1).labels, [0, 0, 0, 0])
+    np.testing.assert_array_equal(dbscan(feats, 0.999, 1), [0, 0, 1, 2])
+    np.testing.assert_array_equal(dbscan(feats, 1.0, 1), [0, 0, 0, 0])
     antipodal = feats[[0, 3]]
-    np.testing.assert_array_equal(dbscan(antipodal, 1.999, 1).labels, [0, 1])
-    np.testing.assert_array_equal(dbscan(antipodal, 2.0, 1).labels, [0, 0])
+    np.testing.assert_array_equal(dbscan(antipodal, 1.999, 1), [0, 1])
+    np.testing.assert_array_equal(dbscan(antipodal, 2.0, 1), [0, 0])
 
 
 def test_pairwise_requires_normalized_inputs():
@@ -37,12 +41,12 @@ def test_pairwise_symmetric_zero_diagonal_clamped(rng):
     # round-off leaves some self-distances above 1e-18; every point still
     # neighbours itself, so with min_pts = 1 each is its own cluster
     assert np.diag(raw).max() > 1e-18
-    np.testing.assert_array_equal(dbscan(feats, 1e-18, 1).labels, np.arange(40))
+    np.testing.assert_array_equal(dbscan(feats, 1e-18, 1), np.arange(40))
     # norms within the 1e-6 tolerance put antipodes at 2 + 2e-7, which the
     # clamp to 2 brings within eps = 2, but not within a smaller eps
     antipodes = np.array([[1.0 + 1e-7, 0.0], [-1.0 - 1e-7, 0.0]])
-    np.testing.assert_array_equal(dbscan(antipodes, 2.0, 2).labels, [0, 0])
-    np.testing.assert_array_equal(dbscan(antipodes, 1.999, 2).labels, [-1, -1])
+    np.testing.assert_array_equal(dbscan(antipodes, 2.0, 2), [0, 0])
+    np.testing.assert_array_equal(dbscan(antipodes, 1.999, 2), [-1, -1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 6000])
@@ -77,28 +81,28 @@ def test_peak_memory_is_bool_matrix_and_one_block_strip(rng):
 def test_two_pairs_and_a_singleton():
     feats = on_circle([0.0, 0.01, 2.0, 2.01, 4.0])
     result = dbscan(feats, eps=0.1, min_pts=2)
-    np.testing.assert_array_equal(result.labels, [0, 0, 1, 1, -1])
-    assert result.num_clusters == 2
+    np.testing.assert_array_equal(result, [0, 0, 1, 1, -1])
+    assert num_clusters(result) == 2
 
 
 def test_all_identical_single_cluster():
     feats = np.tile([1.0, 0.0], (6, 1))
     result = dbscan(feats, eps=0.01, min_pts=6)
-    np.testing.assert_array_equal(result.labels, np.zeros(6))
-    assert result.num_clusters == 1
+    np.testing.assert_array_equal(result, np.zeros(6))
+    assert num_clusters(result) == 1
 
 
 def test_tiny_eps_everything_outlier():
     feats = on_circle([0.0, 1.0, 2.0, 3.0])
     result = dbscan(feats, eps=1e-12, min_pts=2)
-    np.testing.assert_array_equal(result.labels, [-1, -1, -1, -1])
-    assert result.num_clusters == 0
+    np.testing.assert_array_equal(result, [-1, -1, -1, -1])
+    assert num_clusters(result) == 0
 
 
 def test_empty_input():
     result = dbscan(np.empty((0, 4)), eps=0.5, min_pts=2)
-    assert result.labels.size == 0
-    assert result.num_clusters == 0
+    assert result.size == 0
+    assert num_clusters(result) == 0
 
 
 def test_parameter_validation():
@@ -109,14 +113,12 @@ def test_parameter_validation():
         dbscan(feats, eps=0.5, min_pts=0)
 
 
-def assert_labels_well_formed(result: PseudoLabels):
-    labels = result.labels
-    positive = labels[labels >= 0]
-    if positive.size:
-        present = np.unique(positive)
-        np.testing.assert_array_equal(present, np.arange(result.num_clusters))
-    else:
-        assert result.num_clusters == 0
+def assert_labels_well_formed(labels, n):
+    """An (N,) int64 vector of dense cluster ids from 0 and OUTLIER."""
+    assert labels.dtype == np.int64 and labels.shape == (n,)
+    assert (labels >= OUTLIER).all()
+    present = np.unique(labels[labels != OUTLIER])
+    np.testing.assert_array_equal(present, np.arange(num_clusters(labels)))
 
 
 def assert_matches_oracle(feats, eps, min_pts):
@@ -124,7 +126,7 @@ def assert_matches_oracle(feats, eps, min_pts):
     of smallest core index, each border point takes the smallest label among
     its core neighbours, and every other point is an outlier."""
     result = dbscan(feats, eps, min_pts)
-    assert_labels_well_formed(result)
+    assert_labels_well_formed(result, len(feats))
     dist = cosine_dist_oracle(feats)
     core, clusters, border, noise = dbscan_oracle(dist, eps, min_pts)
     expected = np.full(len(feats), -1)
@@ -132,8 +134,8 @@ def assert_matches_oracle(feats, eps, min_pts):
         expected[sorted(members)] = k
     for b in np.flatnonzero(border):
         expected[b] = expected[core & neighbours(dist[b], eps)].min()
-    np.testing.assert_array_equal(result.labels, expected)
-    assert result.num_clusters == len(clusters)
+    np.testing.assert_array_equal(result, expected)
+    assert num_clusters(result) == len(clusters)
 
 
 @pytest.mark.parametrize("trial", range(30))
@@ -191,7 +193,7 @@ def test_duplicates_in_different_blocks_are_neighbours(rng):
     result = dbscan(feats, eps=1e-18, min_pts=2)
     expected = np.full(n, -1)
     expected[:BLOCK] = expected[2 * BLOCK:] = np.arange(BLOCK)
-    np.testing.assert_array_equal(result.labels, expected)
+    np.testing.assert_array_equal(result, expected)
 
 
 def test_border_point_between_two_clusters_joins_cluster_0():
@@ -202,7 +204,7 @@ def test_border_point_between_two_clusters_joins_cluster_0():
     eps = 1.0 - np.cos(0.135)
     for first, second in ((arc_a, arc_b), (arc_b, arc_a)):
         result = dbscan(on_circle([0.16] + first + second), eps, min_pts=4)
-        np.testing.assert_array_equal(result.labels, [0] * 5 + [1] * 4)
+        np.testing.assert_array_equal(result, [0] * 5 + [1] * 4)
 
 
 def test_clustered_blobs_recovered(rng):
@@ -210,8 +212,8 @@ def test_clustered_blobs_recovered(rng):
     feats = np.concatenate([
         unit_rows_around(rng, centers[c], 12, scale=0.02) for c in range(3)])
     result = dbscan(feats, eps=0.3, min_pts=4)
-    assert result.num_clusters == 3
-    labels = result.labels.reshape(3, 12)
+    assert num_clusters(result) == 3
+    labels = result.reshape(3, 12)
     for row in labels:
         assert (row == row[0]).all() and row[0] >= 0
 
@@ -232,7 +234,7 @@ def test_core_membership_invariant_under_permutation(rng):
     permuted = dbscan(feats[perm], eps, min_pts)
     # map permuted labels back to original indexing
     back = np.empty(50, dtype=np.int64)
-    back[perm] = permuted.labels
+    back[perm] = permuted
 
     def core_partition(labels):
         groups = {}
@@ -240,4 +242,4 @@ def test_core_membership_invariant_under_permutation(rng):
             groups.setdefault(labels[i], set()).add(i)
         return {frozenset(g) for g in groups.values()}
 
-    assert core_partition(base.labels) == core_partition(back)
+    assert core_partition(base) == core_partition(back)

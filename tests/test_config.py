@@ -182,6 +182,8 @@ def test_malformed_json_and_missing_file(tmp_path):
     # a Philox key is a 64-bit unsigned integer
     ("eval", "seed", -1, "eval.seed"),
     ("eval", "seed", 2**64, "eval.seed"),
+    # 6 patches per image: rate 1.0 would pick all 6 as negatives
+    ("train", "neg_token_rate", 1.0, "train.neg_token_rate"),
 ])
 def test_cross_section_limits_rejected_at_load(tmp_path, section, key, value, message):
     doc = valid_doc()
@@ -197,6 +199,24 @@ def test_cross_section_limits_accept_the_extremes(tmp_path):
     cfg = load_run_config(write_config(tmp_path, doc))
     assert (cfg.eval.query_per_identity, cfg.eval.k_max, cfg.train.batch_size) == (5, 4, 24)
     assert cfg.train.part_tokens == 6
+
+
+@pytest.mark.parametrize("field, value, other", [
+    ("log", "runs/t/data.json", "paths.dataset"),
+    ("metrics", "runs/t/ckpt.json", "paths.checkpoint"),
+    ("log", "runs/t/ckpt.json", "paths.checkpoint"),
+    ("checkpoint", "runs/t/data", "paths.dataset"),
+    ("metrics", "runs/t/log.jsonl", "paths.log"),
+    ("log", "runs/x/../t/ckpt.f32", "paths.checkpoint"),
+])
+def test_colliding_artifact_paths_rejected_at_load(tmp_path, field, value, other):
+    """The dataset pair, the checkpoint pair, log and metrics must be six
+    distinct files once resolved; the error names both fields."""
+    doc = valid_doc()
+    doc["paths"][field] = value
+    with pytest.raises(ConfigError) as info:
+        load_run_config(write_config(tmp_path, doc))
+    assert f"`{other}`" in str(info.value) and f"`paths.{field}`" in str(info.value)
 
 
 def test_missing_paths_named_in_field_order_under_any_hash_seed(tmp_path):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import unit_rows
 from oracles import topk_by_full_sort
-from tokmem.cluster import PseudoLabels
 from tokmem.encoder import image_feature, init_params
 from tokmem.linalg import finite_diff_grad, relative_error
 from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
-from tokmem.memory import build_instance_memory, compute_prototypes
+from tokmem.memory import compute_prototypes
 from tokmem.training import TrainConfig, train_step
 
 
@@ -222,12 +221,11 @@ def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     labels = np.asarray(labels, dtype=np.int64)
     patches = make_rng(35, 0).normal(size=(len(labels), 6, 3))
     params = init_params(4, 3, 2, seed=1)
-    mem = build_instance_memory(image_feature(params, patches),
-                                PseudoLabels(labels, int(labels.max()) + 1))
+    bank = image_feature(params, patches)
     batch = np.flatnonzero(labels >= 0)[:4]
     before = params.vec.copy()
-    step = train_step(cfg, params, patches[batch], batch, labels[batch], mem,
-                      compute_prototypes(mem), lr=0.1)
+    step = train_step(cfg, params, patches[batch], batch, bank, labels,
+                      compute_prototypes(bank, labels), lr=0.1)
     return step, params.vec - before
 
 

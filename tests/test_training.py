@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tokmem.training as training_mod
-from tokmem.cluster import PseudoLabels, dbscan
+from tokmem.cluster import dbscan
 from tokmem.encoder import EncoderParams, init_params
 from tokmem.errors import NumericError
 from tokmem.synth import SynthSpec, generate
@@ -27,32 +27,25 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
-def labels_of(values):
-    arr = np.asarray(values, dtype=np.int64)
-    positive = arr[arr >= 0]
-    c = int(positive.max()) + 1 if positive.size else 0
-    return PseudoLabels(labels=arr, num_clusters=c)
-
-
 def test_sample_batches_floor_division():
-    labels = labels_of([0] * 10 + [-1] * 3)
+    labels = np.array([0] * 10 + [-1] * 3)
     batches = sample_batches(labels, batch_size=4, seed=1, epoch=0)
     assert len(batches) == 2
     used = np.concatenate(batches)
     assert used.size == 8
     assert np.unique(used).size == 8
-    assert (labels.labels[used] >= 0).all()
+    assert (labels[used] >= 0).all()
 
 
 def test_sample_batches_skips_outliers():
-    labels = labels_of([0, -1, 0, -1, 0, 0, 1, 1])
+    labels = np.array([0, -1, 0, -1, 0, 0, 1, 1])
     batches = sample_batches(labels, batch_size=3, seed=5, epoch=2)
     for batch in batches:
-        assert (labels.labels[batch] >= 0).all()
+        assert (labels[batch] >= 0).all()
 
 
 def test_sample_batches_all_outliers_warns(caplog):
-    labels = labels_of([-1, -1, -1, -1])
+    labels = np.array([-1, -1, -1, -1])
     with caplog.at_level(logging.WARNING):
         batches = sample_batches(labels, batch_size=2, seed=1, epoch=4)
     assert batches == []
@@ -60,7 +53,7 @@ def test_sample_batches_all_outliers_warns(caplog):
 
 
 def test_sample_batches_deterministic():
-    labels = labels_of([0, 0, 1, 1, 0, 1, 2, 2, 2, 0])
+    labels = np.array([0, 0, 1, 1, 0, 1, 2, 2, 2, 0])
     a = sample_batches(labels, 3, seed=9, epoch=5)
     b = sample_batches(labels, 3, seed=9, epoch=5)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -171,7 +164,7 @@ def test_losses_read_snapshot_before_updates(monkeypatch):
 def test_step_runs_the_encoder_head_once(monkeypatch):
     """The backward reads the forward's record: one train_step evaluates
     the image-feature head once, for all anchors at once."""
-    from tokmem.memory import build_instance_memory, compute_prototypes
+    from tokmem.memory import compute_prototypes
 
     calls = []
     real = training_mod.encoder_mod._head
@@ -184,11 +177,11 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     ds = tiny_dataset()
     params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
     labels = np.repeat(np.arange(4), 6)
-    mem = build_instance_memory(encode_dataset(params, ds), labels_of(labels))
+    bank = encode_dataset(params, ds)
     batch = np.array([0, 7, 14, 21])
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
-    training_mod.train_step(cfg, params, ds.patches[batch], batch, labels[batch],
-                            mem, compute_prototypes(mem), lr=0.05)
+    training_mod.train_step(cfg, params, ds.patches[batch], batch, bank, labels,
+                            compute_prototypes(bank, labels), lr=0.05)
     assert len(calls) == 1
 
 
@@ -251,7 +244,8 @@ def _layout(name, rng, n):
 @pytest.mark.parametrize("name", ["mixed", "mixed_no_outliers", "fewer_than_k", "none"])
 def test_batched_step_matches_per_anchor_oracle(name):
     from oracles import encode_one, per_anchor_step
-    from tokmem.memory import build_instance_memory, compute_prototypes
+    from tokmem.linalg import normalize_rows
+    from tokmem.memory import compute_prototypes
 
     rng = np.random.Generator(np.random.Philox(key=np.array([55, len(name)],
                                                             dtype=np.uint64)))
@@ -266,15 +260,15 @@ def test_batched_step_matches_per_anchor_oracle(name):
     feats = np.stack([encode_one(params, x)[0] for x in patches])
 
     def fresh_state():
-        mem = build_instance_memory(feats, labels_of(labels))
-        return (EncoderParams.from_vector(params.vec, cfg.feature_dim, 5), mem,
-                compute_prototypes(mem))
+        bank = normalize_rows(feats)
+        return (EncoderParams.from_vector(params.vec, cfg.feature_dim, 5), bank,
+                compute_prototypes(bank, labels))
 
-    p_b, mem_b, protos_b = fresh_state()
-    step = training_mod.train_step(cfg, p_b, patches[batch], batch, labels[batch],
-                                   mem_b, protos_b, lr=0.05)
-    p_o, mem_o, protos_o = fresh_state()
-    rows = per_anchor_step(p_o, patches, batch, labels, mem_o, protos_o, cfg, lr=0.05)
+    p_b, bank_b, protos_b = fresh_state()
+    step = training_mod.train_step(cfg, p_b, patches[batch], batch, bank_b, labels,
+                                   protos_b, lr=0.05)
+    p_o, bank_o, protos_o = fresh_state()
+    rows = per_anchor_step(p_o, patches, batch, bank_o, labels, protos_o, cfg, lr=0.05)
 
     def close(a, b):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -287,7 +281,7 @@ def test_batched_step_matches_per_anchor_oracle(name):
     close(step.anchor, [0.0 if a is None else a for a in anc])
     np.testing.assert_array_equal(step.has_anchor, name != "none")
     close(p_b.vec, p_o.vec)
-    close(mem_b.features, mem_o.features)
+    close(bank_b, bank_o)
     close(protos_b, protos_o)
 
 
