@@ -15,6 +15,6 @@ from .losses import (LossOutput, patch_rate, select_constraint_tokens,
 from .memory import compute_prototypes, mine, momentum_update
 from .synth import (SynthDataset, SynthSpec, generate, load_dataset,
                     save_dataset, split_query_gallery)
-from .training import TrainConfig, TrainResult, encode_dataset, sample_batches, train
+from .training import TrainConfig, TrainResult, sample_batches, train
 
 __version__ = "0.1.0"

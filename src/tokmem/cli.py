@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,11 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
-    out = Path(args.out) if args.out else cfg.paths.dataset
+    if args.out:
+        cfg.paths.dataset = Path(args.out)
+    check_distinct_files(cfg.paths)
     ds = synth_mod.generate(cfg.data)
-    synth_mod.save_dataset(ds, out)
+    synth_mod.save_dataset(ds, cfg.paths.dataset)
     print(f"wrote {ds.num_samples} samples ({cfg.data.num_identities} identities) "
-          f"to {out}.json / {out}.f32")
+          f"to {cfg.paths.dataset}.json / {cfg.paths.dataset}.f32")
     return EXIT_OK
 
 
@@ -79,10 +82,12 @@ def _cmd_train(args) -> int:
     try:
         result = train_mod.train(cfg.train, ds)
     except NumericError as exc:
-        diag_path = Path(str(cfg.paths.log) + ".diag.json")
-        text = json.dumps(exc.diagnostics, indent=2, sort_keys=True) + "\n"
-        blobio.write_atomic([(diag_path, text.encode())])
-        print(f"error: {exc} (diagnostics in {diag_path})", file=sys.stderr)
+        # strict JSON: a non-finite float is written as "nan", "inf" or "-inf"
+        diag = {key: repr(value) if isinstance(value, float) and not math.isfinite(value)
+                else value for key, value in exc.diagnostics.items()}
+        text = json.dumps(diag, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        blobio.write_atomic([(cfg.paths.diagnostics, text.encode())])
+        print(f"error: {exc} (diagnostics in {cfg.paths.diagnostics})", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     log = "".join(json.dumps(record) + "\n" for record in result.log)
     encoder_mod.save_checkpoint(result.params, cfg.paths.checkpoint,

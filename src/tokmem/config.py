@@ -47,6 +47,11 @@ class RunPaths:
     log: Path
     metrics: Path
 
+    @property
+    def diagnostics(self) -> Path:
+        """Where ``train`` writes the diagnostics of a numeric failure."""
+        return Path(str(self.log) + ".diag.json")
+
 
 @dataclass
 class RunConfig:
@@ -99,12 +104,14 @@ def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> 
 
 
 def check_distinct_files(paths: RunPaths, per_query_csv: Path | None = None) -> None:
-    """ConfigError naming both fields unless the dataset pair, the checkpoint
-    pair, ``log``, ``metrics`` and ``per_query_csv`` (if given) are distinct
-    files (absolute, directories resolved): no artifact may replace another."""
+    """ConfigError naming both fields unless the dataset and checkpoint pairs,
+    ``log``, its ``diagnostics``, ``metrics`` and ``per_query_csv`` (if given)
+    are distinct files (absolute, directories resolved): no artifact may
+    replace another."""
     files = [(f"paths.{name}", path) for name in ("dataset", "checkpoint")
              for path in pair_paths(getattr(paths, name))]
-    files += [("paths.log", paths.log), ("paths.metrics", paths.metrics)]
+    files += [("paths.log", paths.log), ("<paths.log>.diag.json", paths.diagnostics),
+              ("paths.metrics", paths.metrics)]
     if per_query_csv is not None:
         files.append(("--per-query-csv", per_query_csv))
     seen: dict[str, str] = {}

@@ -33,41 +33,29 @@ __all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
 
 class EncoderParams:
     """The encoder weights as one float64 vector ``vec``, laid out as the
-    blocks w_patch (D, d_in), w_cls (D, d_in) and w_part (Z, D, d_in) in
-    this order, the checkpoint's. Each block attribute is a view of
-    ``vec``, so an in-place update of either updates both."""
+    blocks w_patch (D, d_in) and w_head (1 + Z, D, d_in) in this order, the
+    checkpoint's. Row 0 of w_head is the global head and rows 1..Z are the
+    part heads. Each block attribute is a view of ``vec``, so an in-place
+    update of either updates both."""
 
-    def __init__(self, w_patch, w_cls, w_part) -> None:
-        w_patch, w_cls, w_part = (np.asarray(w, dtype=np.float64)
-                                  for w in (w_patch, w_cls, w_part))
-        d, d_in = w_patch.shape
-        if d < 2:
+    def __init__(self, vec, feature_dim: int, patch_input_dim: int) -> None:
+        """Params whose ``vec`` is a copy of ``vec``; Z follows from its length."""
+        vec = np.array(vec, dtype=np.float64)
+        mat = feature_dim * patch_input_dim
+        if feature_dim < 2:
             raise ValueError("feature_dim must be >= 2")
-        if w_cls.shape != (d, d_in):
-            raise ValueError("w_cls shape does not match w_patch")
-        if w_part.ndim != 3 or w_part.shape[1:] != (d, d_in) or w_part.shape[0] < 1:
-            raise ValueError("w_part must be (Z, D, d_in) with Z >= 1")
-        self.vec = np.concatenate([w_patch.ravel(), w_cls.ravel(), w_part.ravel()])
-        self.w_patch, self.w_cls, self.w_part = self._blocks(self.vec, d, d_in)
-        for name in ("w_patch", "w_cls", "w_part"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} contains non-finite entries")
+        if vec.ndim != 1 or mat < 1 or vec.size % mat or vec.size < 3 * mat:
+            raise ValueError("parameter vector has the wrong length")
+        if not np.isfinite(vec).all():
+            raise ValueError("encoder weights contain non-finite entries")
+        self.vec = vec
+        self.w_patch, self.w_head = self._blocks(vec, feature_dim, patch_input_dim)
 
     @staticmethod
-    def _blocks(vec: np.ndarray, d: int, d_in: int) -> tuple[np.ndarray, ...]:
-        """(w_patch, w_cls, w_part) as views of a vector in this layout."""
+    def _blocks(vec: np.ndarray, d: int, d_in: int) -> tuple[np.ndarray, np.ndarray]:
+        """(w_patch, w_head) as views of a vector in this layout."""
         mat = d * d_in
-        return (vec[:mat].reshape(d, d_in), vec[mat:2 * mat].reshape(d, d_in),
-                vec[2 * mat:].reshape(-1, d, d_in))
-
-    @classmethod
-    def from_vector(cls, vec, feature_dim: int, patch_input_dim: int) -> "EncoderParams":
-        """Params whose ``vec`` is a copy of ``vec``; Z follows from its length."""
-        vec = np.asarray(vec, dtype=np.float64)
-        mat = feature_dim * patch_input_dim
-        if vec.ndim != 1 or mat < 1 or vec.size % mat:
-            raise ValueError("parameter vector has the wrong length")
-        return cls(*cls._blocks(vec, feature_dim, patch_input_dim))
+        return vec[:mat].reshape(d, d_in), vec[mat:].reshape(-1, d, d_in)
 
     @property
     def feature_dim(self) -> int:
@@ -79,7 +67,7 @@ class EncoderParams:
 
     @property
     def part_tokens(self) -> int:
-        return self.w_part.shape[0]
+        return len(self.w_head) - 1
 
 
 @dataclass
@@ -89,7 +77,7 @@ class EncodeOutput:
     patch_tokens: np.ndarray   # (..., I, D), unit rows
     patches: np.ndarray        # (..., I, d_in), the input
     pre_tokens: np.ndarray     # (..., I, D), the tokens before normalization
-    head: tuple                # _head's (feature before normalization, xbar, stripe means)
+    head: tuple                # _head's (feature before normalization, head input means)
 
 
 def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
@@ -100,7 +88,7 @@ def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
     rng = np.random.Generator(np.random.Philox(key=seed))
     std = 1.0 / np.sqrt(patch_input_dim)
     vec = std * rng.normal(size=(2 + part_tokens) * feature_dim * patch_input_dim)
-    return EncoderParams.from_vector(vec, feature_dim, patch_input_dim)
+    return EncoderParams(vec, feature_dim, patch_input_dim)
 
 
 def part_slices(num_patches: int, part_tokens: int) -> list[slice]:
@@ -120,18 +108,19 @@ def _check_patches(params: EncoderParams, patches: np.ndarray) -> np.ndarray:
     return patches
 
 
-def _head(params: EncoderParams,
-          patches: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The image feature before normalization, W_cls xbar + mean_z W_part[z] xbar_z,
-    with the patch mean xbar and the stripe means xbar_z it is made of."""
+def _head(params: EncoderParams, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image feature before normalization, W_head[0] xbar + mean_z W_head[z] xbar_z,
+    with the (1 + Z, ..., d_in) means it is made of: the patch mean xbar,
+    then the stripe means xbar_z."""
     z = params.part_tokens
-    xbar = patches.mean(axis=-2)
-    stripe_means = [patches[..., sl, :].mean(axis=-2)
-                    for sl in part_slices(patches.shape[-2], z)]
-    pre = xbar @ params.w_cls.T
-    for wz, sm in zip(params.w_part, stripe_means):
-        pre = pre + (sm @ wz.T) / z
-    return pre, xbar, stripe_means
+    means = np.empty((1 + z, *patches.shape[:-2], patches.shape[-1]))
+    patches.mean(axis=-2, out=means[0])
+    for h, sl in enumerate(part_slices(patches.shape[-2], z), start=1):
+        patches[..., sl, :].mean(axis=-2, out=means[h])
+    pre = means[0] @ params.w_head[0].T
+    for h in range(1, 1 + z):
+        pre = pre + (means[h] @ params.w_head[h].T) / z
+    return pre, means
 
 
 def image_feature(params: EncoderParams, patches: np.ndarray) -> np.ndarray:
@@ -143,7 +132,7 @@ def encode(params: EncoderParams, patches: np.ndarray) -> EncodeOutput:
     """Forward pass for (..., I, d_in) patch stacks; leading axes are a batch.
 
     tokens[i] = normalize(W_patch @ patches[i]);
-    f = normalize(W_cls @ mean(patches) + mean_z(W_part[z] @ stripe_mean_z)).
+    f = normalize(W_head[0] @ mean(patches) + mean_z(W_head[z] @ stripe_mean_z)).
     """
     patches = _check_patches(params, patches)
     head, pre_tokens = _head(params, patches), patches @ params.w_patch.T
@@ -167,9 +156,9 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
     params of the ``encode`` call that made ``out``, summed over its batch
     axes: one vector laid out like ``EncoderParams.vec``.
 
-    The batch sum is one reshaped matmul per parameter block, so its order
+    The batch sum is one reshaped matmul per weight matrix, so its order
     is fixed. The image feature does not depend on ``w_patch``, and the
-    tokens do not depend on the head matrices, so the two output gradients
+    tokens do not depend on ``w_head``, so the two output gradients
     touch disjoint parameter blocks.
     """
     grad_image_feature = np.asarray(grad_image_feature, dtype=np.float64)
@@ -178,20 +167,20 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
         raise ValueError(f"grad_image_feature must be {out.image_feature.shape}")
     if grad_tokens.shape != out.patch_tokens.shape:
         raise ValueError(f"grad_tokens must be {out.patch_tokens.shape}")
-    pre, xbar, stripe_means = out.head
-    d, d_in, z = pre.shape[-1], xbar.shape[-1], len(stripe_means)
-    grad = np.zeros((2 + z) * d * d_in)
-    g_w_patch, g_w_cls, g_w_part = EncoderParams._blocks(grad, d, d_in)
+    pre, means = out.head
+    d, d_in = pre.shape[-1], means.shape[-1]
+    grad = np.zeros((1 + len(means)) * d * d_in)
+    g_w_patch, g_w_head = EncoderParams._blocks(grad, d, d_in)
 
     # Token path: t_i = normalize(W_patch p_i).
     g_pre_tokens = _normalize_backward(grad_tokens, out.pre_tokens)
     g_w_patch[...] = g_pre_tokens.reshape(-1, d).T @ out.patches.reshape(-1, d_in)
 
-    # Image-feature path: f = normalize(W_cls xbar + mean_z W_part[z] xbar_z).
+    # Image-feature path: f = normalize(W_head[0] xbar + mean_z W_head[z] xbar_z).
     g_pre = _normalize_backward(grad_image_feature, pre).reshape(-1, d)
-    g_w_cls[...] = g_pre.T @ xbar.reshape(-1, d_in)
-    for g_wz, sm in zip(g_w_part, stripe_means):
-        g_wz[...] = g_pre.T @ sm.reshape(-1, d_in) / z
+    for h, mean in enumerate(means):
+        g_w_head[h] = g_pre.T @ mean.reshape(-1, d_in)
+    g_w_head[1:] /= len(means) - 1
     return grad
 
 
@@ -218,4 +207,4 @@ def load_checkpoint(prefix) -> EncoderParams:
     if len(blob) != 4 * count:
         raise DataFormatError(
             f"checkpoint blob has {len(blob)} bytes, expected {4 * count} from manifest dims")
-    return EncoderParams.from_vector(blobio.floats_from_bytes(blob, count), d, d_in)
+    return EncoderParams(blobio.floats_from_bytes(blob, count), d, d_in)

@@ -14,7 +14,7 @@ class DataFormatError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Training hit a non-finite value; carries a diagnostics dict."""
+    """Training hit a non-finite loss or unstorable weights; carries a diagnostics dict."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio
+from . import encoder as encoder_mod
 from . import synth as synth_mod
-from . import training as training_mod
 
 __all__ = ["RankingResult", "evaluate_retrieval", "evaluate_encoder", "metrics_dict",
            "write_metrics"]
@@ -71,7 +71,7 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
 def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> RankingResult:
     """Retrieval metrics of an encoder: encode every sample, then split and
     rank as ``eval_cfg`` (an ``EvalConfig``) says."""
-    features = training_mod.encode_dataset(params, dataset)
+    features = encoder_mod.image_feature(params, dataset.patches)
     query, gallery = synth_mod.split_query_gallery(
         dataset, eval_cfg.query_per_identity, eval_cfg.seed)
     return evaluate_retrieval(features[query], dataset.identities[query],

@@ -110,8 +110,7 @@ def _check_encoder(rng: np.random.Generator) -> float:
     analytic = encoder_mod.encode_backward(encoder_mod.encode(params, patches), g_f, g_t)
 
     def value_at(vec: np.ndarray) -> float:
-        p = encoder_mod.EncoderParams.from_vector(vec, d, d_in)
-        out = encoder_mod.encode(p, patches)
+        out = encoder_mod.encode(encoder_mod.EncoderParams(vec, d, d_in), patches)
         return float(np.sum(g_f * out.image_feature) + np.sum(g_t * out.patch_tokens))
 
     numeric = finite_diff_grad(value_at, params.vec, STEP)

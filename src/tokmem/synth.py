@@ -3,8 +3,9 @@
 Each identity gets a random unit anchor direction; every clean patch is
 that anchor plus Gaussian jitter, and each patch is independently
 replaced by an isotropic standard-Gaussian noise patch with probability
-``noise_patch_prob``. Noise patches deliberately share the anchors'
-coordinate scale so they genuinely distract the encoder.
+``noise_patch_prob``. A noise patch has norm about sqrt(d_in), 4 at the
+reference shape, a clean one about sqrt(1 + d_in * identity_spread**2),
+1.17 there: noise patches weigh far more in a plain patch mean.
 
 All randomness comes from numpy's Philox counter-based generator keyed
 by the spec seed, so a spec regenerates bit-identically on any platform.

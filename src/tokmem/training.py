@@ -38,7 +38,7 @@ from .linalg import normalize_rows
 from .synth import MAX_SEED, SynthDataset
 
 __all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
-           "sample_batches", "encode_dataset", "train", "train_step"]
+           "sample_batches", "train", "train_step"]
 
 logger = logging.getLogger(__name__)
 
@@ -117,12 +117,6 @@ def sample_batches(labels: np.ndarray, batch_size: int, seed: int,
     return [perm[b * batch_size:(b + 1) * batch_size] for b in range(num_batches)]
 
 
-def encode_dataset(params: encoder_mod.EncoderParams,
-                   dataset: SynthDataset) -> np.ndarray:
-    """Image features for every sample, (N, D)."""
-    return encoder_mod.image_feature(params, dataset.patches)
-
-
 def _check_dims(config: TrainConfig, dataset: SynthDataset) -> None:
     if config.batch_size > dataset.num_samples:
         raise ValueError(
@@ -138,11 +132,11 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
 
     Log record keys: epoch, mean_constraint, mean_proto, mean_anchor,
     mean_total, C (cluster count), outliers, lr. Loss means are null for
-    a skipped epoch (not enough clustered samples).
+    a skipped epoch (not enough clustered samples). Raises NumericError on
+    a non-finite loss, and after an epoch that leaves a weight no float32
+    checkpoint can store.
     """
     config.validate()
-    if dataset.num_samples == 0:
-        raise ValueError("dataset is empty")
     _check_dims(config, dataset)
 
     params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
@@ -150,7 +144,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     log: list[dict] = []
     for epoch in range(config.epochs):
         lr = learning_rate(config, epoch)
-        features = encode_dataset(params, dataset)
+        features = encoder_mod.image_feature(params, dataset.patches)
         labels = cluster_mod.dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
         record = {
             "epoch": epoch,
@@ -183,6 +177,10 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
             for key in sums:
                 sums[key] += float(getattr(step, key).sum())
             anchor_count += int(step.has_anchor.sum())
+        largest = float(np.abs(params.vec).max())
+        if not largest <= float(np.finfo(np.float32).max):  # NaN fails too
+            raise NumericError(f"weights beyond float32 range at epoch {epoch}",
+                               {"epoch": epoch, "lr": lr, "max_abs_weight": largest})
 
         sample_count = len(batches) * config.batch_size
         record["mean_constraint"] = sums["constraint"] / sample_count

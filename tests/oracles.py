@@ -133,23 +133,27 @@ def sequential_momentum(bank, index, features, momentum):
         bank[slot] = normalize_rows(momentum * bank[slot] + (1.0 - momentum) * f)
 
 
+def _stripe_means(patches, z):
+    """Means of Z contiguous stripes of I // Z patches each; the last
+    stripe also takes the I % Z remainder patches."""
+    size = patches.shape[0] // z
+    starts = [k * size for k in range(z)] + [patches.shape[0]]
+    return [patches[starts[k]:starts[k + 1]].mean(axis=0) for k in range(z)]
+
+
 def encode_one(params, patches):
     """(image feature, tokens) of one (I, d_in) patch stack."""
-    from tokmem.encoder import part_slices
-
     z = params.part_tokens
     pre_tokens = patches @ params.w_patch.T
     tokens = pre_tokens / np.linalg.norm(pre_tokens, axis=1, keepdims=True)
-    pre = params.w_cls @ patches.mean(axis=0)
-    for wz, sl in zip(params.w_part, part_slices(patches.shape[0], z)):
-        pre = pre + (wz @ patches[sl].mean(axis=0)) / z
+    pre = params.w_head[0] @ patches.mean(axis=0)
+    for wz, sm in zip(params.w_head[1:], _stripe_means(patches, z)):
+        pre = pre + (wz @ sm) / z
     return _unit(pre), tokens
 
 
 def encode_backward_one(params, patches, g_f, g_t):
-    """(g_w_patch, g_w_cls, g_w_part) of <g_f, f> + sum_i <g_t[i], t_i>."""
-    from tokmem.encoder import part_slices
-
+    """(g_w_patch, g_w_head) of <g_f, f> + sum_i <g_t[i], t_i>."""
     z = params.part_tokens
     pre_tokens = patches @ params.w_patch.T
     norms = np.linalg.norm(pre_tokens, axis=1, keepdims=True)
@@ -158,15 +162,15 @@ def encode_backward_one(params, patches, g_f, g_t):
     g_w_patch = ((g_t - proj * units) / norms).T @ patches
 
     xbar = patches.mean(axis=0)
-    stripes = [patches[sl].mean(axis=0) for sl in part_slices(patches.shape[0], z)]
-    pre = params.w_cls @ xbar
-    for wz, sm in zip(params.w_part, stripes):
+    stripes = _stripe_means(patches, z)
+    pre = params.w_head[0] @ xbar
+    for wz, sm in zip(params.w_head[1:], stripes):
         pre = pre + (wz @ sm) / z
     norm = np.linalg.norm(pre)
     unit = pre / norm
     g_pre = (g_f - np.dot(g_f, unit) * unit) / norm
-    return (g_w_patch, np.outer(g_pre, xbar),
-            np.stack([np.outer(g_pre, sm) / z for sm in stripes]))
+    return g_w_patch, np.stack([np.outer(g_pre, xbar)]
+                               + [np.outer(g_pre, sm) / z for sm in stripes])
 
 
 def softmax_ce_one(sims, target, temperature):
@@ -191,8 +195,7 @@ def per_anchor_step(params, patches, batch, bank, bank_labels, protos, config, l
     wc, wp, wa = (config.weight_constraint, config.weight_prototype,
                   config.weight_anchor)
     g_patch = np.zeros_like(params.w_patch)
-    g_cls = np.zeros_like(params.w_cls)
-    g_part = np.zeros_like(params.w_part)
+    g_head = np.zeros_like(params.w_head)
     feats, rows = [], []
     for n in batch:
         x = patches[n]
@@ -229,10 +232,9 @@ def per_anchor_step(params, patches, batch, bank, bank_labels, protos, config, l
         total = wc * con + wp * pro + (0.0 if anc is None else wa * anc)
         rows.append((con, pro, anc, total))
 
-        gp, gc, gz = encode_backward_one(params, x, grad_f, grad_tokens)
+        gp, gh = encode_backward_one(params, x, grad_f, grad_tokens)
         g_patch += gp
-        g_cls += gc
-        g_part += gz
+        g_head += gh
 
     for n, f in zip(batch, feats):
         m = config.momentum
@@ -241,8 +243,7 @@ def per_anchor_step(params, patches, batch, bank, bank_labels, protos, config, l
         bank[n] = _unit(m * bank[n] + (1 - m) * f)
     scale = lr / len(batch)
     params.w_patch -= scale * g_patch
-    params.w_cls -= scale * g_cls
-    params.w_part -= scale * g_part
+    params.w_head -= scale * g_head
     return rows
 
 

@@ -510,6 +510,60 @@ def test_train_numeric_failure_exits_3_with_diagnostics(tmp_path, capsys, monkey
     assert diag["epoch"] == 0
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("train_override, message", [
+    ({"lr": 1e40}, "float32"), ({"temperature": 1e-320}, "non-finite loss")])
+def test_diverged_training_exits_3_with_strict_json_diagnostics(tmp_path, capsys,
+                                                                train_override, message):
+    cfg = write_config(tmp_path, train=train_override)
+    main(["gen-data", "--config", str(cfg)])
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg)]) == 3
+    assert message in capsys.readouterr().err
+    run = tmp_path / "run"
+    assert not (run / "ckpt.json").exists() and not (run / "ckpt.f32").exists()
+    diag = json.loads((run / "log.jsonl.diag.json").read_text(),
+                      parse_constant=_refuse_constant)
+    assert diag["epoch"] == 0
+
+
+def test_gen_data_out_onto_an_artifact_exits_2_and_keeps_files(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    run = tmp_path / "run"
+    before = run_files(run)
+    capsys.readouterr()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(run / "ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "`paths.dataset` and `paths.checkpoint`" in err
+    assert len(err.strip().splitlines()) == 1
+    assert run_files(run) == before
+
+
+def test_dataset_at_the_diagnostics_path_exits_2_and_keeps_files(tmp_path, capsys):
+    """A failing train would write its diagnostics over a dataset manifest
+    at ``<log>.diag.json``; the config is refused before training."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    run = tmp_path / "run"
+    for suffix in (".json", ".f32"):
+        (run / f"log.jsonl.diag{suffix}").write_bytes((run / f"data{suffix}").read_bytes())
+    before = run_files(run)
+    capsys.readouterr()
+    write_config(tmp_path, train={"temperature": 1e-320},
+                 paths={"dataset": str(run / "log.jsonl.diag")})
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "`paths.dataset` and `<paths.log>.diag.json`" in err
+    assert len(err.strip().splitlines()) == 1
+    assert run_files(run) == before
+
+
 def test_gradcheck_passes_and_reports(tmp_path, capsys):
     assert main(["gradcheck", "--seed", "1", "--trials", "3"]) == 0
     out = capsys.readouterr().out

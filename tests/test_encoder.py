@@ -12,15 +12,13 @@ def test_init_deterministic():
     a = init_params(4, 8, 3, seed=11)
     b = init_params(4, 8, 3, seed=11)
     np.testing.assert_array_equal(a.w_patch, b.w_patch)
-    np.testing.assert_array_equal(a.w_cls, b.w_cls)
-    np.testing.assert_array_equal(a.w_part, b.w_part)
+    np.testing.assert_array_equal(a.w_head, b.w_head)
 
 
 def test_init_shapes():
     p = init_params(4, 8, 3, seed=0)
     assert p.w_patch.shape == (4, 8)
-    assert p.w_cls.shape == (4, 8)
-    assert p.w_part.shape == (3, 4, 8)
+    assert p.w_head.shape == (1 + 3, 4, 8)
 
 
 def test_init_entry_variance_matches_fan_in():
@@ -35,55 +33,60 @@ def test_init_entry_variance_matches_fan_in():
                                            (5, 7, 2, 2**64 - 1)])
 def test_init_is_three_block_draws_in_layout_order(d, d_in, z, seed):
     """One draw of the whole vector equals the three block draws in
-    w_patch, w_cls, w_part order, bit for bit."""
+    w_patch, global head, part heads order, bit for bit."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     std = 1.0 / np.sqrt(d_in)
     blocks = [std * rng.normal(size=(d, d_in)), std * rng.normal(size=(d, d_in)),
               std * rng.normal(size=(z, d, d_in))]
     p = init_params(d, d_in, z, seed)
-    for name, block in zip(("w_patch", "w_cls", "w_part"), blocks):
-        np.testing.assert_array_equal(getattr(p, name), block)
+    for view, block in zip((p.w_patch, p.w_head[0], p.w_head[1:]), blocks):
+        np.testing.assert_array_equal(view, block)
     np.testing.assert_array_equal(p.vec, np.concatenate([b.ravel() for b in blocks]))
 
 
 def test_blocks_are_views_of_the_vector():
     p = init_params(4, 6, 3, seed=1)
     assert p.vec.shape == ((2 + 3) * 4 * 6,)
-    for block in (p.w_patch, p.w_cls, p.w_part):
+    for block in (p.w_patch, p.w_head):
         assert np.shares_memory(block, p.vec)
     before = p.vec.copy()
-    p.w_part[1] -= 1.0  # w_part[1] is the fourth block of 24 entries
+    p.w_head[2] -= 1.0  # the second part head is the fourth block of 24 entries
     np.testing.assert_array_equal(np.flatnonzero(p.vec != before), np.arange(72, 96))
     p.vec[:] = 0.0
-    assert not p.w_patch.any() and not p.w_cls.any() and not p.w_part.any()
+    assert not p.w_patch.any() and not p.w_head.any()
 
 
-def test_from_vector_copies_and_round_trips():
+def test_constructor_copies_and_round_trips():
     p = init_params(4, 6, 3, seed=1)
     vec = p.vec.copy()
-    q = EncoderParams.from_vector(vec, 4, 6)
+    q = EncoderParams(vec, 4, 6)
     assert not np.shares_memory(q.vec, vec)
     np.testing.assert_array_equal(q.vec, vec)
     assert (q.feature_dim, q.patch_input_dim, q.part_tokens) == (4, 6, 3)
-    for name in ("w_patch", "w_cls", "w_part"):
+    for name in ("w_patch", "w_head"):
         np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
     vec[:] = 0.0
     np.testing.assert_array_equal(q.vec, p.vec)
-    built = EncoderParams(p.w_patch, p.w_cls, p.w_part)
-    assert not np.shares_memory(built.vec, p.vec)
-    np.testing.assert_array_equal(built.vec, p.vec)
 
 
-@pytest.mark.parametrize("size,d,d_in", [(5 * 24 + 1, 4, 6), (2 * 24, 4, 6),
+@pytest.mark.parametrize("size,d,d_in", [(5 * 24 + 1, 4, 6), (2 * 24, 4, 6), (24, 4, 6),
                                          (3 * 6, 1, 6), (10, 0, 6)])
-def test_from_vector_rejects_bad_layout(size, d, d_in):
+def test_constructor_rejects_bad_layout(size, d, d_in):
     with pytest.raises(ValueError):
-        EncoderParams.from_vector(np.zeros(size), d, d_in)
+        EncoderParams(np.zeros(size), d, d_in)
+
+
+@pytest.mark.parametrize("at,value", [(0, np.nan), (30, np.inf), (119, -np.inf)])
+def test_constructor_rejects_non_finite_entries(at, value):
+    vec = init_params(4, 6, 3, seed=1).vec
+    vec[at] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        EncoderParams(vec, 4, 6)
 
 
 def test_identity_projection_passes_patch_through():
     eye = np.eye(3)
-    params = EncoderParams(w_patch=eye, w_cls=eye, w_part=eye[None, :, :])
+    params = EncoderParams(np.tile(eye.ravel(), 3), 3, 3)
     patch = np.array([[1.0, 0.0, 0.0]])
     out = encode(params, patch)
     np.testing.assert_allclose(out.patch_tokens[0], [1.0, 0.0, 0.0], atol=1e-15)
@@ -91,7 +94,7 @@ def test_identity_projection_passes_patch_through():
 
 def test_equal_patches_identity_heads_gives_patch_direction():
     eye = np.eye(3)
-    params = EncoderParams(w_patch=eye, w_cls=eye, w_part=np.stack([eye, eye]))
+    params = EncoderParams(np.tile(eye.ravel(), 4), 3, 3)
     p = np.array([2.0, 1.0, -1.0])
     out = encode(params, np.tile(p, (6, 1)))
     # stripe means all equal p, so the pre-normalization feature is 2p
@@ -113,8 +116,8 @@ def test_encode_matches_straight_line_reevaluation(rng):
 
     xbar = sum(patches[i] for i in range(num_patches)) / num_patches
     groups = [patches[0:2], patches[2:4], patches[4:6]]
-    pre = params.w_cls @ xbar
-    for wz, grp in zip(params.w_part, groups):
+    pre = params.w_head[0] @ xbar
+    for wz, grp in zip(params.w_head[1:], groups):
         pre = pre + wz @ (grp.sum(axis=0) / len(grp)) / z
     np.testing.assert_allclose(out.image_feature, pre / np.linalg.norm(pre),
                                atol=1e-12)
@@ -144,7 +147,7 @@ def grad_blocks(params, patches, g_f, g_t):
     """``encode_backward``'s vector, viewed as blocks laid out like ``params``."""
     grad = encode_backward(encode(params, patches), g_f, g_t)
     assert grad.shape == params.vec.shape
-    return EncoderParams.from_vector(grad, params.feature_dim, params.patch_input_dim)
+    return EncoderParams(grad, params.feature_dim, params.patch_input_dim)
 
 
 def test_backward_zero_grads_give_zero(rng):
@@ -159,7 +162,7 @@ def test_backward_image_grad_never_touches_patch_projection(rng):
     patches = rng.normal(size=(5, 6))
     grads = grad_blocks(params, patches, rng.normal(size=4), np.zeros((5, 4)))
     assert not grads.w_patch.any()
-    assert grads.w_cls.any()
+    assert grads.w_head[0].any()
 
 
 def test_backward_token_grad_never_touches_heads(rng):
@@ -167,8 +170,8 @@ def test_backward_token_grad_never_touches_heads(rng):
     patches = rng.normal(size=(5, 6))
     grads = grad_blocks(params, patches, np.zeros(4), rng.normal(size=(5, 4)))
     assert grads.w_patch.any()
-    assert not grads.w_cls.any()
-    assert not grads.w_part.any()
+    assert not grads.w_head[0].any()
+    assert not grads.w_head[1:].any()
 
 
 def test_backward_shape_mismatch_rejected(rng):
@@ -196,7 +199,7 @@ def test_backward_matches_finite_differences(trial):
     analytic = encode_backward(encode(params, patches), g_f, g_t)
 
     def value_at(vec):
-        out = encode(EncoderParams.from_vector(vec, d, d_in), patches)
+        out = encode(EncoderParams(vec, d, d_in), patches)
         return float(g_f @ out.image_feature + np.sum(g_t * out.patch_tokens))
 
     numeric = finite_diff_grad(value_at, params.vec, h=1e-5)

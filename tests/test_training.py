@@ -5,11 +5,10 @@ import pytest
 
 import tokmem.training as training_mod
 from tokmem.cluster import dbscan
-from tokmem.encoder import EncoderParams, init_params
+from tokmem.encoder import EncoderParams, image_feature, init_params
 from tokmem.errors import NumericError
 from tokmem.synth import SynthSpec, generate
-from tokmem.training import (TrainConfig, encode_dataset, learning_rate,
-                             sample_batches, train)
+from tokmem.training import TrainConfig, learning_rate, sample_batches, train
 
 
 def tiny_dataset(seed=3, num_identities=4, spi=6, noise=0.1):
@@ -177,7 +176,7 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     ds = tiny_dataset()
     params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
     labels = np.repeat(np.arange(4), 6)
-    bank = encode_dataset(params, ds)
+    bank = image_feature(params, ds.patches)
     batch = np.array([0, 7, 14, 21])
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
     training_mod.train_step(cfg, params, ds.patches[batch], batch, bank, labels,
@@ -199,12 +198,23 @@ def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
     with pytest.raises(NumericError) as info:
         train(cfg, ds)
     fresh = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
-    plabels = dbscan(encode_dataset(fresh, ds), cfg.dbscan_eps, cfg.dbscan_min_pts)
+    plabels = dbscan(image_feature(fresh, ds.patches), cfg.dbscan_eps, cfg.dbscan_min_pts)
     first_batch = sample_batches(plabels, cfg.batch_size, cfg.seed, 0)[0]
     diagnostics = info.value.diagnostics
     assert diagnostics["epoch"] == 0
     assert diagnostics["iteration"] == 0
     assert diagnostics["sample"] == int(first_batch[1])
+
+
+@pytest.mark.parametrize("lr", [1e40, 1e200])
+def test_weights_beyond_float32_range_abort_training(lr):
+    """An epoch whose steps leave a weight no float32 checkpoint can hold
+    raises, naming the epoch, the lr and the largest |weight|."""
+    with pytest.raises(NumericError, match="float32") as info:
+        train(tiny_config(lr=lr), tiny_dataset())
+    diagnostics = info.value.diagnostics
+    assert (diagnostics["epoch"], diagnostics["lr"]) == (0, lr)
+    assert not diagnostics["max_abs_weight"] <= float(np.finfo(np.float32).max)
 
 
 def test_loss_decreases_on_easy_task():
@@ -261,7 +271,7 @@ def test_batched_step_matches_per_anchor_oracle(name):
 
     def fresh_state():
         bank = normalize_rows(feats)
-        return (EncoderParams.from_vector(params.vec, cfg.feature_dim, 5), bank,
+        return (EncoderParams(params.vec, cfg.feature_dim, 5), bank,
                 compute_prototypes(bank, labels))
 
     p_b, bank_b, protos_b = fresh_state()
