@@ -1,9 +1,13 @@
 """Retrieval evaluation: mean average precision and CMC rank-k curves.
 
-Each query ranks the whole gallery by descending dot-product similarity
-(ties to the lower index). Average precision is the plain uninterpolated
-form; queries with zero gallery positives are excluded from both metrics
-and reported, never silently counted as zero.
+Each query ranks the whole gallery by descending dot-product similarity,
+ties to the lower gallery index. Only the places of the gallery
+positives are computed: a positive's 0-based place is the number of
+gallery items with a higher similarity, read from one value sort of the
+query's similarity row, plus, only where its value is tied, the number
+of equal similarities at a lower gallery index. Average precision is the
+plain uninterpolated form; queries with zero gallery positives are
+excluded from both metrics and reported, never silently counted as zero.
 """
 
 from __future__ import annotations
@@ -34,30 +38,41 @@ class RankingResult:
 def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
                        gallery_features: np.ndarray, gallery_ids: np.ndarray,
                        k_max: int) -> RankingResult:
-    """Rank the gallery for all queries in one ``(Q, G)`` pass; AP and CMC are
-    read from the match positions, so no other ``(Q, G)`` float array exists."""
+    """Score all queries in one ``(Q, G)`` similarity pass; AP and CMC are
+    read from the places of the positives, so the gallery is never argsorted."""
     query_features = np.asarray(query_features, dtype=np.float64)
     gallery_features = np.asarray(gallery_features, dtype=np.float64)
     query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
     if gallery_features.ndim != 2 or gallery_features.shape[0] < 1:
         raise ValueError("gallery must be a non-empty (G, D) array")
+    dim = gallery_features.shape[1]
+    if query_features.ndim != 2 or query_features.shape[1] != dim:
+        raise ValueError(f"query features must be a (Q, {dim}) array like the gallery's, "
+                         f"got shape {query_features.shape}")
     num_q, num_g = len(query_features), len(gallery_features)
+    if query_ids.shape != (num_q,) or gallery_ids.shape != (num_g,):
+        raise ValueError(f"ids must be one per feature row: shapes {query_ids.shape} and "
+                         f"{gallery_ids.shape} for {num_q} queries and {num_g} gallery items")
+    if not (np.isfinite(query_features).all() and np.isfinite(gallery_features).all()):
+        raise ValueError("query and gallery features must be finite")
     if not 1 <= k_max <= num_g:
         raise ValueError(f"k_max must be in [1, {num_g}]")
-    order = np.argsort(-(query_features @ gallery_features.T), axis=1, kind="stable")
-    matches = gallery_ids[order] == query_ids[:, None]
+    sims = query_features @ gallery_features.T
+    matches = gallery_ids == query_ids[:, None]
     positives = matches.sum(axis=1)
     valid = positives > 0
     if not valid.any():
         raise ValueError("every query lacks gallery positives")
-    # Row-major match positions: a match's hit count is its place in its row.
     rows, cols = np.nonzero(matches)
+    del matches  # freed before the value sort: two (Q, G) floats at the peak
     row_start = np.cumsum(positives) - positives
+    places = _positive_places(sims, rows, cols, row_start, positives)
+    # a positive's hit count is its index among its row's ascending places
     hits = np.arange(1, len(rows) + 1) - row_start[rows]
-    precision_sums = np.bincount(rows, weights=hits / (cols + 1), minlength=num_q)
+    precision_sums = np.bincount(rows, weights=hits / (places + 1), minlength=num_q)
     per_query_ap = np.full(num_q, np.nan)
     per_query_ap[valid] = precision_sums[valid] / positives[valid]
-    first = cols[row_start[valid]]  # 0-based rank of each valid query's first match
+    first = places[row_start[valid]]  # 0-based rank of each valid query's first match
     cmc = np.cumsum(np.bincount(first[first < k_max], minlength=k_max)) / valid.sum()
     return RankingResult(
         per_query_ap=per_query_ap,
@@ -66,6 +81,34 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
         num_queries=int(valid.sum()),
         excluded_queries=int(num_q - valid.sum()),
     )
+
+
+def _positive_places(sims, rows, cols, row_start, positives):
+    """0-based ranking places of the positives ``(rows, cols)`` of ``sims``,
+    given row-major, sorted within each row.
+
+    The place of the positive at column c with similarity s is
+    ``#{s' > s} + #{c' < c : s' == s}``. The first term is ``G`` minus the
+    right insertion point of s in the value-sorted row; the second is
+    counted in the unsorted row, and only where s is tied."""
+    num_g = sims.shape[1]
+    keys = sims[rows, cols]
+    ordered = np.sort(sims, axis=1)
+    if not np.isfinite(ordered[:, [0, -1]]).all():  # sort puts NaN last
+        raise ValueError("query-gallery similarities overflow the float range")
+    right = np.empty(len(rows), dtype=np.int64)
+    query = np.flatnonzero(positives)
+    bounds = zip(query.tolist(), row_start[query].tolist(),
+                 (row_start + positives)[query].tolist())
+    for q, start, stop in bounds:
+        right[start:stop] = np.searchsorted(ordered[q], keys[start:stop], side="right")
+    places = num_g - right
+    # right - 1 is the last copy of the value; a copy before it means a tie
+    tied = np.flatnonzero((right >= 2) & (ordered[rows, right - 2] == keys))
+    for i in tied:
+        places[i] += np.count_nonzero(sims[rows[i], :cols[i]] == keys[i])
+    offset = rows * num_g
+    return np.sort(offset + places) - offset
 
 
 def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> RankingResult:

@@ -103,10 +103,12 @@ def split_query_gallery(ds: SynthDataset, query_per_identity: int,
         raise ValueError(
             f"query_per_identity must be in [1, {spi - 1}], got {query_per_identity}")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    # identity k's sample indices, ascending: order[bounds[k]:bounds[k + 1]]
+    order = np.argsort(ds.identities, kind="stable")
+    bounds = np.searchsorted(ds.identities[order], np.arange(ds.spec.num_identities + 1))
     query: list[np.ndarray] = []
     for k in range(ds.spec.num_identities):
-        idx = np.flatnonzero(ds.identities == k)
-        perm = rng.permutation(idx)
+        perm = rng.permutation(order[bounds[k]:bounds[k + 1]])
         query.append(perm[:query_per_identity])
     query_idx = np.sort(np.concatenate(query))
     mask = np.ones(ds.num_samples, dtype=bool)

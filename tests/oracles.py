@@ -109,6 +109,31 @@ def cmc_oracle(all_ranked_ids, query_ids, k_max):
     return totals / valid if valid else None
 
 
+def retrieval_by_stable_argsort(query_features, query_ids, gallery_features,
+                                gallery_ids, k_max):
+    """(per_query_ap, cmc, mean_ap) from a full stable argsort of every row
+    of ``-(Q @ G.T)``, reading AP and CMC from the match positions in the
+    sorted rows; ``None`` when no query has a gallery positive. This is the
+    ranking that counting the places of the positives alone replaces."""
+    sims = (np.asarray(query_features, dtype=np.float64)
+            @ np.asarray(gallery_features, dtype=np.float64).T)
+    order = np.argsort(-sims, axis=1, kind="stable")
+    matches = np.asarray(gallery_ids)[order] == np.asarray(query_ids)[:, None]
+    positives = matches.sum(axis=1)
+    valid = positives > 0
+    if not valid.any():
+        return None
+    rows, cols = np.nonzero(matches)
+    row_start = np.cumsum(positives) - positives
+    hits = np.arange(1, len(rows) + 1) - row_start[rows]
+    precision_sums = np.bincount(rows, weights=hits / (cols + 1), minlength=len(sims))
+    per_query_ap = np.full(len(sims), np.nan)
+    per_query_ap[valid] = precision_sums[valid] / positives[valid]
+    first = cols[row_start[valid]]
+    cmc = np.cumsum(np.bincount(first[first < k_max], minlength=k_max)) / valid.sum()
+    return per_query_ap, cmc, float(per_query_ap[valid].mean())
+
+
 # ------------------------------------------------ per-anchor training step
 #
 # The training step as it ran before it was batched: one encode, token

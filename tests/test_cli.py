@@ -1,7 +1,10 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +532,25 @@ def test_diverged_training_exits_3_with_strict_json_diagnostics(tmp_path, capsys
     diag = json.loads((run / "log.jsonl.diag.json").read_text(),
                       parse_constant=_refuse_constant)
     assert diag["epoch"] == 0
+
+
+@pytest.mark.parametrize("train_override", [{"temperature": 1e-320}, {"lr": 1e200}])
+def test_numeric_failure_is_one_stderr_line(tmp_path, train_override):
+    """A diverging reference run prints its one-line error and no numpy
+    warnings; a separate process, so that stderr is what a user sees."""
+    repo = Path(__file__).resolve().parent.parent
+    doc = json.loads((repo / "configs" / "reference.json").read_text())
+    doc["train"].update(train_override)
+    doc["paths"] = {name: str(tmp_path / name)
+                    for name in ("dataset", "checkpoint", "log", "metrics")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(config)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tokmem.cli", "train", "--config",
+                           str(config)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_gen_data_out_onto_an_artifact_exits_2_and_keeps_files(tmp_path, capsys):

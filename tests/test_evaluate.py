@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import features_ranking_as, observed_rankings, unit_rows
-from oracles import average_precision_oracle, cmc_oracle, topk_by_full_sort
+from oracles import (average_precision_oracle, cmc_oracle, retrieval_by_stable_argsort,
+                     topk_by_full_sort)
 from tokmem.evaluate import evaluate_retrieval, metrics_dict, write_metrics
 
 
@@ -65,6 +68,86 @@ def test_rank_matches_full_sort_oracle(trial):
                                                             dtype=np.uint64)))
     q, g = gallery_with_sims(rng.uniform(-1, 1, size=100))
     np.testing.assert_array_equal(rank(q, g), topk_by_full_sort(g @ q, 100))
+
+
+def test_nonfinite_features_rejected():
+    q, g = gallery_with_sims([0.2, 0.9, 0.5])
+    bad_g = g.copy()
+    bad_g[1, 0] = np.inf
+    for query, gallery in ((np.array([[np.nan, 0.0]]), g), (q[None], bad_g)):
+        with pytest.raises(ValueError, match="features must be finite"):
+            evaluate_retrieval(query, np.zeros(1), gallery, np.zeros(3), k_max=1)
+
+
+def test_overflowing_similarities_rejected():
+    """Finite features whose dot products overflow have no order to rank."""
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="similarities overflow the float range"):
+            evaluate_retrieval(np.array([[1e200]]), np.zeros(1),
+                               np.array([[1e200], [1.0]]), np.zeros(2), k_max=1)
+
+
+@pytest.mark.parametrize("num_query_ids, num_gallery_ids", [(2, 3), (1, 2), (1, 4)])
+def test_id_count_must_match_feature_rows(num_query_ids, num_gallery_ids):
+    q, g = gallery_with_sims([0.2, 0.9, 0.5])
+    with pytest.raises(ValueError, match="ids must be one per feature row"):
+        evaluate_retrieval(q[None], np.zeros(num_query_ids), g, np.zeros(num_gallery_ids),
+                           k_max=1)
+
+
+@pytest.mark.parametrize("query", [np.zeros((1, 3)), np.zeros(2), np.zeros((1, 1))])
+def test_query_gallery_dims_must_match(query):
+    _, g = gallery_with_sims([0.2, 0.9, 0.5])
+    with pytest.raises(ValueError, match=r"query features must be a \(Q, 2\) array"):
+        evaluate_retrieval(query, np.zeros(1), g, np.zeros(3), k_max=1)
+
+
+def _retrieval_case(kind, rng):
+    """(query, query_ids, gallery, gallery_ids) of one kind of input."""
+    num_q, num_g = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+    num_ids = int(rng.integers(1, 6))
+    query_ids = rng.integers(0, num_ids + 2, num_q)  # ids >= num_ids: no positive
+    gallery_ids = rng.integers(0, num_ids, num_g)
+    if kind == "unit":
+        return unit_rows(rng, num_q, 4), query_ids, unit_rows(rng, num_g, 4), gallery_ids
+    if kind == "integer":  # integer scores in [-12, 12]: most of a row ties
+        return (rng.integers(-2, 3, (num_q, 3)).astype(float), query_ids,
+                rng.integers(-2, 3, (num_g, 3)).astype(float), gallery_ids)
+    if kind == "duplicate_gallery":
+        base = unit_rows(rng, 3, 4)
+        return (unit_rows(rng, num_q, 4), query_ids, base[rng.integers(0, 3, num_g)],
+                gallery_ids)
+    if kind == "signed_zero":
+        # entries -1, -0.0, +0.0, 1: zero similarities from products of
+        # signed zeros, of whichever sign the matmul sums them to
+        values = np.array([-1.0, -0.0, 0.0, 1.0])
+        return (values[rng.integers(0, 4, (num_q, 2))], query_ids,
+                values[rng.integers(0, 4, (num_g, 2))], gallery_ids)
+    # single positive: every gallery id distinct
+    return (unit_rows(rng, num_q, 4), rng.integers(0, num_g + 2, num_q),
+            unit_rows(rng, num_g, 4), rng.permutation(num_g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["unit", "integer", "duplicate_gallery", "signed_zero",
+                             "single_positive"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_metrics_bit_equal_stable_argsort_oracle(kind, seed):
+    """AP (NaN positions included), CMC and mAP equal, bit for bit, those of
+    a full stable argsort of every similarity row."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    query, query_ids, gallery, gallery_ids = _retrieval_case(kind, rng)
+    k_max = int(rng.integers(1, len(gallery) + 1))
+    expected = retrieval_by_stable_argsort(query, query_ids, gallery, gallery_ids, k_max)
+    if expected is None:
+        with pytest.raises(ValueError, match="every query lacks gallery positives"):
+            evaluate_retrieval(query, query_ids, gallery, gallery_ids, k_max)
+        return
+    result = evaluate_retrieval(query, query_ids, gallery, gallery_ids, k_max)
+    ap, cmc, mean_ap = expected
+    assert result.per_query_ap.tobytes() == ap.tobytes()
+    assert result.cmc.tobytes() == cmc.tobytes()
+    assert result.mean_ap == mean_ap
 
 
 def test_ap_worked_example():
@@ -169,7 +252,8 @@ def test_excluded_queries_counted(rng):
 
 def test_peak_memory_is_about_two_query_gallery_arrays(rng):
     """Evaluation holds about two (Q, G) 8-byte arrays at a time, the
-    similarities and their argsort: no float cumsum or precision matrix."""
+    similarities and their value-sorted copy: no float cumsum or precision
+    matrix."""
     num_q, num_g = 400, 3000
     queries, gallery = unit_rows(rng, num_q, 16), unit_rows(rng, num_g, 16)
     query_ids, gallery_ids = rng.integers(0, 100, num_q), rng.integers(0, 100, num_g)

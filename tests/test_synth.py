@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokmem.errors import DataFormatError
-from tokmem.synth import (SynthSpec, generate, load_dataset, save_dataset,
+from tokmem.synth import (SynthDataset, SynthSpec, generate, load_dataset, save_dataset,
                           split_query_gallery)
 
 
@@ -103,6 +103,24 @@ def test_split_deterministic():
     b = split_query_gallery(ds, 1, seed=3)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_split_matches_per_identity_scan():
+    """The split of a shuffled, non-contiguous identity vector equals the
+    rule it implements: per identity k, a permutation of the ascending
+    indices of k, drawn in identity order from one generator."""
+    spec = make_spec(num_identities=5, samples_per_identity=4)
+    base = generate(spec)
+    shuffle = np.random.Generator(np.random.Philox(key=3))
+    ds = SynthDataset(base.patches, shuffle.permutation(base.identities), spec)
+    assert not (np.diff(ds.identities) >= 0).all()
+    query, gallery = split_query_gallery(ds, query_per_identity=2, seed=9)
+
+    draws = np.random.Generator(np.random.Philox(key=9))
+    expected = np.sort(np.concatenate(
+        [draws.permutation(np.flatnonzero(ds.identities == k))[:2] for k in range(5)]))
+    np.testing.assert_array_equal(query, expected)
+    np.testing.assert_array_equal(gallery, np.setdiff1d(np.arange(20), expected))
 
 
 def test_save_load_round_trip(tmp_path):
