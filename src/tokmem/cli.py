@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import blobio
 from . import encoder as encoder_mod
 from . import evaluate as evaluate_mod
@@ -82,10 +80,7 @@ def _cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     ds = _load_dataset(cfg)
     try:
-        # every non-finite result raises NumericError below; numpy's own
-        # warnings would only add lines before that one-line error
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = train_mod.train(cfg.train, ds)
+        result = train_mod.train(cfg.train, ds)
     except NumericError as exc:
         # strict JSON: a non-finite float is written as "nan", "inf" or "-inf"
         diag = {key: repr(value) if isinstance(value, float) and not math.isfinite(value)

@@ -5,9 +5,10 @@ Sections: ``data`` (dataset recipe, all fields required), ``train``
 protocol, optional with defaults), ``paths`` (artifact locations, all
 required). ``format_version: 1`` is mandatory. Unknown keys anywhere are
 rejected so hyperparameter typos cannot pass silently; every validation
-message names the offending field path. Limits across sections (query
-split, ``k_max``, batch size, part and negative tokens) and distinct
-artifact files are checked at load, before any command runs.
+message names the offending field path, and a value out of range reads
+"`section.field` must be <bound>, got <value>". Limits across sections
+(query split, ``k_max``, batch size, part and negative tokens) and
+distinct artifact files are checked at load, before any command runs.
 
 The patch geometry (``patches_per_image``, ``patch_input_dim``) lives in
 ``data`` only; training reads it from the dataset it trains on.
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .blobio import decode, pair_paths
-from .errors import ConfigError
-from .losses import patch_rate
+from .errors import ConfigError, check_fields
 from .synth import MAX_SEED, SEED_RANGE, SynthSpec
 from .training import TrainConfig
 
@@ -81,26 +81,16 @@ def _parse_section(doc: dict, section_name: str, cls):
     return cls(**kwargs)
 
 
-def _check_limits(data: SynthSpec, train: TrainConfig, eval_cfg: EvalConfig) -> None:
-    """Limits across sections and ``eval.seed``, checked at load so that no
-    command runs (say, 30 epochs of training) on a config ``eval`` rejects."""
+def _check_limits(data: SynthSpec, eval_cfg: EvalConfig) -> None:
+    """The ``eval`` rows, checked at load so that no command runs (say,
+    30 epochs of training) on a config ``eval`` rejects."""
     spi, query = data.samples_per_identity, eval_cfg.query_per_identity
     gallery = data.num_identities * (spi - query)
-    patches = data.patches_per_image
-    for ok, name, value, bound in [
-            (1 <= query < spi, "eval.query_per_identity", query, f"in [1, {spi - 1}]"),
-            (1 <= eval_cfg.k_max <= gallery, "eval.k_max", eval_cfg.k_max,
-             f"in [1, {gallery}], the gallery size"),
-            (train.batch_size <= data.num_samples, "train.batch_size", train.batch_size,
-             f"<= {data.num_samples}, the dataset size"),
-            (train.part_tokens <= patches, "train.part_tokens",
-             train.part_tokens, f"<= {patches}, the patches per image"),
-            (patch_rate(patches, train.neg_token_rate) < patches, "train.neg_token_rate",
-             train.neg_token_rate, "small enough to pick fewer negative tokens than the "
-             f"{patches} patches per image"),
-            (0 <= eval_cfg.seed < MAX_SEED, "eval.seed", eval_cfg.seed, f"in {SEED_RANGE}")]:
-        if not ok:
-            raise ConfigError(f"`{name}` must be {bound}, got {value}")
+    check_fields(vars(eval_cfg), [
+        ("query_per_identity", 1 <= query < spi, f"in [1, {spi - 1}]"),
+        ("k_max", 1 <= eval_cfg.k_max <= gallery, f"in [1, {gallery}], the gallery size"),
+        ("seed", 0 <= eval_cfg.seed < MAX_SEED, f"in {SEED_RANGE}")],
+        ConfigError, lambda f: f"`eval.{f}`")
 
 
 def check_distinct_files(paths: RunPaths, per_query_csv: Path | None = None) -> None:
@@ -146,14 +136,11 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"unsupported `format_version` {version} (expected {FORMAT_VERSION})")
 
     data = _parse_section(doc, "data", SynthSpec)
+    data.validate(ConfigError, lambda f: f"`data.{f}`")
     train = _parse_section(doc, "train", TrainConfig)
-    for name, section in (("data", data), ("train", train)):
-        try:
-            section.validate()
-        except ValueError as exc:
-            raise ConfigError(f"invalid `{name}` section: {exc}") from exc
+    train.validate(ConfigError, lambda f: f"`train.{f}`", data)
     eval_cfg = _parse_section(doc, "eval", EvalConfig)
-    _check_limits(data, train, eval_cfg)
+    _check_limits(data, eval_cfg)
     paths = _parse_section(doc, "paths", RunPaths)
     check_distinct_files(paths)
     return RunConfig(data=data, train=train, eval=eval_cfg, paths=paths)

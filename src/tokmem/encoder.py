@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blobio
-from .errors import DataFormatError
+from .errors import DataFormatError, check_fields
 from .linalg import normalize_rows
 
 __all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
@@ -80,11 +80,20 @@ class EncodeOutput:
     head: tuple                # _head's (feature before normalization, head input means)
 
 
+# encoder dimension (a checkpoint manifest field) -> its least valid value
+_DIMS = {"feature_dim": 2, "patch_input_dim": 1, "part_tokens": 1}
+
+
+def _dim_rules(dims: dict) -> list[tuple]:
+    """The :func:`check_fields` rows of ``_DIMS`` for ``dims``, keyed like it."""
+    return [(name, dims[name] >= low, f">= {low}") for name, low in _DIMS.items()]
+
+
 def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
                 seed: int) -> EncoderParams:
     """Entries i.i.d. Gaussian with std 1/sqrt(d_in), Philox-keyed by seed."""
-    if feature_dim < 2 or patch_input_dim < 1 or part_tokens < 1:
-        raise ValueError("encoder dimensions must be positive (feature_dim >= 2)")
+    dims = dict(zip(_DIMS, (feature_dim, patch_input_dim, part_tokens)))
+    check_fields(dims, _dim_rules(dims))
     rng = np.random.Generator(np.random.Philox(key=seed))
     std = 1.0 / np.sqrt(patch_input_dim)
     vec = std * rng.normal(size=(2 + part_tokens) * feature_dim * patch_input_dim)
@@ -184,10 +193,6 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
     return grad
 
 
-# checkpoint manifest field -> its least valid value
-_DIMS = {"feature_dim": 2, "patch_input_dim": 1, "part_tokens": 1}
-
-
 def save_checkpoint(params: EncoderParams, prefix, with_files=()) -> None:
     """Manifest records dims; blob is ``params.vec`` as float32.
     ``with_files`` (``(path, bytes)`` entries) are written with the
@@ -198,11 +203,10 @@ def save_checkpoint(params: EncoderParams, prefix, with_files=()) -> None:
 
 def load_checkpoint(prefix) -> EncoderParams:
     manifest, blob = blobio.read_pair(prefix)
-    d, d_in, z = dims = [blobio.manifest_field(manifest, name, "int", prefix) for name in _DIMS]
-    for (name, low), value in zip(_DIMS.items(), dims):
-        if value < low:
-            raise DataFormatError(
-                f"{prefix}: manifest field {name!r} must be >= {low}, got {value}")
+    dims = {name: blobio.manifest_field(manifest, name, "int", prefix) for name in _DIMS}
+    check_fields(dims, _dim_rules(dims), DataFormatError,
+                 lambda name: f"{prefix}: manifest field {name!r}")
+    d, d_in, z = dims.values()
     count = (2 + z) * d * d_in
     if len(blob) != 4 * count:
         raise DataFormatError(

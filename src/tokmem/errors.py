@@ -19,3 +19,12 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+def check_fields(values, rules, error=ValueError, label=str) -> None:
+    """Raise ``error`` for the first ``(field, ok, bound)`` row of ``rules``
+    whose ``ok`` is false: ``<label(field)> must be <bound>, got <value>``,
+    the value read as ``values[field]``."""
+    for field, ok, bound in rules:
+        if not ok:
+            raise error(f"{label(field)} must be {bound}, got {values[field]}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import blobio
-from .errors import DataFormatError
+from .errors import DataFormatError, check_fields
 from .linalg import normalize_rows
 
 __all__ = ["SynthSpec", "SynthDataset", "generate", "split_query_gallery",
@@ -38,22 +38,16 @@ class SynthSpec:
     noise_patch_prob: float
     seed: int
 
-    def validate(self) -> None:
-        """Raise ValueError whose message starts with the violated field's name."""
-        if self.num_identities < 2:
-            raise ValueError("num_identities must be >= 2")
-        if self.samples_per_identity < 1:
-            raise ValueError("samples_per_identity must be >= 1")
-        if self.patches_per_image < 4:
-            raise ValueError("patches_per_image must be >= 4")
-        if self.patch_input_dim < 1:
-            raise ValueError("patch_input_dim must be >= 1")
-        if not self.identity_spread >= 0:  # NaN fails too
-            raise ValueError("identity_spread must be >= 0")
-        if not 0.0 <= self.noise_patch_prob < 1.0:
-            raise ValueError("noise_patch_prob must be in [0, 1)")
-        if not 0 <= self.seed < MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+    def validate(self, error=ValueError, label=str) -> None:
+        """Raise ``error`` for the first field out of range; see :func:`check_fields`."""
+        check_fields(vars(self), [
+            ("num_identities", self.num_identities >= 2, ">= 2"),
+            ("samples_per_identity", self.samples_per_identity >= 1, ">= 1"),
+            ("patches_per_image", self.patches_per_image >= 4, ">= 4"),
+            ("patch_input_dim", self.patch_input_dim >= 1, ">= 1"),
+            ("identity_spread", self.identity_spread >= 0, ">= 0"),  # NaN fails too
+            ("noise_patch_prob", 0.0 <= self.noise_patch_prob < 1.0, "in [0, 1)"),
+            ("seed", 0 <= self.seed < MAX_SEED, f"in {SEED_RANGE}")], error, label)
 
     @property
     def num_samples(self) -> int:
@@ -139,12 +133,7 @@ def load_dataset(prefix) -> SynthDataset:
     manifest, blob = blobio.read_pair(prefix)
     spec = SynthSpec(**{f.name: blobio.manifest_field(manifest, f.name, f.type, prefix)
                         for f in fields(SynthSpec)})
-    try:
-        spec.validate()
-    except ValueError as exc:
-        name, _, rule = str(exc).partition(" ")
-        raise DataFormatError(f"{prefix}: manifest field {name!r} {rule}, "
-                              f"got {getattr(spec, name)}") from None
+    spec.validate(DataFormatError, lambda field: f"{prefix}: manifest field {field!r}")
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
     num_samples = blobio.manifest_field(manifest, "num_samples", "int", prefix)
     if num_samples != n:

@@ -33,9 +33,9 @@ from . import cluster as cluster_mod
 from . import encoder as encoder_mod
 from . import losses as losses_mod
 from . import memory as memory_mod
-from .errors import NumericError
+from .errors import NumericError, check_fields
 from .linalg import normalize_rows
-from .synth import MAX_SEED, SynthDataset
+from .synth import MAX_SEED, SEED_RANGE, SynthDataset, SynthSpec
 
 __all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
            "sample_batches", "train", "train_step"]
@@ -64,29 +64,37 @@ class TrainConfig:
     part_tokens: int = 3
     anchor_include_outliers: bool = True
 
-    def validate(self) -> None:
-        checks = [
-            (self.epochs >= 0, "epochs must be >= 0"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.lr > 0, "lr must be positive"),
-            (self.lr_decay_every >= 1, "lr_decay_every must be >= 1"),
-            (self.lr_decay_factor > 0, "lr_decay_factor must be positive"),
-            (self.temperature > 0, "temperature must be positive"),
-            (0 <= self.momentum <= 1, "momentum must be in [0, 1]"),
-            (0 < self.neg_token_rate <= 1, "neg_token_rate must be in (0, 1]"),
-            (self.num_negatives >= 1, "num_negatives must be >= 1"),
-            (self.weight_constraint >= 0, "weight_constraint must be >= 0"),
-            (self.weight_prototype >= 0, "weight_prototype must be >= 0"),
-            (self.weight_anchor >= 0, "weight_anchor must be >= 0"),
-            (self.dbscan_eps > 0, "dbscan_eps must be positive"),
-            (self.dbscan_min_pts >= 1, "dbscan_min_pts must be >= 1"),
-            (0 <= self.seed < MAX_SEED, "seed must be a 64-bit unsigned integer"),
-            (self.feature_dim >= 2, "feature_dim must be >= 2"),
-            (self.part_tokens >= 1, "part_tokens must be >= 1"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ValueError(msg)
+    def validate(self, error=ValueError, label=str, data: SynthSpec | None = None) -> None:
+        """Raise ``error`` for the first field out of range; given the ``data``
+        spec, then also for a batch, part stripes or negative tokens it cannot fill."""
+        check_fields(vars(self), [
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", self.lr > 0, "positive"),
+            ("lr_decay_every", self.lr_decay_every >= 1, ">= 1"),
+            ("lr_decay_factor", self.lr_decay_factor > 0, "positive"),
+            ("temperature", self.temperature > 0, "positive"),
+            ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
+            ("neg_token_rate", 0 < self.neg_token_rate <= 1, "in (0, 1]"),
+            ("num_negatives", self.num_negatives >= 1, ">= 1"),
+            ("weight_constraint", self.weight_constraint >= 0, ">= 0"),
+            ("weight_prototype", self.weight_prototype >= 0, ">= 0"),
+            ("weight_anchor", self.weight_anchor >= 0, ">= 0"),
+            ("dbscan_eps", self.dbscan_eps > 0, "positive"),
+            ("dbscan_min_pts", self.dbscan_min_pts >= 1, ">= 1"),
+            ("seed", 0 <= self.seed < MAX_SEED, f"in {SEED_RANGE}"),
+            ("feature_dim", self.feature_dim >= 2, ">= 2"),
+            ("part_tokens", self.part_tokens >= 1, ">= 1")], error, label)
+        if data is not None:  # after the rows above: patch_rate needs a rate in range
+            patches = data.patches_per_image
+            check_fields(vars(self), [
+                ("batch_size", self.batch_size <= data.num_samples,
+                 f"<= {data.num_samples}, the dataset size"),
+                ("part_tokens", self.part_tokens <= patches,
+                 f"<= {patches}, the patches per image"),
+                ("neg_token_rate", losses_mod.patch_rate(patches, self.neg_token_rate) < patches,
+                 f"small enough to pick < {patches} negative tokens, the patches per image")],
+                error, label)
 
 
 @dataclass
@@ -117,15 +125,6 @@ def sample_batches(labels: np.ndarray, batch_size: int, seed: int,
     return [perm[b * batch_size:(b + 1) * batch_size] for b in range(num_batches)]
 
 
-def _check_dims(config: TrainConfig, dataset: SynthDataset) -> None:
-    if config.batch_size > dataset.num_samples:
-        raise ValueError(
-            f"batch_size {config.batch_size} exceeds dataset size {dataset.num_samples}")
-    if config.part_tokens > dataset.spec.patches_per_image:
-        raise ValueError(f"part_tokens {config.part_tokens} exceeds the dataset's "
-                         f"patches_per_image {dataset.spec.patches_per_image}")
-
-
 def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     """Run the full loop; returns final params plus one log record per epoch.
     The encoder's patch geometry is the one of ``dataset.spec``.
@@ -136,58 +135,60 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     a non-finite loss, and after an epoch that leaves a weight no float32
     checkpoint can store.
     """
-    config.validate()
-    _check_dims(config, dataset)
+    config.validate(data=dataset.spec)
 
     params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
                                      config.part_tokens, config.seed)
     log: list[dict] = []
-    for epoch in range(config.epochs):
-        lr = learning_rate(config, epoch)
-        features = encoder_mod.image_feature(params, dataset.patches)
-        labels = cluster_mod.dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
-        record = {
-            "epoch": epoch,
-            "mean_constraint": None,
-            "mean_proto": None,
-            "mean_anchor": None,
-            "mean_total": None,
-            "C": int(labels.max(initial=-1)) + 1,
-            "outliers": int((labels == cluster_mod.OUTLIER).sum()),
-            "lr": lr,
-        }
-        batches = sample_batches(labels, config.batch_size, config.seed, epoch)
-        if not batches:
+    # every non-finite result raises NumericError below; numpy's own
+    # warnings would only add lines before that one-line error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            lr = learning_rate(config, epoch)
+            features = encoder_mod.image_feature(params, dataset.patches)
+            labels = cluster_mod.dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
+            record = {
+                "epoch": epoch,
+                "mean_constraint": None,
+                "mean_proto": None,
+                "mean_anchor": None,
+                "mean_total": None,
+                "C": int(labels.max(initial=-1)) + 1,
+                "outliers": int((labels == cluster_mod.OUTLIER).sum()),
+                "lr": lr,
+            }
+            batches = sample_batches(labels, config.batch_size, config.seed, epoch)
+            if not batches:
+                log.append(record)
+                continue
+
+            # unit rows already, but renormalizing moves some last bits, and training follows
+            bank = normalize_rows(features)
+            protos = memory_mod.compute_prototypes(bank, labels)
+            sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
+            anchor_count = 0
+            for iteration, batch in enumerate(batches):
+                try:
+                    step = train_step(config, params, dataset.patches[batch],
+                                      batch, bank, labels, protos, lr)
+                except NumericError as exc:
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch} iteration {iteration}",
+                        {"epoch": epoch, "iteration": iteration, **exc.diagnostics}) from None
+                for key in sums:
+                    sums[key] += float(getattr(step, key).sum())
+                anchor_count += int(step.has_anchor.sum())
+            largest = float(np.abs(params.vec).max())
+            if not largest <= float(np.finfo(np.float32).max):  # NaN fails too
+                raise NumericError(f"weights beyond float32 range at epoch {epoch}",
+                                   {"epoch": epoch, "lr": lr, "max_abs_weight": largest})
+
+            sample_count = len(batches) * config.batch_size
+            record["mean_constraint"] = sums["constraint"] / sample_count
+            record["mean_proto"] = sums["proto"] / sample_count
+            record["mean_anchor"] = (sums["anchor"] / anchor_count) if anchor_count else None
+            record["mean_total"] = sums["total"] / sample_count
             log.append(record)
-            continue
-
-        # unit rows already, but renormalizing moves some last bits, and training follows
-        bank = normalize_rows(features)
-        protos = memory_mod.compute_prototypes(bank, labels)
-        sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
-        anchor_count = 0
-        for iteration, batch in enumerate(batches):
-            try:
-                step = train_step(config, params, dataset.patches[batch],
-                                  batch, bank, labels, protos, lr)
-            except NumericError as exc:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} iteration {iteration}",
-                    {"epoch": epoch, "iteration": iteration, **exc.diagnostics}) from None
-            for key in sums:
-                sums[key] += float(getattr(step, key).sum())
-            anchor_count += int(step.has_anchor.sum())
-        largest = float(np.abs(params.vec).max())
-        if not largest <= float(np.finfo(np.float32).max):  # NaN fails too
-            raise NumericError(f"weights beyond float32 range at epoch {epoch}",
-                               {"epoch": epoch, "lr": lr, "max_abs_weight": largest})
-
-        sample_count = len(batches) * config.batch_size
-        record["mean_constraint"] = sums["constraint"] / sample_count
-        record["mean_proto"] = sums["proto"] / sample_count
-        record["mean_anchor"] = (sums["anchor"] / anchor_count) if anchor_count else None
-        record["mean_total"] = sums["total"] / sample_count
-        log.append(record)
     return TrainResult(params=params, log=log)
 
 

@@ -80,6 +80,48 @@ def test_missing_config_field_exits_2(tmp_path, capsys):
     assert "data.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("data", "num_identities", 1),
+    ("data", "samples_per_identity", 0),
+    ("data", "patches_per_image", 3),
+    ("data", "patch_input_dim", 0),
+    ("data", "identity_spread", -0.5),
+    ("data", "noise_patch_prob", 1.0),
+    ("data", "seed", -1),
+    ("train", "epochs", -1),
+    ("train", "batch_size", 0),
+    ("train", "lr", 0.0),
+    ("train", "lr_decay_every", 0),
+    ("train", "lr_decay_factor", 0.0),
+    ("train", "temperature", 0.0),
+    ("train", "momentum", 1.5),
+    ("train", "neg_token_rate", 0.0),
+    ("train", "num_negatives", 0),
+    ("train", "weight_constraint", -1.0),
+    ("train", "weight_prototype", -1.0),
+    ("train", "weight_anchor", -1.0),
+    ("train", "dbscan_eps", 0.0),
+    ("train", "dbscan_min_pts", 0),
+    ("train", "seed", 2**64),
+    ("train", "feature_dim", 1),
+    ("train", "part_tokens", 0),
+    # fit to the dataset: 4 x 6 = 24 samples of 6 patches
+    ("train", "batch_size", 25),
+    ("train", "part_tokens", 7),
+    ("train", "neg_token_rate", 1.0),
+    # samples_per_identity 6 and 2 queries: a gallery of 4 x 4 = 16
+    ("eval", "query_per_identity", 6),
+    ("eval", "k_max", 17),
+    ("eval", "seed", -1),
+])
+def test_out_of_range_setting_exits_2_with_one_line(tmp_path, capsys, section, field, value):
+    cfg = write_config(tmp_path, **{section: {field: value}})
+    assert main(["gen-data", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert f"`{section}.{field}` must be " in lines[0] and f"got {value}" in lines[0]
+
+
 def test_train_writes_checkpoint_and_log(tmp_path, capsys):
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])

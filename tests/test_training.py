@@ -134,6 +134,17 @@ def test_dimension_mismatch_rejected():
         train(tiny_config(batch_size=1000), ds)
 
 
+def test_oversize_neg_token_rate_rejected_before_any_epoch(monkeypatch):
+    """Rate 1.0 picks all 6 patches as negatives; ``train`` refuses it up
+    front rather than at the first step."""
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(training_mod.encoder_mod, "image_feature", no_epoch)
+    with pytest.raises(ValueError, match=r"^neg_token_rate must be small enough"):
+        train(tiny_config(neg_token_rate=1.0), tiny_dataset())
+
+
 def test_losses_read_snapshot_before_updates(monkeypatch):
     """Within an iteration every loss and mining read happens before the
     first memory write."""
