@@ -21,6 +21,7 @@ import numpy as np
 from . import blobio
 from . import encoder as encoder_mod
 from . import synth as synth_mod
+from .linalg import gather_runs, group_runs
 
 __all__ = ["RankingResult", "evaluate_retrieval", "evaluate_encoder", "metrics_dict",
            "write_metrics"]
@@ -39,7 +40,8 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
                        gallery_features: np.ndarray, gallery_ids: np.ndarray,
                        k_max: int) -> RankingResult:
     """Score all queries in one ``(Q, G)`` similarity pass; AP and CMC are
-    read from the places of the positives, so the gallery is never argsorted."""
+    read from the places of the positives, so no similarity row is argsorted.
+    The positives come from one stable argsort of ``gallery_ids``."""
     query_features = np.asarray(query_features, dtype=np.float64)
     gallery_features = np.asarray(gallery_features, dtype=np.float64)
     query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
@@ -58,14 +60,13 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     if not 1 <= k_max <= num_g:
         raise ValueError(f"k_max must be in [1, {num_g}]")
     sims = query_features @ gallery_features.T
-    matches = gallery_ids == query_ids[:, None]
-    positives = matches.sum(axis=1)
+    # each query's positives are its id's run in one grouping of the gallery
+    order, lo, hi = group_runs(gallery_ids, query_ids)
+    positives = hi - lo
     valid = positives > 0
     if not valid.any():
         raise ValueError("every query lacks gallery positives")
-    rows, cols = np.nonzero(matches)
-    del matches  # freed before the value sort: two (Q, G) floats at the peak
-    row_start = np.cumsum(positives) - positives
+    rows, cols, row_start = gather_runs(order, lo, hi)
     places = _positive_places(sims, rows, cols, row_start, positives)
     # a positive's hit count is its index among its row's ascending places
     hits = np.arange(1, len(rows) + 1) - row_start[rows]

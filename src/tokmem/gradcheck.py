@@ -18,6 +18,7 @@ import numpy as np
 
 from . import encoder as encoder_mod
 from . import losses as losses_mod
+from .errors import check_fields
 from .linalg import finite_diff_grad, normalize_rows, relative_error
 from .synth import MAX_SEED, SEED_RANGE
 
@@ -128,10 +129,9 @@ COMPONENTS = {
 
 def run_gradcheck(seed: int = 0, trials: int = 50) -> dict[str, float]:
     """Max relative error per component over ``trials`` random instances."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= seed < MAX_SEED:
-        raise ValueError(f"seed must be in {SEED_RANGE}")
+    check_fields({"seed": seed, "trials": trials}, [
+        ("trials", trials >= 1, ">= 1"),
+        ("seed", 0 <= seed < MAX_SEED, f"in {SEED_RANGE}")])
     results: dict[str, float] = {}
     for name, check in COMPONENTS.items():
         rng = np.random.Generator(np.random.Philox(key=np.array(

@@ -1,4 +1,4 @@
-"""Dense vector helpers shared by every other module.
+"""Dense vector and grouping helpers shared by every other module.
 
 All in-memory arithmetic is double precision; file I/O downcasts to
 float32 at the serialization boundary only. Everything here is a pure
@@ -17,6 +17,8 @@ __all__ = [
     "normalize_rows",
     "finite_diff_grad",
     "relative_error",
+    "group_runs",
+    "gather_runs",
 ]
 
 
@@ -78,3 +80,28 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)
     return float(np.linalg.norm(a - b)) / denom
+
+
+def group_runs(keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the positions of ``keys`` by value with one stable argsort.
+
+    Returns ``(order, lo, hi)``: ``order[lo[i]:hi[i]]`` are the positions
+    where ``keys == values[i]``, ascending, and empty where there are none.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    return (order, np.searchsorted(ordered, values, side="left"),
+            np.searchsorted(ordered, values, side="right"))
+
+
+def gather_runs(order: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs ``order[lo[i]:hi[i]]`` laid end to end.
+
+    Returns ``(rows, members, starts)``: ``members[j]`` comes from run
+    ``rows[j]``, and run i fills ``members[starts[i]:starts[i] + hi[i] - lo[i]]``.
+    """
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, order[np.arange(len(rows)) + (lo - starts)[rows]], starts

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import blobio
 from .errors import DataFormatError, check_fields
-from .linalg import normalize_rows
+from .linalg import group_runs, normalize_rows
 
 __all__ = ["SynthSpec", "SynthDataset", "generate", "split_query_gallery",
            "save_dataset", "load_dataset"]
@@ -97,12 +97,11 @@ def split_query_gallery(ds: SynthDataset, query_per_identity: int,
         raise ValueError(
             f"query_per_identity must be in [1, {spi - 1}], got {query_per_identity}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # identity k's sample indices, ascending: order[bounds[k]:bounds[k + 1]]
-    order = np.argsort(ds.identities, kind="stable")
-    bounds = np.searchsorted(ds.identities[order], np.arange(ds.spec.num_identities + 1))
+    # identity k's sample indices, ascending: order[lo[k]:hi[k]]
+    order, lo, hi = group_runs(ds.identities, np.arange(ds.spec.num_identities))
     query: list[np.ndarray] = []
     for k in range(ds.spec.num_identities):
-        perm = rng.permutation(order[bounds[k]:bounds[k + 1]])
+        perm = rng.permutation(order[lo[k]:hi[k]])
         query.append(perm[:query_per_identity])
     query_idx = np.sort(np.concatenate(query))
     mask = np.ones(ds.num_samples, dtype=bool)

@@ -1,13 +1,15 @@
 """Epoch-based training loop over the full pipeline.
 
 Per epoch: re-encode the whole dataset with the current encoder, cluster
-the fresh features into a label vector, rebuild the instance bank from
-them (stale features would poison the clustering), and compute cluster
-prototypes. Per iteration, ``train_step`` makes one array pass over the
-batch: encode all anchors, select their tokens, compute the three losses
-against the frozen memory snapshot (one mining matmul), run one batched
-backward, then write the memories and apply one plain SGD step. Every
-loss reads the snapshot before any write; then each bank takes one
+the fresh features into a label vector, index it once (one stable
+argsort, ``memory.label_runs``), rebuild the instance bank from the
+features (stale features would poison the clustering), and compute
+cluster prototypes from the index. Per iteration, ``train_step`` makes
+one array pass over the batch: encode all anchors, select their tokens,
+compute the three losses against the frozen memory snapshot (one mining
+matmul, each anchor's cluster read as a slice of the index), run one
+batched backward, then write the memories and apply one plain SGD step.
+Every loss reads the snapshot before any write; then each bank takes one
 batched ``momentum_update`` that equals writing the rows in batch order
 (anchors sharing a cluster all mix into its prototype). Gradients are
 summed in a fixed order, so a config reproduces bit-identically on one
@@ -164,13 +166,14 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
 
             # unit rows already, but renormalizing moves some last bits, and training follows
             bank = normalize_rows(features)
-            protos = memory_mod.compute_prototypes(bank, labels)
+            runs = memory_mod.label_runs(labels)
+            protos = memory_mod.compute_prototypes(bank, runs)
             sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
             anchor_count = 0
             for iteration, batch in enumerate(batches):
                 try:
-                    step = train_step(config, params, dataset.patches[batch],
-                                      batch, bank, labels, protos, lr)
+                    step = train_step(config, params, dataset.patches[batch], batch,
+                                      labels[batch], bank, runs, protos, lr)
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} iteration {iteration}",
@@ -204,19 +207,19 @@ class StepLosses:
 
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
-               patches: np.ndarray, indices: np.ndarray, bank: np.ndarray,
-               bank_labels: np.ndarray, protos: np.ndarray, lr: float) -> StepLosses:
+               patches: np.ndarray, indices: np.ndarray, labels: np.ndarray,
+               bank: np.ndarray, runs, protos: np.ndarray, lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
     ``params``, ``bank`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``indices``
-    their slots in the (N, D) instance ``bank``, whose (N,) pseudo-labels
-    are ``bank_labels``, and ``protos`` the (C, D) prototype bank. Raises
+    their slots in the (N, D) instance ``bank`` and ``labels`` their (B,)
+    cluster ids; ``runs`` is the ``memory.label_runs`` index of the bank's
+    pseudo-labels, and ``protos`` the (C, D) prototype bank. Raises
     NumericError, before any write, if an anchor's total loss is not
     finite; its diagnostics name the first such ``sample``.
     """
     t = config.temperature
-    labels = bank_labels[indices]
     out = encoder_mod.encode(params, patches)
     f, tokens = out.image_feature, out.patch_tokens
     rows = np.arange(f.shape[0])[:, None]
@@ -228,7 +231,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     # Missing negatives get -inf logits. A row without any candidate then
     # scores only its positive: its anchor term is exactly 0 with zero
     # gradient, the same as leaving the term out.
-    picked, valid = memory_mod.mine(bank, bank_labels, f, labels, config.num_negatives,
+    picked, valid = memory_mod.mine(bank, runs, f, labels, config.num_negatives,
                                     config.anchor_include_outliers)
     anc = losses_mod.softmax_ce(f, bank[picked], 0, t, valid=valid)
     w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,

@@ -281,7 +281,6 @@ def per_anchor_train(config, dataset):
     from tokmem.cluster import dbscan
     from tokmem.encoder import init_params
     from tokmem.linalg import normalize_rows
-    from tokmem.memory import compute_prototypes
     from tokmem.training import learning_rate, sample_batches
 
     params = init_params(config.feature_dim, dataset.spec.patch_input_dim,
@@ -295,7 +294,8 @@ def per_anchor_train(config, dataset):
         batches = sample_batches(labels, config.batch_size, config.seed, epoch)
         if batches:
             bank = normalize_rows(feats)
-            protos = compute_prototypes(bank, labels)
+            protos = normalize_rows(np.stack([bank[labels == c].mean(axis=0)
+                                              for c in range(labels.max() + 1)]))
             for batch in batches:
                 record["rows"] += per_anchor_step(
                     params, dataset.patches, batch, bank, labels, protos,

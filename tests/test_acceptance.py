@@ -20,7 +20,7 @@ from conftest import (REFERENCE_EVAL, REFERENCE_SPEC, REFERENCE_TRAIN,
 from oracles import (average_precision_oracle, cmc_oracle, cosine_dist_oracle,
                      dbscan_oracle, partition_of_core_points, topk_by_full_sort)
 from tokmem import (EvalConfig, dbscan, evaluate_encoder, evaluate_retrieval,
-                    generate, mine, patch_rate, select_constraint_tokens,
+                    generate, label_runs, mine, patch_rate, select_constraint_tokens,
                     softmax_ce)
 from tokmem.encoder import init_params
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
@@ -154,7 +154,7 @@ def test_criterion_5_mining_matches_full_sort():
 
         neg_pool = np.flatnonzero(labels != 0)
         k = int(rng.integers(1, 9)) if neg_pool.size else 1
-        picked, valid = mine(bank, labels, anchor[None], np.array([0]), k)
+        picked, valid = mine(bank, label_runs(labels), anchor[None], np.array([0]), k)
 
         pos_pool = np.flatnonzero(labels == 0)
         expected_pos = pos_pool[topk_by_full_sort(sims[pos_pool], 1, descending=False)[0]]

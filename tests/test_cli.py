@@ -660,5 +660,15 @@ def test_gradcheck_out_of_range_seed_exits_2(monkeypatch, capsys, seed):
         monkeypatch.setitem(gradcheck_mod.COMPONENTS, name, ran.append)
     assert main(["gradcheck", "--seed", seed, "--trials", "2"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: seed must be in [0, 2**64)\n"
+    assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert captured.out == "" and ran == []
+
+
+def test_gradcheck_zero_trials_exits_2(monkeypatch, capsys):
+    ran = []
+    for name in gradcheck_mod.COMPONENTS:
+        monkeypatch.setitem(gradcheck_mod.COMPONENTS, name, ran.append)
+    assert main(["gradcheck", "--seed", "0", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trials must be >= 1, got 0\n"
     assert captured.out == "" and ran == []

@@ -250,6 +250,39 @@ def test_excluded_queries_counted(rng):
     assert np.isnan(result.per_query_ap[2])
 
 
+@pytest.mark.parametrize("trial", range(6))
+def test_positives_match_the_match_matrix(monkeypatch, trial):
+    """The positives the ranking sees, from one grouping of the gallery ids,
+    are those of the (Q, G) match matrix: per-query counts and the
+    row-major (row, column) pairs. One query id is absent from the gallery."""
+    import tokmem.evaluate as evaluate_mod
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([313, trial], dtype=np.uint64)))
+    num_q, num_g, num_ids = int(rng.integers(1, 60)), int(rng.integers(1, 300)), 1 + 4 * trial
+    gallery_ids = rng.integers(0, num_ids, size=num_g)
+    query_ids = np.append(rng.integers(0, num_ids, size=num_q), num_ids)
+    query_ids[0] = gallery_ids[0]  # at least one query is scored
+    seen = {}
+    real = evaluate_mod._positive_places
+
+    def spy(sims, rows, cols, row_start, positives):
+        seen.update(rows=rows, cols=cols, row_start=row_start, positives=positives)
+        return real(sims, rows, cols, row_start, positives)
+
+    monkeypatch.setattr(evaluate_mod, "_positive_places", spy)
+    result = evaluate_retrieval(unit_rows(rng, len(query_ids), 4), query_ids,
+                                unit_rows(rng, num_g, 4), gallery_ids, k_max=1)
+    matches = gallery_ids == query_ids[:, None]
+    np.testing.assert_array_equal(seen["positives"], matches.sum(axis=1))
+    rows, cols = np.nonzero(matches)
+    np.testing.assert_array_equal(seen["rows"], rows)
+    np.testing.assert_array_equal(seen["cols"], cols)
+    np.testing.assert_array_equal(seen["row_start"],
+                                  np.cumsum(seen["positives"]) - seen["positives"])
+    assert np.isnan(result.per_query_ap[-1])
+    assert result.excluded_queries == (matches.sum(axis=1) == 0).sum()
+
+
 def test_peak_memory_is_about_two_query_gallery_arrays(rng):
     """Evaluation holds about two (Q, G) 8-byte arrays at a time, the
     similarities and their value-sorted copy: no float cumsum or precision

@@ -10,7 +10,7 @@ from oracles import topk_by_full_sort
 from tokmem.encoder import image_feature, init_params
 from tokmem.linalg import finite_diff_grad, relative_error
 from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
-from tokmem.memory import compute_prototypes
+from tokmem.memory import compute_prototypes, label_runs
 from tokmem.training import TrainConfig, train_step
 
 
@@ -224,8 +224,9 @@ def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     bank = image_feature(params, patches)
     batch = np.flatnonzero(labels >= 0)[:4]
     before = params.vec.copy()
-    step = train_step(cfg, params, patches[batch], batch, bank, labels,
-                      compute_prototypes(bank, labels), lr=0.1)
+    runs = label_runs(labels)
+    step = train_step(cfg, params, patches[batch], batch, labels[batch], bank, runs,
+                      compute_prototypes(bank, runs), lr=0.1)
     return step, params.vec - before
 
 

@@ -4,13 +4,13 @@ import pytest
 from conftest import unit_rows
 from oracles import sequential_momentum, topk_by_full_sort
 from tokmem.linalg import normalize_rows
-from tokmem.memory import compute_prototypes, mine, momentum_update
+from tokmem.memory import compute_prototypes, label_runs, mine, momentum_update
 
 
 def memory_from(features, labels):
-    """(bank, bank_labels): the unit rows of ``features`` and int64 labels."""
+    """(bank, runs): the unit rows of ``features`` and the label index of ``labels``."""
     return (normalize_rows(np.asarray(features, dtype=np.float64)),
-            np.asarray(labels, dtype=np.int64))
+            label_runs(np.asarray(labels, dtype=np.int64)))
 
 
 def test_prototype_two_member_cluster():
@@ -46,6 +46,26 @@ def test_prototypes_all_outliers_rejected():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [-1, -1])
     with pytest.raises(ValueError, match="-1"):
         compute_prototypes(*mem)
+
+
+def test_prototypes_reject_missing_cluster_id():
+    mem = memory_from([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [0, 2, -1])
+    with pytest.raises(ValueError, match="cluster ids are not dense: no member for cluster 1"):
+        compute_prototypes(*mem)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_prototypes_match_per_cluster_mean_bitwise(trial):
+    """Each prototype is bit for bit the normalized mean of the bank rows
+    with its label, in ascending row order; outliers are left out."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([778, trial], dtype=np.uint64)))
+    num_clusters = 1 + 3 * trial
+    rest = rng.integers(-1, num_clusters, size=int(rng.integers(0, 600)))
+    labels = rng.permutation(np.concatenate([np.arange(num_clusters), [-1], rest]))
+    bank = unit_rows(rng, len(labels), int(rng.integers(2, 40)))
+    expected = np.stack([normalize_rows(bank[labels == c].mean(axis=0))
+                         for c in range(num_clusters)])
+    np.testing.assert_array_equal(compute_prototypes(bank, label_runs(labels)), expected)
 
 
 def hardest(mem, anchor, label):
@@ -97,6 +117,15 @@ def test_hardest_positive_requires_cluster_label():
         hardest(mem, np.array([1.0, 0.0]), 5)
 
 
+def test_absent_cluster_ids_rejected_beside_outliers():
+    """An id in a gap of the labels, or just past the largest, has no
+    members; the outlier run, indexed last, must not stand in for it."""
+    mem = memory_from([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [0, 2, -1])
+    for label in (1, 3):
+        with pytest.raises(ValueError, match=f"no memory entry carries label {label}"):
+            hardest(mem, np.array([1.0, 0.0]), label)
+
+
 def test_top_k_includes_outliers():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.0, 1.4, 0.2, 1.0])
@@ -133,22 +162,35 @@ def test_mine_zero_candidates_marks_every_negative_invalid():
     np.testing.assert_array_equal(valid, [[True, False], [True, False]])
 
 
-@pytest.mark.parametrize("trial", range(20))
+@pytest.mark.parametrize("trial", [*range(20), "skewed"])
 def test_mining_matches_full_sort_oracle(trial):
     """One call mines anchors of every present cluster, one label twice;
     with outliers included and excluded, each row's picks and candidate
-    count match full sorts of its pools."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([777, trial],
-                                                            dtype=np.uint64)))
-    n = int(rng.integers(5, 501))
-    feats = unit_rows(rng, n, 6)
-    labels = rng.integers(-1, 4, size=n)
-    while np.unique(labels[labels >= 0]).size < 2:
+    count match full sorts of its pools. The "skewed" bank has gaps in
+    its cluster ids and one cluster of 644 members beside ones of 30-50,
+    the shape DBSCAN gives on the scaled benchmark; that cluster anchors
+    4 of the 11 rows."""
+    if trial == "skewed":
+        rng = np.random.Generator(np.random.Philox(key=779))
+        ids = np.array([0, 3, 4, 9, 17, 18, 25, 40])
+        sizes = [44, 31, 644, 38, 50, 30, 41, 47]
+        labels = rng.permutation(np.concatenate(
+            [np.full(size, c) for c, size in zip(ids, sizes)] + [np.full(90, -1)]))
+        n = len(labels)
+        feats = unit_rows(rng, n, 6)
+        anchor_labels = np.concatenate([ids, np.full(3, 4)])
+    else:
+        rng = np.random.Generator(np.random.Philox(key=np.array([777, trial],
+                                                                dtype=np.uint64)))
+        n = int(rng.integers(5, 501))
+        feats = unit_rows(rng, n, 6)
         labels = rng.integers(-1, 4, size=n)
+        while np.unique(labels[labels >= 0]).size < 2:
+            labels = rng.integers(-1, 4, size=n)
+        present = np.unique(labels[labels >= 0])
+        anchor_labels = np.concatenate([present, present[:1]])
     mem = memory_from(feats, labels)
     bank = mem[0]
-    present = np.unique(labels[labels >= 0])
-    anchor_labels = np.concatenate([present, present[:1]])
     anchors = unit_rows(rng, len(anchor_labels), 6)
     k = int(rng.integers(1, n + 2))  # often more than a row's candidates
     for include_outliers in (True, False):

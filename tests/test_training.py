@@ -174,7 +174,7 @@ def test_losses_read_snapshot_before_updates(monkeypatch):
 def test_step_runs_the_encoder_head_once(monkeypatch):
     """The backward reads the forward's record: one train_step evaluates
     the image-feature head once, for all anchors at once."""
-    from tokmem.memory import compute_prototypes
+    from tokmem.memory import compute_prototypes, label_runs
 
     calls = []
     real = training_mod.encoder_mod._head
@@ -190,8 +190,9 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     bank = image_feature(params, ds.patches)
     batch = np.array([0, 7, 14, 21])
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
-    training_mod.train_step(cfg, params, ds.patches[batch], batch, bank, labels,
-                            compute_prototypes(bank, labels), lr=0.05)
+    runs = label_runs(labels)
+    training_mod.train_step(cfg, params, ds.patches[batch], batch, labels[batch], bank, runs,
+                            compute_prototypes(bank, runs), lr=0.05)
     assert len(calls) == 1
 
 
@@ -215,6 +216,25 @@ def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
     assert diagnostics["epoch"] == 0
     assert diagnostics["iteration"] == 0
     assert diagnostics["sample"] == int(first_batch[1])
+
+
+def test_nan_weights_mid_epoch_raise_numeric_error():
+    """Weights that an SGD step left NaN give NaN anchor features; mining
+    still returns slots in the bank, so the step reports the non-finite
+    loss instead of failing on an index."""
+    from tokmem.memory import compute_prototypes, label_runs
+
+    cfg = tiny_config()
+    ds = tiny_dataset()
+    params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
+    labels = np.repeat(np.arange(4), 6)
+    bank = image_feature(params, ds.patches)
+    runs = label_runs(labels)
+    params.vec[:] = np.nan
+    batch = np.array([0, 7, 14, 21])
+    with pytest.raises(NumericError, match="non-finite loss"):
+        training_mod.train_step(cfg, params, ds.patches[batch], batch, labels[batch], bank,
+                                runs, compute_prototypes(bank, runs), lr=0.05)
 
 
 @pytest.mark.parametrize("lr", [1e40, 1e200])
@@ -266,7 +286,7 @@ def _layout(name, rng, n):
 def test_batched_step_matches_per_anchor_oracle(name):
     from oracles import encode_one, per_anchor_step
     from tokmem.linalg import normalize_rows
-    from tokmem.memory import compute_prototypes
+    from tokmem.memory import compute_prototypes, label_runs
 
     rng = np.random.Generator(np.random.Philox(key=np.array([55, len(name)],
                                                             dtype=np.uint64)))
@@ -283,11 +303,11 @@ def test_batched_step_matches_per_anchor_oracle(name):
     def fresh_state():
         bank = normalize_rows(feats)
         return (EncoderParams(params.vec, cfg.feature_dim, 5), bank,
-                compute_prototypes(bank, labels))
+                compute_prototypes(bank, label_runs(labels)))
 
     p_b, bank_b, protos_b = fresh_state()
-    step = training_mod.train_step(cfg, p_b, patches[batch], batch, bank_b, labels,
-                                   protos_b, lr=0.05)
+    step = training_mod.train_step(cfg, p_b, patches[batch], batch, labels[batch], bank_b,
+                                   label_runs(labels), protos_b, lr=0.05)
     p_o, bank_o, protos_o = fresh_state()
     rows = per_anchor_step(p_o, patches, batch, bank_o, labels, protos_o, cfg, lr=0.05)
 
