@@ -1,7 +1,7 @@
 """Manifest+blob file pairs, atomic file writes, and the JSON field decoder.
 
 Every on-disk artifact (dataset, checkpoint) is a JSON manifest next to
-a raw binary blob of little-endian float32 / int32 values; the manifest
+a raw binary blob of little-endian float32 values; the manifest
 records the blob's byte length so readers can detect truncation. Every
 typed JSON value the package reads, config or manifest, goes through
 :func:`decode`.
@@ -22,7 +22,6 @@ FORMAT_VERSION = 1
 BLOB_SUFFIX = ".f32"
 
 F32 = np.dtype("<f4")
-I32 = np.dtype("<i4")
 
 
 def pair_paths(prefix: str | Path) -> tuple[Path, Path]:
@@ -130,15 +129,6 @@ def floats_to_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype=F32).tobytes()
 
 
-def ints_to_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype=I32).tobytes()
-
-
-def floats_from_bytes(buf: bytes, count: int) -> np.ndarray:
-    """Decode the first ``count`` float32 values, as float64."""
-    return np.frombuffer(buf, dtype=F32, count=count).astype(np.float64)
-
-
-def ints_from_bytes(buf: bytes, count: int, offset: int = 0) -> np.ndarray:
-    arr = np.frombuffer(buf, dtype=I32, count=count, offset=offset)
-    return arr.astype(np.int64)
+def floats_from_bytes(buf: bytes) -> np.ndarray:
+    """Decode every float32 value of ``buf``, as float64."""
+    return np.frombuffer(buf, dtype=F32).astype(np.float64)

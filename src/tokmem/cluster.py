@@ -25,7 +25,7 @@ ZERO_DIST = 1e-12   # neighbour radius floor: round-off of a unit-norm dot is ~1
 def dbscan(features: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Cluster unit-norm features; returns (N,) int64 labels, dense cluster
     ids from 0 and ``OUTLIER`` (-1) for outliers."""
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
@@ -35,7 +35,7 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     n = features.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if np.abs(np.linalg.norm(features, axis=1) - 1.0).max() > 1e-6:
+    if not np.abs(np.linalg.norm(features, axis=1) - 1.0).max() <= 1e-6:  # NaN fails too
         raise ValueError("features must be unit-norm (tolerance 1e-6)")
 
     # Distances are thresholded one row block at a time, so the float

@@ -211,4 +211,4 @@ def load_checkpoint(prefix) -> EncoderParams:
     if len(blob) != 4 * count:
         raise DataFormatError(
             f"checkpoint blob has {len(blob)} bytes, expected {4 * count} from manifest dims")
-    return EncoderParams(blobio.floats_from_bytes(blob, count), d, d_in)
+    return EncoderParams(blobio.floats_from_bytes(blob), d, d_in)

@@ -118,8 +118,8 @@ def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> Ranki
     features = encoder_mod.image_feature(params, dataset.patches)
     query, gallery = synth_mod.split_query_gallery(
         dataset, eval_cfg.query_per_identity, eval_cfg.seed)
-    return evaluate_retrieval(features[query], dataset.identities[query],
-                              features[gallery], dataset.identities[gallery],
+    ids = dataset.spec.identities
+    return evaluate_retrieval(features[query], ids[query], features[gallery], ids[gallery],
                               eval_cfg.k_max)
 
 

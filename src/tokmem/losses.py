@@ -102,7 +102,7 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     ``grad_tokens`` holds d/d c_k for per-row candidates; shared
     candidates are memory constants and get none.
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:  # NaN fails too
         raise ValueError("temperature must be positive")
     f = np.asarray(image_features, dtype=np.float64)
     cand = np.asarray(candidates, dtype=np.float64)

@@ -9,6 +9,9 @@ reference shape, a clean one about sqrt(1 + d_in * identity_spread**2),
 
 All randomness comes from numpy's Philox counter-based generator keyed
 by the spec seed, so a spec regenerates bit-identically on any platform.
+Samples are ordered by identity: sample ``n`` has identity
+``n // samples_per_identity`` (:attr:`SynthSpec.identities`), so a saved
+dataset stores its spec and its patches only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import blobio
 from .errors import DataFormatError, check_fields
-from .linalg import group_runs, normalize_rows
+from .linalg import normalize_rows
 
 __all__ = ["SynthSpec", "SynthDataset", "generate", "split_query_gallery",
            "save_dataset", "load_dataset"]
@@ -53,16 +56,22 @@ class SynthSpec:
     def num_samples(self) -> int:
         return self.num_identities * self.samples_per_identity
 
+    @property
+    def identities(self) -> np.ndarray:
+        """(N,) int64 identity of each sample; identity k holds the samples
+        ``[k * samples_per_identity, (k + 1) * samples_per_identity)``."""
+        return np.arange(self.num_samples) // self.samples_per_identity
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
 class SynthDataset:
-    """Immutable after creation; ``patches`` is (N, I, d_in), float64."""
+    """Immutable after creation; ``patches`` is (N, I, d_in), float64, and
+    sample ``n``'s identity is ``spec.identities[n]``."""
 
     patches: np.ndarray
-    identities: np.ndarray
     spec: SynthSpec
 
     @property
@@ -74,18 +83,17 @@ def generate(spec: SynthSpec) -> SynthDataset:
     """Generate the dataset described by ``spec``; a pure function of the spec."""
     spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    k, spi = spec.num_identities, spec.samples_per_identity
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
 
-    anchors = normalize_rows(rng.normal(size=(k, d)))
-    identities = np.repeat(np.arange(k, dtype=np.int64), spi)
+    anchors = normalize_rows(rng.normal(size=(spec.num_identities, d)))
     # Fixed draw order (clean jitter, noise values, noise mask) keeps the
     # stream layout independent of the mask outcome.
-    clean = anchors[identities][:, None, :] + spec.identity_spread * rng.normal(size=(n, i, d))
+    clean = (anchors[spec.identities][:, None, :]
+             + spec.identity_spread * rng.normal(size=(n, i, d)))
     noise = rng.normal(size=(n, i, d))
     mask = rng.random(size=(n, i)) < spec.noise_patch_prob
     patches = np.where(mask[:, :, None], noise, clean)
-    return SynthDataset(patches=patches, identities=identities, spec=spec)
+    return SynthDataset(patches=patches, spec=spec)
 
 
 def split_query_gallery(ds: SynthDataset, query_per_identity: int,
@@ -97,13 +105,10 @@ def split_query_gallery(ds: SynthDataset, query_per_identity: int,
         raise ValueError(
             f"query_per_identity must be in [1, {spi - 1}], got {query_per_identity}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # identity k's sample indices, ascending: order[lo[k]:hi[k]]
-    order, lo, hi = group_runs(ds.identities, np.arange(ds.spec.num_identities))
-    query: list[np.ndarray] = []
-    for k in range(ds.spec.num_identities):
-        perm = rng.permutation(order[lo[k]:hi[k]])
-        query.append(perm[:query_per_identity])
-    query_idx = np.sort(np.concatenate(query))
+    # identity k's samples are k * spi + [0, spi), see SynthSpec.identities
+    query_idx = np.sort(np.concatenate(
+        [k * spi + rng.permutation(spi)[:query_per_identity]
+         for k in range(ds.spec.num_identities)]))
     mask = np.ones(ds.num_samples, dtype=bool)
     mask[query_idx] = False
     return query_idx, np.flatnonzero(mask)
@@ -112,22 +117,22 @@ def split_query_gallery(ds: SynthDataset, query_per_identity: int,
 def save_dataset(ds: SynthDataset, prefix) -> None:
     """Write ``<prefix>.json`` (manifest) and ``<prefix>.f32`` (blob).
 
-    Blob layout: N*I*d_in little-endian float32 patch values in
-    sample-major, patch-major, coordinate order, followed by N
-    little-endian int32 identity labels.
+    The blob holds the patches only: N*I*d_in little-endian float32
+    values in sample-major, patch-major, coordinate order. Identities are
+    not stored; sample n has identity n // samples_per_identity.
     """
     manifest = ds.spec.to_dict()
     manifest["num_samples"] = ds.num_samples
-    blob = blobio.floats_to_bytes(ds.patches) + blobio.ints_to_bytes(ds.identities)
-    blobio.write_pair(prefix, manifest, blob)
+    blobio.write_pair(prefix, manifest, blobio.floats_to_bytes(ds.patches))
 
 
 def load_dataset(prefix) -> SynthDataset:
     """Read a dataset pair written by :func:`save_dataset`.
 
-    Values come back as float64 (converted from the stored float32). A
-    missing, mistyped or invalid manifest field, a non-finite patch value or
-    identity labels other than the spec's raise DataFormatError.
+    Values come back as float64 (converted from the stored float32); the
+    identities follow from the spec. A missing, mistyped or invalid
+    manifest field, a blob of another length than the spec's patches, or a
+    non-finite patch value raise DataFormatError.
     """
     manifest, blob = blobio.read_pair(prefix)
     spec = SynthSpec(**{f.name: blobio.manifest_field(manifest, f.name, f.type, prefix)
@@ -137,16 +142,12 @@ def load_dataset(prefix) -> SynthDataset:
     num_samples = blobio.manifest_field(manifest, "num_samples", "int", prefix)
     if num_samples != n:
         raise DataFormatError(f"manifest num_samples {num_samples} does not match spec ({n})")
-    expected = 4 * n * i * d + 4 * n
+    expected = 4 * n * i * d
     if len(blob) != expected:
         raise DataFormatError(
             f"dataset blob has {len(blob)} bytes, expected {expected} from manifest fields")
-    patches = blobio.floats_from_bytes(blob, n * i * d).reshape(n, i, d)
+    patches = blobio.floats_from_bytes(blob).reshape(n, i, d)
     # a float64 sum of float32 values is finite iff all are; it needs no mask
     if not np.isfinite(patches.sum()):
         raise DataFormatError("dataset blob has non-finite patch values")
-    identities = blobio.ints_from_bytes(blob, n, offset=4 * n * i * d)
-    if not np.array_equal(identities, np.arange(n) // spec.samples_per_identity):
-        raise DataFormatError("dataset blob has identity labels other than the spec's "
-                              "(sample n has identity n // samples_per_identity)")
-    return SynthDataset(patches=patches, identities=identities, spec=spec)
+    return SynthDataset(patches=patches, spec=spec)

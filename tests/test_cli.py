@@ -366,24 +366,24 @@ def test_failed_log_rename_keeps_previous_log(tmp_path, capsys, monkeypatch):
     assert not list((tmp_path / "run").glob("*.tmp"))
 
 
-@pytest.mark.parametrize("sample,label", [(0, 999), (1, -5), (None, 0)])
-def test_eval_rejects_changed_identity_labels_exit_2(tmp_path, capsys, sample, label):
-    """``sample`` None sets every label."""
+def test_dataset_with_a_trailing_label_column_exits_2(tmp_path, capsys):
+    """A dataset blob that also holds N int32 identity labels after the
+    patches, with a manifest that declares its length, is refused by both
+    commands that read it: the blob holds the patches only."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
-    blob_path = tmp_path / "run" / "data.f32"
-    blob = bytearray(blob_path.read_bytes())
-    start = 4 * 24 * 6 * 5   # labels follow the 24 x 6 x 5 float32 patches
-    labels = np.frombuffer(blob, dtype="<i4", offset=start).copy()
-    labels[slice(None) if sample is None else sample] = label
-    blob[start:] = labels.tobytes()
-    blob_path.write_bytes(bytes(blob))
+    manifest_path, blob_path = tmp_path / "run" / "data.json", tmp_path / "run" / "data.f32"
+    blob = blob_path.read_bytes() + (np.arange(24, dtype="<i4") // 6).tobytes()
+    blob_path.write_bytes(blob)
+    manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()),
+                                         "blob_bytes": len(blob)}))
     capsys.readouterr()
-    assert main(["eval", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "identity labels" in err
-    assert len(err.strip().splitlines()) == 1
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"dataset blob has {len(blob)} bytes, expected {4 * 24 * 6 * 5}" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", [None, [8], 8.7])
@@ -499,8 +499,7 @@ def json_value_of_another_type(value):
 def test_eval_survives_corrupt_artifacts(pristine_run, data):
     """One drawn mutation of the dataset or checkpoint pair: ``eval`` returns
     0 or 2 with at most one stderr line, and 2 for every manifest type
-    change, missing field, blob length change, identity-label change or
-    non-finite float word."""
+    change, missing field, blob length change or non-finite float word."""
     cfg, files = pristine_run
     for path, content in files.values():
         path.write_bytes(content)
@@ -525,10 +524,7 @@ def test_eval_survives_corrupt_artifacts(pristine_run, data):
         mask = data.draw(st.integers(1, 2**32 - 1))
         word = (int.from_bytes(blob[at:at + 4], "little") ^ mask).to_bytes(4, "little")
         blob_path.write_bytes(blob[:at] + word + blob[at + 4:])
-        patch_dims = ("num_samples", "patches_per_image", "patch_input_dim")
-        labels_at = (4 * int(np.prod([manifest[k] for k in patch_dims]))
-                     if name == "data" else len(blob))
-        must_fail = at >= labels_at or not np.isfinite(np.frombuffer(word, "<f4")[0])
+        must_fail = not np.isfinite(np.frombuffer(word, "<f4")[0])
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(["eval", "--config", str(cfg)])

@@ -33,6 +33,9 @@ def test_pairwise_requires_normalized_inputs():
         dbscan(np.array([[2.0, 0.0], [0.0, 1.0]]), eps=0.5, min_pts=1)
     with pytest.raises(ValueError, match=r"\(N, D\)"):
         dbscan(np.array([1.0, 0.0]), eps=0.5, min_pts=1)
+    # a NaN norm is no distance from 1 and must not pass as within tolerance
+    with pytest.raises(ValueError, match="unit-norm"):
+        dbscan(np.array([[1.0, 0.0], [np.nan, 0.0]]), eps=0.5, min_pts=1)
 
 
 def test_pairwise_symmetric_zero_diagonal_clamped(rng):
@@ -109,6 +112,8 @@ def test_parameter_validation():
     feats = on_circle([0.0, 1.0])
     with pytest.raises(ValueError):
         dbscan(feats, eps=0.0, min_pts=2)
+    with pytest.raises(ValueError, match="eps"):
+        dbscan(feats, eps=float("nan"), min_pts=1)
     with pytest.raises(ValueError):
         dbscan(feats, eps=0.5, min_pts=0)
 

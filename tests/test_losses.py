@@ -162,6 +162,8 @@ def test_prototype_label_validation():
         softmax_ce(f, protos, -1, temperature=0.5)
     with pytest.raises(ValueError, match="temperature"):
         softmax_ce(f, protos, 0, temperature=0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        softmax_ce(f, protos, 0, temperature=float("nan"))
 
 
 def test_prototype_gradients_match_finite_differences():

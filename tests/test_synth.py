@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokmem.errors import DataFormatError
-from tokmem.synth import (SynthDataset, SynthSpec, generate, load_dataset, save_dataset,
+from tokmem.synth import (SynthSpec, generate, load_dataset, save_dataset,
                           split_query_gallery)
 
 
@@ -19,14 +19,13 @@ def make_spec(**overrides):
 def test_counts_and_identity_order():
     ds = generate(make_spec())
     assert ds.patches.shape == (6, 4, 8)
-    np.testing.assert_array_equal(ds.identities, [0, 0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(ds.spec.identities, [0, 0, 0, 1, 1, 1])
 
 
 def test_generation_is_deterministic():
     spec = make_spec(noise_patch_prob=0.3, seed=123)
     a, b = generate(spec), generate(spec)
     np.testing.assert_array_equal(a.patches, b.patches)
-    np.testing.assert_array_equal(a.identities, b.identities)
 
 
 def test_different_seeds_differ():
@@ -52,7 +51,7 @@ def test_invalid_spec_names_field(field, value, message):
 def test_zero_spread_zero_noise_collapses_to_anchor():
     ds = generate(make_spec(identity_spread=0.0))
     for k in range(2):
-        sample_patches = ds.patches[ds.identities == k].reshape(-1, 8)
+        sample_patches = ds.patches[ds.spec.identities == k].reshape(-1, 8)
         assert (sample_patches == sample_patches[0]).all()
         assert np.linalg.norm(sample_patches[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -80,7 +79,7 @@ def test_split_counts():
     query, gallery = split_query_gallery(ds, query_per_identity=1, seed=5)
     assert query.size == 2 and gallery.size == 4
     for k in range(2):
-        assert (ds.identities[query] == k).sum() == 1
+        assert (ds.spec.identities[query] == k).sum() == 1
 
 
 def test_split_query_equal_to_spi_rejected():
@@ -106,19 +105,16 @@ def test_split_deterministic():
 
 
 def test_split_matches_per_identity_scan():
-    """The split of a shuffled, non-contiguous identity vector equals the
-    rule it implements: per identity k, a permutation of the ascending
-    indices of k, drawn in identity order from one generator."""
-    spec = make_spec(num_identities=5, samples_per_identity=4)
-    base = generate(spec)
-    shuffle = np.random.Generator(np.random.Philox(key=3))
-    ds = SynthDataset(base.patches, shuffle.permutation(base.identities), spec)
-    assert not (np.diff(ds.identities) >= 0).all()
+    """The split equals the rule it implements: per identity k, a
+    permutation of the ascending indices of k, drawn in identity order
+    from one generator."""
+    ds = generate(make_spec(num_identities=5, samples_per_identity=4))
     query, gallery = split_query_gallery(ds, query_per_identity=2, seed=9)
 
+    ids = ds.spec.identities
     draws = np.random.Generator(np.random.Philox(key=9))
     expected = np.sort(np.concatenate(
-        [draws.permutation(np.flatnonzero(ds.identities == k))[:2] for k in range(5)]))
+        [draws.permutation(np.flatnonzero(ids == k))[:2] for k in range(5)]))
     np.testing.assert_array_equal(query, expected)
     np.testing.assert_array_equal(gallery, np.setdiff1d(np.arange(20), expected))
 
@@ -129,10 +125,15 @@ def test_save_load_round_trip(tmp_path):
     save_dataset(ds, prefix)
     loaded = load_dataset(prefix)
     assert loaded.spec == ds.spec
-    np.testing.assert_array_equal(loaded.identities, ds.identities)
     # storage is float32; loading reproduces exactly those values
     np.testing.assert_array_equal(loaded.patches,
                                   ds.patches.astype(np.float32).astype(np.float64))
+
+
+def test_dataset_blob_is_the_patches_as_float32(tmp_path):
+    ds = generate(make_spec(noise_patch_prob=0.2, seed=21))
+    save_dataset(ds, tmp_path / "data")
+    assert (tmp_path / "data.f32").read_bytes() == ds.patches.astype("<f4").tobytes()
 
 
 def test_save_is_byte_deterministic(tmp_path):
