@@ -3,22 +3,30 @@
 Classic DBSCAN on cosine distance: a core point has at least ``min_pts``
 neighbors within ``eps`` (itself included), clusters are maximal
 density-connected sets, and points reachable from no core point are
-outliers with label -1. Each unlabeled core point, in ascending index
-order, seeds a cluster that grows one breadth-first level per array pass:
-every still-unlabeled neighbour of the frontier joins it, and its core
-points form the next frontier. So cluster ids are dense and follow each
-cluster's smallest core index, and a border point within eps of several
-clusters' cores joins the lowest-numbered one.
+outliers with label -1. Cluster ids are dense and follow each cluster's
+smallest core index, and a border point within eps of several clusters'
+cores joins the lowest-numbered one.
+
+No (N, N) array is built. The neighbour relation is read twice from the
+same row blocks of dot products: the first sweep counts each point's
+neighbours, which finds the core points; the second joins the core-core
+pairs in a union-find forest whose roots are the smallest core index of
+each component, and keeps each non-core point's few core neighbours.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import struct
+
 import numpy as np
+
+from .linalg import BLOCK
 
 __all__ = ["OUTLIER", "dbscan"]
 
 OUTLIER = -1
-BLOCK = 128         # rows per distance block; larger blocks raise peak memory
 ZERO_DIST = 1e-12   # neighbour radius floor: round-off of a unit-norm dot is ~1e-15
 
 
@@ -38,43 +46,128 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     if not np.abs(np.linalg.norm(features, axis=1) - 1.0).max() <= 1e-6:  # NaN fails too
         raise ValueError("features must be unit-norm (tolerance 1e-6)")
 
-    # Distances are thresholded one row block at a time, so the float
-    # buffer is at most (BLOCK, N). Each block of rows makes one diagonal
-    # block, which numpy computes with syrk (one triangle, mirrored) and so
-    # exactly symmetric, and one gemm strip right of it, whose threshold is
-    # mirrored below the diagonal: each pair is thresholded once, so the
-    # neighbour relation is exactly symmetric. Only an eps >= 2 sees
-    # round-off above 2, so one clamp suffices. Exact duplicates, at
-    # distance 0, round to at most ~1e-15 whichever kernel computed their
-    # block, so every pair within ZERO_DIST neighbours, whatever eps.
-    radius = max(eps, ZERO_DIST)
-    within = np.empty((n, n), dtype=bool)
+    floor = _dot_floor(max(eps, ZERO_DIST))
+    return _label(n, lambda: _neighbour_pairs(features, floor), min_pts)
+
+
+def _label(n, sweep, min_pts):
+    """DBSCAN labels of ``n`` points from their neighbour relation.
+
+    ``sweep()`` yields index arrays ``(a, b)`` holding every pair of
+    distinct neighbours once, and the same pairs on each of its two calls.
+    The first call counts each point's neighbours, which finds the core
+    points. In the second, a core pair joins two components of a
+    union-find forest, and a core point and a non-core point make the
+    latter a border point. Core pairs wait in ``links`` until there are
+    ``BLOCK * n / 4``, half the bytes of one (BLOCK, n) float block."""
+    degree = np.ones(n, dtype=np.int64)  # every point neighbours itself
+    for a, b in sweep():
+        degree += np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    core = degree >= min_pts
+
+    root = np.arange(n)
+    links, held, border = [], 0, []
+    for a, b in sweep():
+        core_a, core_b = core[a], core[b]
+        both = core_a & core_b
+        links.append((a[both], b[both]))
+        held += links[-1][0].size
+        one = core_a != core_b  # (the non-core point, its core neighbour)
+        border.append((np.where(core_a, b, a)[one], np.where(core_a, a, b)[one]))
+        if held >= BLOCK * n // 4:
+            _join(root, links)
+            links, held = [], 0
+    _join(root, links)
+
+    first = core & (root == np.arange(n))  # the smallest core index of each cluster
+    labels = np.full(n, OUTLIER, dtype=np.int64)
+    labels[core] = (np.cumsum(first) - 1)[root[core]]
+    point, near = (np.concatenate(side) for side in zip(*border))
+    lowest = np.full(n, n)  # n: above every cluster id
+    np.minimum.at(lowest, point, labels[near])
+    reached = lowest < n  # border points, all of them non-core
+    labels[reached] = lowest[reached]
+    return labels
+
+
+@functools.cache
+def _dot_floor(radius: float) -> float:
+    """The smallest float64 dot product ``d`` with ``min(1 - d, 2) <= radius``,
+    or ``-inf`` when every ``d`` passes.
+
+    ``fl(1 - d)`` falls as ``d`` grows, so the passing ``d`` are exactly
+    those at or above the floor. It is found by bisection over the integers
+    that order the float64 values; ``d = -1`` fails and ``d = 1`` passes."""
+    if radius >= 2.0:
+        return -np.inf
+    lo, hi = _float_order(-1.0), _float_order(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if min(1.0 - _order_float(mid), 2.0) <= radius:
+            hi = mid
+        else:
+            lo = mid
+    return _order_float(hi)
+
+
+def _float_order(x: float) -> int:
+    """An integer key that orders float64 values as they compare."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _order_float(key: int) -> float:
+    """The float64 value of :func:`_float_order` ``key``."""
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(key)))[0], key)
+
+
+def _neighbour_pairs(features, floor):
+    """Yield index arrays ``(a, b)`` with ``a < b``: every pair of distinct
+    neighbouring points once, in chunks of at most about ``BLOCK * BLOCK``
+    pairs, and in the same order on every call.
+
+    Each row block makes one diagonal block, which numpy computes with syrk
+    (one triangle, mirrored) and so exactly symmetric, of which the upper
+    triangle is read, and one gemm strip right of it. So the neighbour
+    relation is exactly symmetric, and a second sweep sees the same bits.
+    ``dot >= floor`` is ``min(1 - dot, 2) <= radius`` (:func:`_dot_floor`);
+    the clamp keeps a radius >= 2 from failing round-off above 2. Exact
+    duplicates, at distance 0, round to at most ~1e-15 whichever kernel
+    computed their block, so every pair within ZERO_DIST neighbours,
+    whatever eps."""
+    n = len(features)
     for i in range(0, n, BLOCK):
         rows = features[i:i + BLOCK]
         end = i + len(rows)
-        for j, cols in ((i, rows), (end, features[end:])):
-            dist = rows @ cols.T
-            np.subtract(1.0, dist, out=dist)
-            np.minimum(dist, 2.0, out=dist)
-            np.less_equal(dist, radius, out=within[i:end, j:j + len(cols)])
-        within[end:, i:end] = within[i:end, end:].T
-    np.fill_diagonal(within, True)  # every point neighbours itself
-    core = within.sum(axis=1) >= min_pts
+        a, b = np.divmod(np.flatnonzero(rows @ rows.T >= floor), len(rows))
+        upper = a < b
+        yield a[upper] + i, b[upper] + i
+        if end == n:
+            return
+        strip = rows @ features[end:].T >= floor
+        step = max(1, len(rows) * BLOCK * BLOCK // max(np.count_nonzero(strip), 1))
+        for start in range(0, len(rows), step):
+            a, b = np.divmod(np.flatnonzero(strip[start:start + step]), n - end)
+            yield a + (i + start), b + end
 
-    labels = np.full(n, OUTLIER, dtype=np.int64)
-    cluster_id = 0
-    for seed in np.flatnonzero(core):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = cluster_id
-        frontier = np.array([seed])
-        while frontier.size:
-            # BLOCK frontier rows at a time, so no (frontier, N) copy is made
-            reached = np.zeros(n, dtype=bool)
-            for k in range(0, frontier.size, BLOCK):
-                reached |= within[frontier[k:k + BLOCK]].any(axis=0)
-            reached &= labels == OUTLIER
-            labels[reached] = cluster_id
-            frontier = np.flatnonzero(reached & core)
-        cluster_id += 1
-    return labels
+
+def _join(root, links):
+    """Join the components of the pairs in ``links`` into the forest
+    ``root``, in which every point points at its root, the smallest index
+    of its component; it still does on return."""
+    if not links:
+        return
+    a, b = (np.concatenate(side) for side in zip(*links))
+    while True:
+        root_a, root_b = root[a], root[b]
+        apart = root_a != root_b
+        if not apart.any():
+            return
+        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        # each larger root points at the smallest root it is paired with
+        np.minimum.at(root, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:  # pointer jumping, until every point points at a root again
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root[:] = up

@@ -1,7 +1,8 @@
 """Retrieval evaluation: mean average precision and CMC rank-k curves.
 
 Each query ranks the whole gallery by descending dot-product similarity,
-ties to the lower gallery index. Only the places of the gallery
+ties to the lower gallery index. The queries are scored ``BLOCK`` rows
+at a time, so no (Q, G) array is made. Only the places of the gallery
 positives are computed: a positive's 0-based place is the number of
 gallery items with a higher similarity, read from one value sort of the
 query's similarity row, plus, only where its value is tied, the number
@@ -21,7 +22,7 @@ import numpy as np
 from . import blobio
 from . import encoder as encoder_mod
 from . import synth as synth_mod
-from .linalg import gather_runs, group_runs
+from .linalg import BLOCK, gather_runs, group_runs
 
 __all__ = ["RankingResult", "evaluate_retrieval", "evaluate_encoder", "metrics_dict",
            "write_metrics"]
@@ -39,8 +40,8 @@ class RankingResult:
 def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
                        gallery_features: np.ndarray, gallery_ids: np.ndarray,
                        k_max: int) -> RankingResult:
-    """Score all queries in one ``(Q, G)`` similarity pass; AP and CMC are
-    read from the places of the positives, so no similarity row is argsorted.
+    """Score the queries in blocks of ``BLOCK`` rows; AP and CMC are read
+    from the places of the positives, so no similarity row is argsorted.
     The positives come from one stable argsort of ``gallery_ids``."""
     query_features = np.asarray(query_features, dtype=np.float64)
     gallery_features = np.asarray(gallery_features, dtype=np.float64)
@@ -59,7 +60,6 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
         raise ValueError("query and gallery features must be finite")
     if not 1 <= k_max <= num_g:
         raise ValueError(f"k_max must be in [1, {num_g}]")
-    sims = query_features @ gallery_features.T
     # each query's positives are its id's run in one grouping of the gallery
     order, lo, hi = group_runs(gallery_ids, query_ids)
     positives = hi - lo
@@ -67,7 +67,8 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     if not valid.any():
         raise ValueError("every query lacks gallery positives")
     rows, cols, row_start = gather_runs(order, lo, hi)
-    places = _positive_places(sims, rows, cols, row_start, positives)
+    places = _positive_places(query_features, gallery_features, rows, cols, row_start,
+                              positives)
     # a positive's hit count is its index among its row's ascending places
     hits = np.arange(1, len(rows) + 1) - row_start[rows]
     precision_sums = np.bincount(rows, weights=hits / (places + 1), minlength=num_q)
@@ -84,9 +85,26 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     )
 
 
-def _positive_places(sims, rows, cols, row_start, positives):
-    """0-based ranking places of the positives ``(rows, cols)`` of ``sims``,
-    given row-major, sorted within each row.
+def _positive_places(query_features, gallery_features, rows, cols, row_start, positives):
+    """0-based ranking places of the positives ``(rows, cols)`` of the
+    query-gallery similarities, given row-major, sorted within each row.
+
+    The queries are scored ``BLOCK`` rows at a time, so no more than one
+    ``(BLOCK, G)`` block of similarities and its sorted copy are held."""
+    places = np.empty(len(rows), dtype=np.int64)
+    ends = row_start + positives
+    for q in range(0, len(query_features), BLOCK):
+        stop = min(q + BLOCK, len(query_features))
+        lo, hi = row_start[q], ends[stop - 1]
+        # the block's arrays are freed on return, before the next is made
+        places[lo:hi] = _block_places(query_features[q:stop] @ gallery_features.T,
+                                      rows[lo:hi] - q, cols[lo:hi], row_start[q:stop] - lo,
+                                      positives[q:stop])
+    return places
+
+
+def _block_places(sims, rows, cols, row_start, positives):
+    """:func:`_positive_places` of one block of similarity rows.
 
     The place of the positive at column c with similarity s is
     ``#{s' > s} + #{c' < c : s' == s}``. The first term is ``G`` minus the

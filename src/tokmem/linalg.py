@@ -21,6 +21,8 @@ __all__ = [
     "gather_runs",
 ]
 
+BLOCK = 128  # rows per block of dot products, in DBSCAN and eval; larger raises peak memory
+
 
 class DegenerateNormWarning(UserWarning):
     """A zero vector could not be normalized and was returned unchanged."""
@@ -58,7 +60,7 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
     evaluates to a non-finite value.
     """
     x = np.asarray(x, dtype=np.float64)
-    if h <= 0.0:
+    if not h > 0.0:  # NaN fails too
         raise ValueError("step h must be positive")
     grad = np.empty(x.shape, dtype=np.float64)
     for i in range(x.size):

@@ -80,19 +80,22 @@ class SynthDataset:
 
 
 def generate(spec: SynthSpec) -> SynthDataset:
-    """Generate the dataset described by ``spec``; a pure function of the spec."""
+    """Generate the dataset described by ``spec``; a pure function of the
+    spec. It holds two (N, I, d_in) arrays at most."""
     spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
 
     anchors = normalize_rows(rng.normal(size=(spec.num_identities, d)))
     # Fixed draw order (clean jitter, noise values, noise mask) keeps the
-    # stream layout independent of the mask outcome.
-    clean = (anchors[spec.identities][:, None, :]
-             + spec.identity_spread * rng.normal(size=(n, i, d)))
+    # stream layout independent of the mask outcome. The clean patches,
+    # anchor + spread * jitter, are built in place.
+    patches = rng.normal(size=(n, i, d))
+    patches *= spec.identity_spread
+    patches += anchors[spec.identities][:, None, :]
     noise = rng.normal(size=(n, i, d))
     mask = rng.random(size=(n, i)) < spec.noise_patch_prob
-    patches = np.where(mask[:, :, None], noise, clean)
+    np.copyto(patches, noise, where=mask[:, :, None])
     return SynthDataset(patches=patches, spec=spec)
 
 

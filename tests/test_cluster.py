@@ -6,7 +6,7 @@ import pytest
 from conftest import unit_rows
 from oracles import (cosine_dist_oracle, dbscan_oracle, neighbours,
                      partition_of_core_points)
-from tokmem.cluster import BLOCK, OUTLIER, dbscan
+from tokmem.cluster import BLOCK, OUTLIER, _dot_floor, dbscan
 
 
 def num_clusters(labels):
@@ -56,7 +56,8 @@ def test_pairwise_symmetric_zero_diagonal_clamped(rng):
 def test_gram_matrix_is_bitwise_symmetric(n):
     """dbscan relies on each diagonal block R @ R.T, R a row slice of the
     C-ordered features, being exactly symmetric (numpy computes it with
-    syrk); the off-diagonal strips are gemm and are mirrored instead."""
+    syrk); the off-diagonal strips are gemm, and each of their pairs is
+    read once."""
     rng = np.random.Generator(np.random.Philox(key=np.array([556, n], dtype=np.uint64)))
     feats = unit_rows(rng, n, 32)
     for rows in (feats, feats[n // 3:n // 3 + BLOCK]):
@@ -65,8 +66,8 @@ def test_gram_matrix_is_bitwise_symmetric(n):
 
 
 def test_peak_memory_is_bool_matrix_and_one_block_strip(rng):
-    """Spread features, and features within 1e-3 of one direction, whose
-    single cluster grows from frontiers of thousands of rows."""
+    """Spread features, and features within 1e-3 of one direction, which
+    all neighbour each other: 4.5 M pairs, more than can be held at once."""
     center = unit_rows(rng, 1, 8)
     collapsed = unit_rows(rng, 3000, 8) * 1e-3 + center
     collapsed /= np.linalg.norm(collapsed, axis=1, keepdims=True)
@@ -79,6 +80,43 @@ def test_peak_memory_is_bool_matrix_and_one_block_strip(rng):
         finally:
             tracemalloc.stop()
         assert peak <= n * n + 2 * 8 * BLOCK * n
+
+
+def test_peak_memory_is_linear_in_n(rng):
+    """6,000 spread points: no (N, N) array, only a few (BLOCK, N) ones."""
+    feats = unit_rows(rng, 6000, 8)
+    n = len(feats)
+    tracemalloc.start()
+    try:
+        dbscan(feats, eps=0.05, min_pts=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * BLOCK * n
+
+
+def ulps_around(x, count):
+    """The ``2 * count + 1`` float64 values nearest ``x``, ascending."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+@pytest.mark.parametrize("radius", [1e-13, 1e-12, 0.15, 0.6, 1.0, 1.9999999, 2.0, 3.0])
+def test_dot_floor_is_the_distance_threshold(radius):
+    """``dot >= floor`` is ``min(1 - dot, 2) <= radius`` near the floor, at
+    the ends and middle of the dot range, and on the subnormals next to 0,
+    where ``1 - dot`` rounds to 1."""
+    floor = _dot_floor(radius)
+    tiny = np.nextafter(0.0, 1.0)
+    dots = [ulps_around(x, 64) for x in (-1.0, 1.0) + ((floor,) if floor > -np.inf else ())]
+    dots.append(np.array([-1.0, -0.0, 0.0, 1.0, -tiny, tiny, -2 * tiny, 2 * tiny,
+                          -2.0**-53, 2.0**-53]))
+    dots = np.concatenate(dots)
+    np.testing.assert_array_equal(dots >= floor, np.minimum(1.0 - dots, 2.0) <= radius)
+    assert (floor == -np.inf) == (radius >= 2.0)
 
 
 def test_two_pairs_and_a_singleton():
@@ -210,6 +248,25 @@ def test_border_point_between_two_clusters_joins_cluster_0():
     for first, second in ((arc_a, arc_b), (arc_b, arc_a)):
         result = dbscan(on_circle([0.16] + first + second), eps, min_pts=4)
         np.testing.assert_array_equal(result, [0] * 5 + [1] * 4)
+
+
+def test_border_point_between_clusters_in_two_blocks_matches_oracle(rng):
+    """Past two row blocks: a border point in the middle block whose core
+    neighbours are two clusters, one in the first block and one in the
+    third, among spread points off the arcs' plane."""
+    n, border = 2 * BLOCK + 50, BLOCK + 30
+    eps = 1.0 - np.cos(0.135)
+    arc_a, arc_b = [0.0, 0.01, 0.02, 0.03], [0.29, 0.30, 0.31, 0.32]
+    for low, high in ((arc_a, arc_b), (arc_b, arc_a)):
+        angles = {border: 0.16, **dict(zip(range(20, 24), low)),
+                  **dict(zip(range(2 * BLOCK + 10, 2 * BLOCK + 14), high))}
+        feats = np.zeros((n, 8))
+        feats[:, 2:] = unit_rows(rng, n, 6)  # at distance 1 from every arc point
+        feats[list(angles)] = 0.0
+        feats[list(angles), :2] = on_circle(list(angles.values()))
+        labels = dbscan(feats, eps, 4)
+        assert labels[border] == labels[20] == 0 and labels[2 * BLOCK + 10] == 1
+        assert_matches_oracle(feats, eps, 4)
 
 
 def test_clustered_blobs_recovered(rng):

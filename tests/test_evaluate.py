@@ -10,6 +10,7 @@ from conftest import features_ranking_as, observed_rankings, unit_rows
 from oracles import (average_precision_oracle, cmc_oracle, retrieval_by_stable_argsort,
                      topk_by_full_sort)
 from tokmem.evaluate import evaluate_retrieval, metrics_dict, write_metrics
+from tokmem.linalg import BLOCK
 
 
 def gallery_with_sims(sims):
@@ -117,6 +118,14 @@ def _retrieval_case(kind, rng):
         base = unit_rows(rng, 3, 4)
         return (unit_rows(rng, num_q, 4), query_ids, base[rng.integers(0, 3, num_g)],
                 gallery_ids)
+    if kind == "query_blocks":
+        # more than two blocks of queries; the queries on either side of each
+        # block boundary are one row, and the gallery rows repeat
+        query = unit_rows(rng, 2 * BLOCK + 7, 4)
+        query_ids = rng.integers(0, num_ids + 2, len(query))
+        for edge in (BLOCK, 2 * BLOCK):
+            query[edge], query_ids[edge] = query[edge - 1], query_ids[edge - 1]
+        return query, query_ids, unit_rows(rng, 3, 4)[rng.integers(0, 3, num_g)], gallery_ids
     if kind == "signed_zero":
         # entries -1, -0.0, +0.0, 1: zero similarities from products of
         # signed zeros, of whichever sign the matmul sums them to
@@ -129,8 +138,8 @@ def _retrieval_case(kind, rng):
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["unit", "integer", "duplicate_gallery", "signed_zero",
-                             "single_positive"]),
+@given(kind=st.sampled_from(["unit", "integer", "duplicate_gallery", "query_blocks",
+                             "signed_zero", "single_positive"]),
        seed=st.integers(0, 2**32 - 1))
 def test_metrics_bit_equal_stable_argsort_oracle(kind, seed):
     """AP (NaN positions included), CMC and mAP equal, bit for bit, those of
@@ -265,9 +274,9 @@ def test_positives_match_the_match_matrix(monkeypatch, trial):
     seen = {}
     real = evaluate_mod._positive_places
 
-    def spy(sims, rows, cols, row_start, positives):
+    def spy(query_features, gallery_features, rows, cols, row_start, positives):
         seen.update(rows=rows, cols=cols, row_start=row_start, positives=positives)
-        return real(sims, rows, cols, row_start, positives)
+        return real(query_features, gallery_features, rows, cols, row_start, positives)
 
     monkeypatch.setattr(evaluate_mod, "_positive_places", spy)
     result = evaluate_retrieval(unit_rows(rng, len(query_ids), 4), query_ids,
@@ -284,9 +293,9 @@ def test_positives_match_the_match_matrix(monkeypatch, trial):
 
 
 def test_peak_memory_is_about_two_query_gallery_arrays(rng):
-    """Evaluation holds about two (Q, G) 8-byte arrays at a time, the
-    similarities and their value-sorted copy: no float cumsum or precision
-    matrix."""
+    """Evaluation holds about two (BLOCK, G) 8-byte arrays at a time, one
+    block of similarities and its value-sorted copy: no (Q, G) array, float
+    cumsum or precision matrix."""
     num_q, num_g = 400, 3000
     queries, gallery = unit_rows(rng, num_q, 16), unit_rows(rng, num_g, 16)
     query_ids, gallery_ids = rng.integers(0, 100, num_q), rng.integers(0, 100, num_g)
@@ -296,7 +305,7 @@ def test_peak_memory_is_about_two_query_gallery_arrays(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * num_q * num_g
+    assert peak <= 2.5 * 8 * BLOCK * num_g
 
 
 def test_metrics_file_outputs(tmp_path, rng):

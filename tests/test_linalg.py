@@ -70,6 +70,9 @@ def test_finite_diff_nonfinite_names_coordinate():
 def test_finite_diff_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         finite_diff_grad(lambda x: 0.0, np.zeros(2), h=0.0)
+    # a NaN step is not positive either; it would make every entry NaN
+    with pytest.raises(ValueError, match="step h must be positive"):
+        finite_diff_grad(lambda x: 0.0, np.zeros(2), h=float("nan"))
 
 
 def test_finite_diff_is_the_oracle_for_constraint_loss(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ def test_different_seeds_differ():
 def test_invalid_spec_names_field(field, value, message):
     with pytest.raises(ValueError, match=message):
         generate(make_spec(**{field: value}))
+
+
+def test_peak_memory_is_two_patch_arrays():
+    """The patches are built in place: generation holds the patches and
+    the noise values, and no third (N, I, d_in) array."""
+    spec = make_spec(num_identities=50, samples_per_identity=20, patches_per_image=16,
+                     patch_input_dim=16, noise_patch_prob=0.1)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * spec.num_samples * 16 * 16
 
 
 def test_zero_spread_zero_noise_collapses_to_anchor():
