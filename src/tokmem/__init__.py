@@ -5,7 +5,7 @@ identity data."""
 from .cluster import dbscan
 from .config import EvalConfig, RunConfig, RunPaths, load_run_config
 from .encoder import (EncodeOutput, EncoderParams, encode, encode_backward,
-                      init_params, load_checkpoint, save_checkpoint)
+                      init_params, load_checkpoint, patch_means, save_checkpoint)
 from .errors import ConfigError, DataFormatError, NumericError
 from .evaluate import RankingResult, evaluate_encoder, evaluate_retrieval
 from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,

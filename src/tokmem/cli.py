@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``gen-data``, ``train``, ``eval``, ``gradcheck``. Exit
-codes: 0 success, 1 check failure, 2 config/input error, 3 runtime
-numeric failure. Every command is deterministic given its config file;
-flags only override paths and seeds.
+codes: 0 success, 1 check failure, 2 config/input error (an input too
+large for the available memory included), 3 runtime numeric failure.
+Every command is deterministic given its config file; flags only
+override paths and seeds.
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # an input too large for this machine, e.g. a dataset shape
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -7,13 +7,22 @@ each applied to the mean of one contiguous patch stripe. All outputs are
 L2-normalized inside the encoder so every downstream dot product is a
 cosine similarity.
 
+The head reads only the patch and stripe means, which do not depend on
+the weights: ``patch_means`` computes them once, and ``image_feature``
+and ``encode`` take them as an argument, so a training run re-projects
+the cached means instead of re-averaging every patch stack. The means of
+a batch of stacks are rows of the whole set's means, bit for bit.
+
 ``encode_backward`` is the exact analytic adjoint of ``encode`` for a
 linear functional of its outputs, including the normalization Jacobian
 ``(I - u_hat u_hat^T) / ||u||``. Where a pre-normalization vector is zero
 (the warning path of ``normalize_rows``), the Jacobian degenerates to the
-identity pass-through. Both take any leading batch axes on the patches.
-The backward takes the forward's ``EncodeOutput``, which records every
-intermediate the adjoint reads, so no part of the forward runs twice.
+identity pass-through. The token gradient is given for a selection of
+distinct tokens per stack, the way training's constraint loss reads
+them; the adjoint runs on those rows only. Both take any leading batch
+axes on the patches. The backward takes the forward's ``EncodeOutput``,
+which records every intermediate the adjoint reads, so no part of the
+forward runs twice.
 """
 
 from __future__ import annotations
@@ -24,10 +33,10 @@ import numpy as np
 
 from . import blobio
 from .errors import DataFormatError, check_fields
-from .linalg import normalize_rows
+from .linalg import normalize_rows, row_norms
 
 __all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
-           "encode_backward", "image_feature", "part_slices",
+           "encode_backward", "image_feature", "part_slices", "patch_means",
            "save_checkpoint", "load_checkpoint"]
 
 
@@ -77,7 +86,7 @@ class EncodeOutput:
     patch_tokens: np.ndarray   # (..., I, D), unit rows
     patches: np.ndarray        # (..., I, d_in), the input
     pre_tokens: np.ndarray     # (..., I, D), the tokens before normalization
-    head: tuple                # _head's (feature before normalization, head input means)
+    head: tuple                # (feature before normalization, the patch_means it read)
 
 
 # encoder dimension (a checkpoint manifest field) -> its least valid value
@@ -110,49 +119,69 @@ def part_slices(num_patches: int, part_tokens: int) -> list[slice]:
     return out
 
 
-def _check_patches(params: EncoderParams, patches: np.ndarray) -> np.ndarray:
+def patch_means(patches: np.ndarray, part_tokens: int) -> np.ndarray:
+    """The head's inputs for (..., I, d_in) patch stacks, (1 + Z, ..., d_in):
+    the patch mean xbar, then the Z stripe means xbar_z of ``part_slices``.
+    Each stack's means are reduced over its own patches alone, so
+    ``patch_means(x)[:, b]`` equals ``patch_means(x[b])`` bit for bit."""
     patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim < 2 or patches.shape[-1] != params.patch_input_dim:
-        raise ValueError(f"patches must be (..., I, {params.patch_input_dim})")
-    return patches
-
-
-def _head(params: EncoderParams, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The image feature before normalization, W_head[0] xbar + mean_z W_head[z] xbar_z,
-    with the (1 + Z, ..., d_in) means it is made of: the patch mean xbar,
-    then the stripe means xbar_z."""
-    z = params.part_tokens
-    means = np.empty((1 + z, *patches.shape[:-2], patches.shape[-1]))
+    if patches.ndim < 2:
+        raise ValueError("patches must be (..., I, d_in)")
+    means = np.empty((1 + part_tokens, *patches.shape[:-2], patches.shape[-1]))
     patches.mean(axis=-2, out=means[0])
-    for h, sl in enumerate(part_slices(patches.shape[-2], z), start=1):
+    for h, sl in enumerate(part_slices(patches.shape[-2], part_tokens), start=1):
         patches[..., sl, :].mean(axis=-2, out=means[h])
+    return means
+
+
+def _check_means(params: EncoderParams, means: np.ndarray,
+                 batch: tuple | None) -> np.ndarray:
+    """``means`` as float64 if it is (1 + Z, *batch, d_in); ``batch`` None takes any."""
+    means = np.asarray(means, dtype=np.float64)
+    z, d_in = params.part_tokens, params.patch_input_dim
+    if (means.ndim < 2 or means.shape[0] != 1 + z or means.shape[-1] != d_in
+            or batch is not None and means.shape[1:-1] != batch):
+        raise ValueError(f"means must be (1 + {z}, ..., {d_in}) from patch_means, "
+                         f"got {means.shape}")
+    return means
+
+
+def _head(params: EncoderParams, means: np.ndarray) -> np.ndarray:
+    """The image feature before normalization, W_head[0] xbar + mean_z W_head[z] xbar_z,
+    from the (1 + Z, ..., d_in) ``patch_means``."""
+    z = params.part_tokens
     pre = means[0] @ params.w_head[0].T
     for h in range(1, 1 + z):
         pre = pre + (means[h] @ params.w_head[h].T) / z
-    return pre, means
+    return pre
 
 
-def image_feature(params: EncoderParams, patches: np.ndarray) -> np.ndarray:
-    """The image feature of ``encode`` alone, (..., D); builds no tokens."""
-    return normalize_rows(_head(params, _check_patches(params, patches))[0])
+def image_feature(params: EncoderParams, means: np.ndarray) -> np.ndarray:
+    """The image feature of ``encode`` alone, (..., D), from the stacks'
+    (1 + Z, ..., d_in) ``patch_means``; builds no tokens."""
+    return normalize_rows(_head(params, _check_means(params, means, None)))
 
 
-def encode(params: EncoderParams, patches: np.ndarray) -> EncodeOutput:
+def encode(params: EncoderParams, patches: np.ndarray, means: np.ndarray) -> EncodeOutput:
     """Forward pass for (..., I, d_in) patch stacks; leading axes are a batch.
+    ``means`` are the stacks' (1 + Z, ..., d_in) ``patch_means``.
 
     tokens[i] = normalize(W_patch @ patches[i]);
     f = normalize(W_head[0] @ mean(patches) + mean_z(W_head[z] @ stripe_mean_z)).
     """
-    patches = _check_patches(params, patches)
-    head, pre_tokens = _head(params, patches), patches @ params.w_patch.T
-    return EncodeOutput(normalize_rows(head[0]), normalize_rows(pre_tokens), patches,
-                        pre_tokens, head)
+    patches = np.asarray(patches, dtype=np.float64)
+    if patches.ndim < 2 or patches.shape[-1] != params.patch_input_dim:
+        raise ValueError(f"patches must be (..., I, {params.patch_input_dim})")
+    means = _check_means(params, means, patches.shape[:-2])
+    pre, pre_tokens = _head(params, means), patches @ params.w_patch.T
+    return EncodeOutput(normalize_rows(pre), normalize_rows(pre_tokens), patches,
+                        pre_tokens, (pre, means))
 
 
 def _normalize_backward(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
     """Adjoint of v -> v/||v|| along the last axis: (g - (g . v_hat) v_hat) / ||v||;
     identity where ||v|| = 0."""
-    norms = np.linalg.norm(pre, axis=-1, keepdims=True)
+    norms = row_norms(pre)
     safe = np.where(norms == 0.0, 1.0, norms)
     units = pre / safe
     proj = np.einsum("...d,...d->...", grad_out, units)[..., None]
@@ -160,29 +189,47 @@ def _normalize_backward(grad_out: np.ndarray, pre: np.ndarray) -> np.ndarray:
 
 
 def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
-                    grad_tokens: np.ndarray) -> np.ndarray:
-    """Gradient of <g_f, image_feature> + sum_i <g_t[i], token_i> w.r.t. the
-    params of the ``encode`` call that made ``out``, summed over its batch
-    axes: one vector laid out like ``EncoderParams.vec``.
+                    selected: np.ndarray, grad_selected: np.ndarray) -> np.ndarray:
+    """Gradient of <g_f, image_feature> + sum_k <g_s[k], token_{selected[k]}>
+    w.r.t. the params of the ``encode`` call that made ``out``, summed over
+    its batch axes: one vector laid out like ``EncoderParams.vec``.
 
-    The batch sum is one reshaped matmul per weight matrix, so its order
-    is fixed. The image feature does not depend on ``w_patch``, and the
-    tokens do not depend on ``w_head``, so the two output gradients
-    touch disjoint parameter blocks.
+    ``selected`` (..., K) holds distinct token indices per stack and
+    ``grad_selected`` (..., K, D) their gradients; every other token's
+    gradient is zero. The normalization adjoint runs on the selected rows
+    only and is scattered into zero (..., I, D) rows, so an unselected
+    token adds exactly +0.0. The batch sum is one reshaped matmul per
+    weight matrix, so its order is fixed. The image feature does not
+    depend on ``w_patch``, and the tokens do not depend on ``w_head``, so
+    the two output gradients touch disjoint parameter blocks.
     """
     grad_image_feature = np.asarray(grad_image_feature, dtype=np.float64)
-    grad_tokens = np.asarray(grad_tokens, dtype=np.float64)
+    selected = np.asarray(selected)
+    grad_selected = np.asarray(grad_selected, dtype=np.float64)
+    *batch, num_tokens, d = out.patch_tokens.shape
     if grad_image_feature.shape != out.image_feature.shape:
         raise ValueError(f"grad_image_feature must be {out.image_feature.shape}")
-    if grad_tokens.shape != out.patch_tokens.shape:
-        raise ValueError(f"grad_tokens must be {out.patch_tokens.shape}")
+    if selected.dtype.kind not in "iu" or selected.shape[:-1] != tuple(batch):
+        raise ValueError(f"selected must be integer (..., K) with batch axes {tuple(batch)}")
+    if grad_selected.shape != (*selected.shape, d):
+        raise ValueError(f"grad_selected must be {(*selected.shape, d)}")
+    pre_tokens = out.pre_tokens.reshape(-1, num_tokens, d)
+    selected = selected.reshape(len(pre_tokens), -1)
+    ordered = np.sort(selected, axis=1)
+    if ordered.size and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= num_tokens):
+        raise ValueError(f"selected token index out of range [0, {num_tokens})")
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("a token index repeats within a row of selected")
     pre, means = out.head
-    d, d_in = pre.shape[-1], means.shape[-1]
+    d_in = means.shape[-1]
     grad = np.zeros((1 + len(means)) * d * d_in)
     g_w_patch, g_w_head = EncoderParams._blocks(grad, d, d_in)
 
-    # Token path: t_i = normalize(W_patch p_i).
-    g_pre_tokens = _normalize_backward(grad_tokens, out.pre_tokens)
+    # Token path: t_i = normalize(W_patch p_i), nonzero on the selected rows only.
+    rows = np.arange(len(selected))[:, None]
+    g_pre_tokens = np.zeros_like(pre_tokens)
+    g_pre_tokens[rows, selected] = _normalize_backward(
+        grad_selected.reshape(*selected.shape, d), pre_tokens[rows, selected])
     g_w_patch[...] = g_pre_tokens.reshape(-1, d).T @ out.patches.reshape(-1, d_in)
 
     # Image-feature path: f = normalize(W_head[0] xbar + mean_z W_head[z] xbar_z).

@@ -133,7 +133,8 @@ def _block_places(sims, rows, cols, row_start, positives):
 def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> RankingResult:
     """Retrieval metrics of an encoder: encode every sample, then split and
     rank as ``eval_cfg`` (an ``EvalConfig``) says."""
-    features = encoder_mod.image_feature(params, dataset.patches)
+    features = encoder_mod.image_feature(
+        params, encoder_mod.patch_means(dataset.patches, params.part_tokens))
     query, gallery = synth_mod.split_query_gallery(
         dataset, eval_cfg.query_per_identity, eval_cfg.seed)
     ids = dataset.spec.identities

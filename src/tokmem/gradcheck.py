@@ -98,21 +98,29 @@ def _check_anchor(rng: np.random.Generator) -> float:
 def _check_encoder(rng: np.random.Generator) -> float:
     """Check the parameter gradient of a random linear functional of the
     encoder outputs over every parameter entry, summed over a batch of
-    distinct patch stacks."""
+    distinct patch stacks. As in training, the token term reads K
+    distinct tokens per stack, a random subset in random order with K
+    drawn from [1, I], so both K < I and K = I occur."""
     d = int(rng.integers(3, 6))
     d_in = int(rng.integers(3, 7))
     z = int(rng.integers(1, 4))
     num_patches = int(rng.integers(z, z + 5))
     params = encoder_mod.init_params(d, d_in, z, seed=int(rng.integers(0, 2**63)))
     patches = rng.normal(size=(_ENCODER_BATCH, num_patches, d_in))
+    means = encoder_mod.patch_means(patches, z)
+    k = int(rng.integers(1, num_patches + 1))
+    selected = np.argsort(rng.random((_ENCODER_BATCH, num_patches)), axis=1)[:, :k]
     g_f = rng.normal(size=(_ENCODER_BATCH, d))
-    g_t = rng.normal(size=(_ENCODER_BATCH, num_patches, d))
+    g_s = rng.normal(size=(_ENCODER_BATCH, k, d))
 
-    analytic = encoder_mod.encode_backward(encoder_mod.encode(params, patches), g_f, g_t)
+    analytic = encoder_mod.encode_backward(encoder_mod.encode(params, patches, means),
+                                           g_f, selected, g_s)
+    rows = np.arange(_ENCODER_BATCH)[:, None]
 
     def value_at(vec: np.ndarray) -> float:
-        out = encoder_mod.encode(encoder_mod.EncoderParams(vec, d, d_in), patches)
-        return float(np.sum(g_f * out.image_feature) + np.sum(g_t * out.patch_tokens))
+        out = encoder_mod.encode(encoder_mod.EncoderParams(vec, d, d_in), patches, means)
+        return float(np.sum(g_f * out.image_feature)
+                     + np.sum(g_s * out.patch_tokens[rows, selected]))
 
     numeric = finite_diff_grad(value_at, params.vec, STEP)
     return relative_error(analytic, numeric)

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "DegenerateNormWarning",
+    "row_norms",
     "normalize_rows",
     "finite_diff_grad",
     "relative_error",
@@ -28,6 +29,13 @@ class DegenerateNormWarning(UserWarning):
     """A zero vector could not be normalized and was returned unchanged."""
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row along the last axis, keeping that axis as 1:
+    what ``np.linalg.norm(m, axis=-1, keepdims=True)`` computes for real
+    float input, bit for bit, without its argument dispatch."""
+    return np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))
+
+
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """L2-normalize a vector, or each row along the last axis, as a new
     float64 array.
@@ -36,7 +44,7 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     degenerate inputs must not abort a training run.
     """
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    norms = row_norms(m)
     tiny = norms < 1e-150
     if tiny.any():
         # Squares this small are subnormal and lose precision: divide such
@@ -46,7 +54,7 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
             warnings.warn("cannot normalize zero rows; returning them unchanged",
                           DegenerateNormWarning, stacklevel=2)
         m = m / np.where(peak == 0.0, 1.0, peak)
-        norms = np.linalg.norm(m, axis=-1, keepdims=True)
+        norms = row_norms(m)
         norms[norms == 0.0] = 1.0
     return m / norms
 

@@ -111,7 +111,9 @@ def momentum_update(bank: np.ndarray, index, features: np.ndarray,
     ``bank`` is (R, D), ``index`` (B,) slots, ``features`` (B, D); a repeated
     slot mixes every occurrence, each earlier one decayed by mu. Round j
     writes the j-th occurrence of every slot at once (its rank in a stable
-    argsort of ``index``), so there are as many rounds as the top multiplicity.
+    argsort of ``index``), so there are as many rounds as the top
+    multiplicity; the rows are sorted by round once, so each round is a
+    contiguous slice.
     """
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must be in [0, 1]")
@@ -124,8 +126,11 @@ def momentum_update(bank: np.ndarray, index, features: np.ndarray,
         raise ValueError(f"index {index} out of range [0, {len(bank)})")
     order = np.argsort(index, kind="stable")
     ranked = index[order]
-    rank = np.empty_like(index)
-    rank[order] = np.arange(index.size) - np.searchsorted(ranked, ranked)
-    for j in range(int(rank.max(initial=-1)) + 1):
-        slots, fresh = index[rank == j], features[rank == j]
-        bank[slots] = normalize_rows(momentum * bank[slots] + (1.0 - momentum) * fresh)
+    rank = np.arange(index.size) - np.searchsorted(ranked, ranked)  # round of order[i]
+    by_round = order[np.argsort(rank, kind="stable")]
+    slots, fresh = index[by_round], (1.0 - momentum) * features[by_round]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)).tolist():
+        part = slots[start:stop]
+        bank[part] = normalize_rows(momentum * bank[part] + fresh[start:stop])
+        start = stop

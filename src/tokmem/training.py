@@ -1,14 +1,18 @@
 """Epoch-based training loop over the full pipeline.
 
-Per epoch: re-encode the whole dataset with the current encoder, cluster
-the fresh features into a label vector, index it once (one stable
-argsort, ``memory.label_runs``), rebuild the instance bank from the
-features (stale features would poison the clustering), and compute
+The patch and stripe means the encoder's head reads depend on the data
+only, so ``train`` computes them once (``encoder.patch_means``). Per
+epoch: re-project the cached patch means with the current encoder into
+fresh features, cluster them into a label vector, index it once (one
+stable argsort, ``memory.label_runs``), rebuild the instance bank from
+the features (stale features would poison the clustering), and compute
 cluster prototypes from the index. Per iteration, ``train_step`` makes
-one array pass over the batch: encode all anchors, select their tokens,
-compute the three losses against the frozen memory snapshot (one mining
-matmul, each anchor's cluster read as a slice of the index), run one
-batched backward, then write the memories and apply one plain SGD step.
+one array pass over the batch: encode all anchors from their patches and
+their rows of the cached means, select their tokens, compute the three
+losses against the frozen memory snapshot (one mining matmul, each
+anchor's cluster read as a slice of the index), run one batched backward
+(its token adjoint on the selected tokens only), then write the memories
+and apply one plain SGD step.
 Every loss reads the snapshot before any write; then each bank takes one
 batched ``momentum_update`` that equals writing the rows in batch order
 (anchors sharing a cluster all mix into its prototype). Gradients are
@@ -141,13 +145,14 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
 
     params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
                                      config.part_tokens, config.seed)
+    means = encoder_mod.patch_means(dataset.patches, config.part_tokens)
     log: list[dict] = []
     # every non-finite result raises NumericError below; numpy's own
     # warnings would only add lines before that one-line error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             lr = learning_rate(config, epoch)
-            features = encoder_mod.image_feature(params, dataset.patches)
+            features = encoder_mod.image_feature(params, means)
             labels = cluster_mod.dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
             record = {
                 "epoch": epoch,
@@ -172,8 +177,9 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
             anchor_count = 0
             for iteration, batch in enumerate(batches):
                 try:
-                    step = train_step(config, params, dataset.patches[batch], batch,
-                                      labels[batch], bank, runs, protos, lr)
+                    step = train_step(config, params, dataset.patches[batch],
+                                      means[:, batch], batch, labels[batch], bank, runs,
+                                      protos, lr)
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} iteration {iteration}",
@@ -207,20 +213,22 @@ class StepLosses:
 
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
-               patches: np.ndarray, indices: np.ndarray, labels: np.ndarray,
-               bank: np.ndarray, runs, protos: np.ndarray, lr: float) -> StepLosses:
+               patches: np.ndarray, means: np.ndarray, indices: np.ndarray,
+               labels: np.ndarray, bank: np.ndarray, runs, protos: np.ndarray,
+               lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
     ``params``, ``bank`` and ``protos``.
 
-    ``patches`` (B, I, d_in) are the anchors' patch stacks, ``indices``
-    their slots in the (N, D) instance ``bank`` and ``labels`` their (B,)
+    ``patches`` (B, I, d_in) are the anchors' patch stacks, ``means``
+    their (1 + Z, B, d_in) ``encoder.patch_means``, ``indices`` their
+    slots in the (N, D) instance ``bank`` and ``labels`` their (B,)
     cluster ids; ``runs`` is the ``memory.label_runs`` index of the bank's
     pseudo-labels, and ``protos`` the (C, D) prototype bank. Raises
     NumericError, before any write, if an anchor's total loss is not
     finite; its diagnostics name the first such ``sample``.
     """
     t = config.temperature
-    out = encoder_mod.encode(params, patches)
+    out = encoder_mod.encode(params, patches, means)
     f, tokens = out.image_feature, out.patch_tokens
     rows = np.arange(f.shape[0])[:, None]
 
@@ -246,11 +254,9 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
             "proto": float(pro.value[b]), "lr": lr, "C": protos.shape[0],
             "anchor": float(anc.value[b]) if has_anchor[b] else None})
 
-    grad_tokens = np.zeros_like(tokens)
-    grad_tokens[rows, selected] = w_con * con.grad_tokens
     grad_f = (w_con * con.grad_image_feature + w_pro * pro.grad_image_feature
               + w_anc * anc.grad_image_feature)
-    grad = encoder_mod.encode_backward(out, grad_f, grad_tokens)
+    grad = encoder_mod.encode_backward(out, grad_f, selected, w_con * con.grad_tokens)
 
     # Writes only now, after every read of the snapshot.
     memory_mod.momentum_update(bank, indices, f, config.momentum)

@@ -151,6 +151,28 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, loader", [("gen-data", "generate"),
+                                             ("train", "load_dataset")])
+@pytest.mark.parametrize("message", ["Unable to allocate 119. GiB for an array", ""])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
+                                             loader, message):
+    """A dataset too large for the machine, as numpy reports it, is an
+    input error, not a traceback; the loader is replaced, so nothing large
+    is allocated."""
+    import tokmem.synth as synth_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(synth_mod, loader, exhausted)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("eval_override, field", [
     ({"query_per_identity": 6}, "eval.query_per_identity"),
     ({"k_max": 10000}, "eval.k_max"),
@@ -668,3 +690,24 @@ def test_gradcheck_zero_trials_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: trials must be >= 1, got 0\n"
     assert captured.out == "" and ran == []
+
+
+def test_gradcheck_encoder_checks_token_subsets_and_all_tokens(monkeypatch):
+    """The encoder check feeds the backward distinct per-row token subsets,
+    as training does: over the default 50 trials both K < I and K = I occur."""
+    real = gradcheck_mod.encoder_mod.encode_backward
+    seen = set()
+
+    def spy(out, grad_image_feature, selected, grad_selected):
+        assert all(len(set(row)) == len(row) for row in selected.tolist())
+        seen.add(selected.shape[-1] == out.patch_tokens.shape[-2])
+        return real(out, grad_image_feature, selected, grad_selected)
+
+    monkeypatch.setattr(gradcheck_mod.encoder_mod, "encode_backward", spy)
+    check = gradcheck_mod.COMPONENTS["encode_backward"]
+    for name in gradcheck_mod.COMPONENTS:
+        monkeypatch.setitem(gradcheck_mod.COMPONENTS, name, lambda rng: 0.0)
+    monkeypatch.setitem(gradcheck_mod.COMPONENTS, "encode_backward", check)
+    results = gradcheck_mod.run_gradcheck(seed=0)
+    assert results["encode_backward"] < gradcheck_mod.TOLERANCE
+    assert seen == {False, True}

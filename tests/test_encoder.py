@@ -3,9 +3,19 @@ import pytest
 
 from tokmem.encoder import (EncoderParams, encode, encode_backward,
                             image_feature, init_params, load_checkpoint,
-                            part_slices, save_checkpoint)
+                            part_slices, patch_means, save_checkpoint)
 from tokmem.errors import DataFormatError
 from tokmem.linalg import finite_diff_grad, relative_error
+
+
+def fwd(params, patches):
+    """``encode`` of patch stacks with their own ``patch_means``."""
+    return encode(params, patches, patch_means(patches, params.part_tokens))
+
+
+def every_token(patches):
+    """The ``selected`` argument naming all I tokens of each stack, in order."""
+    return np.broadcast_to(np.arange(patches.shape[-2]), patches.shape[:-1])
 
 
 def test_init_deterministic():
@@ -88,7 +98,7 @@ def test_identity_projection_passes_patch_through():
     eye = np.eye(3)
     params = EncoderParams(np.tile(eye.ravel(), 3), 3, 3)
     patch = np.array([[1.0, 0.0, 0.0]])
-    out = encode(params, patch)
+    out = fwd(params, patch)
     np.testing.assert_allclose(out.patch_tokens[0], [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -96,7 +106,7 @@ def test_equal_patches_identity_heads_gives_patch_direction():
     eye = np.eye(3)
     params = EncoderParams(np.tile(eye.ravel(), 4), 3, 3)
     p = np.array([2.0, 1.0, -1.0])
-    out = encode(params, np.tile(p, (6, 1)))
+    out = fwd(params, np.tile(p, (6, 1)))
     # stripe means all equal p, so the pre-normalization feature is 2p
     np.testing.assert_allclose(out.image_feature, 2 * p / np.linalg.norm(2 * p),
                                atol=1e-14)
@@ -107,7 +117,7 @@ def test_encode_matches_straight_line_reevaluation(rng):
     d, d_in, num_patches, z = 4, 6, 6, 3
     params = init_params(d, d_in, z, seed=77)
     patches = rng.normal(size=(num_patches, d_in))
-    out = encode(params, patches)
+    out = fwd(params, patches)
 
     for i in range(num_patches):
         u = params.w_patch @ patches[i]
@@ -125,7 +135,7 @@ def test_encode_matches_straight_line_reevaluation(rng):
 
 def test_all_outputs_unit_norm(rng):
     params = init_params(5, 7, 2, seed=3)
-    out = encode(params, rng.normal(size=(9, 7)))
+    out = fwd(params, rng.normal(size=(9, 7)))
     assert abs(np.linalg.norm(out.image_feature) - 1) <= 1e-9
     np.testing.assert_allclose(np.linalg.norm(out.patch_tokens, axis=1), 1.0,
                                atol=1e-9)
@@ -140,12 +150,36 @@ def test_part_slices_remainder_goes_last():
 def test_fewer_patches_than_part_tokens_rejected():
     params = init_params(4, 6, 3, seed=1)
     with pytest.raises(ValueError):
-        encode(params, np.zeros((2, 6)))
+        patch_means(np.zeros((2, 6)), params.part_tokens)
+
+
+@pytest.mark.parametrize("num_patches,z", [(16, 3), (7, 2), (6, 3), (5, 1)])
+def test_patch_means_of_a_batch_are_rows_of_the_whole(rng, num_patches, z):
+    """A batch's means equal the whole set's rows bit for bit, also where
+    the last stripe takes remainder patches (16 = 5 + 5 + 6, 7 = 3 + 4)."""
+    x = rng.normal(size=(40, num_patches, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1, 1))
+    whole = patch_means(x, z)
+    assert whole.shape == (1 + z, 40, 4)
+    for size in (1, 5, 32, 40):
+        b = rng.permutation(40)[:size]
+        np.testing.assert_array_equal(whole[:, b], patch_means(x[b], z))
+    np.testing.assert_array_equal(whole[:, 3], patch_means(x[3], z))
+
+
+def test_encode_rejects_means_of_another_shape(rng):
+    params = init_params(4, 6, 2, seed=9)
+    patches = rng.normal(size=(3, 5, 6))
+    means = patch_means(patches, 2)
+    for bad in (means[:, :2], means[:2], patch_means(patches, 3), means[..., :5]):
+        with pytest.raises(ValueError, match="patch_means"):
+            encode(params, patches, bad)
+    with pytest.raises(ValueError, match="patch_means"):
+        image_feature(params, means[:2])
 
 
 def grad_blocks(params, patches, g_f, g_t):
     """``encode_backward``'s vector, viewed as blocks laid out like ``params``."""
-    grad = encode_backward(encode(params, patches), g_f, g_t)
+    grad = encode_backward(fwd(params, patches), g_f, every_token(patches), g_t)
     assert grad.shape == params.vec.shape
     return EncoderParams(grad, params.feature_dim, params.patch_input_dim)
 
@@ -153,7 +187,8 @@ def grad_blocks(params, patches, g_f, g_t):
 def test_backward_zero_grads_give_zero(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
-    grad = encode_backward(encode(params, patches), np.zeros(4), np.zeros((5, 4)))
+    grad = encode_backward(fwd(params, patches), np.zeros(4), every_token(patches),
+                           np.zeros((5, 4)))
     assert not grad.any()
 
 
@@ -177,10 +212,63 @@ def test_backward_token_grad_never_touches_heads(rng):
 def test_backward_shape_mismatch_rejected(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(5, 6))
+    out = fwd(params, patches)
     with pytest.raises(ValueError):
-        encode_backward(encode(params, patches), np.zeros(3), np.zeros((5, 4)))
+        encode_backward(out, np.zeros(3), every_token(patches), np.zeros((5, 4)))
     with pytest.raises(ValueError):
-        encode_backward(encode(params, patches), np.zeros(4), np.zeros((4, 4)))
+        encode_backward(out, np.zeros(4), every_token(patches), np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        encode_backward(out, np.zeros(4), np.arange(3), np.zeros((5, 4)))
+    with pytest.raises(ValueError):
+        encode_backward(out, np.zeros(4), np.arange(5.0), np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_subset_backward_equals_dense_backward_bitwise(rng, k):
+    """The backward on K selected tokens per stack, in any order, equals the
+    backward over all I tokens with zero gradient rows elsewhere, bit for bit."""
+    params = init_params(8, 5, 3, seed=4)
+    patches = rng.normal(size=(6, 7, 5))
+    out = fwd(params, patches)
+    g_f = rng.normal(size=(6, 8))
+    selected = np.argsort(rng.random((6, 7)), axis=1)[:, :k]
+    g_s = rng.normal(size=(6, k, 8))
+    dense = np.zeros((6, 7, 8))
+    dense[np.arange(6)[:, None], selected] = g_s
+    np.testing.assert_array_equal(encode_backward(out, g_f, selected, g_s),
+                                  encode_backward(out, g_f, every_token(patches), dense))
+
+
+def test_unselected_tokens_add_exact_zero(rng):
+    """No selected token: the w_patch block is exact +0.0, and a zero
+    gradient on a selected token adds nothing either."""
+    params = init_params(4, 6, 2, seed=9)
+    patches = rng.normal(size=(3, 5, 6))
+    out = fwd(params, patches)
+    for selected in (np.zeros((3, 0), dtype=np.int64), np.array([[0], [4], [2]])):
+        grad = encode_backward(out, rng.normal(size=(3, 4)), selected,
+                               np.zeros((*selected.shape, 4)))
+        block = EncoderParams(grad, 4, 6).w_patch
+        assert not block.any() and not np.signbit(block).any()
+
+
+@pytest.mark.parametrize("selected", [[[0, 2], [1, 1], [3, 4]], [[0, 2], [1, 3], [4, 5]],
+                                      [[0, 2], [-1, 3], [3, 4]]])
+def test_backward_rejects_repeated_or_out_of_range_token(rng, selected):
+    """A repeated index within a row would drop one of its gradients."""
+    params = init_params(4, 6, 2, seed=9)
+    patches = rng.normal(size=(3, 5, 6))
+    with pytest.raises(ValueError, match="repeats|out of range"):
+        encode_backward(fwd(params, patches), np.zeros((3, 4)), np.array(selected),
+                        rng.normal(size=(3, 2, 4)))
+
+
+def test_backward_accepts_an_index_repeated_across_rows(rng):
+    params = init_params(4, 6, 2, seed=9)
+    patches = rng.normal(size=(3, 5, 6))
+    selected = np.array([[1, 2], [1, 2], [2, 1]])
+    assert encode_backward(fwd(params, patches), np.zeros((3, 4)), selected,
+                           rng.normal(size=(3, 2, 4))).any()
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -196,10 +284,10 @@ def test_backward_matches_finite_differences(trial):
     g_f = rng.normal(size=d)
     g_t = rng.normal(size=(num_patches, d))
 
-    analytic = encode_backward(encode(params, patches), g_f, g_t)
+    analytic = encode_backward(fwd(params, patches), g_f, every_token(patches), g_t)
 
     def value_at(vec):
-        out = encode(EncoderParams(vec, d, d_in), patches)
+        out = fwd(EncoderParams(vec, d, d_in), patches)
         return float(g_f @ out.image_feature + np.sum(g_t * out.patch_tokens))
 
     numeric = finite_diff_grad(value_at, params.vec, h=1e-5)
@@ -211,18 +299,19 @@ def test_batch_axes_match_single_images(rng):
     patches = rng.normal(size=(2, 3, 7, 6))
     g_f = rng.normal(size=(2, 3, 4))
     g_t = rng.normal(size=(2, 3, 7, 4))
-    out = encode(params, patches)
+    out = fwd(params, patches)
     assert out.image_feature.shape == (2, 3, 4)
-    np.testing.assert_array_equal(image_feature(params, patches), out.image_feature)
-    grad = encode_backward(encode(params, patches), g_f, g_t)
+    np.testing.assert_array_equal(image_feature(params, patch_means(patches, 3)),
+                                  out.image_feature)
+    grad = encode_backward(out, g_f, every_token(patches), g_t)
     summed = np.zeros_like(params.vec)
     for idx in np.ndindex(2, 3):
-        single = encode(params, patches[idx])
+        single = fwd(params, patches[idx])
         np.testing.assert_allclose(out.image_feature[idx], single.image_feature,
                                    atol=1e-15)
         np.testing.assert_allclose(out.patch_tokens[idx], single.patch_tokens,
                                    atol=1e-15)
-        summed += encode_backward(encode(params, patches[idx]), g_f[idx], g_t[idx])
+        summed += encode_backward(single, g_f[idx], np.arange(7), g_t[idx])
     np.testing.assert_allclose(grad, summed, rtol=1e-12, atol=1e-12)
 
 

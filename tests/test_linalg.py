@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tokmem.linalg import (DegenerateNormWarning, finite_diff_grad,
-                           normalize_rows, relative_error)
+                           normalize_rows, relative_error, row_norms)
 from tokmem.losses import softmax_ce
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -47,6 +47,19 @@ def test_normalize_tiny_vector_is_unit():
     # the square of 4.9e-160 is subnormal; a plain norm misses by 8e-7
     out = normalize_rows(np.array([[4.92545877e-160, 0.0], [3e-170, 4e-170]]))
     np.testing.assert_allclose(out, [[1.0, 0.0], [0.6, 0.8]], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 9), (2, 3, 32)])
+def test_row_norms_equal_numpy_norm_bitwise(rng, shape):
+    """Random rows at every scale, from the subnormal-square range near
+    1e-160 to 1e150, plus zero rows, match ``np.linalg.norm`` bit for bit."""
+    scales = np.array([1e-160, 3e-155, 1e-150, 1e-3, 1.0, 1e3, 1e150, 0.0])
+    m = rng.normal(size=shape) * rng.choice(scales, size=(*shape[:-1], 1))
+    if m.ndim > 1:
+        m.reshape(-1, shape[-1])[0] = 0.0
+    expected = np.linalg.norm(m, axis=-1, keepdims=True)
+    np.testing.assert_array_equal(row_norms(m), expected)
+    assert row_norms(m).shape == (*shape[:-1], 1)
 
 
 def test_finite_diff_square():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import unit_rows
 from oracles import topk_by_full_sort
-from tokmem.encoder import image_feature, init_params
+from tokmem.encoder import image_feature, init_params, patch_means
 from tokmem.linalg import finite_diff_grad, relative_error
 from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
 from tokmem.memory import compute_prototypes, label_runs
@@ -223,12 +223,13 @@ def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     labels = np.asarray(labels, dtype=np.int64)
     patches = make_rng(35, 0).normal(size=(len(labels), 6, 3))
     params = init_params(4, 3, 2, seed=1)
-    bank = image_feature(params, patches)
+    means = patch_means(patches, 2)
+    bank = image_feature(params, means)
     batch = np.flatnonzero(labels >= 0)[:4]
     before = params.vec.copy()
     runs = label_runs(labels)
-    step = train_step(cfg, params, patches[batch], batch, labels[batch], bank, runs,
-                      compute_prototypes(bank, runs), lr=0.1)
+    step = train_step(cfg, params, patches[batch], means[:, batch], batch, labels[batch],
+                      bank, runs, compute_prototypes(bank, runs), lr=0.1)
     return step, params.vec - before
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import tokmem.training as training_mod
 from tokmem.cluster import dbscan
-from tokmem.encoder import EncoderParams, image_feature, init_params
+from tokmem.encoder import EncoderParams, image_feature, init_params, patch_means
 from tokmem.errors import NumericError
 from tokmem.synth import SynthSpec, generate
 from tokmem.training import TrainConfig, learning_rate, sample_batches, train
@@ -187,12 +187,30 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     ds = tiny_dataset()
     params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
     labels = np.repeat(np.arange(4), 6)
-    bank = image_feature(params, ds.patches)
+    means = patch_means(ds.patches, cfg.part_tokens)
+    bank = image_feature(params, means)
     batch = np.array([0, 7, 14, 21])
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
     runs = label_runs(labels)
-    training_mod.train_step(cfg, params, ds.patches[batch], batch, labels[batch], bank, runs,
-                            compute_prototypes(bank, runs), lr=0.05)
+    training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
+                            labels[batch], bank, runs, compute_prototypes(bank, runs),
+                            lr=0.05)
+    assert len(calls) == 1
+
+
+def test_train_computes_the_patch_means_once(monkeypatch):
+    """Every epoch's features and every step's head read one cached means
+    array; only the patch stacks themselves are read per step."""
+    calls = []
+    real = training_mod.encoder_mod.patch_means
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training_mod.encoder_mod, "patch_means", spy)
+    result = train(tiny_config(epochs=3), tiny_dataset())
+    assert sum(r["mean_total"] is not None for r in result.log) == 3
     assert len(calls) == 1
 
 
@@ -210,7 +228,8 @@ def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
     with pytest.raises(NumericError) as info:
         train(cfg, ds)
     fresh = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
-    plabels = dbscan(image_feature(fresh, ds.patches), cfg.dbscan_eps, cfg.dbscan_min_pts)
+    plabels = dbscan(image_feature(fresh, patch_means(ds.patches, cfg.part_tokens)),
+                     cfg.dbscan_eps, cfg.dbscan_min_pts)
     first_batch = sample_batches(plabels, cfg.batch_size, cfg.seed, 0)[0]
     diagnostics = info.value.diagnostics
     assert diagnostics["epoch"] == 0
@@ -228,13 +247,15 @@ def test_nan_weights_mid_epoch_raise_numeric_error():
     ds = tiny_dataset()
     params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
     labels = np.repeat(np.arange(4), 6)
-    bank = image_feature(params, ds.patches)
+    means = patch_means(ds.patches, cfg.part_tokens)
+    bank = image_feature(params, means)
     runs = label_runs(labels)
     params.vec[:] = np.nan
     batch = np.array([0, 7, 14, 21])
     with pytest.raises(NumericError, match="non-finite loss"):
-        training_mod.train_step(cfg, params, ds.patches[batch], batch, labels[batch], bank,
-                                runs, compute_prototypes(bank, runs), lr=0.05)
+        training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
+                                labels[batch], bank, runs, compute_prototypes(bank, runs),
+                                lr=0.05)
 
 
 @pytest.mark.parametrize("lr", [1e40, 1e200])
@@ -306,8 +327,10 @@ def test_batched_step_matches_per_anchor_oracle(name):
                 compute_prototypes(bank, label_runs(labels)))
 
     p_b, bank_b, protos_b = fresh_state()
-    step = training_mod.train_step(cfg, p_b, patches[batch], batch, labels[batch], bank_b,
-                                   label_runs(labels), protos_b, lr=0.05)
+    step = training_mod.train_step(cfg, p_b, patches[batch],
+                                   patch_means(patches[batch], cfg.part_tokens), batch,
+                                   labels[batch], bank_b, label_runs(labels), protos_b,
+                                   lr=0.05)
     p_o, bank_o, protos_o = fresh_state()
     rows = per_anchor_step(p_o, patches, batch, bank_o, labels, protos_o, cfg, lr=0.05)
 
