@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """End-to-end reference experiment: generate data, train, evaluate, and
-compare against the fresh-init encoder on the same query/gallery split."""
+compare against the fresh-init encoder on the same query/gallery split.
+The fresh encoder is what a 0-epoch ``train`` returns: the one training
+starts from."""
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tokmem import evaluate_encoder, generate, init_params, load_run_config, train
+from tokmem import evaluate_encoder, generate, load_run_config, train
 
 
 def main() -> int:
@@ -31,8 +34,7 @@ def main() -> int:
           f"outliers={last['outliers']}")
 
     trained = evaluate_encoder(result.params, ds, cfg.eval)
-    fresh = evaluate_encoder(init_params(cfg.train.feature_dim, cfg.data.patch_input_dim,
-                                         cfg.train.part_tokens, cfg.train.seed),
+    fresh = evaluate_encoder(train(dataclasses.replace(cfg.train, epochs=0), ds).params,
                              ds, cfg.eval)
     print(f"trained : mAP={trained.mean_ap:.4f} rank1={trained.cmc[0]:.4f}")
     print(f"fresh   : mAP={fresh.mean_ap:.4f} rank1={fresh.cmc[0]:.4f}")

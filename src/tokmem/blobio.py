@@ -96,7 +96,6 @@ def read_pair(prefix: str | Path) -> tuple[dict, bytes]:
 _JSON_TYPES = {"int": ((int,), "an integer", int),
               "float": ((int, float), "a finite number", float),
               "bool": ((bool,), "a boolean", bool),
-              "str": ((str,), "a string", str),
               "Path": ((str,), "a string", Path)}
 
 

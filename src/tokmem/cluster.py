@@ -7,18 +7,18 @@ outliers with label -1. Cluster ids are dense and follow each cluster's
 smallest core index, and a border point within eps of several clusters'
 cores joins the lowest-numbered one.
 
-No (N, N) array is built. The neighbour relation is read twice from the
-same row blocks of dot products: the first sweep counts each point's
-neighbours, which finds the core points; the second joins the core-core
-pairs in a union-find forest whose roots are the smallest core index of
-each component, and keeps each non-core point's few core neighbours.
+No (N, N) array is built. A pair neighbours when its dot product is at
+least eps's floor, found once by bisection over the float64 values, and
+that relation is read twice from the same row blocks of dot products:
+the first sweep counts each point's neighbours, which finds the core
+points; the second joins the core-core pairs in a union-find forest
+whose roots are the smallest core index of each component, and keeps
+each non-core point's few core neighbours.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import struct
 
 import numpy as np
 
@@ -96,29 +96,18 @@ def _dot_floor(radius: float) -> float:
     or ``-inf`` when every ``d`` passes.
 
     ``fl(1 - d)`` falls as ``d`` grows, so the passing ``d`` are exactly
-    those at or above the floor. It is found by bisection over the integers
-    that order the float64 values; ``d = -1`` fails and ``d = 1`` passes."""
+    those at or above the floor. It is found by bisection over the float64
+    values from ``d = -1``, which fails, and ``d = 1``, which passes, until
+    their midpoint rounds to one of them: no float lies between them then."""
     if radius >= 2.0:
         return -np.inf
-    lo, hi = _float_order(-1.0), _float_order(1.0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if min(1.0 - _order_float(mid), 2.0) <= radius:
+    lo, hi = -1.0, 1.0
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        if min(1.0 - mid, 2.0) <= radius:
             hi = mid
         else:
             lo = mid
-    return _order_float(hi)
-
-
-def _float_order(x: float) -> int:
-    """An integer key that orders float64 values as they compare."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _order_float(key: int) -> float:
-    """The float64 value of :func:`_float_order` ``key``."""
-    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(key)))[0], key)
+    return hi
 
 
 def _neighbour_pairs(features, floor):

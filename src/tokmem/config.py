@@ -138,7 +138,7 @@ def load_run_config(path) -> RunConfig:
     data = _parse_section(doc, "data", SynthSpec)
     data.validate(ConfigError, lambda f: f"`data.{f}`")
     train = _parse_section(doc, "train", TrainConfig)
-    train.validate(ConfigError, lambda f: f"`train.{f}`", data)
+    train.validate(data, ConfigError, lambda f: f"`train.{f}`")
     eval_cfg = _parse_section(doc, "eval", EvalConfig)
     _check_limits(data, eval_cfg)
     paths = _parse_section(doc, "paths", RunPaths)

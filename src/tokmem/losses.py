@@ -11,9 +11,9 @@ similarity/temperature ratios up to +-1000 and far beyond. One batched
 kernel, ``softmax_ce``, implements it for a whole batch of anchors.
 
 * token-constraint loss: positive is the patch token most similar to the
-  image feature, negatives are its R least similar tokens; gradients
-  flow into the image feature AND the selected tokens (both are live
-  encoder outputs).
+  image feature, in column 0 of one (B, 1 + R) selection, then its R least
+  similar tokens as negatives; gradients flow into the image feature AND
+  the selected tokens (both are live encoder outputs).
 * prototype-contrast loss: positive is the anchor's own cluster
   prototype, the denominator runs over ALL prototypes; prototypes are
   gradient constants.
@@ -62,14 +62,14 @@ def patch_rate(num_patches: int, rate: float) -> int:
 
 
 def select_constraint_tokens(image_feature: np.ndarray, tokens: np.ndarray,
-                             rate: float) -> tuple[np.ndarray, np.ndarray]:
+                             rate: float) -> np.ndarray:
     """Pick the most similar token as positive and the R least similar as
     negatives (ascending similarity), positive excluded, ties to the
     lowest index.
 
     Takes any leading batch axes, ``(..., D)`` features against
-    ``(..., I, D)`` tokens, and returns positives ``(...)`` and negatives
-    ``(..., R)``.
+    ``(..., I, D)`` tokens, and returns ``(..., 1 + R)`` token indices: the
+    positive, then the negatives, as ``memory.mine`` lays out candidates.
     """
     f = np.asarray(image_feature, dtype=np.float64)
     tokens = np.asarray(tokens, dtype=np.float64)
@@ -78,10 +78,10 @@ def select_constraint_tokens(image_feature: np.ndarray, tokens: np.ndarray,
     if num <= r:
         raise ValueError(f"need more than {r} tokens to pick {r} negatives, got {num}")
     sims = (tokens @ f[..., None])[..., 0]
-    pos = np.argmax(sims, axis=-1)  # first max = lowest index on ties
+    pos = np.argmax(sims, axis=-1)[..., None]  # first max = lowest index on ties
     order = np.argsort(sims, axis=-1, kind="stable")
-    negs = order[order != pos[..., None]].reshape(*order.shape[:-1], num - 1)[..., :r]
-    return pos, negs.astype(np.int64)
+    negs = order[order != pos].reshape(*order.shape[:-1], num - 1)[..., :r]
+    return np.concatenate([pos, negs], axis=-1)
 
 
 def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
@@ -109,7 +109,8 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     shared = cand.ndim == 2
     sims = f @ cand.T if shared else (cand @ f[:, :, None])[:, :, 0]
     z = sims / temperature
-    if np.min(target) < 0 or np.max(target) >= z.shape[1]:
+    bounds = (target,) if isinstance(target, int) else (np.min(target), np.max(target))
+    if min(bounds) < 0 or max(bounds) >= z.shape[1]:
         raise ValueError(f"target out of range [0, {z.shape[1]})")
     if valid is not None:
         z = np.where(valid, z, -np.inf)

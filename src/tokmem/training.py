@@ -70,9 +70,9 @@ class TrainConfig:
     part_tokens: int = 3
     anchor_include_outliers: bool = True
 
-    def validate(self, error=ValueError, label=str, data: SynthSpec | None = None) -> None:
-        """Raise ``error`` for the first field out of range; given the ``data``
-        spec, then also for a batch, part stripes or negative tokens it cannot fill."""
+    def validate(self, data: SynthSpec, error=ValueError, label=str) -> None:
+        """Raise ``error`` for the first field out of range, then for a batch,
+        part stripes or negative tokens the ``data`` spec cannot fill."""
         check_fields(vars(self), [
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -91,16 +91,15 @@ class TrainConfig:
             ("seed", 0 <= self.seed < MAX_SEED, f"in {SEED_RANGE}"),
             ("feature_dim", self.feature_dim >= 2, ">= 2"),
             ("part_tokens", self.part_tokens >= 1, ">= 1")], error, label)
-        if data is not None:  # after the rows above: patch_rate needs a rate in range
-            patches = data.patches_per_image
-            check_fields(vars(self), [
-                ("batch_size", self.batch_size <= data.num_samples,
-                 f"<= {data.num_samples}, the dataset size"),
-                ("part_tokens", self.part_tokens <= patches,
-                 f"<= {patches}, the patches per image"),
-                ("neg_token_rate", losses_mod.patch_rate(patches, self.neg_token_rate) < patches,
-                 f"small enough to pick < {patches} negative tokens, the patches per image")],
-                error, label)
+        patches = data.patches_per_image  # after the rows above: patch_rate needs a valid rate
+        check_fields(vars(self), [
+            ("batch_size", self.batch_size <= data.num_samples,
+             f"<= {data.num_samples}, the dataset size"),
+            ("part_tokens", self.part_tokens <= patches,
+             f"<= {patches}, the patches per image"),
+            ("neg_token_rate", losses_mod.patch_rate(patches, self.neg_token_rate) < patches,
+             f"small enough to pick < {patches} negative tokens, the patches per image")],
+            error, label)
 
 
 @dataclass
@@ -141,7 +140,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     a non-finite loss, and after an epoch that leaves a weight no float32
     checkpoint can store.
     """
-    config.validate(data=dataset.spec)
+    config.validate(dataset.spec)
 
     params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
                                      config.part_tokens, config.seed)
@@ -232,8 +231,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     f, tokens = out.image_feature, out.patch_tokens
     rows = np.arange(f.shape[0])[:, None]
 
-    pos, negs = losses_mod.select_constraint_tokens(f, tokens, config.neg_token_rate)
-    selected = np.concatenate([pos[:, None], negs], axis=1)
+    selected = losses_mod.select_constraint_tokens(f, tokens, config.neg_token_rate)
     con = losses_mod.softmax_ce(f, tokens[rows, selected], 0, t)
     pro = losses_mod.softmax_ce(f, protos, labels, t)
     # Missing negatives get -inf logits. A row without any candidate then

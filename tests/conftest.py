@@ -1,43 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tokmem import load_run_config
 from tokmem.evaluate import evaluate_retrieval
-from tokmem.synth import SynthSpec
-from tokmem.training import TrainConfig
 
-# The committed reference experiment; training-dependent regression
-# thresholds in the acceptance suite are pinned against this exact setup.
-REFERENCE_SPEC = SynthSpec(
-    num_identities=20,
-    samples_per_identity=15,
-    patches_per_image=16,
-    patch_input_dim=16,
-    identity_spread=0.15,
-    noise_patch_prob=0.1,
-    seed=42,
-)
-
-REFERENCE_TRAIN = TrainConfig(
-    epochs=30,
-    batch_size=32,
-    lr=0.05,
-    lr_decay_every=20,
-    lr_decay_factor=0.1,
-    temperature=0.05,
-    momentum=0.2,
-    neg_token_rate=0.075,
-    num_negatives=4,
-    weight_constraint=1.0,
-    weight_prototype=1.0,
-    weight_anchor=1.0,
-    dbscan_eps=0.15,
-    dbscan_min_pts=4,
-    seed=42,
-    feature_dim=32,
-    part_tokens=3,
-)
-
-REFERENCE_EVAL = {"query_per_identity": 3, "k_max": 10, "seed": 7}
+# The committed reference experiment, the file CI, the scripts and the
+# benchmark run; training-dependent regression thresholds in the
+# acceptance suite are pinned against it.
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+REFERENCE = load_run_config(REFERENCE_CONFIG)
 
 
 @pytest.fixture

@@ -15,21 +15,19 @@ import numpy as np
 import pytest
 
 import tokmem.cli as cli_mod
-from conftest import (REFERENCE_EVAL, REFERENCE_SPEC, REFERENCE_TRAIN,
-                      features_ranking_as, observed_rankings, unit_rows)
+from conftest import (REFERENCE, REFERENCE_CONFIG, features_ranking_as,
+                      observed_rankings, unit_rows)
 from oracles import (average_precision_oracle, cmc_oracle, cosine_dist_oracle,
                      dbscan_oracle, partition_of_core_points, topk_by_full_sort)
-from tokmem import (EvalConfig, dbscan, evaluate_encoder, evaluate_retrieval,
-                    generate, label_runs, mine, patch_rate, select_constraint_tokens,
-                    softmax_ce)
-from tokmem.encoder import init_params
+from tokmem import (dbscan, evaluate_encoder, evaluate_retrieval, generate,
+                    label_runs, mine, patch_rate, select_constraint_tokens, softmax_ce)
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
 from tokmem.linalg import normalize_rows
 from tokmem.memory import momentum_update
 from tokmem.training import train
 
 # Regression constants pinned from the first oracle run of the committed
-# reference configuration (see conftest.REFERENCE_*), with safety slack
+# reference configuration (conftest.REFERENCE), with safety slack
 # below the observed values. First-run observations on one CPU core:
 #   reference (seed 42): trained mAP 0.9726, fresh-init 0.9740, 3.8 s
 #   five-seed means: fresh 0.9633, full 0.9705, con+pro 0.9664,
@@ -166,7 +164,7 @@ def test_criterion_5_mining_matches_full_sort():
         # token selection against the same sorted oracle
         tokens = unit_rows(rng, 24, d)
         tok_sims = tokens @ anchor
-        pos_idx, neg_idx = select_constraint_tokens(anchor, tokens, rate=0.25)
+        pos_idx, *neg_idx = select_constraint_tokens(anchor, tokens, rate=0.25)
         assert pos_idx == topk_by_full_sort(tok_sims, 1)[0]
         expected_negs = [i for i in topk_by_full_sort(tok_sims, 7, descending=False)
                          if i != pos_idx][:6]
@@ -257,17 +255,15 @@ ABLATION_SEEDS = (42, 43, 44, 45, 46)
 def _reference_run(seed, **overrides):
     import dataclasses
 
-    spec = dataclasses.replace(REFERENCE_SPEC, seed=seed)
-    ds = generate(spec)
-    cfg = dataclasses.replace(REFERENCE_TRAIN, seed=seed, **overrides)
+    ds = generate(dataclasses.replace(REFERENCE.data, seed=seed))
+    cfg = dataclasses.replace(REFERENCE.train, seed=seed, **overrides)
     start = time.time()
     result = train(cfg, ds)
     elapsed = time.time() - start
-    fresh = init_params(cfg.feature_dim, spec.patch_input_dim, cfg.part_tokens, seed)
-    eval_cfg = EvalConfig(**REFERENCE_EVAL)
+    fresh = train(dataclasses.replace(cfg, epochs=0), ds)
     return {
-        "fresh": evaluate_encoder(fresh, ds, eval_cfg).mean_ap,
-        "trained": evaluate_encoder(result.params, ds, eval_cfg).mean_ap,
+        "fresh": evaluate_encoder(fresh.params, ds, REFERENCE.eval).mean_ap,
+        "trained": evaluate_encoder(result.params, ds, REFERENCE.eval).mean_ap,
         "elapsed": elapsed,
         "log": result.log,
     }
@@ -289,7 +285,7 @@ def ablation_table():
 
 
 def test_criterion_8_reference_training_run(ablation_table):
-    reference = ablation_table[REFERENCE_TRAIN.seed]["full"]
+    reference = ablation_table[REFERENCE.train.seed]["full"]
     assert reference["elapsed"] < REFERENCE_RUNTIME_CAP
     assert reference["trained"] >= 0.90
     assert reference["trained"] >= REFERENCE_MAP_FLOOR
@@ -332,17 +328,12 @@ def test_criterion_9_ablation_directions(ablation_table):
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    config = {
-        "format_version": 1,
-        "data": dataclass_dict(REFERENCE_SPEC),
-        "train": dataclass_dict(REFERENCE_TRAIN),
-        "eval": dict(REFERENCE_EVAL),
-        "paths": {
-            "dataset": str(tmp_path / "run" / "dataset"),
-            "checkpoint": str(tmp_path / "run" / "checkpoint"),
-            "log": str(tmp_path / "run" / "log.jsonl"),
-            "metrics": str(tmp_path / "run" / "metrics.json"),
-        },
+    config = json.loads(REFERENCE_CONFIG.read_text())
+    config["paths"] = {
+        "dataset": str(tmp_path / "run" / "dataset"),
+        "checkpoint": str(tmp_path / "run" / "checkpoint"),
+        "log": str(tmp_path / "run" / "log.jsonl"),
+        "metrics": str(tmp_path / "run" / "metrics.json"),
     }
     config_path = tmp_path / "reference.json"
     config_path.write_text(json.dumps(config))
@@ -356,9 +347,3 @@ def test_criterion_10_cli_determinism(tmp_path):
         assert (tmp_path / "run" / name).read_bytes() == first[name], name
     report(10, "two CLI training runs from one config produced byte-identical "
                "checkpoints and logs")
-
-
-def dataclass_dict(obj):
-    import dataclasses
-
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}

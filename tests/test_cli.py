@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import tokmem.gradcheck as gradcheck_mod
 from tokmem.cli import main
 from tokmem.encoder import init_params, load_checkpoint
+from tokmem.linalg import BLOCK
 
 
 def write_config(tmp_path, **overrides):
@@ -229,6 +230,8 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
                                                  ("noise_patch_prob", False,
                                                   "noise_patch_prob"),
                                                  ("num_samples", 24.0, "num_samples"),
+                                                 ("num_samples", 25, "manifest num_samples 25 "
+                                                  "does not match spec (24)"),
                                                  ("identity_spread", float("inf"),
                                                   "identity_spread"),
                                                  ("num_identities", 1,
@@ -449,6 +452,43 @@ def test_checkpoint_manifest_dim_out_of_range_exits_2(tmp_path, capsys, dims, fi
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, damage, commands, message", [
+    ("data.f32", None, ("train", "eval"), "missing blob"),
+    ("ckpt.f32", None, ("eval",), "missing blob"),
+    ("data.json", "{", ("train", "eval"), "is not valid JSON"),
+    # 4 bytes x (2 + Z) x 8 x 5: the blob and its blob_bytes are Z = 2's
+    ("ckpt.json", {"part_tokens": 3}, ("eval",),
+     "checkpoint blob has 640 bytes, expected 800 from manifest dims"),
+])
+def test_damaged_artifact_exits_2_with_one_line(tmp_path, capsys, name, damage, commands,
+                                                message):
+    """``damage`` None deletes the file, a string replaces its text, and a
+    dict sets manifest fields."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    path = tmp_path / "run" / name
+    if damage is None:
+        path.unlink()
+    elif isinstance(damage, str):
+        path.write_text(damage)
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), **damage}))
+    capsys.readouterr()
+    for command in commands:
+        assert main([command, "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and message in lines[0], lines
+
+
+@pytest.mark.parametrize("root", ["[]", "1", '"config"', "null"])
+def test_config_root_not_an_object_exits_2(tmp_path, capsys, root):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(root)
+    assert main(["gen-data", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config root must be an object\n"
+
+
 def test_eval_writes_metrics(tmp_path, capsys):
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
@@ -471,6 +511,23 @@ def test_eval_per_query_csv(tmp_path):
     assert main(["eval", "--config", str(cfg), "--per-query-csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 9
+
+
+def test_eval_is_byte_deterministic_over_several_query_blocks(tmp_path):
+    """150 queries are scored in two blocks of at most ``BLOCK`` (128) rows;
+    a second eval writes the same metrics and per-query CSV bytes."""
+    cfg = write_config(tmp_path, data={"num_identities": 50, "samples_per_identity": 4},
+                       train={"epochs": 0}, eval={"query_per_identity": 3})
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    run, outputs = tmp_path / "run", ("metrics.json", "per_query.csv")
+    written = []
+    for _ in range(2):
+        assert main(["eval", "--config", str(cfg), "--per-query-csv",
+                     str(run / "per_query.csv")]) == 0
+        written.append([(run / name).read_bytes() for name in outputs])
+    assert json.loads(written[0][0])["num_queries"] == 150 > BLOCK
+    assert written[0] == written[1]
 
 
 def test_eval_corrupted_blob_exits_2(tmp_path, capsys):

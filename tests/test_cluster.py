@@ -104,7 +104,9 @@ def ulps_around(x, count):
     return np.array(below[:0:-1] + above)
 
 
-@pytest.mark.parametrize("radius", [1e-13, 1e-12, 0.15, 0.6, 1.0, 1.9999999, 2.0, 3.0])
+@pytest.mark.parametrize("radius", [
+    5e-324, 2.0**-53, 1e-13, 1e-12, 0.15, 0.5, 0.6, float(np.nextafter(1.0, 0.0)), 1.0,
+    1.9999999, float(np.nextafter(2.0, 0.0)), 2.0, 3.0])
 def test_dot_floor_is_the_distance_threshold(radius):
     """``dot >= floor`` is ``min(1 - dot, 2) <= radius`` near the floor, at
     the ends and middle of the dot range, and on the subnormals next to 0,

@@ -166,6 +166,18 @@ def test_patch_means_of_a_batch_are_rows_of_the_whole(rng, num_patches, z):
     np.testing.assert_array_equal(whole[:, 3], patch_means(x[3], z))
 
 
+def test_patch_means_rejects_fewer_than_two_axes():
+    with pytest.raises(ValueError, match=r"patches must be \(\.\.\., I, d_in\)"):
+        patch_means(np.zeros(6), 2)
+
+
+def test_encode_rejects_patches_of_another_width(rng):
+    params = init_params(4, 6, 2, seed=9)
+    patches = rng.normal(size=(3, 5, 7))
+    with pytest.raises(ValueError, match=r"patches must be \(\.\.\., I, 6\)"):
+        encode(params, patches, patch_means(patches, 2))
+
+
 def test_encode_rejects_means_of_another_shape(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(3, 5, 6))

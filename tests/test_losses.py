@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_rows
+from conftest import REFERENCE, unit_rows
 from oracles import topk_by_full_sort
 from tokmem.encoder import image_feature, init_params, patch_means
 from tokmem.linalg import finite_diff_grad, relative_error
@@ -52,14 +52,13 @@ def token_set_for(sims):
 
 def test_select_example():
     f, tokens = token_set_for([0.9, 0.1, 0.5, -0.2])
-    pos, negs = select_constraint_tokens(f, tokens, rate=0.5)  # R = 2
-    assert pos == 0
-    np.testing.assert_array_equal(negs, [3, 1])
+    selected = select_constraint_tokens(f, tokens, rate=0.5)  # R = 2
+    np.testing.assert_array_equal(selected, [0, 3, 1])  # the positive, then the negatives
 
 
 def test_select_all_equal_tie_rules():
     f, tokens = token_set_for([0.4, 0.4, 0.4, 0.4])
-    pos, negs = select_constraint_tokens(f, tokens, rate=0.25)  # R = 1
+    pos, *negs = select_constraint_tokens(f, tokens, rate=0.25)  # R = 1
     assert pos == 0
     np.testing.assert_array_equal(negs, [1])
 
@@ -75,7 +74,7 @@ def test_select_matches_full_sort_oracle(trial):
     rng = make_rng(31, trial)
     sims = rng.uniform(-1, 1, size=128)
     f, tokens = token_set_for(sims)
-    pos, negs = select_constraint_tokens(f, tokens, rate=0.075)
+    pos, *negs = select_constraint_tokens(f, tokens, rate=0.075)
     assert pos == topk_by_full_sort(sims, 1, descending=True)[0]
     expected = [i for i in topk_by_full_sort(sims, 10, descending=False) if i != pos][:9]
     np.testing.assert_array_equal(negs, expected)
@@ -156,10 +155,9 @@ def test_prototype_own_prototype_closed_form():
 def test_prototype_label_validation():
     protos = np.eye(2)
     f = np.array([[1.0, 0.0]])
-    with pytest.raises(ValueError, match="target"):
-        softmax_ce(f, protos, 2, temperature=0.5)
-    with pytest.raises(ValueError, match="target"):
-        softmax_ce(f, protos, -1, temperature=0.5)
+    for target in (2, -1, np.array([2]), np.array([-1])):  # an int and a (B,) array alike
+        with pytest.raises(ValueError, match=r"target out of range \[0, 2\)"):
+            softmax_ce(f, protos, target, temperature=0.5)
     with pytest.raises(ValueError, match="temperature"):
         softmax_ce(f, protos, 0, temperature=0.0)
     with pytest.raises(ValueError, match="temperature"):
@@ -265,7 +263,7 @@ def test_total_accepts_missing_terms():
     np.testing.assert_array_equal(step.total, step.constraint + step.proto)
     np.testing.assert_array_equal(delta, step_with(**layout, weight_anchor=0.0)[1])
     with pytest.raises(ValueError, match="weight_constraint"):
-        TrainConfig(weight_constraint=-1.0).validate()
+        TrainConfig(weight_constraint=-1.0).validate(REFERENCE.data)
 
 
 # ------------------------------------------------------------ invariants

@@ -162,6 +162,12 @@ def test_mine_zero_candidates_marks_every_negative_invalid():
     np.testing.assert_array_equal(valid, [[True, False], [True, False]])
 
 
+def test_mine_rejects_k_below_one():
+    mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        mine(*mem, np.array([[1.0, 0.0]]), np.array([0]), k=0)
+
+
 @pytest.mark.parametrize("trial", [*range(20), "skewed"])
 def test_mining_matches_full_sort_oracle(trial):
     """One call mines anchors of every present cluster, one label twice;

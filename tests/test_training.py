@@ -279,12 +279,13 @@ def test_loss_decreases_on_easy_task():
 
 
 def test_config_validation_messages():
+    spec = tiny_dataset().spec
     with pytest.raises(ValueError, match="temperature"):
-        tiny_config(temperature=0.0).validate()
+        tiny_config(temperature=0.0).validate(spec)
     with pytest.raises(ValueError, match="momentum"):
-        tiny_config(momentum=1.5).validate()
+        tiny_config(momentum=1.5).validate(spec)
     with pytest.raises(ValueError, match="weight_anchor"):
-        tiny_config(weight_anchor=-1.0).validate()
+        tiny_config(weight_anchor=-1.0).validate(spec)
 
 
 # ------------------------------------- batched step vs the per-anchor oracle
