@@ -129,5 +129,5 @@ def floats_to_bytes(arr: np.ndarray) -> bytes:
 
 
 def floats_from_bytes(buf: bytes) -> np.ndarray:
-    """Decode every float32 value of ``buf``, as float64."""
-    return np.frombuffer(buf, dtype=F32).astype(np.float64)
+    """Every float32 value of ``buf``, as a read-only float32 view of it."""
+    return np.frombuffer(buf, dtype=F32)

@@ -9,11 +9,12 @@ cores joins the lowest-numbered one.
 
 No (N, N) array is built. A pair neighbours when its dot product is at
 least eps's floor, found once by bisection over the float64 values, and
-that relation is read twice from the same row blocks of dot products:
-the first sweep counts each point's neighbours, which finds the core
-points; the second joins the core-core pairs in a union-find forest
-whose roots are the smallest core index of each component, and keeps
-each non-core point's few core neighbours.
+the neighbour pairs are computed once from row blocks of dot products
+and replayed: the first pass counts each point's neighbours, which
+finds the core points; the second joins the core-core pairs in a
+union-find forest whose roots are the smallest core index of each
+component, and keeps each non-core point's few core neighbours. Pairs
+too many to keep are computed again for the second pass instead.
 """
 
 from __future__ import annotations
@@ -54,27 +55,36 @@ def _label(n, sweep, min_pts):
     """DBSCAN labels of ``n`` points from their neighbour relation.
 
     ``sweep()`` yields index arrays ``(a, b)`` holding every pair of
-    distinct neighbours once, and the same pairs on each of its two calls.
-    The first call counts each point's neighbours, which finds the core
-    points. In the second, a core pair joins two components of a
-    union-find forest, and a core point and a non-core point make the
-    latter a border point. Core pairs wait in ``links`` until there are
-    ``BLOCK * n / 4``, half the bytes of one (BLOCK, n) float block."""
+    distinct neighbours once, and the same pairs on each call. The first
+    pass counts each point's neighbours, which finds the core points. In
+    the second, a core pair joins two components of a union-find forest,
+    and a core point and a non-core point make the latter a border point.
+    Up to ``BLOCK * n / 4`` pairs, half the bytes of one (BLOCK, n) float
+    block, are held at a time: the first pass's chunks while they total
+    that many, which the second pass replays (past it, it calls ``sweep()``
+    again), and the core pairs that wait in ``links``."""
+    cap = BLOCK * n // 4
     degree = np.ones(n, dtype=np.int64)  # every point neighbours itself
+    kept, pairs = [], 0
     for a, b in sweep():
         degree += np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        pairs += a.size
+        if pairs <= cap:
+            kept.append((a, b))
+        else:
+            kept.clear()
     core = degree >= min_pts
 
     root = np.arange(n)
     links, held, border = [], 0, []
-    for a, b in sweep():
+    for a, b in kept if pairs <= cap else sweep():
         core_a, core_b = core[a], core[b]
         both = core_a & core_b
         links.append((a[both], b[both]))
         held += links[-1][0].size
         one = core_a != core_b  # (the non-core point, its core neighbour)
         border.append((np.where(core_a, b, a)[one], np.where(core_a, a, b)[one]))
-        if held >= BLOCK * n // 4:
+        if held >= cap:
             _join(root, links)
             links, held = [], 0
     _join(root, links)

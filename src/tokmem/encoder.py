@@ -33,7 +33,7 @@ import numpy as np
 
 from . import blobio
 from .errors import DataFormatError, check_fields
-from .linalg import normalize_rows, row_norms
+from .linalg import BLOCK, normalize_rows, row_norms
 
 __all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
            "encode_backward", "image_feature", "part_slices", "patch_means",
@@ -123,15 +123,20 @@ def patch_means(patches: np.ndarray, part_tokens: int) -> np.ndarray:
     """The head's inputs for (..., I, d_in) patch stacks, (1 + Z, ..., d_in):
     the patch mean xbar, then the Z stripe means xbar_z of ``part_slices``.
     Each stack's means are reduced over its own patches alone, so
-    ``patch_means(x)[:, b]`` equals ``patch_means(x[b])`` bit for bit."""
-    patches = np.asarray(patches, dtype=np.float64)
+    ``patch_means(x)[:, b]`` equals ``patch_means(x[b])`` bit for bit.
+    Float32 stacks are widened to float64 ``BLOCK`` stacks at a time."""
+    patches = np.asarray(patches)
     if patches.ndim < 2:
         raise ValueError("patches must be (..., I, d_in)")
-    means = np.empty((1 + part_tokens, *patches.shape[:-2], patches.shape[-1]))
-    patches.mean(axis=-2, out=means[0])
-    for h, sl in enumerate(part_slices(patches.shape[-2], part_tokens), start=1):
-        patches[..., sl, :].mean(axis=-2, out=means[h])
-    return means
+    *batch, num_patches, d_in = patches.shape
+    heads = [slice(None), *part_slices(num_patches, part_tokens)]
+    stacks = patches.reshape(np.prod(batch, dtype=int), num_patches, d_in)
+    means = np.empty((1 + part_tokens, len(stacks), d_in))
+    for s in range(0, len(stacks), BLOCK):
+        block = np.asarray(stacks[s:s + BLOCK], dtype=np.float64)
+        for h, sl in enumerate(heads):
+            block[:, sl].mean(axis=-2, out=means[h, s:s + BLOCK])
+    return means.reshape(1 + part_tokens, *batch, d_in)
 
 
 def _check_means(params: EncoderParams, means: np.ndarray,

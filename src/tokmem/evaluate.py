@@ -6,9 +6,11 @@ at a time, so no (Q, G) array is made. Only the places of the gallery
 positives are computed: a positive's 0-based place is the number of
 gallery items with a higher similarity, read from one value sort of the
 query's similarity row, plus, only where its value is tied, the number
-of equal similarities at a lower gallery index. Average precision is the
-plain uninterpolated form; queries with zero gallery positives are
-excluded from both metrics and reported, never silently counted as zero.
+of equal similarities at a lower gallery index. One block is held at a
+time and sorted in place; a block with a tie makes its product again to
+read the unsorted row. Average precision is the plain uninterpolated
+form; queries with zero gallery positives are excluded from both
+metrics and reported, never silently counted as zero.
 """
 
 from __future__ import annotations
@@ -90,42 +92,48 @@ def _positive_places(query_features, gallery_features, rows, cols, row_start, po
     query-gallery similarities, given row-major, sorted within each row.
 
     The queries are scored ``BLOCK`` rows at a time, so no more than one
-    ``(BLOCK, G)`` block of similarities and its sorted copy are held."""
+    ``(BLOCK, G)`` block of similarities is held."""
     places = np.empty(len(rows), dtype=np.int64)
     ends = row_start + positives
     for q in range(0, len(query_features), BLOCK):
         stop = min(q + BLOCK, len(query_features))
         lo, hi = row_start[q], ends[stop - 1]
         # the block's arrays are freed on return, before the next is made
-        places[lo:hi] = _block_places(query_features[q:stop] @ gallery_features.T,
+        places[lo:hi] = _block_places(query_features[q:stop], gallery_features,
                                       rows[lo:hi] - q, cols[lo:hi], row_start[q:stop] - lo,
                                       positives[q:stop])
     return places
 
 
-def _block_places(sims, rows, cols, row_start, positives):
-    """:func:`_positive_places` of one block of similarity rows.
+def _block_places(queries, gallery_features, rows, cols, row_start, positives):
+    """:func:`_positive_places` of one block of query rows.
 
     The place of the positive at column c with similarity s is
     ``#{s' > s} + #{c' < c : s' == s}``. The first term is ``G`` minus the
-    right insertion point of s in the value-sorted row; the second is
-    counted in the unsorted row, and only where s is tied."""
+    right insertion point of s in the value-sorted row; the block is sorted
+    in place. The second is counted in the unsorted row, and only where s
+    is tied: then the block's product is made again, the same call on the
+    same operands, which gives the same bits."""
+    sims = queries @ gallery_features.T
     num_g = sims.shape[1]
     keys = sims[rows, cols]
-    ordered = np.sort(sims, axis=1)
-    if not np.isfinite(ordered[:, [0, -1]]).all():  # sort puts NaN last
+    sims.sort(axis=1)
+    if not np.isfinite(sims[:, [0, -1]]).all():  # sort puts NaN last
         raise ValueError("query-gallery similarities overflow the float range")
     right = np.empty(len(rows), dtype=np.int64)
     query = np.flatnonzero(positives)
     bounds = zip(query.tolist(), row_start[query].tolist(),
                  (row_start + positives)[query].tolist())
     for q, start, stop in bounds:
-        right[start:stop] = np.searchsorted(ordered[q], keys[start:stop], side="right")
+        right[start:stop] = np.searchsorted(sims[q], keys[start:stop], side="right")
     places = num_g - right
     # right - 1 is the last copy of the value; a copy before it means a tie
-    tied = np.flatnonzero((right >= 2) & (ordered[rows, right - 2] == keys))
-    for i in tied:
-        places[i] += np.count_nonzero(sims[rows[i], :cols[i]] == keys[i])
+    tied = np.flatnonzero((right >= 2) & (sims[rows, right - 2] == keys))
+    if tied.size:
+        del sims  # the sorted block goes before the unsorted one is made again
+        sims = queries @ gallery_features.T
+        for i in tied:
+            places[i] += np.count_nonzero(sims[rows[i], :cols[i]] == keys[i])
     offset = rows * num_g
     return np.sort(offset + places) - offset
 

@@ -68,8 +68,9 @@ class SynthSpec:
 
 @dataclass
 class SynthDataset:
-    """Immutable after creation; ``patches`` is (N, I, d_in), float64, and
-    sample ``n``'s identity is ``spec.identities[n]``."""
+    """Immutable after creation; ``patches`` is (N, I, d_in), float64 from
+    :func:`generate` and the file's read-only float32 values from
+    :func:`load_dataset`, and sample ``n``'s identity is ``spec.identities[n]``."""
 
     patches: np.ndarray
     spec: SynthSpec
@@ -132,10 +133,11 @@ def save_dataset(ds: SynthDataset, prefix) -> None:
 def load_dataset(prefix) -> SynthDataset:
     """Read a dataset pair written by :func:`save_dataset`.
 
-    Values come back as float64 (converted from the stored float32); the
-    identities follow from the spec. A missing, mistyped or invalid
-    manifest field, a blob of another length than the spec's patches, or a
-    non-finite patch value raise DataFormatError.
+    The patches are a read-only float32 view of the blob, which every
+    reader widens to float64 a block or batch at a time; the identities
+    follow from the spec. A missing, mistyped or invalid manifest field, a
+    blob of another length than the spec's patches, or a non-finite patch
+    value raise DataFormatError.
     """
     manifest, blob = blobio.read_pair(prefix)
     spec = SynthSpec(**{f.name: blobio.manifest_field(manifest, f.name, f.type, prefix)
@@ -150,7 +152,8 @@ def load_dataset(prefix) -> SynthDataset:
         raise DataFormatError(
             f"dataset blob has {len(blob)} bytes, expected {expected} from manifest fields")
     patches = blobio.floats_from_bytes(blob).reshape(n, i, d)
-    # a float64 sum of float32 values is finite iff all are; it needs no mask
-    if not np.isfinite(patches.sum()):
+    # a float64 sum of float32 values is finite iff all are; it needs no mask,
+    # and unlike a float32 sum it cannot overflow on finite values
+    if not np.isfinite(patches.sum(dtype=np.float64)):
         raise DataFormatError("dataset blob has non-finite patch values")
     return SynthDataset(patches=patches, spec=spec)

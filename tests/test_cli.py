@@ -206,19 +206,34 @@ def test_train_runs_are_byte_identical(tmp_path):
 
 
 def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
+    """NaN, inf and -inf, in the first sample's patches and in the last's."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
     blob_path = tmp_path / "run" / "data.f32"
-    blob = bytearray(blob_path.read_bytes())
-    blob[40:44] = np.array([np.nan], dtype="<f4").tobytes()
-    blob_path.write_bytes(bytes(blob))
-    capsys.readouterr()
-    for command in ("train", "eval"):
-        assert main([command, "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "non-finite" in err
-        assert len(err.strip().splitlines()) == 1
+    good = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
+    for value in (np.nan, np.inf, -np.inf):
+        for index in (10, good.size - 3):
+            blob = good.copy()
+            blob[index] = value
+            blob_path.write_bytes(blob.tobytes())
+            capsys.readouterr()
+            for command in ("train", "eval"):
+                assert main([command, "--config", str(cfg)]) == 2
+                err = capsys.readouterr().err
+                assert "non-finite" in err
+                assert len(err.strip().splitlines()) == 1
+
+
+def test_patches_near_the_float32_limit_load_and_train(tmp_path):
+    """Every patch value 3e38: finite, though a float32 sum of them is not."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    blob_path = tmp_path / "run" / "data.f32"
+    size = len(blob_path.read_bytes()) // 4
+    blob_path.write_bytes(np.full(size, 3e38, dtype="<f4").tobytes())
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["eval", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("field,value,message", [("seed", None, "seed"),

@@ -6,6 +6,7 @@ import pytest
 from conftest import unit_rows
 from oracles import (cosine_dist_oracle, dbscan_oracle, neighbours,
                      partition_of_core_points)
+import tokmem.cluster as cluster_mod
 from tokmem.cluster import BLOCK, OUTLIER, _dot_floor, dbscan
 
 
@@ -80,6 +81,61 @@ def test_peak_memory_is_bool_matrix_and_one_block_strip(rng):
         finally:
             tracemalloc.stop()
         assert peak <= n * n + 2 * 8 * BLOCK * n
+
+
+def collapsed_rows(rng, n):
+    """``n`` unit rows within 1e-3 of one direction: every pair neighbours
+    at eps 0.05, n (n - 1) / 2 pairs."""
+    center = unit_rows(rng, 1, 8)
+    rows = unit_rows(rng, n, 8) * 1e-3 + center
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def clustered_rows(rng, n):
+    """``n`` unit rows in tight groups of 20 around random directions."""
+    centers = unit_rows(rng, n // 20, 8)
+    rows = np.repeat(centers, 20, axis=0) + 0.05 * rng.normal(size=(n, 8))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def count_sweeps(monkeypatch):
+    """A list that gains one entry per call of ``_neighbour_pairs``."""
+    calls, real = [], cluster_mod._neighbour_pairs
+
+    def spy(features, floor):
+        calls.append(len(features))
+        return real(features, floor)
+
+    monkeypatch.setattr(cluster_mod, "_neighbour_pairs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("make,n,sweeps", [(clustered_rows, 600, 1), (collapsed_rows, 300, 2)])
+def test_pairs_that_fit_are_replayed_and_others_computed_again(rng, monkeypatch, make, n,
+                                                               sweeps):
+    """Up to ``BLOCK * n / 4`` pairs are computed once and replayed; the
+    300 collapsed points' 44,850 pairs are more, and are computed again.
+    Both give the oracle's labels."""
+    calls = count_sweeps(monkeypatch)
+    feats = make(rng, n)
+    assert_matches_oracle(feats, 0.05, 4)
+    assert calls == [n] * sweeps
+
+
+def test_peak_memory_cases_sweep_once_and_twice(rng, monkeypatch):
+    """The data of the peak memory test above: the collapsed 3,000 points'
+    4.5 M pairs exceed the budget, and the spread 1,500 points, of which
+    none has min_pts neighbours, fit it. The oracle's labels follow from
+    that: one cluster, and all outliers."""
+    calls = count_sweeps(monkeypatch)
+    collapsed = dbscan(collapsed_rows(rng, 3000), eps=0.05, min_pts=4)
+    np.testing.assert_array_equal(collapsed, np.zeros(3000))
+    assert calls == [3000, 3000]
+    calls.clear()
+    spread = unit_rows(rng, 1500, 8)
+    assert neighbours(cosine_dist_oracle(spread), 0.05).sum(axis=1).max() < 4
+    np.testing.assert_array_equal(dbscan(spread, eps=0.05, min_pts=4), np.full(1500, OUTLIER))
+    assert calls == [1500]
 
 
 def test_peak_memory_is_linear_in_n(rng):

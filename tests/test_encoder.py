@@ -5,7 +5,7 @@ from tokmem.encoder import (EncoderParams, encode, encode_backward,
                             image_feature, init_params, load_checkpoint,
                             part_slices, patch_means, save_checkpoint)
 from tokmem.errors import DataFormatError
-from tokmem.linalg import finite_diff_grad, relative_error
+from tokmem.linalg import BLOCK, finite_diff_grad, relative_error
 
 
 def fwd(params, patches):
@@ -164,6 +164,16 @@ def test_patch_means_of_a_batch_are_rows_of_the_whole(rng, num_patches, z):
         b = rng.permutation(40)[:size]
         np.testing.assert_array_equal(whole[:, b], patch_means(x[b], z))
     np.testing.assert_array_equal(whole[:, 3], patch_means(x[3], z))
+    # float32 stacks, widened a block at a time, give the float64 means bit
+    # for bit: over a count that is no multiple of the block, and with a
+    # second leading axis whose rows straddle the blocks
+    x32 = (rng.normal(size=(2 * BLOCK + 3, num_patches, 4))
+           * rng.choice([1e-3, 1.0, 1e3], size=(2 * BLOCK + 3, 1, 1))).astype(np.float32)
+    wide = patch_means(x32.astype(np.float64), z)
+    assert patch_means(x32, z).tobytes() == wide.tobytes()
+    stacked = patch_means(x32.reshape(7, 37, num_patches, 4), z)
+    assert stacked.shape == (1 + z, 7, 37, 4)
+    assert stacked.tobytes() == wide.tobytes()
 
 
 def test_patch_means_rejects_fewer_than_two_axes():

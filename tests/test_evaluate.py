@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from conftest import features_ranking_as, observed_rankings, unit_rows
 from oracles import (average_precision_oracle, cmc_oracle, retrieval_by_stable_argsort,
                      topk_by_full_sort)
-from tokmem.evaluate import evaluate_retrieval, metrics_dict, write_metrics
+from tokmem.config import EvalConfig
+from tokmem.encoder import init_params
+from tokmem.evaluate import evaluate_encoder, evaluate_retrieval, metrics_dict, write_metrics
 from tokmem.linalg import BLOCK
+from tokmem.synth import SynthSpec, generate, load_dataset, save_dataset
 
 
 def gallery_with_sims(sims):
@@ -292,10 +295,10 @@ def test_positives_match_the_match_matrix(monkeypatch, trial):
     assert result.excluded_queries == (matches.sum(axis=1) == 0).sum()
 
 
-def test_peak_memory_is_about_two_query_gallery_arrays(rng):
-    """Evaluation holds about two (BLOCK, G) 8-byte arrays at a time, one
-    block of similarities and its value-sorted copy: no (Q, G) array, float
-    cumsum or precision matrix."""
+def test_peak_memory_is_about_one_query_gallery_block(rng):
+    """Evaluation holds about one (BLOCK, G) 8-byte array at a time, a
+    block of similarities, sorted in place: no sorted copy, no (Q, G)
+    array, float cumsum or precision matrix."""
     num_q, num_g = 400, 3000
     queries, gallery = unit_rows(rng, num_q, 16), unit_rows(rng, num_g, 16)
     query_ids, gallery_ids = rng.integers(0, 100, num_q), rng.integers(0, 100, num_g)
@@ -305,7 +308,24 @@ def test_peak_memory_is_about_two_query_gallery_arrays(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * BLOCK * num_g
+    assert peak <= 1.5 * 8 * BLOCK * num_g
+
+
+def test_loaded_dataset_eval_peak_memory_is_below_a_float64_copy(tmp_path):
+    """Loading and evaluating hold less than one float64 copy of the
+    patches: the file's float32 values, widened a block at a time, and one
+    block of similarities."""
+    spec = SynthSpec(num_identities=60, samples_per_identity=20, patches_per_image=64,
+                     patch_input_dim=16, identity_spread=0.15, noise_patch_prob=0.1, seed=5)
+    save_dataset(generate(spec), tmp_path / "data")
+    params = init_params(32, spec.patch_input_dim, 3, seed=1)
+    tracemalloc.start()
+    try:
+        evaluate_encoder(params, load_dataset(tmp_path / "data"), EvalConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.num_samples * spec.patches_per_image * spec.patch_input_dim
 
 
 def test_metrics_file_outputs(tmp_path, rng):

@@ -143,6 +143,24 @@ def test_save_load_round_trip(tmp_path):
     # storage is float32; loading reproduces exactly those values
     np.testing.assert_array_equal(loaded.patches,
                                   ds.patches.astype(np.float32).astype(np.float64))
+    # and keeps them as they are in the file: a read-only float32 view
+    assert loaded.patches.dtype == np.float32
+    assert not loaded.patches.flags.writeable
+
+
+def test_load_peak_memory_is_the_blob(tmp_path):
+    """Loading holds the blob's bytes and no float64 copy of the patches."""
+    spec = make_spec(num_identities=50, samples_per_identity=20, patches_per_image=16,
+                     patch_input_dim=16, noise_patch_prob=0.1)
+    save_dataset(generate(spec), tmp_path / "data")
+    blob_bytes = (tmp_path / "data.f32").stat().st_size
+    tracemalloc.start()
+    try:
+        load_dataset(tmp_path / "data")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * blob_bytes + 64 * 1024
 
 
 def test_dataset_blob_is_the_patches_as_float32(tmp_path):

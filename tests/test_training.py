@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import tokmem.training as training_mod
 from tokmem.cluster import dbscan
 from tokmem.encoder import EncoderParams, image_feature, init_params, patch_means
 from tokmem.errors import NumericError
-from tokmem.synth import SynthSpec, generate
+from tokmem.synth import SynthDataset, SynthSpec, generate, load_dataset, save_dataset
 from tokmem.training import TrainConfig, learning_rate, sample_batches, train
 
 
@@ -367,3 +368,30 @@ def test_batched_training_matches_per_anchor_oracle(overrides):
             [ours["mean_constraint"], ours["mean_proto"], ours["mean_total"]],
             [np.mean(con), np.mean(pro), np.mean(total)], rtol=1e-12)
     np.testing.assert_allclose(result.params.vec, params.vec, rtol=1e-9, atol=1e-9)
+
+
+def test_train_on_a_loaded_dataset_equals_train_on_its_float64_values(tmp_path):
+    """Float32 patches, widened per block and per batch, train bit for bit
+    like the same values held as float64."""
+    save_dataset(tiny_dataset(), tmp_path / "data")
+    loaded = load_dataset(tmp_path / "data")
+    wide = SynthDataset(loaded.patches.astype(np.float64), loaded.spec)
+    a, b = train(tiny_config(), loaded), train(tiny_config(), wide)
+    assert a.params.vec.tobytes() == b.params.vec.tobytes()
+    assert a.log == b.log
+    assert a.log[-1]["mean_total"] is not None
+
+
+def test_loaded_dataset_train_peak_memory_is_below_a_float64_copy(tmp_path):
+    """Loading and a 1-epoch train hold less than one float64 copy of the
+    patches: the file's float32 values, and training's own arrays."""
+    spec = SynthSpec(num_identities=60, samples_per_identity=20, patches_per_image=64,
+                     patch_input_dim=16, identity_spread=0.15, noise_patch_prob=0.1, seed=5)
+    save_dataset(generate(spec), tmp_path / "data")
+    tracemalloc.start()
+    try:
+        train(TrainConfig(epochs=1), load_dataset(tmp_path / "data"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.num_samples * spec.patches_per_image * spec.patch_input_dim
