@@ -23,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .linalg import BLOCK
+from .linalg import BLOCK, row_norms
 
 __all__ = ["OUTLIER", "dbscan"]
 
@@ -44,7 +44,7 @@ def dbscan(features: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     n = features.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if not np.abs(np.linalg.norm(features, axis=1) - 1.0).max() <= 1e-6:  # NaN fails too
+    if not np.abs(row_norms(features) - 1.0).max() <= 1e-6:  # NaN fails too
         raise ValueError("features must be unit-norm (tolerance 1e-6)")
 
     floor = _dot_floor(max(eps, ZERO_DIST))

@@ -40,12 +40,20 @@ class LossOutput:
     """``value`` holds one non-negative negative-log-probability per row.
 
     ``grad_tokens`` is present when the candidates are per-row (the
-    constraint loss's tokens); it follows the candidates' layout.
+    constraint loss's tokens); it follows the candidates' layout, and is
+    computed when read, so a caller holding the candidates constant skips it.
     """
 
     value: np.ndarray
     grad_image_feature: np.ndarray
-    grad_tokens: np.ndarray | None = None
+    token_terms: tuple | None = None  # (coeff, f, t) of grad_tokens
+
+    @property
+    def grad_tokens(self) -> np.ndarray | None:
+        if self.token_terms is None:
+            return None
+        coeff, f, temperature = self.token_terms
+        return coeff[:, :, None] * f[:, None, :] / temperature
 
 
 def patch_rate(num_patches: int, rate: float) -> int:
@@ -109,7 +117,10 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     shared = cand.ndim == 2
     sims = f @ cand.T if shared else (cand @ f[:, :, None])[:, :, 0]
     z = sims / temperature
-    bounds = (target,) if isinstance(target, int) else (np.min(target), np.max(target))
+    if isinstance(target, int):  # one column for every row: a slice
+        bounds, pick = (target,), (slice(None), target)
+    else:
+        bounds, pick = (np.min(target), np.max(target)), (np.arange(z.shape[0]), target)
     if min(bounds) < 0 or max(bounds) >= z.shape[1]:
         raise ValueError(f"target out of range [0, {z.shape[1]})")
     if valid is not None:
@@ -117,12 +128,11 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     shift = z.max(axis=1, keepdims=True)
     exp = np.exp(z - shift)
     total = exp.sum(axis=1, keepdims=True)
-    rows = np.arange(z.shape[0])
-    value = np.log(total[:, 0]) + shift[:, 0] - z[rows, target]
+    value = np.log(total[:, 0]) + shift[:, 0] - z[pick]
     coeff = exp / total
-    coeff[rows, target] -= 1.0
+    coeff[pick] -= 1.0
     if shared:
         return LossOutput(value=value, grad_image_feature=(coeff @ cand) / temperature)
     grad_f = (coeff[:, None, :] @ cand)[:, 0, :] / temperature
     return LossOutput(value=value, grad_image_feature=grad_f,
-                      grad_tokens=coeff[:, :, None] * f[:, None, :] / temperature)
+                      token_terms=(coeff, f, temperature))

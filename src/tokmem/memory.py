@@ -16,16 +16,23 @@ any other label, outliers included. Ties always break toward the lowest
 index. ``mine`` does this for a whole batch with one similarity matmul;
 it reads each anchor's cluster as a slice of the index, so its only
 other (B, N) work is the k argmax passes of the negatives.
+
+What depends only on the labels and the batch order is planned once per
+epoch (``plan_epoch``): the anchors' checked labels and candidate masks
+(``plan_anchors``) and each bank's write rounds (``write_rounds``).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .cluster import OUTLIER
 from .linalg import gather_runs, group_runs, normalize_rows
 
-__all__ = ["label_runs", "compute_prototypes", "mine", "momentum_update"]
+__all__ = ["label_runs", "compute_prototypes", "Anchors", "plan_anchors", "write_rounds",
+           "BatchPlan", "plan_epoch", "mine", "momentum_update"]
 
 
 def label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,31 +59,97 @@ def compute_prototypes(bank: np.ndarray, runs) -> np.ndarray:
     return normalize_rows(protos)
 
 
-def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
-         k: int, include_outliers: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Mine a batch of (B, D) anchors with one (B, N) similarity matmul.
+class Anchors(NamedTuple):
+    """``mine``'s view of a batch (``plan_anchors``): checked cluster ids,
+    the validity of each pick, and whether outliers are candidates."""
+    labels: np.ndarray
+    valid: np.ndarray
+    include_outliers: bool
 
-    ``runs`` is the ``label_runs`` index of the bank's labels, and
-    ``labels`` the anchors' (B,) cluster ids. Returns (B, 1 + min(k, N))
-    memory indices and a validity mask of the same shape. Column 0 is the
-    row's hardest positive, the least similar member of its cluster (a
-    segmented argmin over only the batch's clusters' members); the rest
-    are its negatives, the most similar entries of any other label in
-    descending similarity (stable top-k), invalid past the row's candidate
-    count. ``include_outliers=False`` drops outliers from the candidates.
-    """
-    features = np.asarray(features, dtype=np.float64)
+
+def plan_anchors(runs, labels: np.ndarray, k: int, include_outliers: bool = True) -> Anchors:
+    """The ``Anchors`` of cluster ids ``labels`` (any shape) in the bank that
+    ``runs`` indexes: pick j of a row, (..., 1 + min(k, N)), is valid while
+    j is at most the row's count of other-label candidates."""
     labels = np.asarray(labels, dtype=np.int64)
     order, lo, hi = runs
     if (labels < 0).any():
         raise ValueError("anchor label must be a cluster id (>= 0)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    same_count = np.zeros(len(labels), dtype=np.int64)
+    same_count = np.zeros(labels.shape, dtype=np.int64)
     known = labels < len(lo) - 1  # past the clusters lies run -1, the outliers
     same_count[known] = (hi - lo)[labels[known]]
     if (same_count == 0).any():
         raise ValueError(f"no memory entry carries label {labels[same_count == 0][0]}")
+    candidates = len(order) - same_count - (0 if include_outliers else hi[OUTLIER] - lo[OUTLIER])
+    return Anchors(labels, np.arange(1 + min(k, len(order))) <= candidates[..., None],
+                   include_outliers)
+
+
+def write_rounds(batches, size: int) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """The write rounds of each of (S, B) ``batches`` of slots in a bank of
+    ``size`` rows, from one stable sort of (batch, slot) pairs. A batch's
+    rounds are ``(slots, rows, stops)``: round j writes features ``rows[a:b]``
+    into bank rows ``slots[a:b]``, ``a, b = stops[j - 1], stops[j]`` (a = 0
+    for j = 0), and holds the j-th occurrence of each of its slots. A batch
+    of distinct slots, such as a slice of one permutation, is one round."""
+    index = np.asarray(batches, dtype=np.int64)
+    if index.ndim != 2:
+        raise ValueError(f"need (S, B) slots, got shape {index.shape}")
+    if ((index < 0) | (index >= size)).any():
+        raise ValueError(f"slots {index} out of range [0, {size})")
+    num, width = index.shape
+    key = (index + size * np.arange(num)[:, None]).ravel()
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    # pair i of the sort is in batch i // width, and its round is its rank
+    # among its slot's pairs: i less the place of the first of them
+    batch_round = np.arange(key.size) - np.searchsorted(ranked, ranked) % width
+    by_round = order[np.argsort(batch_round, kind="stable")].reshape(num, width)
+    counts = np.bincount(batch_round, minlength=key.size).reshape(num, width)
+    stops = np.cumsum(counts, axis=1).tolist()
+    num_rounds = np.count_nonzero(counts, axis=1).tolist()
+    return [(slots, rows, ends[:n]) for slots, rows, ends, n
+            in zip(index.ravel()[by_round], by_round % width, stops, num_rounds)]
+
+
+class BatchPlan(NamedTuple):
+    """One batch of ``plan_epoch``: its instance-bank slots, its ``Anchors``
+    and the ``write_rounds`` of both banks."""
+    indices: np.ndarray
+    anchors: Anchors
+    instance_writes: tuple
+    prototype_writes: tuple
+
+
+def plan_epoch(labels: np.ndarray, runs, batches, k: int,
+               include_outliers: bool = True) -> list[BatchPlan]:
+    """Plan each of ``batches`` (``training.sample_batches``) in one pass from
+    the (N,) ``labels`` and their ``label_runs`` index ``runs``."""
+    index = np.asarray(batches, dtype=np.int64)
+    anchors = plan_anchors(runs, labels[index], k, include_outliers)
+    writes = zip(write_rounds(index, len(labels)), write_rounds(anchors.labels, len(runs[1]) - 1))
+    return [BatchPlan(rows, Anchors(ids, valid, include_outliers), *pair)
+            for rows, ids, valid, pair in zip(index, anchors.labels, anchors.valid, writes)]
+
+
+def mine(bank: np.ndarray, runs, features: np.ndarray,
+         anchors: Anchors) -> tuple[np.ndarray, np.ndarray]:
+    """Mine a batch of (B, D) anchors with one (B, N) similarity matmul.
+
+    ``runs`` is the ``label_runs`` index of the bank's labels, and
+    ``anchors`` the batch's ``plan_anchors``. Returns (B, 1 + min(k, N))
+    memory indices and their validity mask, ``anchors.valid``. Column 0 is
+    the row's hardest positive, the least similar member of its cluster (a
+    segmented argmin over only the batch's clusters' members); the rest
+    are its negatives, the most similar entries of any other label in
+    descending similarity (stable top-k), invalid past the row's candidate
+    count.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels, valid, include_outliers = anchors
+    order, lo, hi = runs
     sims = features @ bank.T
     rows, members, first = gather_runs(order, lo[labels], hi[labels])
     own = sims[rows, members]
@@ -84,53 +157,40 @@ def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
     # the stable argmin. A NaN counts as least, as it does for argmin, so
     # a diverged feature still picks a slot in the bank.
     hit = (own == np.minimum.reduceat(own, first)[rows]) | np.isnan(own)
-    picked = np.empty((len(labels), 1 + min(k, len(bank))), dtype=np.int64)
+    picked = np.empty(valid.shape, dtype=np.int64)
     picked[:, 0] = np.minimum.reduceat(np.where(hit, members, len(bank)), first)
     # sims becomes the negatives' key: the anchor's own cluster and,
     # if asked, the outliers (run -1) are out
     sims[rows, members] = -np.inf
-    candidates = len(bank) - same_count
     if not include_outliers:
         sims[:, order[lo[OUTLIER]:hi[OUTLIER]]] = -np.inf
-        candidates -= hi[OUTLIER] - lo[OUTLIER]
     # Stable top-k as k masked argmax passes (argmax takes the first
     # maximum); for small k this is far cheaper than sorting every row.
     rows = np.arange(len(labels))
     for j in range(1, picked.shape[1]):
         picked[:, j] = np.argmax(sims, axis=1)
         sims[rows, picked[:, j]] = -np.inf
-    valid = np.arange(picked.shape[1]) <= candidates[:, None]
     return picked, valid
 
 
-def momentum_update(bank: np.ndarray, index, features: np.ndarray,
-                    momentum: float) -> None:
+def momentum_update(bank: np.ndarray, rounds, features: np.ndarray, momentum: float) -> None:
     """In place, exactly as B sequential writes in batch order:
-    ``bank[index[b]] <- normalize(mu * bank[index[b]] + (1 - mu) * features[b])``.
+    ``bank[slot_b] <- normalize(mu * bank[slot_b] + (1 - mu) * features[b])``.
 
-    ``bank`` is (R, D), ``index`` (B,) slots, ``features`` (B, D); a repeated
-    slot mixes every occurrence, each earlier one decayed by mu. Round j
-    writes the j-th occurrence of every slot at once (its rank in a stable
-    argsort of ``index``), so there are as many rounds as the top
-    multiplicity; the rows are sorted by round once, so each round is a
-    contiguous slice.
+    ``bank`` is (R, D), ``rounds`` the batch's ``write_rounds`` and
+    ``features`` (B, D); a repeated slot mixes every occurrence, each
+    earlier one decayed by mu. Each round is one batched write.
     """
+    slots, rows, stops = rounds
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must be in [0, 1]")
-    index = np.asarray(index, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
-    if index.ndim != 1 or features.shape != (index.size, bank.shape[1]):
-        raise ValueError(f"need (B,) slots and (B, {bank.shape[1]}) features, "
-                         f"got {index.shape} and {features.shape}")
-    if ((index < 0) | (index >= len(bank))).any():
-        raise ValueError(f"index {index} out of range [0, {len(bank)})")
-    order = np.argsort(index, kind="stable")
-    ranked = index[order]
-    rank = np.arange(index.size) - np.searchsorted(ranked, ranked)  # round of order[i]
-    by_round = order[np.argsort(rank, kind="stable")]
-    slots, fresh = index[by_round], (1.0 - momentum) * features[by_round]
+    if features.shape != (rows.size, bank.shape[1]):
+        raise ValueError(f"need ({rows.size}, {bank.shape[1]}) features for {rows.size} slots, "
+                         f"got {features.shape}")
+    fresh = (1.0 - momentum) * features[rows]
     start = 0
-    for stop in np.cumsum(np.bincount(rank)).tolist():
+    for stop in stops:
         part = slots[start:stop]
         bank[part] = normalize_rows(momentum * bank[part] + fresh[start:stop])
         start = stop

@@ -2,22 +2,20 @@
 
 The patch and stripe means the encoder's head reads depend on the data
 only, so ``train`` computes them once (``encoder.patch_means``). Per
-epoch: re-project the cached patch means with the current encoder into
-fresh features, cluster them into a label vector, index it once (one
-stable argsort, ``memory.label_runs``), rebuild the instance bank from
-the features (stale features would poison the clustering), and compute
-cluster prototypes from the index. Per iteration, ``train_step`` makes
-one array pass over the batch: encode all anchors from their patches and
-their rows of the cached means, select their tokens, compute the three
-losses against the frozen memory snapshot (one mining matmul, each
-anchor's cluster read as a slice of the index), run one batched backward
-(its token adjoint on the selected tokens only), then write the memories
-and apply one plain SGD step.
-Every loss reads the snapshot before any write; then each bank takes one
-batched ``momentum_update`` that equals writing the rows in batch order
-(anchors sharing a cluster all mix into its prototype). Gradients are
-summed in a fixed order, so a config reproduces bit-identically on one
-platform; the last bits of logged loss means depend on that order.
+epoch: re-project them with the current encoder into fresh features,
+cluster those into a label vector, index it once (``memory.label_runs``),
+rebuild the instance bank from the features (stale features would
+poison the clustering), compute the cluster prototypes, and plan the
+epoch (``memory.plan_epoch``): each batch's checked labels, mining masks
+and bank write rounds, which depend on the labels and batch order only.
+Each ``train_step`` then runs only the work on the current weights and
+banks, in one array pass over the batch: encode, token selection, the
+three losses against the frozen memory snapshot (one mining matmul), one
+batched backward (its token adjoint on the selected tokens only), the
+memory writes, and one plain SGD step. Every loss reads the snapshot
+before any write, and each bank's ``momentum_update`` equals writing the
+rows in batch order. Gradients and loss sums are added in a fixed order,
+so a config reproduces bit-identically on one platform.
 
 Outlier-labeled samples never appear as anchors (they have no prototype
 to serve as a positive) but stay in the instance memory as negative
@@ -172,30 +170,34 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
             bank = normalize_rows(features)
             runs = memory_mod.label_runs(labels)
             protos = memory_mod.compute_prototypes(bank, runs)
-            sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
-            anchor_count = 0
-            for iteration, batch in enumerate(batches):
+            plan = memory_mod.plan_epoch(labels, runs, batches, config.num_negatives,
+                                         config.anchor_include_outliers)
+            steps = []
+            for iteration, batch in enumerate(plan):
                 try:
-                    step = train_step(config, params, dataset.patches[batch],
-                                      means[:, batch], batch, labels[batch], bank, runs,
-                                      protos, lr)
+                    steps.append(train_step(config, params,
+                                            dataset.patches.take(batch.indices, axis=0),
+                                            means.take(batch.indices, axis=1), batch, bank,
+                                            runs, protos, lr))
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} iteration {iteration}",
                         {"epoch": epoch, "iteration": iteration, **exc.diagnostics}) from None
-                for key in sums:
-                    sums[key] += float(getattr(step, key).sum())
-                anchor_count += int(step.has_anchor.sum())
             largest = float(np.abs(params.vec).max())
             if not largest <= float(np.finfo(np.float32).max):  # NaN fails too
                 raise NumericError(f"weights beyond float32 range at epoch {epoch}",
                                    {"epoch": epoch, "lr": lr, "max_abs_weight": largest})
 
+            # each step's B values summed, then the step sums in step order from 0.0
+            losses = np.array([[step.constraint, step.proto, step.anchor, step.total]
+                               for step in steps]).sum(axis=2)
+            con, pro, anc, total = np.cumsum(np.vstack([np.zeros(4), losses]), axis=0)[-1].tolist()
+            anchor_count = int(np.count_nonzero([step.has_anchor for step in steps]))
             sample_count = len(batches) * config.batch_size
-            record["mean_constraint"] = sums["constraint"] / sample_count
-            record["mean_proto"] = sums["proto"] / sample_count
-            record["mean_anchor"] = (sums["anchor"] / anchor_count) if anchor_count else None
-            record["mean_total"] = sums["total"] / sample_count
+            record["mean_constraint"] = con / sample_count
+            record["mean_proto"] = pro / sample_count
+            record["mean_anchor"] = (anc / anchor_count) if anchor_count else None
+            record["mean_total"] = total / sample_count
             log.append(record)
     return TrainResult(params=params, log=log)
 
@@ -212,16 +214,16 @@ class StepLosses:
 
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
-               patches: np.ndarray, means: np.ndarray, indices: np.ndarray,
-               labels: np.ndarray, bank: np.ndarray, runs, protos: np.ndarray,
-               lr: float) -> StepLosses:
+               patches: np.ndarray, means: np.ndarray, batch: memory_mod.BatchPlan,
+               bank: np.ndarray, runs, protos: np.ndarray, lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
     ``params``, ``bank`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``means``
-    their (1 + Z, B, d_in) ``encoder.patch_means``, ``indices`` their
-    slots in the (N, D) instance ``bank`` and ``labels`` their (B,)
-    cluster ids; ``runs`` is the ``memory.label_runs`` index of the bank's
+    their (1 + Z, B, d_in) ``encoder.patch_means``, and ``batch`` their
+    share of the epoch's ``memory.plan_epoch``: their slots in the (N, D)
+    instance ``bank``, their cluster ids and the banks' write rounds;
+    ``runs`` is the ``memory.label_runs`` index of the bank's
     pseudo-labels, and ``protos`` the (C, D) prototype bank. Raises
     NumericError, before any write, if an anchor's total loss is not
     finite; its diagnostics name the first such ``sample``.
@@ -233,13 +235,12 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
 
     selected = losses_mod.select_constraint_tokens(f, tokens, config.neg_token_rate)
     con = losses_mod.softmax_ce(f, tokens[rows, selected], 0, t)
-    pro = losses_mod.softmax_ce(f, protos, labels, t)
+    pro = losses_mod.softmax_ce(f, protos, batch.anchors.labels, t)
     # Missing negatives get -inf logits. A row without any candidate then
     # scores only its positive: its anchor term is exactly 0 with zero
     # gradient, the same as leaving the term out.
-    picked, valid = memory_mod.mine(bank, runs, f, labels, config.num_negatives,
-                                    config.anchor_include_outliers)
-    anc = losses_mod.softmax_ce(f, bank[picked], 0, t, valid=valid)
+    picked, valid = memory_mod.mine(bank, runs, f, batch.anchors)
+    anc = losses_mod.softmax_ce(f, bank.take(picked, axis=0), 0, t, valid=valid)
     w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,
                            config.weight_anchor)
     total = w_con * con.value + w_pro * pro.value + w_anc * anc.value
@@ -248,7 +249,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     if bad.size:
         b = bad[0]
         raise NumericError("non-finite loss", diagnostics={
-            "sample": int(indices[b]), "constraint": float(con.value[b]),
+            "sample": int(batch.indices[b]), "constraint": float(con.value[b]),
             "proto": float(pro.value[b]), "lr": lr, "C": protos.shape[0],
             "anchor": float(anc.value[b]) if has_anchor[b] else None})
 
@@ -257,8 +258,8 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     grad = encoder_mod.encode_backward(out, grad_f, selected, w_con * con.grad_tokens)
 
     # Writes only now, after every read of the snapshot.
-    memory_mod.momentum_update(bank, indices, f, config.momentum)
-    memory_mod.momentum_update(protos, labels, f, config.momentum)
+    memory_mod.momentum_update(bank, batch.instance_writes, f, config.momentum)
+    memory_mod.momentum_update(protos, batch.prototype_writes, f, config.momentum)
 
     params.vec -= (lr / f.shape[0]) * grad
     return StepLosses(constraint=con.value, proto=pro.value, anchor=anc.value,

@@ -302,3 +302,148 @@ def per_anchor_train(config, dataset):
                     config, learning_rate(config, epoch))
         log.append(record)
     return params, log
+
+
+# ------------------------------------------------------ stepwise training loop
+#
+# The batched training loop as it ran before its label work was planned
+# once per epoch: every step re-derives its anchors' label checks and
+# candidate counts (``stepwise_mine``) and each bank's write rounds
+# (``stepwise_momentum``), and softmax_ce indexes its target column with
+# a row arange. It shares the encoder, DBSCAN, batch sampling, prototypes
+# and token selection with tokmem, and is the byte-identity oracle for
+# tokmem.training.train.
+
+def stepwise_softmax_ce(f, cand, target, temperature, valid=None):
+    """(value, grad_image_feature, grad_tokens or None) of one batched
+    softmax cross-entropy, as ``tokmem.losses.softmax_ce`` computes it."""
+    shared = cand.ndim == 2
+    sims = f @ cand.T if shared else (cand @ f[:, :, None])[:, :, 0]
+    z = sims / temperature
+    if valid is not None:
+        z = np.where(valid, z, -np.inf)
+    shift = z.max(axis=1, keepdims=True)
+    exp = np.exp(z - shift)
+    total = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(z.shape[0])
+    value = np.log(total[:, 0]) + shift[:, 0] - z[rows, target]
+    coeff = exp / total
+    coeff[rows, target] -= 1.0
+    if shared:
+        return value, (coeff @ cand) / temperature, None
+    grad_f = (coeff[:, None, :] @ cand)[:, 0, :] / temperature
+    return value, grad_f, coeff[:, :, None] * f[:, None, :] / temperature
+
+
+def stepwise_mine(bank, runs, features, labels, k, include_outliers=True):
+    """(picked, valid) of ``tokmem.memory.mine``, with the label checks and
+    candidate counts derived on every call."""
+    from tokmem.linalg import gather_runs
+
+    labels = np.asarray(labels, dtype=np.int64)
+    order, lo, hi = runs
+    if (labels < 0).any():
+        raise ValueError("anchor label must be a cluster id (>= 0)")
+    same_count = np.zeros(len(labels), dtype=np.int64)
+    known = labels < len(lo) - 1
+    same_count[known] = (hi - lo)[labels[known]]
+    if (same_count == 0).any():
+        raise ValueError(f"no memory entry carries label {labels[same_count == 0][0]}")
+    sims = features @ bank.T
+    rows, members, first = gather_runs(order, lo[labels], hi[labels])
+    own = sims[rows, members]
+    hit = (own == np.minimum.reduceat(own, first)[rows]) | np.isnan(own)
+    picked = np.empty((len(labels), 1 + min(k, len(bank))), dtype=np.int64)
+    picked[:, 0] = np.minimum.reduceat(np.where(hit, members, len(bank)), first)
+    sims[rows, members] = -np.inf
+    candidates = len(bank) - same_count
+    if not include_outliers:
+        sims[:, order[lo[-1]:hi[-1]]] = -np.inf
+        candidates -= hi[-1] - lo[-1]
+    rows = np.arange(len(labels))
+    for j in range(1, picked.shape[1]):
+        picked[:, j] = np.argmax(sims, axis=1)
+        sims[rows, picked[:, j]] = -np.inf
+    return picked, np.arange(picked.shape[1]) <= candidates[:, None]
+
+
+def stepwise_momentum(bank, index, features, momentum):
+    """``tokmem.memory.momentum_update`` for (B,) slots, with the write
+    rounds derived on every call: round j writes the j-th occurrence of
+    every slot, ranked by one stable argsort of the slots."""
+    from tokmem.linalg import normalize_rows
+
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    rank = np.arange(index.size) - np.searchsorted(ranked, ranked)
+    by_round = order[np.argsort(rank, kind="stable")]
+    slots, fresh = index[by_round], (1.0 - momentum) * features[by_round]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)).tolist():
+        part = slots[start:stop]
+        bank[part] = normalize_rows(momentum * bank[part] + fresh[start:stop])
+        start = stop
+
+
+def stepwise_train(config, dataset):
+    """(params, log) of ``tokmem.training.train``, one step at a time: each
+    step's loss sums are added into the epoch's as the step ends."""
+    from tokmem import encoder
+    from tokmem.cluster import dbscan
+    from tokmem.linalg import normalize_rows
+    from tokmem.losses import select_constraint_tokens
+    from tokmem.memory import compute_prototypes, label_runs
+    from tokmem.training import learning_rate, sample_batches
+
+    params = encoder.init_params(config.feature_dim, dataset.spec.patch_input_dim,
+                                 config.part_tokens, config.seed)
+    means = encoder.patch_means(dataset.patches, config.part_tokens)
+    t, mu = config.temperature, config.momentum
+    w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,
+                           config.weight_anchor)
+    log = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            lr = learning_rate(config, epoch)
+            features = encoder.image_feature(params, means)
+            labels = dbscan(features, config.dbscan_eps, config.dbscan_min_pts)
+            record = {"epoch": epoch, "mean_constraint": None, "mean_proto": None,
+                      "mean_anchor": None, "mean_total": None,
+                      "C": int(labels.max(initial=-1)) + 1,
+                      "outliers": int((labels == -1).sum()), "lr": lr}
+            batches = sample_batches(labels, config.batch_size, config.seed, epoch)
+            if not batches:
+                log.append(record)
+                continue
+            bank = normalize_rows(features)
+            runs = label_runs(labels)
+            protos = compute_prototypes(bank, runs)
+            sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
+            anchor_count = 0
+            for batch in batches:
+                out = encoder.encode(params, dataset.patches[batch], means[:, batch])
+                f, tokens = out.image_feature, out.patch_tokens
+                rows = np.arange(f.shape[0])[:, None]
+                selected = select_constraint_tokens(f, tokens, config.neg_token_rate)
+                con = stepwise_softmax_ce(f, tokens[rows, selected], 0, t)
+                pro = stepwise_softmax_ce(f, protos, labels[batch], t)
+                picked, valid = stepwise_mine(bank, runs, f, labels[batch],
+                                              config.num_negatives,
+                                              config.anchor_include_outliers)
+                anc = stepwise_softmax_ce(f, bank[picked], 0, t, valid=valid)
+                total = w_con * con[0] + w_pro * pro[0] + w_anc * anc[0]
+                grad_f = w_con * con[1] + w_pro * pro[1] + w_anc * anc[1]
+                grad = encoder.encode_backward(out, grad_f, selected, w_con * con[2])
+                stepwise_momentum(bank, batch, f, mu)
+                stepwise_momentum(protos, labels[batch], f, mu)
+                params.vec -= (lr / f.shape[0]) * grad
+                for key, value in zip(sums, (con[0], pro[0], anc[0], total)):
+                    sums[key] += float(value.sum())
+                anchor_count += int(valid[:, 1].sum())
+            sample_count = len(batches) * config.batch_size
+            record["mean_constraint"] = sums["constraint"] / sample_count
+            record["mean_proto"] = sums["proto"] / sample_count
+            record["mean_anchor"] = (sums["anchor"] / anchor_count) if anchor_count else None
+            record["mean_total"] = sums["total"] / sample_count
+            log.append(record)
+    return params, log

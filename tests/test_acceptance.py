@@ -23,7 +23,7 @@ from tokmem import (dbscan, evaluate_encoder, evaluate_retrieval, generate,
                     label_runs, mine, patch_rate, select_constraint_tokens, softmax_ce)
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
 from tokmem.linalg import normalize_rows
-from tokmem.memory import momentum_update
+from tokmem.memory import momentum_update, plan_anchors, write_rounds
 from tokmem.training import train
 
 # Regression constants pinned from the first oracle run of the committed
@@ -152,7 +152,8 @@ def test_criterion_5_mining_matches_full_sort():
 
         neg_pool = np.flatnonzero(labels != 0)
         k = int(rng.integers(1, 9)) if neg_pool.size else 1
-        picked, valid = mine(bank, label_runs(labels), anchor[None], np.array([0]), k)
+        picked, valid = mine(bank, label_runs(labels), anchor[None],
+                             plan_anchors(label_runs(labels), np.array([0]), k))
 
         pos_pool = np.flatnonzero(labels == 0)
         expected_pos = pos_pool[topk_by_full_sort(sims[pos_pool], 1, descending=False)[0]]
@@ -184,19 +185,19 @@ def test_criterion_5_mining_matches_full_sort():
 
 def test_criterion_6_momentum_algebra():
     protos = np.array([[1.0, 0.0]])
-    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=1.0)
+    momentum_update(protos, write_rounds([[0]], 1)[0], np.array([[0.0, 1.0]]), momentum=1.0)
     np.testing.assert_array_equal(protos[0], [1.0, 0.0])  # exact
-    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=0.0)
+    momentum_update(protos, write_rounds([[0]], 1)[0], np.array([[0.0, 1.0]]), momentum=0.0)
     np.testing.assert_array_equal(protos[0], [0.0, 1.0])  # exact
 
     bank = np.array([[0.0, 1.0]])
-    momentum_update(bank, [0], np.array([[1.0, 0.0]]), momentum=1.0)
+    momentum_update(bank, write_rounds([[0]], 1)[0], np.array([[1.0, 0.0]]), momentum=1.0)
     np.testing.assert_array_equal(bank[0], [0.0, 1.0])
-    momentum_update(bank, [0], np.array([[1.0, 0.0]]), momentum=0.0)
+    momentum_update(bank, write_rounds([[0]], 1)[0], np.array([[1.0, 0.0]]), momentum=0.0)
     np.testing.assert_array_equal(bank[0], [1.0, 0.0])
 
     protos = np.array([[1.0, 0.0]])
-    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=0.2)
+    momentum_update(protos, write_rounds([[0]], 1)[0], np.array([[0.0, 1.0]]), momentum=0.2)
     mixed = np.array([0.2 * 1.0 + 0.8 * 0.0, 0.2 * 0.0 + 0.8 * 1.0])
     assert abs(mixed[0] - 0.2) <= 1e-12 and abs(mixed[1] - 0.8) <= 1e-12
     np.testing.assert_allclose(protos[0], mixed / np.linalg.norm(mixed),

@@ -4,7 +4,8 @@ import pytest
 from conftest import unit_rows
 from oracles import sequential_momentum, topk_by_full_sort
 from tokmem.linalg import normalize_rows
-from tokmem.memory import compute_prototypes, label_runs, mine, momentum_update
+from tokmem.memory import (compute_prototypes, label_runs, mine, momentum_update, plan_anchors,
+                           plan_epoch, write_rounds)
 
 
 def memory_from(features, labels):
@@ -70,13 +71,14 @@ def test_prototypes_match_per_cluster_mean_bitwise(trial):
 
 def hardest(mem, anchor, label):
     """Memory index of the anchor's hardest positive."""
-    picked, _ = mine(*mem, anchor[None], np.array([label]), 1)
+    picked, _ = mine(*mem, anchor[None], plan_anchors(mem[1], np.array([label]), 1))
     return picked[0, 0]
 
 
 def negatives(mem, anchor, label, k, include_outliers=True):
     """Memory indices of the anchor's valid negatives, most similar first."""
-    picked, valid = mine(*mem, anchor[None], np.array([label]), k, include_outliers)
+    picked, valid = mine(*mem, anchor[None],
+                         plan_anchors(mem[1], np.array([label]), k, include_outliers))
     return picked[0, 1:][valid[0, 1:]]
 
 
@@ -147,7 +149,7 @@ def test_top_k_truncates_to_candidate_count():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.0, 1.4, 0.2])
     mem = memory_from(feats, [0, 1, -1])
-    picked, valid = mine(*mem, anchor[None], np.array([0]), k=10)
+    picked, valid = mine(*mem, anchor[None], plan_anchors(mem[1], np.array([0]), k=10))
     assert picked.shape == (1, 4)  # 1 + min(k, N) columns
     np.testing.assert_array_equal(valid[0], [True, True, True, False])
     np.testing.assert_array_equal(negatives(mem, anchor, 0, k=10), [2, 1])
@@ -156,16 +158,17 @@ def test_top_k_truncates_to_candidate_count():
 def test_mine_zero_candidates_marks_every_negative_invalid():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, -1])
     anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
-    _, with_outliers = mine(*mem, anchors, np.array([0, 0]), k=1)
+    _, with_outliers = mine(*mem, anchors, plan_anchors(mem[1], np.array([0, 0]), k=1))
     np.testing.assert_array_equal(with_outliers, [[True, True], [True, True]])
-    _, valid = mine(*mem, anchors, np.array([0, 0]), k=1, include_outliers=False)
+    _, valid = mine(*mem, anchors,
+                    plan_anchors(mem[1], np.array([0, 0]), k=1, include_outliers=False))
     np.testing.assert_array_equal(valid, [[True, False], [True, False]])
 
 
 def test_mine_rejects_k_below_one():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ValueError, match="k must be >= 1"):
-        mine(*mem, np.array([[1.0, 0.0]]), np.array([0]), k=0)
+        mine(*mem, np.array([[1.0, 0.0]]), plan_anchors(mem[1], np.array([0]), k=0))
 
 
 @pytest.mark.parametrize("trial", [*range(20), "skewed"])
@@ -200,7 +203,8 @@ def test_mining_matches_full_sort_oracle(trial):
     anchors = unit_rows(rng, len(anchor_labels), 6)
     k = int(rng.integers(1, n + 2))  # often more than a row's candidates
     for include_outliers in (True, False):
-        picked, valid = mine(*mem, anchors, anchor_labels, k, include_outliers)
+        picked, valid = mine(*mem, anchors,
+                             plan_anchors(mem[1], anchor_labels, k, include_outliers))
         assert picked.shape == valid.shape == (len(anchor_labels), 1 + min(k, n))
         for row, (anchor, label) in enumerate(zip(anchors, anchor_labels)):
             sims = bank @ anchor
@@ -234,15 +238,15 @@ def test_with_outliers_dominates_without(rng):
 
 def test_momentum_endpoints_exact():
     protos = compute_prototypes(*memory_from([[1.0, 0.0]], [0]))
-    momentum_update(protos, [0], [[0.0, 1.0]], momentum=1.0)
+    momentum_update(protos, write_rounds([[0]], 1)[0], [[0.0, 1.0]], momentum=1.0)
     np.testing.assert_array_equal(protos[0], [1.0, 0.0])
-    momentum_update(protos, [0], [[0.0, 1.0]], momentum=0.0)
+    momentum_update(protos, write_rounds([[0]], 1)[0], [[0.0, 1.0]], momentum=0.0)
     np.testing.assert_array_equal(protos[0], [0.0, 1.0])
 
 
 def test_momentum_prototype_mixing():
     protos = compute_prototypes(*memory_from([[1.0, 0.0]], [0]))
-    momentum_update(protos, [0], [[0.0, 1.0]], momentum=0.2)
+    momentum_update(protos, write_rounds([[0]], 1)[0], [[0.0, 1.0]], momentum=0.2)
     mixed = np.array([0.2, 0.8])
     np.testing.assert_allclose(protos[0], mixed / np.linalg.norm(mixed), atol=1e-15)
     np.testing.assert_allclose(protos[0], [0.2425, 0.9701], atol=1e-4)
@@ -250,7 +254,7 @@ def test_momentum_prototype_mixing():
 
 def test_momentum_instance_mixing():
     bank, _ = memory_from([[0.0, 1.0]], [0])
-    momentum_update(bank, [0], [[1.0, 0.0]], momentum=0.5)
+    momentum_update(bank, write_rounds([[0]], 1)[0], [[1.0, 0.0]], momentum=0.5)
     np.testing.assert_allclose(bank[0], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
 
 
@@ -259,16 +263,16 @@ def test_momentum_validation():
     bank = mem[0]
     protos = compute_prototypes(*mem)
     with pytest.raises(ValueError, match="range"):
-        momentum_update(bank, [3], [[1.0, 0.0]], 0.5)
+        momentum_update(bank, write_rounds([[3]], 1)[0], [[1.0, 0.0]], 0.5)
     with pytest.raises(ValueError, match="range"):
-        momentum_update(protos, [-1], [[1.0, 0.0]], 0.5)
+        momentum_update(protos, write_rounds([[-1]], 1)[0], [[1.0, 0.0]], 0.5)
     with pytest.raises(ValueError, match="momentum"):
-        momentum_update(bank, [0], [[1.0, 0.0]], 1.5)
+        momentum_update(bank, write_rounds([[0]], 1)[0], [[1.0, 0.0]], 1.5)
     # one form only: (B,) slots with (B, D) features
     for index, fresh in ((0, [1.0, 0.0]), ([0], [1.0, 0.0]), ([0, 0], [[1.0, 0.0]]),
                          ([0], [[1.0, 0.0, 0.0]])):
         with pytest.raises(ValueError, match="slots"):
-            momentum_update(bank, index, fresh, 0.5)
+            momentum_update(bank, write_rounds([index], 1)[0], fresh, 0.5)
     np.testing.assert_array_equal(bank, [[1.0, 0.0]])
 
 
@@ -279,13 +283,13 @@ def test_momentum_instance_batch_equals_sequential_updates(rng):
     sequential = normalize_rows(feats)
     index = np.array([5, 0, 7, 5, 2, 0, 5])
     fresh = unit_rows(rng, 7, 4)
-    momentum_update(batched, index, fresh, 0.2)
+    momentum_update(batched, write_rounds([index], 8)[0], fresh, 0.2)
     for i, f in zip(index, fresh):
-        momentum_update(sequential, [i], f[None], 0.2)
+        momentum_update(sequential, write_rounds([[i]], 8)[0], f[None], 0.2)
     np.testing.assert_array_equal(batched, sequential)
     # every occurrence counts: the last writer alone gives another result
     last_only = normalize_rows(feats)
-    momentum_update(last_only, index[4:], fresh[4:], 0.2)
+    momentum_update(last_only, write_rounds([index[4:]], 8)[0], fresh[4:], 0.2)
     assert not np.allclose(last_only[5], batched[5])
 
 
@@ -303,7 +307,7 @@ def test_momentum_repeated_slots_match_sequential_oracle():
         fresh = unit_rows(rng, batch, dim)
         expected = bank.copy()
         sequential_momentum(expected, index, fresh, momentum)
-        momentum_update(bank, index, fresh, momentum)
+        momentum_update(bank, write_rounds([index], rows)[0], fresh, momentum)
         np.testing.assert_array_equal(bank, expected)
 
 
@@ -314,7 +318,98 @@ def test_updates_keep_unit_norm(rng):
     protos = compute_prototypes(*mem)
     for _ in range(25):
         f = unit_rows(rng, 1, 4)
-        momentum_update(bank, rng.integers(0, 10, size=1), f, 0.2)
-        momentum_update(protos, rng.integers(0, 3, size=1), f, 0.2)
+        momentum_update(bank, write_rounds([rng.integers(0, 10, size=1)], 10)[0], f, 0.2)
+        momentum_update(protos, write_rounds([rng.integers(0, 3, size=1)], 3)[0], f, 0.2)
     np.testing.assert_allclose(np.linalg.norm(bank, axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-9)
+
+
+# ------------------------------------------------------------ the epoch plan
+
+def random_epoch(rng, n, num_batches, width, num_clusters):
+    """(labels, runs, batches): labels with repeats and some outliers, and
+    batches that are slices of one permutation of the clustered samples."""
+    labels = rng.integers(-1, num_clusters, size=n)
+    labels[:num_clusters] = np.arange(num_clusters)
+    clustered = rng.permutation(np.flatnonzero(labels >= 0))
+    num_batches = min(num_batches, clustered.size // width)
+    batches = [clustered[b * width:(b + 1) * width] for b in range(num_batches)]
+    return labels, label_runs(labels), batches
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_plan_masks_and_picks_equal_per_call_mining(trial):
+    """Each batch's planned validity mask is the one mining derives per
+    call, and mining on the plan picks the same slots; with repeated
+    labels, outliers included and excluded, and a single-cluster batch."""
+    from oracles import stepwise_mine
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([780, trial], dtype=np.uint64)))
+    n, width = int(rng.integers(30, 200)), int(rng.integers(1, 12))
+    labels, runs, batches = random_epoch(rng, n, 3, width, int(rng.integers(1, 6)))
+    batches.append(runs[0][runs[1][0]:runs[1][0] + 1].repeat(width))  # one cluster only
+    bank = unit_rows(rng, n, 5)
+    k = int(rng.integers(1, n + 2))
+    for include_outliers in (True, False):
+        plan = plan_epoch(labels, runs, batches, k, include_outliers)
+        assert len(plan) == len(batches)
+        for batch, step in zip(batches, plan):
+            anchors = unit_rows(rng, width, 5)
+            expected = stepwise_mine(bank, runs, anchors, labels[batch], k, include_outliers)
+            np.testing.assert_array_equal(step.indices, batch)
+            np.testing.assert_array_equal(step.anchors.labels, labels[batch])
+            np.testing.assert_array_equal(step.anchors.valid, expected[1])
+            picked, valid = mine(bank, runs, anchors, step.anchors)
+            np.testing.assert_array_equal(picked, expected[0])
+            assert valid is step.anchors.valid
+
+
+def test_plan_write_rounds_match_sequential_oracle_across_an_epoch():
+    """Several batches of one epoch, each written in turn through its
+    planned rounds, give both banks bit for bit the per-row loop's values;
+    repeated labels make several prototype rounds per batch."""
+    rng = np.random.Generator(np.random.Philox(key=92))
+    for case in range(40):
+        n, width = int(rng.integers(30, 120)), int(rng.integers(1, 9))
+        num_clusters = int(rng.integers(1, 7))
+        labels, runs, batches = random_epoch(rng, n, int(rng.integers(1, 5)), width,
+                                             num_clusters)
+        momentum = (0.0, 1.0, 0.2, float(rng.random()))[case % 4]
+        bank, protos = unit_rows(rng, n, 4), unit_rows(rng, num_clusters, 4)
+        expected_bank, expected_protos = bank.copy(), protos.copy()
+        for batch, step in zip(batches, plan_epoch(labels, runs, batches, 2)):
+            fresh = unit_rows(rng, width, 4)
+            assert step.instance_writes[2] == [width]  # distinct slots: one round
+            momentum_update(bank, step.instance_writes, fresh, momentum)
+            momentum_update(protos, step.prototype_writes, fresh, momentum)
+            sequential_momentum(expected_bank, batch, fresh, momentum)
+            sequential_momentum(expected_protos, labels[batch], fresh, momentum)
+            assert len(step.prototype_writes[2]) == np.bincount(labels[batch]).max()
+        np.testing.assert_array_equal(bank, expected_bank)
+        np.testing.assert_array_equal(protos, expected_protos)
+
+
+def test_write_rounds_take_each_occurrence_in_turn():
+    """Round j writes the j-th occurrence of each slot of a batch, in every
+    batch of the epoch; a batch of distinct slots is one round."""
+    rounds = write_rounds([[1, 1, 1, 2, 2, 3, 4], [4, 0, 3, 2, 6, 1, 5]], 7)
+    slots, rows, stops = rounds[0]
+    assert stops == [4, 6, 7]
+    np.testing.assert_array_equal(slots, [1, 2, 3, 4, 1, 2, 1])
+    np.testing.assert_array_equal(rows, [0, 3, 5, 6, 1, 4, 2])
+    slots, rows, stops = rounds[1]
+    assert stops == [7]
+    np.testing.assert_array_equal(slots[np.argsort(rows)], [4, 0, 3, 2, 6, 1, 5])
+
+
+def test_plan_rejects_bad_anchor_labels_at_plan_time():
+    """A negative anchor label, or one no bank entry carries, fails when
+    the epoch is planned, before any step mines."""
+    labels = np.array([0, 0, 1, -1, 1])
+    runs = label_runs(labels)
+    with pytest.raises(ValueError, match="anchor label must be a cluster id"):
+        plan_epoch(labels, runs, [np.array([0, 3])], 1)
+    with pytest.raises(ValueError, match="no memory entry carries label 1"):
+        plan_epoch(labels, label_runs(np.array([0, 0, 2, -1, 2])), [np.array([0, 2])], 1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        plan_epoch(labels, runs, [np.array([0, 1])], 0)
