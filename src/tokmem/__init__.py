@@ -12,8 +12,7 @@ from .linalg import (DegenerateNormWarning, finite_diff_grad, normalize_rows,
                      relative_error)
 from .losses import (LossOutput, patch_rate, select_constraint_tokens,
                      softmax_ce)
-from .memory import (compute_prototypes, label_runs, mine, momentum_update, plan_anchors,
-                     plan_epoch, write_rounds)
+from .memory import compute_prototypes, label_runs, mine, momentum_update, write_rounds
 from .synth import (SynthDataset, SynthSpec, generate, load_dataset,
                     save_dataset, split_query_gallery)
 from .training import TrainConfig, TrainResult, sample_batches, train

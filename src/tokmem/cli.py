@@ -58,7 +58,7 @@ def _cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
     if args.out:
         cfg.paths.dataset = Path(args.out)
-    check_distinct_files(cfg.paths)
+    check_distinct_files(cfg.paths, args.config)
     ds = synth_mod.generate(cfg.data)
     synth_mod.save_dataset(ds, cfg.paths.dataset)
     print(f"wrote {ds.num_samples} samples ({cfg.data.num_identities} identities) "
@@ -114,7 +114,7 @@ def _cmd_eval(args) -> int:
     if args.checkpoint:
         cfg.paths.checkpoint = Path(args.checkpoint)
     csv_path = Path(args.per_query_csv) if args.per_query_csv else None
-    check_distinct_files(cfg.paths, csv_path)
+    check_distinct_files(cfg.paths, args.config, csv_path)
     ds = _load_dataset(cfg)
     params = encoder_mod.load_checkpoint(cfg.paths.checkpoint)
     _check_checkpoint_dims(cfg, params)

@@ -7,8 +7,9 @@ required). ``format_version: 1`` is mandatory. Unknown keys anywhere are
 rejected so hyperparameter typos cannot pass silently; every validation
 message names the offending field path, and a value out of range reads
 "`section.field` must be <bound>, got <value>". Limits across sections
-(query split, ``k_max``, batch size, part and negative tokens) and
-distinct artifact files are checked at load, before any command runs.
+(query split, ``k_max``, batch size, part and negative tokens), the lr
+schedule, and artifact files distinct from each other and from the
+config are checked at load, before any command runs.
 
 The patch geometry (``patches_per_image``, ``patch_input_dim``) lives in
 ``data`` only; training reads it from the dataset it trains on.
@@ -93,13 +94,15 @@ def _check_limits(data: SynthSpec, eval_cfg: EvalConfig) -> None:
         ConfigError, lambda f: f"`eval.{f}`")
 
 
-def check_distinct_files(paths: RunPaths, per_query_csv: Path | None = None) -> None:
-    """ConfigError naming both fields unless the dataset and checkpoint pairs,
-    ``log``, its ``diagnostics``, ``metrics`` and ``per_query_csv`` (if given)
-    are distinct files (absolute, directories resolved): no artifact may
-    replace another."""
-    files = [(f"paths.{name}", path) for name in ("dataset", "checkpoint")
-             for path in pair_paths(getattr(paths, name))]
+def check_distinct_files(paths: RunPaths, config: str | Path,
+                         per_query_csv: Path | None = None) -> None:
+    """ConfigError naming both fields unless the ``config`` file itself, the
+    dataset and checkpoint pairs, ``log``, its ``diagnostics``, ``metrics``
+    and ``per_query_csv`` (if given) are distinct files (absolute,
+    directories resolved): no artifact may replace another, or the config."""
+    files = [("--config", config)]
+    files += [(f"paths.{name}", path) for name in ("dataset", "checkpoint")
+              for path in pair_paths(getattr(paths, name))]
     files += [("paths.log", paths.log), ("<paths.log>.diag.json", paths.diagnostics),
               ("paths.metrics", paths.metrics)]
     if per_query_csv is not None:
@@ -142,5 +145,5 @@ def load_run_config(path) -> RunConfig:
     eval_cfg = _parse_section(doc, "eval", EvalConfig)
     _check_limits(data, eval_cfg)
     paths = _parse_section(doc, "paths", RunPaths)
-    check_distinct_files(paths)
+    check_distinct_files(paths, path)
     return RunConfig(data=data, train=train, eval=eval_cfg, paths=paths)

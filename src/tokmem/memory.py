@@ -17,22 +17,19 @@ index. ``mine`` does this for a whole batch with one similarity matmul;
 it reads each anchor's cluster as a slice of the index, so its only
 other (B, N) work is the k argmax passes of the negatives.
 
-What depends only on the labels and the batch order is planned once per
-epoch (``plan_epoch``): the anchors' checked labels and candidate masks
-(``plan_anchors``) and each bank's write rounds (``write_rounds``).
+A bank's writes in an epoch depend only on the batch order, so
+``train`` derives them once per epoch with ``write_rounds``, and
+``momentum_update`` only writes.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .cluster import OUTLIER
 from .linalg import gather_runs, group_runs, normalize_rows
 
-__all__ = ["label_runs", "compute_prototypes", "Anchors", "plan_anchors", "write_rounds",
-           "BatchPlan", "plan_epoch", "mine", "momentum_update"]
+__all__ = ["label_runs", "compute_prototypes", "write_rounds", "mine", "momentum_update"]
 
 
 def label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,34 +56,6 @@ def compute_prototypes(bank: np.ndarray, runs) -> np.ndarray:
     return normalize_rows(protos)
 
 
-class Anchors(NamedTuple):
-    """``mine``'s view of a batch (``plan_anchors``): checked cluster ids,
-    the validity of each pick, and whether outliers are candidates."""
-    labels: np.ndarray
-    valid: np.ndarray
-    include_outliers: bool
-
-
-def plan_anchors(runs, labels: np.ndarray, k: int, include_outliers: bool = True) -> Anchors:
-    """The ``Anchors`` of cluster ids ``labels`` (any shape) in the bank that
-    ``runs`` indexes: pick j of a row, (..., 1 + min(k, N)), is valid while
-    j is at most the row's count of other-label candidates."""
-    labels = np.asarray(labels, dtype=np.int64)
-    order, lo, hi = runs
-    if (labels < 0).any():
-        raise ValueError("anchor label must be a cluster id (>= 0)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    same_count = np.zeros(labels.shape, dtype=np.int64)
-    known = labels < len(lo) - 1  # past the clusters lies run -1, the outliers
-    same_count[known] = (hi - lo)[labels[known]]
-    if (same_count == 0).any():
-        raise ValueError(f"no memory entry carries label {labels[same_count == 0][0]}")
-    candidates = len(order) - same_count - (0 if include_outliers else hi[OUTLIER] - lo[OUTLIER])
-    return Anchors(labels, np.arange(1 + min(k, len(order))) <= candidates[..., None],
-                   include_outliers)
-
-
 def write_rounds(batches, size: int) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     """The write rounds of each of (S, B) ``batches`` of slots in a bank of
     ``size`` rows, from one stable sort of (batch, slot) pairs. A batch's
@@ -97,8 +66,9 @@ def write_rounds(batches, size: int) -> list[tuple[np.ndarray, np.ndarray, list[
     index = np.asarray(batches, dtype=np.int64)
     if index.ndim != 2:
         raise ValueError(f"need (S, B) slots, got shape {index.shape}")
-    if ((index < 0) | (index >= size)).any():
-        raise ValueError(f"slots {index} out of range [0, {size})")
+    outside = (index < 0) | (index >= size)
+    if outside.any():
+        raise ValueError(f"slot {index[outside][0]} out of range [0, {size})")
     num, width = index.shape
     key = (index + size * np.arange(num)[:, None]).ravel()
     order = np.argsort(key, kind="stable")
@@ -114,42 +84,31 @@ def write_rounds(batches, size: int) -> list[tuple[np.ndarray, np.ndarray, list[
             in zip(index.ravel()[by_round], by_round % width, stops, num_rounds)]
 
 
-class BatchPlan(NamedTuple):
-    """One batch of ``plan_epoch``: its instance-bank slots, its ``Anchors``
-    and the ``write_rounds`` of both banks."""
-    indices: np.ndarray
-    anchors: Anchors
-    instance_writes: tuple
-    prototype_writes: tuple
-
-
-def plan_epoch(labels: np.ndarray, runs, batches, k: int,
-               include_outliers: bool = True) -> list[BatchPlan]:
-    """Plan each of ``batches`` (``training.sample_batches``) in one pass from
-    the (N,) ``labels`` and their ``label_runs`` index ``runs``."""
-    index = np.asarray(batches, dtype=np.int64)
-    anchors = plan_anchors(runs, labels[index], k, include_outliers)
-    writes = zip(write_rounds(index, len(labels)), write_rounds(anchors.labels, len(runs[1]) - 1))
-    return [BatchPlan(rows, Anchors(ids, valid, include_outliers), *pair)
-            for rows, ids, valid, pair in zip(index, anchors.labels, anchors.valid, writes)]
-
-
-def mine(bank: np.ndarray, runs, features: np.ndarray,
-         anchors: Anchors) -> tuple[np.ndarray, np.ndarray]:
+def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
+         k: int, include_outliers: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Mine a batch of (B, D) anchors with one (B, N) similarity matmul.
 
     ``runs`` is the ``label_runs`` index of the bank's labels, and
-    ``anchors`` the batch's ``plan_anchors``. Returns (B, 1 + min(k, N))
-    memory indices and their validity mask, ``anchors.valid``. Column 0 is
-    the row's hardest positive, the least similar member of its cluster (a
+    ``labels`` the anchors' (B,) cluster ids. Returns (B, 1 + min(k, N))
+    memory indices and a validity mask of the same shape. Column 0 is the
+    row's hardest positive, the least similar member of its cluster (a
     segmented argmin over only the batch's clusters' members); the rest
     are its negatives, the most similar entries of any other label in
     descending similarity (stable top-k), invalid past the row's candidate
-    count.
+    count. ``include_outliers=False`` drops outliers from the candidates.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels, valid, include_outliers = anchors
+    labels = np.asarray(labels, dtype=np.int64)
     order, lo, hi = runs
+    if (labels < 0).any():
+        raise ValueError("anchor label must be a cluster id (>= 0)")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    same_count = np.zeros(len(labels), dtype=np.int64)
+    known = labels < len(lo) - 1  # past the clusters lies run -1, the outliers
+    same_count[known] = (hi - lo)[labels[known]]
+    if not same_count.all():
+        raise ValueError(f"no memory entry carries label {labels[same_count == 0][0]}")
     sims = features @ bank.T
     rows, members, first = gather_runs(order, lo[labels], hi[labels])
     own = sims[rows, members]
@@ -157,20 +116,22 @@ def mine(bank: np.ndarray, runs, features: np.ndarray,
     # the stable argmin. A NaN counts as least, as it does for argmin, so
     # a diverged feature still picks a slot in the bank.
     hit = (own == np.minimum.reduceat(own, first)[rows]) | np.isnan(own)
-    picked = np.empty(valid.shape, dtype=np.int64)
+    picked = np.empty((len(labels), 1 + min(k, len(bank))), dtype=np.int64)
     picked[:, 0] = np.minimum.reduceat(np.where(hit, members, len(bank)), first)
     # sims becomes the negatives' key: the anchor's own cluster and,
     # if asked, the outliers (run -1) are out
     sims[rows, members] = -np.inf
+    candidates = len(bank) - same_count
     if not include_outliers:
         sims[:, order[lo[OUTLIER]:hi[OUTLIER]]] = -np.inf
+        candidates -= hi[OUTLIER] - lo[OUTLIER]
     # Stable top-k as k masked argmax passes (argmax takes the first
     # maximum); for small k this is far cheaper than sorting every row.
     rows = np.arange(len(labels))
     for j in range(1, picked.shape[1]):
         picked[:, j] = np.argmax(sims, axis=1)
         sims[rows, picked[:, j]] = -np.inf
-    return picked, valid
+    return picked, np.arange(picked.shape[1]) <= candidates[:, None]
 
 
 def momentum_update(bank: np.ndarray, rounds, features: np.ndarray, momentum: float) -> None:

@@ -5,11 +5,10 @@ only, so ``train`` computes them once (``encoder.patch_means``). Per
 epoch: re-project them with the current encoder into fresh features,
 cluster those into a label vector, index it once (``memory.label_runs``),
 rebuild the instance bank from the features (stale features would
-poison the clustering), compute the cluster prototypes, and plan the
-epoch (``memory.plan_epoch``): each batch's checked labels, mining masks
-and bank write rounds, which depend on the labels and batch order only.
-Each ``train_step`` then runs only the work on the current weights and
-banks, in one array pass over the batch: encode, token selection, the
+poison the clustering), compute the cluster prototypes, and derive both
+banks' write rounds for all of the epoch's batches
+(``memory.write_rounds``). Each ``train_step`` then runs in one array
+pass over the batch: encode, token selection, the
 three losses against the frozen memory snapshot (one mining matmul), one
 batched backward (its token adjoint on the selected tokens only), the
 memory writes, and one plain SGD step. Every loss reads the snapshot
@@ -69,8 +68,8 @@ class TrainConfig:
     anchor_include_outliers: bool = True
 
     def validate(self, data: SynthSpec, error=ValueError, label=str) -> None:
-        """Raise ``error`` for the first field out of range, then for a batch,
-        part stripes or negative tokens the ``data`` spec cannot fill."""
+        """Raise ``error`` for the first field out of range, then for an lr past
+        float range, or a batch, stripes or negative tokens ``data`` cannot fill."""
         check_fields(vars(self), [
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -90,7 +89,13 @@ class TrainConfig:
             ("feature_dim", self.feature_dim >= 2, ">= 2"),
             ("part_tokens", self.part_tokens >= 1, ">= 1")], error, label)
         patches = data.patches_per_image  # after the rows above: patch_rate needs a valid rate
+        try:  # the largest lr of a growing schedule; a decaying one starts at lr
+            last_lr = learning_rate(self, max(self.epochs, 1) - 1)
+        except OverflowError:
+            last_lr = np.inf
         check_fields(vars(self), [
+            ("lr_decay_factor", np.isfinite(last_lr),
+             "small enough that the last epoch's lr is finite"),
             ("batch_size", self.batch_size <= data.num_samples,
              f"<= {data.num_samples}, the dataset size"),
             ("part_tokens", self.part_tokens <= patches,
@@ -170,15 +175,15 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
             bank = normalize_rows(features)
             runs = memory_mod.label_runs(labels)
             protos = memory_mod.compute_prototypes(bank, runs)
-            plan = memory_mod.plan_epoch(labels, runs, batches, config.num_negatives,
-                                         config.anchor_include_outliers)
+            index = np.asarray(batches)
+            writes = zip(memory_mod.write_rounds(index, len(bank)),
+                         memory_mod.write_rounds(labels[index], len(protos)))
             steps = []
-            for iteration, batch in enumerate(plan):
+            for iteration, (batch, rounds) in enumerate(zip(index, writes)):
                 try:
-                    steps.append(train_step(config, params,
-                                            dataset.patches.take(batch.indices, axis=0),
-                                            means.take(batch.indices, axis=1), batch, bank,
-                                            runs, protos, lr))
+                    steps.append(train_step(config, params, dataset.patches.take(batch, axis=0),
+                                            means.take(batch, axis=1), batch, labels[batch],
+                                            rounds, bank, runs, protos, lr))
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} iteration {iteration}",
@@ -214,19 +219,20 @@ class StepLosses:
 
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
-               patches: np.ndarray, means: np.ndarray, batch: memory_mod.BatchPlan,
-               bank: np.ndarray, runs, protos: np.ndarray, lr: float) -> StepLosses:
+               patches: np.ndarray, means: np.ndarray, indices: np.ndarray,
+               labels: np.ndarray, rounds, bank: np.ndarray, runs, protos: np.ndarray,
+               lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
     ``params``, ``bank`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``means``
-    their (1 + Z, B, d_in) ``encoder.patch_means``, and ``batch`` their
-    share of the epoch's ``memory.plan_epoch``: their slots in the (N, D)
-    instance ``bank``, their cluster ids and the banks' write rounds;
-    ``runs`` is the ``memory.label_runs`` index of the bank's
-    pseudo-labels, and ``protos`` the (C, D) prototype bank. Raises
-    NumericError, before any write, if an anchor's total loss is not
-    finite; its diagnostics name the first such ``sample``.
+    their (1 + Z, B, d_in) ``encoder.patch_means``, ``indices`` their
+    slots in the (N, D) instance ``bank``, ``labels`` their cluster ids,
+    and ``rounds`` the batch's ``memory.write_rounds`` in ``bank`` and in
+    ``protos``, the (C, D) prototype bank; ``runs`` is the bank's
+    ``memory.label_runs`` index. Raises NumericError, before any write,
+    if an anchor's total loss is not finite; its diagnostics name the
+    first such ``sample``.
     """
     t = config.temperature
     out = encoder_mod.encode(params, patches, means)
@@ -235,11 +241,12 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
 
     selected = losses_mod.select_constraint_tokens(f, tokens, config.neg_token_rate)
     con = losses_mod.softmax_ce(f, tokens[rows, selected], 0, t)
-    pro = losses_mod.softmax_ce(f, protos, batch.anchors.labels, t)
+    pro = losses_mod.softmax_ce(f, protos, labels, t)
     # Missing negatives get -inf logits. A row without any candidate then
     # scores only its positive: its anchor term is exactly 0 with zero
     # gradient, the same as leaving the term out.
-    picked, valid = memory_mod.mine(bank, runs, f, batch.anchors)
+    picked, valid = memory_mod.mine(bank, runs, f, labels, config.num_negatives,
+                                    config.anchor_include_outliers)
     anc = losses_mod.softmax_ce(f, bank.take(picked, axis=0), 0, t, valid=valid)
     w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,
                            config.weight_anchor)
@@ -249,7 +256,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     if bad.size:
         b = bad[0]
         raise NumericError("non-finite loss", diagnostics={
-            "sample": int(batch.indices[b]), "constraint": float(con.value[b]),
+            "sample": int(indices[b]), "constraint": float(con.value[b]),
             "proto": float(pro.value[b]), "lr": lr, "C": protos.shape[0],
             "anchor": float(anc.value[b]) if has_anchor[b] else None})
 
@@ -258,8 +265,8 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     grad = encoder_mod.encode_backward(out, grad_f, selected, w_con * con.grad_tokens)
 
     # Writes only now, after every read of the snapshot.
-    memory_mod.momentum_update(bank, batch.instance_writes, f, config.momentum)
-    memory_mod.momentum_update(protos, batch.prototype_writes, f, config.momentum)
+    memory_mod.momentum_update(bank, rounds[0], f, config.momentum)
+    memory_mod.momentum_update(protos, rounds[1], f, config.momentum)
 
     params.vec -= (lr / f.shape[0]) * grad
     return StepLosses(constraint=con.value, proto=pro.value, anchor=anc.value,

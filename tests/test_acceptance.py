@@ -23,7 +23,7 @@ from tokmem import (dbscan, evaluate_encoder, evaluate_retrieval, generate,
                     label_runs, mine, patch_rate, select_constraint_tokens, softmax_ce)
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
 from tokmem.linalg import normalize_rows
-from tokmem.memory import momentum_update, plan_anchors, write_rounds
+from tokmem.memory import momentum_update, write_rounds
 from tokmem.training import train
 
 # Regression constants pinned from the first oracle run of the committed
@@ -152,8 +152,7 @@ def test_criterion_5_mining_matches_full_sort():
 
         neg_pool = np.flatnonzero(labels != 0)
         k = int(rng.integers(1, 9)) if neg_pool.size else 1
-        picked, valid = mine(bank, label_runs(labels), anchor[None],
-                             plan_anchors(label_runs(labels), np.array([0]), k))
+        picked, valid = mine(bank, label_runs(labels), anchor[None], np.array([0]), k)
 
         pos_pool = np.flatnonzero(labels == 0)
         expected_pos = pos_pool[topk_by_full_sort(sims[pos_pool], 1, descending=False)[0]]

@@ -282,23 +282,28 @@ def run_files(run):
     ("train", "log", "data.json", "paths.dataset"),
     ("eval", "metrics", "ckpt.json", "paths.checkpoint"),
     ("train", "log", "ckpt.json", "paths.checkpoint"),
+    ("gen-data", "dataset", "../config", "--config"),
+    ("train", "log", "../config.json", "--config"),
+    ("eval", "metrics", "../config.json", "--config"),
 ])
 def test_colliding_artifact_paths_exit_2_and_keep_files(tmp_path, capsys, command, field,
                                                         target, other):
-    """A config whose artifact paths name one file twice is refused before
-    any write, so no artifact replaces another."""
+    """A config whose artifact paths name one file twice, or name the config
+    file itself, is refused before any write, so no artifact replaces
+    another or the config."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
     run = tmp_path / "run"
     before = run_files(run)
     capsys.readouterr()
-    write_config(tmp_path, paths={field: str(run / target)})
+    config = write_config(tmp_path, paths={field: str(run / target)}).read_bytes()
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"`{other}` and `paths.{field}`" in err
     assert len(err.strip().splitlines()) == 1
     assert run_files(run) == before
+    assert cfg.read_bytes() == config
     write_config(tmp_path)
     assert main(["eval", "--config", str(cfg)]) == 0
 
@@ -322,6 +327,49 @@ def test_eval_override_colliding_with_an_artifact_exits_2(tmp_path, capsys, flag
     assert names in err
     assert len(err.strip().splitlines()) == 1
     assert run_files(run) == before
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["gen-data", "--out", "config"], "`--config` and `paths.dataset`"),
+    (["eval", "--checkpoint", "config"], "`--config` and `paths.checkpoint`"),
+    (["eval", "--per-query-csv", "config.json"], "`--config` and `--per-query-csv`"),
+], ids=["gen-data_out", "eval_checkpoint", "eval_per_query_csv"])
+def test_flag_naming_the_config_exits_2_and_keeps_it(tmp_path, capsys, argv, names):
+    """An override flag that names the config file is refused before any
+    write, whichever command takes it."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    run = tmp_path / "run"
+    before, config = run_files(run), cfg.read_bytes()
+    capsys.readouterr()
+    command, flag, name = argv
+    assert main([command, "--config", str(cfg), flag, str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert names in err
+    assert len(err.strip().splitlines()) == 1
+    assert run_files(run) == before
+    assert cfg.read_bytes() == config
+
+
+@pytest.mark.parametrize("train", [
+    {"weight_constraint": 0.0, "weight_prototype": 0.0, "weight_anchor": 0.0,
+     "lr_decay_factor": 1e300, "lr_decay_every": 1, "epochs": 3},
+    {"lr": 1e10, "lr_decay_factor": 1e300, "lr_decay_every": 1, "epochs": 2,
+     "dbscan_eps": 1e-9},
+], ids=["pow_overflows", "product_overflows"])
+def test_overflowing_lr_schedule_exits_2_with_one_line(tmp_path, capsys, train):
+    """An lr schedule whose last epoch's lr is not finite is refused at
+    load: training would crash on the power or log ``"lr": Infinity``."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    capsys.readouterr()
+    write_config(tmp_path, train=train)
+    assert main(["train", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: `train.lr_decay_factor` must be small enough")
+    assert not (tmp_path / "run" / "log.jsonl").exists()
 
 
 @pytest.mark.parametrize("field, value", [("seed", 4), ("identity_spread", 0.2),

@@ -201,6 +201,24 @@ def test_cross_section_limits_accept_the_extremes(tmp_path):
     assert cfg.train.part_tokens == 6
 
 
+@pytest.mark.parametrize("lr, epochs, factor, finite", [
+    (1e-7, 3, 1e300, False), (1e10, 2, 1e300, False), (1e-7, 2, 1e300, True),
+    (1e10, 1, 1e300, True), (1e10, 0, 1e300, True), (1e-7, 1024, 2.0, True),
+    (1e-7, 1025, 2.0, False)])
+def test_lr_schedule_must_stay_finite(tmp_path, lr, epochs, factor, finite):
+    """lr * factor ** (epoch // every), every 1: a growing schedule loads
+    while its last epoch's lr is finite (2.0 ** 1023 is, 2.0 ** 1024 and
+    1e10 * 1e300 are not), and beyond that fails naming the decay factor."""
+    doc = valid_doc()
+    doc["train"].update(epochs=epochs, lr=lr, lr_decay_factor=factor, lr_decay_every=1)
+    if finite:
+        assert load_run_config(write_config(tmp_path, doc)).train.lr_decay_factor == factor
+        return
+    with pytest.raises(ConfigError, match=r"^`train.lr_decay_factor` must be small enough "
+                                          r"that the last epoch's lr is finite, got "):
+        load_run_config(write_config(tmp_path, doc))
+
+
 @pytest.mark.parametrize("field, value, other", [
     ("log", "runs/t/data.json", "paths.dataset"),
     ("metrics", "runs/t/ckpt.json", "paths.checkpoint"),
@@ -208,12 +226,17 @@ def test_cross_section_limits_accept_the_extremes(tmp_path):
     ("checkpoint", "runs/t/data", "paths.dataset"),
     ("metrics", "runs/t/log.jsonl", "paths.log"),
     ("log", "runs/x/../t/ckpt.f32", "paths.checkpoint"),
+    ("dataset", "<tmp>/config", "--config"),
+    ("checkpoint", "<tmp>/config", "--config"),
+    ("log", "<tmp>/config.json", "--config"),
+    ("metrics", "<tmp>/x/../config.json", "--config"),
 ])
 def test_colliding_artifact_paths_rejected_at_load(tmp_path, field, value, other):
     """The dataset pair, the checkpoint pair, log and metrics must be six
-    distinct files once resolved; the error names both fields."""
+    distinct files once resolved, none of them the config file itself
+    (``<tmp>/config.json``); the error names both fields."""
     doc = valid_doc()
-    doc["paths"][field] = value
+    doc["paths"][field] = value.replace("<tmp>", str(tmp_path))
     with pytest.raises(ConfigError) as info:
         load_run_config(write_config(tmp_path, doc))
     assert f"`{other}`" in str(info.value) and f"`paths.{field}`" in str(info.value)

@@ -10,7 +10,7 @@ from oracles import topk_by_full_sort
 from tokmem.encoder import image_feature, init_params, patch_means
 from tokmem.linalg import finite_diff_grad, relative_error
 from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
-from tokmem.memory import compute_prototypes, label_runs, plan_epoch
+from tokmem.memory import compute_prototypes, label_runs, write_rounds
 from tokmem.training import TrainConfig, train_step
 
 
@@ -226,10 +226,10 @@ def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     batch = np.flatnonzero(labels >= 0)[:4]
     before = params.vec.copy()
     runs = label_runs(labels)
-    step = train_step(cfg, params, patches[batch], means[:, batch],
-                      plan_epoch(labels, runs, [batch], cfg.num_negatives,
-                                 cfg.anchor_include_outliers)[0],
-                      bank, runs, compute_prototypes(bank, runs), lr=0.1)
+    rounds = (write_rounds([batch], len(labels))[0],
+              write_rounds([labels[batch]], labels.max() + 1)[0])
+    step = train_step(cfg, params, patches[batch], means[:, batch], batch, labels[batch],
+                      rounds, bank, runs, compute_prototypes(bank, runs), lr=0.1)
     return step, params.vec - before
 
 

@@ -4,8 +4,7 @@ import pytest
 from conftest import unit_rows
 from oracles import sequential_momentum, topk_by_full_sort
 from tokmem.linalg import normalize_rows
-from tokmem.memory import (compute_prototypes, label_runs, mine, momentum_update, plan_anchors,
-                           plan_epoch, write_rounds)
+from tokmem.memory import compute_prototypes, label_runs, mine, momentum_update, write_rounds
 
 
 def memory_from(features, labels):
@@ -71,14 +70,13 @@ def test_prototypes_match_per_cluster_mean_bitwise(trial):
 
 def hardest(mem, anchor, label):
     """Memory index of the anchor's hardest positive."""
-    picked, _ = mine(*mem, anchor[None], plan_anchors(mem[1], np.array([label]), 1))
+    picked, _ = mine(*mem, anchor[None], np.array([label]), 1)
     return picked[0, 0]
 
 
 def negatives(mem, anchor, label, k, include_outliers=True):
     """Memory indices of the anchor's valid negatives, most similar first."""
-    picked, valid = mine(*mem, anchor[None],
-                         plan_anchors(mem[1], np.array([label]), k, include_outliers))
+    picked, valid = mine(*mem, anchor[None], np.array([label]), k, include_outliers)
     return picked[0, 1:][valid[0, 1:]]
 
 
@@ -149,7 +147,7 @@ def test_top_k_truncates_to_candidate_count():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.0, 1.4, 0.2])
     mem = memory_from(feats, [0, 1, -1])
-    picked, valid = mine(*mem, anchor[None], plan_anchors(mem[1], np.array([0]), k=10))
+    picked, valid = mine(*mem, anchor[None], np.array([0]), k=10)
     assert picked.shape == (1, 4)  # 1 + min(k, N) columns
     np.testing.assert_array_equal(valid[0], [True, True, True, False])
     np.testing.assert_array_equal(negatives(mem, anchor, 0, k=10), [2, 1])
@@ -158,17 +156,16 @@ def test_top_k_truncates_to_candidate_count():
 def test_mine_zero_candidates_marks_every_negative_invalid():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, -1])
     anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
-    _, with_outliers = mine(*mem, anchors, plan_anchors(mem[1], np.array([0, 0]), k=1))
+    _, with_outliers = mine(*mem, anchors, np.array([0, 0]), k=1)
     np.testing.assert_array_equal(with_outliers, [[True, True], [True, True]])
-    _, valid = mine(*mem, anchors,
-                    plan_anchors(mem[1], np.array([0, 0]), k=1, include_outliers=False))
+    _, valid = mine(*mem, anchors, np.array([0, 0]), k=1, include_outliers=False)
     np.testing.assert_array_equal(valid, [[True, False], [True, False]])
 
 
 def test_mine_rejects_k_below_one():
     mem = memory_from([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ValueError, match="k must be >= 1"):
-        mine(*mem, np.array([[1.0, 0.0]]), plan_anchors(mem[1], np.array([0]), k=0))
+        mine(*mem, np.array([[1.0, 0.0]]), np.array([0]), k=0)
 
 
 @pytest.mark.parametrize("trial", [*range(20), "skewed"])
@@ -203,8 +200,7 @@ def test_mining_matches_full_sort_oracle(trial):
     anchors = unit_rows(rng, len(anchor_labels), 6)
     k = int(rng.integers(1, n + 2))  # often more than a row's candidates
     for include_outliers in (True, False):
-        picked, valid = mine(*mem, anchors,
-                             plan_anchors(mem[1], anchor_labels, k, include_outliers))
+        picked, valid = mine(*mem, anchors, anchor_labels, k, include_outliers)
         assert picked.shape == valid.shape == (len(anchor_labels), 1 + min(k, n))
         for row, (anchor, label) in enumerate(zip(anchors, anchor_labels)):
             sims = bank @ anchor
@@ -324,7 +320,7 @@ def test_updates_keep_unit_norm(rng):
     np.testing.assert_allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-9)
 
 
-# ------------------------------------------------------------ the epoch plan
+# ------------------------------------------------------- an epoch's batches
 
 def random_epoch(rng, n, num_batches, width, num_clusters):
     """(labels, runs, batches): labels with repeats and some outliers, and
@@ -339,9 +335,9 @@ def random_epoch(rng, n, num_batches, width, num_clusters):
 
 @pytest.mark.parametrize("trial", range(12))
 def test_plan_masks_and_picks_equal_per_call_mining(trial):
-    """Each batch's planned validity mask is the one mining derives per
-    call, and mining on the plan picks the same slots; with repeated
-    labels, outliers included and excluded, and a single-cluster batch."""
+    """Mining each batch of an epoch gives the picks and validity mask of
+    the stepwise oracle; with repeated labels, outliers included and
+    excluded, and a single-cluster batch."""
     from oracles import stepwise_mine
 
     rng = np.random.Generator(np.random.Philox(key=np.array([780, trial], dtype=np.uint64)))
@@ -351,22 +347,17 @@ def test_plan_masks_and_picks_equal_per_call_mining(trial):
     bank = unit_rows(rng, n, 5)
     k = int(rng.integers(1, n + 2))
     for include_outliers in (True, False):
-        plan = plan_epoch(labels, runs, batches, k, include_outliers)
-        assert len(plan) == len(batches)
-        for batch, step in zip(batches, plan):
+        for batch in batches:
             anchors = unit_rows(rng, width, 5)
             expected = stepwise_mine(bank, runs, anchors, labels[batch], k, include_outliers)
-            np.testing.assert_array_equal(step.indices, batch)
-            np.testing.assert_array_equal(step.anchors.labels, labels[batch])
-            np.testing.assert_array_equal(step.anchors.valid, expected[1])
-            picked, valid = mine(bank, runs, anchors, step.anchors)
+            picked, valid = mine(bank, runs, anchors, labels[batch], k, include_outliers)
             np.testing.assert_array_equal(picked, expected[0])
-            assert valid is step.anchors.valid
+            np.testing.assert_array_equal(valid, expected[1])
 
 
-def test_plan_write_rounds_match_sequential_oracle_across_an_epoch():
+def test_write_rounds_match_sequential_oracle_across_an_epoch():
     """Several batches of one epoch, each written in turn through its
-    planned rounds, give both banks bit for bit the per-row loop's values;
+    rounds, give both banks bit for bit the per-row loop's values;
     repeated labels make several prototype rounds per batch."""
     rng = np.random.Generator(np.random.Philox(key=92))
     for case in range(40):
@@ -377,14 +368,16 @@ def test_plan_write_rounds_match_sequential_oracle_across_an_epoch():
         momentum = (0.0, 1.0, 0.2, float(rng.random()))[case % 4]
         bank, protos = unit_rows(rng, n, 4), unit_rows(rng, num_clusters, 4)
         expected_bank, expected_protos = bank.copy(), protos.copy()
-        for batch, step in zip(batches, plan_epoch(labels, runs, batches, 2)):
+        index = np.asarray(batches)
+        for batch, instance_rounds, prototype_rounds in zip(
+                batches, write_rounds(index, n), write_rounds(labels[index], num_clusters)):
             fresh = unit_rows(rng, width, 4)
-            assert step.instance_writes[2] == [width]  # distinct slots: one round
-            momentum_update(bank, step.instance_writes, fresh, momentum)
-            momentum_update(protos, step.prototype_writes, fresh, momentum)
+            assert instance_rounds[2] == [width]  # distinct slots: one round
+            momentum_update(bank, instance_rounds, fresh, momentum)
+            momentum_update(protos, prototype_rounds, fresh, momentum)
             sequential_momentum(expected_bank, batch, fresh, momentum)
             sequential_momentum(expected_protos, labels[batch], fresh, momentum)
-            assert len(step.prototype_writes[2]) == np.bincount(labels[batch]).max()
+            assert len(prototype_rounds[2]) == np.bincount(labels[batch]).max()
         np.testing.assert_array_equal(bank, expected_bank)
         np.testing.assert_array_equal(protos, expected_protos)
 
@@ -402,14 +395,23 @@ def test_write_rounds_take_each_occurrence_in_turn():
     np.testing.assert_array_equal(slots[np.argsort(rows)], [4, 0, 3, 2, 6, 1, 5])
 
 
-def test_plan_rejects_bad_anchor_labels_at_plan_time():
-    """A negative anchor label, or one no bank entry carries, fails when
-    the epoch is planned, before any step mines."""
-    labels = np.array([0, 0, 1, -1, 1])
-    runs = label_runs(labels)
+def test_write_rounds_name_the_first_slot_out_of_range():
+    """One line, however many batches the epoch holds."""
+    with pytest.raises(ValueError, match=r"^slot -1 out of range \[0, 7\)$"):
+        write_rounds([[0, 1, 2], [6, -1, 9]], 7)
+
+
+def test_mine_rejects_bad_anchor_labels():
+    """A negative anchor label, one in a gap of the cluster ids, one equal
+    to C (which would read run -1, the outliers) and k below 1 each fail;
+    the message names the batch's first offending label."""
+    mem = memory_from([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.8, 0.6], [0.6, -0.8]],
+                      [0, 0, 2, -1, 2])
+    anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="anchor label must be a cluster id"):
-        plan_epoch(labels, runs, [np.array([0, 3])], 1)
-    with pytest.raises(ValueError, match="no memory entry carries label 1"):
-        plan_epoch(labels, label_runs(np.array([0, 0, 2, -1, 2])), [np.array([0, 2])], 1)
+        mine(*mem, anchors, np.array([0, -1]), 1)
+    for labels, first in (([0, 1], 1), ([2, 3], 3), ([3, 1], 3)):
+        with pytest.raises(ValueError, match=f"no memory entry carries label {first}$"):
+            mine(*mem, anchors, np.array(labels), 1)
     with pytest.raises(ValueError, match="k must be >= 1"):
-        plan_epoch(labels, runs, [np.array([0, 1])], 0)
+        mine(*mem, anchors, np.array([0, 2]), 0)

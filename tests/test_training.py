@@ -177,7 +177,7 @@ def test_losses_read_snapshot_before_updates(monkeypatch):
 def test_step_runs_the_encoder_head_once(monkeypatch):
     """The backward reads the forward's record: one train_step evaluates
     the image-feature head once, for all anchors at once."""
-    from tokmem.memory import compute_prototypes, label_runs, plan_epoch
+    from tokmem.memory import compute_prototypes, label_runs, write_rounds
 
     calls = []
     real = training_mod.encoder_mod._head
@@ -195,10 +195,10 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     batch = np.array([0, 7, 14, 21])
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
     runs = label_runs(labels)
-    training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch],
-                            plan_epoch(labels, runs, [batch], cfg.num_negatives,
-                                       cfg.anchor_include_outliers)[0],
-                            bank, runs, compute_prototypes(bank, runs), lr=0.05)
+    rounds = write_rounds([batch], len(bank))[0], write_rounds([labels[batch]], 4)[0]
+    training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
+                            labels[batch], rounds, bank, runs, compute_prototypes(bank, runs),
+                            lr=0.05)
     assert len(calls) == 1
 
 
@@ -245,7 +245,7 @@ def test_nan_weights_mid_epoch_raise_numeric_error():
     """Weights that an SGD step left NaN give NaN anchor features; mining
     still returns slots in the bank, so the step reports the non-finite
     loss instead of failing on an index."""
-    from tokmem.memory import compute_prototypes, label_runs, plan_epoch
+    from tokmem.memory import compute_prototypes, label_runs, write_rounds
 
     cfg = tiny_config()
     ds = tiny_dataset()
@@ -256,11 +256,11 @@ def test_nan_weights_mid_epoch_raise_numeric_error():
     runs = label_runs(labels)
     params.vec[:] = np.nan
     batch = np.array([0, 7, 14, 21])
+    rounds = write_rounds([batch], len(bank))[0], write_rounds([labels[batch]], 4)[0]
     with pytest.raises(NumericError, match="non-finite loss"):
-        training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch],
-                                plan_epoch(labels, runs, [batch], cfg.num_negatives,
-                                           cfg.anchor_include_outliers)[0],
-                                bank, runs, compute_prototypes(bank, runs), lr=0.05)
+        training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
+                                labels[batch], rounds, bank, runs,
+                                compute_prototypes(bank, runs), lr=0.05)
 
 
 @pytest.mark.parametrize("lr", [1e40, 1e200])
@@ -313,7 +313,7 @@ def _layout(name, rng, n):
 def test_batched_step_matches_per_anchor_oracle(name):
     from oracles import encode_one, per_anchor_step
     from tokmem.linalg import normalize_rows
-    from tokmem.memory import compute_prototypes, label_runs, plan_epoch
+    from tokmem.memory import compute_prototypes, label_runs, write_rounds
 
     rng = np.random.Generator(np.random.Philox(key=np.array([55, len(name)],
                                                             dtype=np.uint64)))
@@ -333,11 +333,12 @@ def test_batched_step_matches_per_anchor_oracle(name):
                 compute_prototypes(bank, label_runs(labels)))
 
     p_b, bank_b, protos_b = fresh_state()
+    rounds = (write_rounds([batch], n)[0],
+              write_rounds([labels[batch]], labels.max() + 1)[0])
     step = training_mod.train_step(cfg, p_b, patches[batch],
-                                   patch_means(patches[batch], cfg.part_tokens),
-                                   plan_epoch(labels, label_runs(labels), [batch],
-                                              cfg.num_negatives, cfg.anchor_include_outliers)[0],
-                                   bank_b, label_runs(labels), protos_b, lr=0.05)
+                                   patch_means(patches[batch], cfg.part_tokens), batch,
+                                   labels[batch], rounds, bank_b, label_runs(labels), protos_b,
+                                   lr=0.05)
     p_o, bank_o, protos_o = fresh_state()
     rows = per_anchor_step(p_o, patches, batch, bank_o, labels, protos_o, cfg, lr=0.05)
 
@@ -402,25 +403,29 @@ def test_loaded_dataset_train_peak_memory_is_below_a_float64_copy(tmp_path):
     assert peak < 8 * spec.num_samples * spec.patches_per_image * spec.patch_input_dim
 
 
-# ------------------------------- planned epoch vs the stepwise loop, bytes
+# ------------------------------- planned writes vs the stepwise loop, bytes
 
-def _reference(seed):
+def _reference(seed, epochs=3, **data):
     from conftest import REFERENCE
 
-    spec = dataclasses.replace(REFERENCE.data, seed=seed)
-    return dataclasses.replace(REFERENCE.train, epochs=3, seed=seed), generate(spec)
+    spec = dataclasses.replace(REFERENCE.data, seed=seed, **data)
+    return dataclasses.replace(REFERENCE.train, epochs=epochs, seed=seed), generate(spec)
 
 
 @pytest.mark.parametrize("case", ["outliers_included", "outliers_excluded",
-                                  "skipped_epoch", "reference_42", "reference_7"])
+                                  "skipped_epoch", "reference_42", "reference_7", "scaled_42"])
 def test_train_equals_stepwise_oracle_bytes(case):
-    """``train`` plans each epoch's label work once; the oracle derives it
-    again on every step and adds each step's loss sums as it ends. Both
-    give the same parameter bytes and the same log."""
+    """``train`` derives each epoch's write rounds once; the oracle derives
+    them again on every step and adds each step's loss sums as it ends.
+    Both give the same parameter bytes and the same log. "scaled_42" is
+    the benchmark's scaled shape (200 identities x 30 samples, 1 epoch),
+    where the prototype rounds run over 114 clusters."""
     from oracles import stepwise_train
 
     if case.startswith("reference"):
         cfg, ds = _reference(int(case.split("_")[1]))
+    elif case == "scaled_42":
+        cfg, ds = _reference(42, epochs=1, num_identities=200, samples_per_identity=30)
     elif case == "skipped_epoch":
         # epoch 0 trains; in epochs 1 and 2 fewer than 22 samples are clustered
         cfg = tiny_config(epochs=3, dbscan_eps=0.15, batch_size=22, lr=2.0)
@@ -434,6 +439,6 @@ def test_train_equals_stepwise_oracle_bytes(case):
     assert result.params.vec.tobytes() == params.vec.tobytes()
     assert json.dumps(result.log) == json.dumps(log)
     trained = [r["mean_total"] is not None for r in result.log]
-    assert trained == ([True, False, False] if case == "skipped_epoch" else [True] * 3)
+    assert trained == ([True, False, False] if case == "skipped_epoch" else [True] * cfg.epochs)
     if case.startswith("outliers"):
         assert all(r["outliers"] > 0 for r in result.log)
