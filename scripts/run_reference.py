@@ -24,7 +24,7 @@ def main() -> int:
 
     cfg = load_run_config(args.config)
     ds = generate(cfg.data)
-    print(f"dataset: {ds.num_samples} samples, {cfg.data.num_identities} identities")
+    print(f"dataset: {cfg.data.num_samples} samples, {cfg.data.num_identities} identities")
 
     start = time.time()
     result = train(cfg.train, ds)

@@ -3,8 +3,8 @@
 Every on-disk artifact (dataset, checkpoint) is a JSON manifest next to
 a raw binary blob of little-endian float32 values; the manifest
 records the blob's byte length so readers can detect truncation. Every
-typed JSON value the package reads, config or manifest, goes through
-:func:`decode`.
+JSON file the package reads, config or manifest, goes through
+:func:`read_json_object`, and every typed value in it through :func:`decode`.
 """
 
 from __future__ import annotations
@@ -73,12 +73,7 @@ def read_pair(prefix: str | Path) -> tuple[dict, bytes]:
         raise FileNotFoundError(f"missing manifest {manifest_path}")
     if not blob_path.exists():
         raise FileNotFoundError(f"missing blob {blob_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataFormatError(f"manifest {manifest_path} is not a JSON object")
+    manifest = read_json_object(manifest_path, f"manifest {manifest_path}")
     version = manifest_field(manifest, "format_version", "int", manifest_path)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{manifest_path}: unsupported format_version {version}")
@@ -88,6 +83,28 @@ def read_pair(prefix: str | Path) -> tuple[dict, bytes]:
         raise DataFormatError(
             f"{blob_path}: manifest declares {expected} blob bytes but file has {len(blob)}")
     return manifest, blob
+
+
+def read_json_object(path: Path, what: str, error=DataFormatError) -> dict:
+    """The JSON object in ``path``; ``error`` naming it ``what`` for invalid JSON,
+    nesting too deep to parse, a key repeated in any object, or another root."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{what} repeats key {key!r}")
+            doc[key] = value
+        return doc
+
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{what} nests too deeply to parse") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} is not a JSON object")
+    return doc
 
 
 # field annotation -> the JSON types it accepts (a bool is no int here,

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``gen-data``, ``train``, ``eval``, ``gradcheck``. Exit
-codes: 0 success, 1 check failure, 2 config/input error (an input too
-large for the available memory included), 3 runtime numeric failure.
-Every command is deterministic given its config file; flags only
-override paths and seeds.
+codes: 0 success, 1 check failure, 2 config/input or usage error (an
+input too large for the available memory included), 3 runtime numeric
+failure. Every command is deterministic given its config file, which
+names every artifact it reads or writes.
 """
 
 from __future__ import annotations
@@ -30,23 +30,27 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: one line and exit 2, subparsers included
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_INPUT_ERROR)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tokmem",
         description="token-constrained contrastive learning on synthetic identity data")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate a dataset file pair")
     gen.add_argument("--config", required=True)
-    gen.add_argument("--out", help="override paths.dataset")
 
     tr = sub.add_parser("train", help="train the encoder and write a checkpoint")
     tr.add_argument("--config", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint with retrieval metrics")
     ev.add_argument("--config", required=True)
-    ev.add_argument("--checkpoint", help="override paths.checkpoint")
-    ev.add_argument("--per-query-csv", help="also write per-query average precision")
+    ev.add_argument("--per-query-csv", type=Path, help="also write per-query average precision")
 
     gc = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
     gc.add_argument("--seed", type=int, default=0)
@@ -56,12 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
-    if args.out:
-        cfg.paths.dataset = Path(args.out)
-    check_distinct_files(cfg.paths, args.config)
-    ds = synth_mod.generate(cfg.data)
-    synth_mod.save_dataset(ds, cfg.paths.dataset)
-    print(f"wrote {ds.num_samples} samples ({cfg.data.num_identities} identities) "
+    synth_mod.save_dataset(synth_mod.generate(cfg.data), cfg.paths.dataset)
+    print(f"wrote {cfg.data.num_samples} samples ({cfg.data.num_identities} identities) "
           f"to {cfg.paths.dataset}.json / {cfg.paths.dataset}.f32")
     return EXIT_OK
 
@@ -111,15 +111,12 @@ def _fmt(value) -> str:
 
 def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
-    if args.checkpoint:
-        cfg.paths.checkpoint = Path(args.checkpoint)
-    csv_path = Path(args.per_query_csv) if args.per_query_csv else None
-    check_distinct_files(cfg.paths, args.config, csv_path)
+    check_distinct_files(cfg.paths, args.config, args.per_query_csv)
     ds = _load_dataset(cfg)
     params = encoder_mod.load_checkpoint(cfg.paths.checkpoint)
     _check_checkpoint_dims(cfg, params)
     result = evaluate_mod.evaluate_encoder(params, ds, cfg.eval)
-    evaluate_mod.write_metrics(result, cfg.paths.metrics, per_query_csv=csv_path)
+    evaluate_mod.write_metrics(result, cfg.paths.metrics, per_query_csv=args.per_query_csv)
     print(f"mAP={result.mean_ap:.4f} rank1={result.cmc[0]:.4f} "
           f"queries={result.num_queries} excluded={result.excluded_queries}")
     return EXIT_OK

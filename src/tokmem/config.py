@@ -3,8 +3,8 @@
 Sections: ``data`` (dataset recipe, all fields required), ``train``
 (hyperparameters, all optional with defaults), ``eval`` (retrieval
 protocol, optional with defaults), ``paths`` (artifact locations, all
-required). ``format_version: 1`` is mandatory. Unknown keys anywhere are
-rejected so hyperparameter typos cannot pass silently; every validation
+required). ``format_version: 1`` is mandatory. Unknown or repeated keys
+anywhere are rejected so typos cannot pass silently; every validation
 message names the offending field path, and a value out of range reads
 "`section.field` must be <bound>, got <value>". Limits across sections
 (query split, ``k_max``, batch size, part and negative tokens), the lr
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blobio import decode, pair_paths
+from .blobio import decode, pair_paths, read_json_object
 from .errors import ConfigError, check_fields
 from .synth import MAX_SEED, SEED_RANGE, SynthSpec
 from .training import TrainConfig
@@ -121,12 +120,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
+    doc = read_json_object(path, "config", ConfigError)
 
     known_top = {"format_version", "data", "train", "eval", "paths"}
     for key in doc:

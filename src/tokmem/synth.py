@@ -75,14 +75,10 @@ class SynthDataset:
     patches: np.ndarray
     spec: SynthSpec
 
-    @property
-    def num_samples(self) -> int:
-        return self.patches.shape[0]
-
 
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate the dataset described by ``spec``; a pure function of the
-    spec. It holds two (N, I, d_in) arrays at most."""
+    spec. It holds two (N, I, d_in) arrays at most, and every value fits float32."""
     spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
@@ -92,11 +88,15 @@ def generate(spec: SynthSpec) -> SynthDataset:
     # stream layout independent of the mask outcome. The clean patches,
     # anchor + spread * jitter, are built in place.
     patches = rng.normal(size=(n, i, d))
-    patches *= spec.identity_spread
+    with np.errstate(over="ignore"):  # a spread past float64 range is refused below
+        patches *= spec.identity_spread
     patches += anchors[spec.identities][:, None, :]
     noise = rng.normal(size=(n, i, d))
     mask = rng.random(size=(n, i)) < spec.noise_patch_prob
     np.copyto(patches, noise, where=mask[:, :, None])
+    if max(patches.max(), -patches.min()) > np.finfo(np.float32).max:  # no temporary
+        raise ValueError(f"identity_spread {spec.identity_spread} puts patch values beyond "
+                         "the float32 range (about ±3.4e38)")
     return SynthDataset(patches=patches, spec=spec)
 
 
@@ -113,7 +113,7 @@ def split_query_gallery(ds: SynthDataset, query_per_identity: int,
     query_idx = np.sort(np.concatenate(
         [k * spi + rng.permutation(spi)[:query_per_identity]
          for k in range(ds.spec.num_identities)]))
-    mask = np.ones(ds.num_samples, dtype=bool)
+    mask = np.ones(ds.spec.num_samples, dtype=bool)
     mask[query_idx] = False
     return query_idx, np.flatnonzero(mask)
 
@@ -125,9 +125,7 @@ def save_dataset(ds: SynthDataset, prefix) -> None:
     values in sample-major, patch-major, coordinate order. Identities are
     not stored; sample n has identity n // samples_per_identity.
     """
-    manifest = ds.spec.to_dict()
-    manifest["num_samples"] = ds.num_samples
-    blobio.write_pair(prefix, manifest, blobio.floats_to_bytes(ds.patches))
+    blobio.write_pair(prefix, ds.spec.to_dict(), blobio.floats_to_bytes(ds.patches))
 
 
 def load_dataset(prefix) -> SynthDataset:
@@ -137,16 +135,13 @@ def load_dataset(prefix) -> SynthDataset:
     reader widens to float64 a block or batch at a time; the identities
     follow from the spec. A missing, mistyped or invalid manifest field, a
     blob of another length than the spec's patches, or a non-finite patch
-    value raise DataFormatError.
+    value raise DataFormatError; other fields (an old ``num_samples``) are ignored.
     """
     manifest, blob = blobio.read_pair(prefix)
     spec = SynthSpec(**{f.name: blobio.manifest_field(manifest, f.name, f.type, prefix)
                         for f in fields(SynthSpec)})
     spec.validate(DataFormatError, lambda field: f"{prefix}: manifest field {field!r}")
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
-    num_samples = blobio.manifest_field(manifest, "num_samples", "int", prefix)
-    if num_samples != n:
-        raise DataFormatError(f"manifest num_samples {num_samples} does not match spec ({n})")
     expected = 4 * n * i * d
     if len(blob) != expected:
         raise DataFormatError(
@@ -154,6 +149,7 @@ def load_dataset(prefix) -> SynthDataset:
     patches = blobio.floats_from_bytes(blob).reshape(n, i, d)
     # a float64 sum of float32 values is finite iff all are; it needs no mask,
     # and unlike a float32 sum it cannot overflow on finite values
-    if not np.isfinite(patches.sum(dtype=np.float64)):
-        raise DataFormatError("dataset blob has non-finite patch values")
+    with np.errstate(invalid="ignore"):  # inf + -inf is nan: non-finite all the same
+        if not np.isfinite(patches.sum(dtype=np.float64)):
+            raise DataFormatError("dataset blob has non-finite patch values")
     return SynthDataset(patches=patches, spec=spec)

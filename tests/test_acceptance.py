@@ -19,11 +19,13 @@ from conftest import (REFERENCE, REFERENCE_CONFIG, features_ranking_as,
                       observed_rankings, unit_rows)
 from oracles import (average_precision_oracle, cmc_oracle, cosine_dist_oracle,
                      dbscan_oracle, partition_of_core_points, topk_by_full_sort)
-from tokmem import (dbscan, evaluate_encoder, evaluate_retrieval, generate,
-                    label_runs, mine, patch_rate, select_constraint_tokens, softmax_ce)
+from tokmem.cluster import dbscan
+from tokmem.evaluate import evaluate_encoder, evaluate_retrieval
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
 from tokmem.linalg import normalize_rows
-from tokmem.memory import momentum_update, write_rounds
+from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
+from tokmem.memory import label_runs, mine, momentum_update, write_rounds
+from tokmem.synth import generate
 from tokmem.training import train
 
 # Regression constants pinned from the first oracle run of the committed

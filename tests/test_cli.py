@@ -65,11 +65,34 @@ def test_gen_data_deterministic_bytes(tmp_path):
     assert (tmp_path / "run" / "data.f32").read_bytes() == a_blob
 
 
-def test_gen_data_out_override(tmp_path):
+@pytest.mark.parametrize("argv, message", [
+    (["gen-data", "--config", "config.json", "--out", "alt"],
+     "unrecognized arguments: --out alt"),
+    (["eval", "--config", "config.json", "--checkpoint", "alt"],
+     "unrecognized arguments: --checkpoint alt"),
+    (["train"], "the following arguments are required: --config"),
+    (["gradcheck", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+], ids=["gen-data_out", "eval_checkpoint", "train_without_config", "gradcheck_seed_abc"])
+def test_usage_error_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch, argv,
+                                                    message):
+    """A flag no command takes, a missing ``--config`` or a mistyped value
+    prints ``error: <message>`` alone and exits 2 before any command runs:
+    ``eval`` writes no metrics for a checkpoint the config does not name."""
     cfg = write_config(tmp_path)
-    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "alt")]) == 0
-    assert (tmp_path / "alt.json").exists()
-    assert (tmp_path / "alt.f32").exists()
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "alt.json").write_bytes((tmp_path / "run" / "ckpt.json").read_bytes())
+    (tmp_path / "alt.f32").write_bytes((tmp_path / "run" / "ckpt.f32").read_bytes())
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+            if path.is_file()} == before
 
 
 def test_missing_config_field_exits_2(tmp_path, capsys):
@@ -225,6 +248,54 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
                 assert len(err.strip().splitlines()) == 1
 
 
+def test_blob_with_both_infinities_exits_2_without_a_warning(tmp_path, capsys):
+    """+inf and -inf sum to NaN; the check says non-finite, and numpy's
+    invalid-value warning (an error in this suite) stays silent."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    blob_path = tmp_path / "run" / "data.f32"
+    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4").copy()
+    blob[[3, -3]] = np.inf, -np.inf
+    blob_path.write_bytes(blob.tobytes())
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: dataset blob has non-finite patch values\n"
+
+
+@pytest.mark.parametrize("spread", [1e39, 1e308])
+def test_spread_beyond_float32_exits_2_before_any_write(tmp_path, capsys, spread):
+    """Patches past the float32 range would be stored as infinities that no
+    command loads; gen-data refuses them in one line, without numpy's
+    overflow warnings (errors in this suite)."""
+    cfg = write_config(tmp_path, data={"identity_spread": spread})
+    assert main(["gen-data", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: identity_spread {spread} puts patch values beyond the float32 "
+                   "range (about ±3.4e38)\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_with_the_old_num_samples_field_loads_alike(tmp_path):
+    """Manifests written before the size was left to the spec also store
+    ``num_samples``; train and eval read them to the same bytes."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    run = tmp_path / "run"
+    outputs = ("ckpt.json", "ckpt.f32", "log.jsonl", "metrics.json", "per_query.csv")
+    manifest = json.loads((run / "data.json").read_text())
+    assert "num_samples" not in manifest
+    results = []
+    for old_field in ({}, {"num_samples": 24}):
+        (run / "data.json").write_text(json.dumps({**manifest, **old_field}))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert main(["eval", "--config", str(cfg), "--per-query-csv",
+                     str(run / "per_query.csv")]) == 0
+        results.append({name: (run / name).read_bytes() for name in outputs})
+    assert results[0] == results[1]
+
+
 def test_patches_near_the_float32_limit_load_and_train(tmp_path):
     """Every patch value 3e38: finite, though a float32 sum of them is not."""
     cfg = write_config(tmp_path)
@@ -244,9 +315,6 @@ def test_patches_near_the_float32_limit_load_and_train(tmp_path):
                                                  ("identity_spread", True, "identity_spread"),
                                                  ("noise_patch_prob", False,
                                                   "noise_patch_prob"),
-                                                 ("num_samples", 24.0, "num_samples"),
-                                                 ("num_samples", 25, "manifest num_samples 25 "
-                                                  "does not match spec (24)"),
                                                  ("identity_spread", float("inf"),
                                                   "identity_spread"),
                                                  ("num_identities", 1,
@@ -309,7 +377,6 @@ def test_colliding_artifact_paths_exit_2_and_keep_files(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("flag, target, names", [
-    ("--checkpoint", "metrics", "`paths.checkpoint` and `paths.metrics`"),
     ("--per-query-csv", "ckpt.json", "`paths.checkpoint` and `--per-query-csv`"),
     ("--per-query-csv", "data.f32", "`paths.dataset` and `--per-query-csv`"),
     ("--per-query-csv", "metrics.json", "`paths.metrics` and `--per-query-csv`"),
@@ -330,13 +397,11 @@ def test_eval_override_colliding_with_an_artifact_exits_2(tmp_path, capsys, flag
 
 
 @pytest.mark.parametrize("argv, names", [
-    (["gen-data", "--out", "config"], "`--config` and `paths.dataset`"),
-    (["eval", "--checkpoint", "config"], "`--config` and `paths.checkpoint`"),
     (["eval", "--per-query-csv", "config.json"], "`--config` and `--per-query-csv`"),
-], ids=["gen-data_out", "eval_checkpoint", "eval_per_query_csv"])
+], ids=["eval_per_query_csv"])
 def test_flag_naming_the_config_exits_2_and_keeps_it(tmp_path, capsys, argv, names):
-    """An override flag that names the config file is refused before any
-    write, whichever command takes it."""
+    """An output flag that names the config file is refused before any
+    write."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
@@ -549,7 +614,39 @@ def test_config_root_not_an_object_exits_2(tmp_path, capsys, root):
     cfg = tmp_path / "config.json"
     cfg.write_text(root)
     assert main(["gen-data", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: config root must be an object\n"
+    assert capsys.readouterr().err == "error: config is not a JSON object\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"seed": 3', '"seed": ' + "[" * 100_000 + "3" + "]" * 100_000,
+     "config nests too deeply to parse"),
+    # the last of two keys would otherwise win silently
+    ('"epochs": 3', '"lr": 0.05, "lr": 500.0, "epochs": 3', "config repeats key 'lr'"),
+], ids=["deep", "repeated_key"])
+def test_config_json_too_deep_or_with_a_repeated_key_exits_2(tmp_path, capsys, old, new,
+                                                            message):
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    assert main(["gen-data", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"seed": 3', '"seed": ' + "[" * 5000 + "3" + "]" * 5000, "nests too deeply to parse"),
+    ('"seed": 3', '"seed": 7, "seed": 3', "repeats key 'seed'"),
+], ids=["deep", "repeated_key"])
+def test_dataset_manifest_too_deep_or_with_a_repeated_key_exits_2(tmp_path, capsys, old,
+                                                                 new, message):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    manifest_path = tmp_path / "run" / "data.json"
+    manifest_path.write_text(manifest_path.read_text().replace(old, new, 1))
+    capsys.readouterr()
+    for command in ("train", "eval"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: manifest {manifest_path} {message}\n"
 
 
 def test_eval_writes_metrics(tmp_path, capsys):
@@ -731,20 +828,6 @@ def test_numeric_failure_is_one_stderr_line(tmp_path, train_override):
                            str(config)], capture_output=True, text=True, env=env)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-
-
-def test_gen_data_out_onto_an_artifact_exits_2_and_keeps_files(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    main(["gen-data", "--config", str(cfg)])
-    main(["train", "--config", str(cfg)])
-    run = tmp_path / "run"
-    before = run_files(run)
-    capsys.readouterr()
-    assert main(["gen-data", "--config", str(cfg), "--out", str(run / "ckpt")]) == 2
-    err = capsys.readouterr().err
-    assert "`paths.dataset` and `paths.checkpoint`" in err
-    assert len(err.strip().splitlines()) == 1
-    assert run_files(run) == before
 
 
 def test_dataset_at_the_diagnostics_path_exits_2_and_keeps_files(tmp_path, capsys):

@@ -163,6 +163,9 @@ def test_malformed_json_and_missing_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_run_config(bad)
+    bad.write_bytes(b'{"format_version": 1\xff}')  # not UTF-8
+    with pytest.raises(ConfigError, match="config is not valid JSON: 'utf-8' codec"):
+        load_run_config(bad)
     with pytest.raises(ConfigError, match="not found"):
         load_run_config(tmp_path / "absent.json")
 

@@ -107,7 +107,7 @@ def test_split_disjoint_and_covering():
     ds = generate(make_spec(num_identities=4, samples_per_identity=5))
     query, gallery = split_query_gallery(ds, query_per_identity=2, seed=11)
     combined = np.sort(np.concatenate([query, gallery]))
-    np.testing.assert_array_equal(combined, np.arange(ds.num_samples))
+    np.testing.assert_array_equal(combined, np.arange(ds.spec.num_samples))
     assert np.intersect1d(query, gallery).size == 0
 
 
@@ -186,7 +186,8 @@ def test_manifest_records_spec_and_sizes(tmp_path):
     for f in dataclasses.fields(SynthSpec):
         assert manifest[f.name] == getattr(ds.spec, f.name)
     assert manifest["format_version"] == 1
-    assert manifest["num_samples"] == 6
+    assert set(manifest) == {f.name for f in dataclasses.fields(SynthSpec)} | {
+        "format_version", "blob_bytes"}
     assert manifest["blob_bytes"] == (tmp_path / "data.f32").stat().st_size
 
 
