@@ -18,11 +18,11 @@ linear functional of its outputs, including the normalization Jacobian
 ``(I - u_hat u_hat^T) / ||u||``. Where a pre-normalization vector is zero
 (the warning path of ``normalize_rows``), the Jacobian degenerates to the
 identity pass-through. The token gradient is given for a selection of
-distinct tokens per stack, the way training's constraint loss reads
-them; the adjoint runs on those rows only. Both take any leading batch
-axes on the patches. The backward takes the forward's ``EncodeOutput``,
-which records every intermediate the adjoint reads, so no part of the
-forward runs twice.
+tokens per stack, the way training's constraint loss reads them; the
+adjoint runs on those rows only, and a token selected twice adds both
+of its gradients. Both take any leading batch axes on the patches. The
+backward takes the forward's ``EncodeOutput``, which records every
+intermediate the adjoint reads, so no part of the forward runs twice.
 """
 
 from __future__ import annotations
@@ -199,14 +199,15 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
     w.r.t. the params of the ``encode`` call that made ``out``, summed over
     its batch axes: one vector laid out like ``EncoderParams.vec``.
 
-    ``selected`` (..., K) holds distinct token indices per stack and
+    ``selected`` (..., K) holds token indices per stack and
     ``grad_selected`` (..., K, D) their gradients; every other token's
-    gradient is zero. The normalization adjoint runs on the selected rows
-    only and is scattered into zero (..., I, D) rows, so an unselected
-    token adds exactly +0.0. The batch sum is one reshaped matmul per
-    weight matrix, so its order is fixed. The image feature does not
-    depend on ``w_patch``, and the tokens do not depend on ``w_head``, so
-    the two output gradients touch disjoint parameter blocks.
+    gradient is zero. The normalization adjoint and the ``w_patch``
+    product read the K selected rows of each stack only, so an index
+    repeated within a stack adds each of its gradients, as the sum says.
+    The batch sum is one reshaped matmul per weight matrix, so its order
+    is fixed. The image feature does not depend on ``w_patch``, and the
+    tokens do not depend on ``w_head``, so the two output gradients touch
+    disjoint parameter blocks.
     """
     grad_image_feature = np.asarray(grad_image_feature, dtype=np.float64)
     selected = np.asarray(selected)
@@ -220,22 +221,19 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
         raise ValueError(f"grad_selected must be {(*selected.shape, d)}")
     pre_tokens = out.pre_tokens.reshape(-1, num_tokens, d)
     selected = selected.reshape(len(pre_tokens), -1)
-    ordered = np.sort(selected, axis=1)
-    if ordered.size and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= num_tokens):
+    if selected.size and (selected.min() < 0 or selected.max() >= num_tokens):
         raise ValueError(f"selected token index out of range [0, {num_tokens})")
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise ValueError("a token index repeats within a row of selected")
     pre, means = out.head
     d_in = means.shape[-1]
     grad = np.zeros((1 + len(means)) * d * d_in)
     g_w_patch, g_w_head = EncoderParams._blocks(grad, d, d_in)
 
-    # Token path: t_i = normalize(W_patch p_i), nonzero on the selected rows only.
+    # Token path: t_i = normalize(W_patch p_i), on the selected rows only.
     rows = np.arange(len(selected))[:, None]
-    g_pre_tokens = np.zeros_like(pre_tokens)
-    g_pre_tokens[rows, selected] = _normalize_backward(
-        grad_selected.reshape(*selected.shape, d), pre_tokens[rows, selected])
-    g_w_patch[...] = g_pre_tokens.reshape(-1, d).T @ out.patches.reshape(-1, d_in)
+    g_pre_tokens = _normalize_backward(grad_selected.reshape(*selected.shape, d),
+                                       pre_tokens[rows, selected])
+    patches = out.patches.reshape(-1, num_tokens, d_in)[rows, selected]
+    g_w_patch[...] = g_pre_tokens.reshape(-1, d).T @ patches.reshape(-1, d_in)
 
     # Image-feature path: f = normalize(W_head[0] xbar + mean_z W_head[z] xbar_z).
     g_pre = _normalize_backward(grad_image_feature, pre).reshape(-1, d)

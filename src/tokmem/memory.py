@@ -44,16 +44,19 @@ def label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def compute_prototypes(bank: np.ndarray, runs) -> np.ndarray:
     """(C, D) normalized per-cluster centroids over non-outlier members only;
-    ``runs`` is the ``label_runs`` index of the bank's labels."""
+    ``runs`` is the ``label_runs`` index of the bank's labels. One
+    ``np.add.at`` adds each run's rows in ascending order, as
+    ``mean(axis=0)`` does, so a centroid is its run's mean bit for bit."""
     order, lo, hi = runs
     if len(lo) == 1:
         raise ValueError("no clustered samples: every label is -1")
-    protos = np.empty((len(lo) - 1, bank.shape[1]))
-    for c, (start, stop) in enumerate(zip(lo[:-1].tolist(), hi[:-1].tolist())):
-        if start == stop:
-            raise ValueError(f"cluster ids are not dense: no member for cluster {c}")
-        protos[c] = bank[order[start:stop]].mean(axis=0)
-    return normalize_rows(protos)
+    counts = hi[:-1] - lo[:-1]
+    if not counts.all():
+        raise ValueError(f"cluster ids are not dense: no member for cluster {counts.argmin()}")
+    sums = np.zeros((len(counts), bank.shape[1]))
+    # label -1 sorts first, so the clusters' members fill the tail of order
+    np.add.at(sums, np.repeat(np.arange(len(counts)), counts), bank[order[lo[0]:]])
+    return normalize_rows(sums / counts[:, None])
 
 
 def write_rounds(batches, size: int) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:

@@ -4,17 +4,18 @@ The patch and stripe means the encoder's head reads depend on the data
 only, so ``train`` computes them once (``encoder.patch_means``). Per
 epoch: re-project them with the current encoder into fresh features,
 cluster those into a label vector, index it once (``memory.label_runs``),
-rebuild the instance bank from the features (stale features would
-poison the clustering), compute the cluster prototypes, and derive both
-banks' write rounds for all of the epoch's batches
-(``memory.write_rounds``). Each ``train_step`` then runs in one array
-pass over the batch: encode, token selection, the
+take the features themselves, unit rows already, as the instance bank
+(a bank kept from the last epoch would hold stale features), compute
+the cluster prototypes, and derive both banks' write rounds for all of
+the epoch's batches (``memory.write_rounds``). Each ``train_step`` then
+runs in one array pass over the batch: encode, token selection, the
 three losses against the frozen memory snapshot (one mining matmul), one
 batched backward (its token adjoint on the selected tokens only), the
 memory writes, and one plain SGD step. Every loss reads the snapshot
 before any write, and each bank's ``momentum_update`` equals writing the
-rows in batch order. Gradients and loss sums are added in a fixed order,
-so a config reproduces bit-identically on one platform.
+rows in batch order. Gradients are added in a fixed order, and an
+epoch's loss sums in one ``np.sum`` over its steps' values, so a config
+reproduces bit-identically on one platform.
 
 Outlier-labeled samples never appear as anchors (they have no prototype
 to serve as a positive) but stay in the instance memory as negative
@@ -37,7 +38,6 @@ from . import encoder as encoder_mod
 from . import losses as losses_mod
 from . import memory as memory_mod
 from .errors import NumericError, check_fields
-from .linalg import normalize_rows
 from .synth import MAX_SEED, SEED_RANGE, SynthDataset, SynthSpec
 
 __all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
@@ -171,8 +171,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
                 log.append(record)
                 continue
 
-            # unit rows already, but renormalizing moves some last bits, and training follows
-            bank = normalize_rows(features)
+            bank = features
             runs = memory_mod.label_runs(labels)
             protos = memory_mod.compute_prototypes(bank, runs)
             index = np.asarray(batches)
@@ -193,10 +192,8 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
                 raise NumericError(f"weights beyond float32 range at epoch {epoch}",
                                    {"epoch": epoch, "lr": lr, "max_abs_weight": largest})
 
-            # each step's B values summed, then the step sums in step order from 0.0
-            losses = np.array([[step.constraint, step.proto, step.anchor, step.total]
-                               for step in steps]).sum(axis=2)
-            con, pro, anc, total = np.cumsum(np.vstack([np.zeros(4), losses]), axis=0)[-1].tolist()
+            con, pro, anc, total = np.sum([[step.constraint, step.proto, step.anchor, step.total]
+                                           for step in steps], axis=(0, 2)).tolist()
             anchor_count = int(np.count_nonzero([step.has_anchor for step in steps]))
             sample_count = len(batches) * config.batch_size
             record["mean_constraint"] = con / sample_count

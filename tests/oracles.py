@@ -1,8 +1,24 @@
-"""Independent brute-force oracles used by the test suite.
+"""Brute-force oracles used by the test suite.
 
-These deliberately re-derive every answer by the most literal method
-available (explicit transitive closure, full sorts, per-rank scans) and
-share no code with the implementations they check.
+These re-derive each answer by the most literal method available
+(explicit transitive closure, full sorts, per-rank scans). The DBSCAN,
+distance, top-k and retrieval-metric oracles share no code with the
+implementations they check; ``sequential_momentum`` normalizes with
+tokmem's ``normalize_rows``, so that the two compare bit for bit. The
+two training oracles re-derive the step and reuse the stages they do
+not check:
+
+- ``per_anchor_train`` runs one anchor at a time with its own encoder,
+  prototypes, losses, mining and momentum writes, and takes encoder
+  init, DBSCAN, batch sampling, the learning rate, the negative-token
+  count (``patch_rate``) and ``normalize_rows`` from tokmem. It is
+  compared within a tolerance.
+- ``stepwise_train`` is compared byte for byte, so it shares with tokmem
+  the encoder (forward and backward), DBSCAN, batch sampling, the
+  learning rate, token selection, ``label_runs``, ``compute_prototypes``,
+  ``gather_runs`` and ``normalize_rows``. It reads the epoch's features
+  as its instance bank, and re-derives on every step the mining checks,
+  the write rounds, the softmax cross-entropies and the loss sums.
 """
 
 import numpy as np
@@ -390,7 +406,6 @@ def stepwise_train(config, dataset):
     step's loss sums are added into the epoch's as the step ends."""
     from tokmem import encoder
     from tokmem.cluster import dbscan
-    from tokmem.linalg import normalize_rows
     from tokmem.losses import select_constraint_tokens
     from tokmem.memory import compute_prototypes, label_runs
     from tokmem.training import learning_rate, sample_batches
@@ -415,7 +430,7 @@ def stepwise_train(config, dataset):
             if not batches:
                 log.append(record)
                 continue
-            bank = normalize_rows(features)
+            bank = features
             runs = label_runs(labels)
             protos = compute_prototypes(bank, runs)
             sums = {"constraint": 0.0, "proto": 0.0, "anchor": 0.0, "total": 0.0}
