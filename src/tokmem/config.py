@@ -82,9 +82,11 @@ def _parse_section(doc: dict, section_name: str, cls):
 
 
 def _check_limits(data: SynthSpec, eval_cfg: EvalConfig) -> None:
-    """The ``eval`` rows, checked at load so that no command runs (say,
-    30 epochs of training) on a config ``eval`` rejects."""
+    """The ``eval`` rows and the identity size they need, checked at load so
+    that no command runs (say, 30 epochs of training) on a config ``eval`` rejects."""
     spi, query = data.samples_per_identity, eval_cfg.query_per_identity
+    check_fields(vars(data), [("samples_per_identity", spi >= 2, ">= 2 (a query and a gallery)")],
+                 ConfigError, lambda f: f"`data.{f}`")
     gallery = data.num_identities * (spi - query)
     check_fields(vars(eval_cfg), [
         ("query_per_identity", 1 <= query < spi, f"in [1, {spi - 1}]"),

@@ -17,9 +17,9 @@ index. ``mine`` does this for a whole batch with one similarity matmul;
 it reads each anchor's cluster as a slice of the index, so its only
 other (B, N) work is the k argmax passes of the negatives.
 
-A bank's writes in an epoch depend only on the batch order, so
-``train`` derives them once per epoch with ``write_rounds``, and
-``momentum_update`` only writes.
+``momentum_update`` writes a batch in batch order, one round per
+occurrence of its most repeated slot (the prototype bank's labels
+repeat); ``training.train_step`` writes distinct slots as one slice.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .cluster import OUTLIER
 from .linalg import gather_runs, group_runs, normalize_rows
 
-__all__ = ["label_runs", "compute_prototypes", "write_rounds", "mine", "momentum_update"]
+__all__ = ["label_runs", "compute_prototypes", "mine", "momentum_update"]
 
 
 def label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,34 +57,6 @@ def compute_prototypes(bank: np.ndarray, runs) -> np.ndarray:
     # label -1 sorts first, so the clusters' members fill the tail of order
     np.add.at(sums, np.repeat(np.arange(len(counts)), counts), bank[order[lo[0]:]])
     return normalize_rows(sums / counts[:, None])
-
-
-def write_rounds(batches, size: int) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
-    """The write rounds of each of (S, B) ``batches`` of slots in a bank of
-    ``size`` rows, from one stable sort of (batch, slot) pairs. A batch's
-    rounds are ``(slots, rows, stops)``: round j writes features ``rows[a:b]``
-    into bank rows ``slots[a:b]``, ``a, b = stops[j - 1], stops[j]`` (a = 0
-    for j = 0), and holds the j-th occurrence of each of its slots. A batch
-    of distinct slots, such as a slice of one permutation, is one round."""
-    index = np.asarray(batches, dtype=np.int64)
-    if index.ndim != 2:
-        raise ValueError(f"need (S, B) slots, got shape {index.shape}")
-    outside = (index < 0) | (index >= size)
-    if outside.any():
-        raise ValueError(f"slot {index[outside][0]} out of range [0, {size})")
-    num, width = index.shape
-    key = (index + size * np.arange(num)[:, None]).ravel()
-    order = np.argsort(key, kind="stable")
-    ranked = key[order]
-    # pair i of the sort is in batch i // width, and its round is its rank
-    # among its slot's pairs: i less the place of the first of them
-    batch_round = np.arange(key.size) - np.searchsorted(ranked, ranked) % width
-    by_round = order[np.argsort(batch_round, kind="stable")].reshape(num, width)
-    counts = np.bincount(batch_round, minlength=key.size).reshape(num, width)
-    stops = np.cumsum(counts, axis=1).tolist()
-    num_rounds = np.count_nonzero(counts, axis=1).tolist()
-    return [(slots, rows, ends[:n]) for slots, rows, ends, n
-            in zip(index.ravel()[by_round], by_round % width, stops, num_rounds)]
 
 
 def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
@@ -137,24 +109,32 @@ def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
     return picked, np.arange(picked.shape[1]) <= candidates[:, None]
 
 
-def momentum_update(bank: np.ndarray, rounds, features: np.ndarray, momentum: float) -> None:
+def momentum_update(bank: np.ndarray, slots, features: np.ndarray, momentum: float) -> None:
     """In place, exactly as B sequential writes in batch order:
     ``bank[slot_b] <- normalize(mu * bank[slot_b] + (1 - mu) * features[b])``.
 
-    ``bank`` is (R, D), ``rounds`` the batch's ``write_rounds`` and
-    ``features`` (B, D); a repeated slot mixes every occurrence, each
-    earlier one decayed by mu. Each round is one batched write.
+    ``bank`` is (R, D), ``slots`` (B,) and ``features`` (B, D); a repeated
+    slot mixes every occurrence, each earlier one decayed by mu. Round j,
+    one batched write, holds the j-th occurrence of every slot.
     """
-    slots, rows, stops = rounds
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must be in [0, 1]")
+    slots = np.asarray(slots, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (rows.size, bank.shape[1]):
-        raise ValueError(f"need ({rows.size}, {bank.shape[1]}) features for {rows.size} slots, "
-                         f"got {features.shape}")
-    fresh = (1.0 - momentum) * features[rows]
+    if slots.ndim != 1 or features.shape != (slots.size, bank.shape[1]):
+        raise ValueError(f"need (B,) slots and (B, {bank.shape[1]}) features, "
+                         f"got {slots.shape} slots and {features.shape} features")
+    outside = (slots < 0) | (slots >= len(bank))
+    if outside.any():
+        raise ValueError(f"slot {slots[outside][0]} out of range [0, {len(bank)})")
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    # a slot's occurrences sit together in batch order: round = place - first place
+    rank = np.arange(slots.size) - np.searchsorted(ranked, ranked)
+    by_round = order[np.argsort(rank, kind="stable")]
+    slots, fresh = slots[by_round], (1.0 - momentum) * features[by_round]
     start = 0
-    for stop in stops:
+    for stop in np.cumsum(np.bincount(rank)).tolist():
         part = slots[start:stop]
         bank[part] = normalize_rows(momentum * bank[part] + fresh[start:stop])
         start = stop

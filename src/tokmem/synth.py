@@ -68,9 +68,9 @@ class SynthSpec:
 
 @dataclass
 class SynthDataset:
-    """Immutable after creation; ``patches`` is (N, I, d_in), float64 from
-    :func:`generate` and the file's read-only float32 values from
-    :func:`load_dataset`, and sample ``n``'s identity is ``spec.identities[n]``."""
+    """Immutable after creation; ``patches`` is (N, I, d_in) float32, the
+    values a saved pair stores (read-only from :func:`load_dataset`), and
+    sample ``n``'s identity is ``spec.identities[n]``."""
 
     patches: np.ndarray
     spec: SynthSpec
@@ -78,7 +78,8 @@ class SynthDataset:
 
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate the dataset described by ``spec``; a pure function of the
-    spec. It holds two (N, I, d_in) arrays at most, and every value fits float32."""
+    spec. It holds two (N, I, d_in) float64 arrays at most, and returns the
+    patches as float32, the values every saved pair trains on."""
     spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
@@ -94,10 +95,11 @@ def generate(spec: SynthSpec) -> SynthDataset:
     noise = rng.normal(size=(n, i, d))
     mask = rng.random(size=(n, i)) < spec.noise_patch_prob
     np.copyto(patches, noise, where=mask[:, :, None])
+    del noise, mask  # freed first, the float32 copy keeps the peak at two arrays
     if max(patches.max(), -patches.min()) > np.finfo(np.float32).max:  # no temporary
         raise ValueError(f"identity_spread {spec.identity_spread} puts patch values beyond "
                          "the float32 range (about ±3.4e38)")
-    return SynthDataset(patches=patches, spec=spec)
+    return SynthDataset(patches=patches.astype(np.float32), spec=spec)
 
 
 def split_query_gallery(ds: SynthDataset, query_per_identity: int,

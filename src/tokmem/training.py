@@ -5,17 +5,18 @@ only, so ``train`` computes them once (``encoder.patch_means``). Per
 epoch: re-project them with the current encoder into fresh features,
 cluster those into a label vector, index it once (``memory.label_runs``),
 take the features themselves, unit rows already, as the instance bank
-(a bank kept from the last epoch would hold stale features), compute
-the cluster prototypes, and derive both banks' write rounds for all of
-the epoch's batches (``memory.write_rounds``). Each ``train_step`` then
-runs in one array pass over the batch: encode, token selection, the
-three losses against the frozen memory snapshot (one mining matmul), one
-batched backward (its token adjoint on the selected tokens only), the
-memory writes, and one plain SGD step. Every loss reads the snapshot
-before any write, and each bank's ``momentum_update`` equals writing the
-rows in batch order. Gradients are added in a fixed order, and an
-epoch's loss sums in one ``np.sum`` over its steps' values, so a config
-reproduces bit-identically on one platform.
+(a bank kept from the last epoch would hold stale features), and
+compute the cluster prototypes. Each ``train_step`` then runs in one
+array pass over the batch: encode, token selection, the three losses
+against the frozen memory snapshot (one mining matmul), one batched
+backward (its token adjoint on the selected tokens only), the memory
+writes, and one plain SGD step. Every loss reads the snapshot before
+any write, and each bank's write equals writing its rows in batch
+order: an epoch's batches are disjoint slices of one permutation, so
+the instance write is one slice, and the prototypes, whose labels
+repeat, take ``memory.momentum_update``'s rounds. Gradients are added
+in a fixed order, and an epoch's loss sums in one ``np.sum`` over its
+steps' values, so a config reproduces bit-identically on one platform.
 
 Outlier-labeled samples never appear as anchors (they have no prototype
 to serve as a positive) but stay in the instance memory as negative
@@ -38,6 +39,7 @@ from . import encoder as encoder_mod
 from . import losses as losses_mod
 from . import memory as memory_mod
 from .errors import NumericError, check_fields
+from .linalg import normalize_rows
 from .synth import MAX_SEED, SEED_RANGE, SynthDataset, SynthSpec
 
 __all__ = ["TrainConfig", "TrainResult", "StepLosses", "learning_rate",
@@ -139,7 +141,8 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
 
     Log record keys: epoch, mean_constraint, mean_proto, mean_anchor,
     mean_total, C (cluster count), outliers, lr. Loss means are null for
-    a skipped epoch (not enough clustered samples). Raises NumericError on
+    a skipped epoch (not enough clustered samples). Raises ValueError for
+    a sample whose patch and stripe means are all zero, and NumericError on
     a non-finite loss, and after an epoch that leaves a weight no float32
     checkpoint can store.
     """
@@ -148,6 +151,9 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
     params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
                                      config.part_tokens, config.seed)
     means = encoder_mod.patch_means(dataset.patches, config.part_tokens)
+    blank = np.flatnonzero(~means.any(axis=(0, 2)))
+    if blank.size:
+        raise ValueError(f"sample {blank[0]} is blank: its patch and stripe means are all zero")
     log: list[dict] = []
     # every non-finite result raises NumericError below; numpy's own
     # warnings would only add lines before that one-line error
@@ -174,15 +180,12 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
             bank = features
             runs = memory_mod.label_runs(labels)
             protos = memory_mod.compute_prototypes(bank, runs)
-            index = np.asarray(batches)
-            writes = zip(memory_mod.write_rounds(index, len(bank)),
-                         memory_mod.write_rounds(labels[index], len(protos)))
             steps = []
-            for iteration, (batch, rounds) in enumerate(zip(index, writes)):
+            for iteration, batch in enumerate(batches):
                 try:
                     steps.append(train_step(config, params, dataset.patches.take(batch, axis=0),
                                             means.take(batch, axis=1), batch, labels[batch],
-                                            rounds, bank, runs, protos, lr))
+                                            bank, runs, protos, lr))
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} iteration {iteration}",
@@ -217,15 +220,15 @@ class StepLosses:
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
                patches: np.ndarray, means: np.ndarray, indices: np.ndarray,
-               labels: np.ndarray, rounds, bank: np.ndarray, runs, protos: np.ndarray,
+               labels: np.ndarray, bank: np.ndarray, runs, protos: np.ndarray,
                lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
     ``params``, ``bank`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``means``
     their (1 + Z, B, d_in) ``encoder.patch_means``, ``indices`` their
-    slots in the (N, D) instance ``bank``, ``labels`` their cluster ids,
-    and ``rounds`` the batch's ``memory.write_rounds`` in ``bank`` and in
+    distinct slots in the (N, D) instance ``bank`` (a batch of
+    ``sample_batches``), and ``labels`` their cluster ids, their slots in
     ``protos``, the (C, D) prototype bank; ``runs`` is the bank's
     ``memory.label_runs`` index. Raises NumericError, before any write,
     if an anchor's total loss is not finite; its diagnostics name the
@@ -262,8 +265,9 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     grad = encoder_mod.encode_backward(out, grad_f, selected, w_con * con.grad_tokens)
 
     # Writes only now, after every read of the snapshot.
-    memory_mod.momentum_update(bank, rounds[0], f, config.momentum)
-    memory_mod.momentum_update(protos, rounds[1], f, config.momentum)
+    mu = config.momentum
+    bank[indices] = normalize_rows(mu * bank[indices] + (1.0 - mu) * f)
+    memory_mod.momentum_update(protos, labels, f, mu)
 
     params.vec -= (lr / f.shape[0]) * grad
     return StepLosses(constraint=con.value, proto=pro.value, anchor=anc.value,

@@ -183,8 +183,10 @@ def _stripe_means(patches, z):
 
 
 def encode_one(params, patches):
-    """(image feature, tokens) of one (I, d_in) patch stack."""
+    """(image feature, tokens) of one (I, d_in) patch stack, widened to
+    float64 as ``encode`` widens it."""
     z = params.part_tokens
+    patches = np.asarray(patches, dtype=np.float64)
     pre_tokens = patches @ params.w_patch.T
     tokens = pre_tokens / np.linalg.norm(pre_tokens, axis=1, keepdims=True)
     pre = params.w_head[0] @ patches.mean(axis=0)
@@ -196,6 +198,7 @@ def encode_one(params, patches):
 def encode_backward_one(params, patches, g_f, g_t):
     """(g_w_patch, g_w_head) of <g_f, f> + sum_i <g_t[i], t_i>."""
     z = params.part_tokens
+    patches = np.asarray(patches, dtype=np.float64)
     pre_tokens = patches @ params.w_patch.T
     norms = np.linalg.norm(pre_tokens, axis=1, keepdims=True)
     units = pre_tokens / norms

@@ -24,7 +24,7 @@ from tokmem.evaluate import evaluate_encoder, evaluate_retrieval
 from tokmem.gradcheck import TOLERANCE, run_gradcheck
 from tokmem.linalg import normalize_rows
 from tokmem.losses import patch_rate, select_constraint_tokens, softmax_ce
-from tokmem.memory import label_runs, mine, momentum_update, write_rounds
+from tokmem.memory import label_runs, mine, momentum_update
 from tokmem.synth import generate
 from tokmem.training import train
 
@@ -186,19 +186,19 @@ def test_criterion_5_mining_matches_full_sort():
 
 def test_criterion_6_momentum_algebra():
     protos = np.array([[1.0, 0.0]])
-    momentum_update(protos, write_rounds([[0]], 1)[0], np.array([[0.0, 1.0]]), momentum=1.0)
+    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=1.0)
     np.testing.assert_array_equal(protos[0], [1.0, 0.0])  # exact
-    momentum_update(protos, write_rounds([[0]], 1)[0], np.array([[0.0, 1.0]]), momentum=0.0)
+    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=0.0)
     np.testing.assert_array_equal(protos[0], [0.0, 1.0])  # exact
 
     bank = np.array([[0.0, 1.0]])
-    momentum_update(bank, write_rounds([[0]], 1)[0], np.array([[1.0, 0.0]]), momentum=1.0)
+    momentum_update(bank, [0], np.array([[1.0, 0.0]]), momentum=1.0)
     np.testing.assert_array_equal(bank[0], [0.0, 1.0])
-    momentum_update(bank, write_rounds([[0]], 1)[0], np.array([[1.0, 0.0]]), momentum=0.0)
+    momentum_update(bank, [0], np.array([[1.0, 0.0]]), momentum=0.0)
     np.testing.assert_array_equal(bank[0], [1.0, 0.0])
 
     protos = np.array([[1.0, 0.0]])
-    momentum_update(protos, write_rounds([[0]], 1)[0], np.array([[0.0, 1.0]]), momentum=0.2)
+    momentum_update(protos, [0], np.array([[0.0, 1.0]]), momentum=0.2)
     mixed = np.array([0.2 * 1.0 + 0.8 * 0.0, 0.2 * 0.0 + 0.8 * 1.0])
     assert abs(mixed[0] - 0.2) <= 1e-12 and abs(mixed[1] - 0.8) <= 1e-12
     np.testing.assert_allclose(protos[0], mixed / np.linalg.norm(mixed),

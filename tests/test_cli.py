@@ -264,6 +264,24 @@ def test_blob_with_both_infinities_exits_2_without_a_warning(tmp_path, capsys):
         assert capsys.readouterr().err == "error: dataset blob has non-finite patch values\n"
 
 
+def test_blank_image_exits_2_naming_the_sample(tmp_path):
+    """A sample whose patches are all zero has no feature direction: train
+    names it in one stderr line, with no warning before it, and writes no
+    checkpoint; a separate process, so that stderr is what a user sees."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    blob_path = tmp_path / "run" / "data.f32"
+    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4").reshape(24, -1).copy()
+    blob[5] = 0.0
+    blob_path.write_bytes(blob.tobytes())
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tokmem.cli", "train", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: sample 5 is blank: its patch and stripe means are all zero\n"
+    assert not list((tmp_path / "run").glob("ckpt*"))
+
+
 @pytest.mark.parametrize("spread", [1e39, 1e308])
 def test_spread_beyond_float32_exits_2_before_any_write(tmp_path, capsys, spread):
     """Patches past the float32 range would be stored as infinities that no

@@ -171,6 +171,8 @@ def test_malformed_json_and_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value, message", [
+    # each identity needs a query and a gallery sample
+    ("data", "samples_per_identity", 1, r"^`data.samples_per_identity` must be >= 2"),
     # samples_per_identity is 6: at most 5 queries per identity
     ("eval", "query_per_identity", 6, "eval.query_per_identity"),
     ("eval", "query_per_identity", 0, "eval.query_per_identity"),

@@ -4,7 +4,7 @@ import pytest
 from conftest import unit_rows
 from oracles import sequential_momentum, topk_by_full_sort
 from tokmem.linalg import normalize_rows
-from tokmem.memory import compute_prototypes, label_runs, mine, momentum_update, write_rounds
+from tokmem.memory import compute_prototypes, label_runs, mine, momentum_update
 
 
 def memory_from(features, labels):
@@ -234,15 +234,15 @@ def test_with_outliers_dominates_without(rng):
 
 def test_momentum_endpoints_exact():
     protos = compute_prototypes(*memory_from([[1.0, 0.0]], [0]))
-    momentum_update(protos, write_rounds([[0]], 1)[0], [[0.0, 1.0]], momentum=1.0)
+    momentum_update(protos, [0], [[0.0, 1.0]], momentum=1.0)
     np.testing.assert_array_equal(protos[0], [1.0, 0.0])
-    momentum_update(protos, write_rounds([[0]], 1)[0], [[0.0, 1.0]], momentum=0.0)
+    momentum_update(protos, [0], [[0.0, 1.0]], momentum=0.0)
     np.testing.assert_array_equal(protos[0], [0.0, 1.0])
 
 
 def test_momentum_prototype_mixing():
     protos = compute_prototypes(*memory_from([[1.0, 0.0]], [0]))
-    momentum_update(protos, write_rounds([[0]], 1)[0], [[0.0, 1.0]], momentum=0.2)
+    momentum_update(protos, [0], [[0.0, 1.0]], momentum=0.2)
     mixed = np.array([0.2, 0.8])
     np.testing.assert_allclose(protos[0], mixed / np.linalg.norm(mixed), atol=1e-15)
     np.testing.assert_allclose(protos[0], [0.2425, 0.9701], atol=1e-4)
@@ -250,7 +250,7 @@ def test_momentum_prototype_mixing():
 
 def test_momentum_instance_mixing():
     bank, _ = memory_from([[0.0, 1.0]], [0])
-    momentum_update(bank, write_rounds([[0]], 1)[0], [[1.0, 0.0]], momentum=0.5)
+    momentum_update(bank, [0], [[1.0, 0.0]], momentum=0.5)
     np.testing.assert_allclose(bank[0], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
 
 
@@ -259,16 +259,16 @@ def test_momentum_validation():
     bank = mem[0]
     protos = compute_prototypes(*mem)
     with pytest.raises(ValueError, match="range"):
-        momentum_update(bank, write_rounds([[3]], 1)[0], [[1.0, 0.0]], 0.5)
+        momentum_update(bank, [3], [[1.0, 0.0]], 0.5)
     with pytest.raises(ValueError, match="range"):
-        momentum_update(protos, write_rounds([[-1]], 1)[0], [[1.0, 0.0]], 0.5)
+        momentum_update(protos, [-1], [[1.0, 0.0]], 0.5)
     with pytest.raises(ValueError, match="momentum"):
-        momentum_update(bank, write_rounds([[0]], 1)[0], [[1.0, 0.0]], 1.5)
+        momentum_update(bank, [0], [[1.0, 0.0]], 1.5)
     # one form only: (B,) slots with (B, D) features
     for index, fresh in ((0, [1.0, 0.0]), ([0], [1.0, 0.0]), ([0, 0], [[1.0, 0.0]]),
                          ([0], [[1.0, 0.0, 0.0]])):
         with pytest.raises(ValueError, match="slots"):
-            momentum_update(bank, write_rounds([index], 1)[0], fresh, 0.5)
+            momentum_update(bank, index, fresh, 0.5)
     np.testing.assert_array_equal(bank, [[1.0, 0.0]])
 
 
@@ -279,13 +279,13 @@ def test_momentum_instance_batch_equals_sequential_updates(rng):
     sequential = normalize_rows(feats)
     index = np.array([5, 0, 7, 5, 2, 0, 5])
     fresh = unit_rows(rng, 7, 4)
-    momentum_update(batched, write_rounds([index], 8)[0], fresh, 0.2)
+    momentum_update(batched, index, fresh, 0.2)
     for i, f in zip(index, fresh):
-        momentum_update(sequential, write_rounds([[i]], 8)[0], f[None], 0.2)
+        momentum_update(sequential, [i], f[None], 0.2)
     np.testing.assert_array_equal(batched, sequential)
     # every occurrence counts: the last writer alone gives another result
     last_only = normalize_rows(feats)
-    momentum_update(last_only, write_rounds([index[4:]], 8)[0], fresh[4:], 0.2)
+    momentum_update(last_only, index[4:], fresh[4:], 0.2)
     assert not np.allclose(last_only[5], batched[5])
 
 
@@ -303,7 +303,7 @@ def test_momentum_repeated_slots_match_sequential_oracle():
         fresh = unit_rows(rng, batch, dim)
         expected = bank.copy()
         sequential_momentum(expected, index, fresh, momentum)
-        momentum_update(bank, write_rounds([index], rows)[0], fresh, momentum)
+        momentum_update(bank, index, fresh, momentum)
         np.testing.assert_array_equal(bank, expected)
 
 
@@ -314,8 +314,8 @@ def test_updates_keep_unit_norm(rng):
     protos = compute_prototypes(*mem)
     for _ in range(25):
         f = unit_rows(rng, 1, 4)
-        momentum_update(bank, write_rounds([rng.integers(0, 10, size=1)], 10)[0], f, 0.2)
-        momentum_update(protos, write_rounds([rng.integers(0, 3, size=1)], 3)[0], f, 0.2)
+        momentum_update(bank, rng.integers(0, 10, size=1), f, 0.2)
+        momentum_update(protos, rng.integers(0, 3, size=1), f, 0.2)
     np.testing.assert_allclose(np.linalg.norm(bank, axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-9)
 
@@ -355,10 +355,11 @@ def test_plan_masks_and_picks_equal_per_call_mining(trial):
             np.testing.assert_array_equal(valid, expected[1])
 
 
-def test_write_rounds_match_sequential_oracle_across_an_epoch():
-    """Several batches of one epoch, each written in turn through its
-    rounds, give both banks bit for bit the per-row loop's values;
-    repeated labels make several prototype rounds per batch."""
+def test_batch_writes_match_sequential_oracle_across_an_epoch():
+    """Several batches of one epoch, each written in turn as ``train_step``
+    writes them (one slice write into the instance bank, ``momentum_update``
+    on the prototypes), give both banks bit for bit the per-row loop's
+    values; repeated labels make several prototype rounds per batch."""
     rng = np.random.Generator(np.random.Philox(key=92))
     for case in range(40):
         n, width = int(rng.integers(30, 120)), int(rng.integers(1, 9))
@@ -368,37 +369,33 @@ def test_write_rounds_match_sequential_oracle_across_an_epoch():
         momentum = (0.0, 1.0, 0.2, float(rng.random()))[case % 4]
         bank, protos = unit_rows(rng, n, 4), unit_rows(rng, num_clusters, 4)
         expected_bank, expected_protos = bank.copy(), protos.copy()
-        index = np.asarray(batches)
-        for batch, instance_rounds, prototype_rounds in zip(
-                batches, write_rounds(index, n), write_rounds(labels[index], num_clusters)):
+        for batch in batches:
             fresh = unit_rows(rng, width, 4)
-            assert instance_rounds[2] == [width]  # distinct slots: one round
-            momentum_update(bank, instance_rounds, fresh, momentum)
-            momentum_update(protos, prototype_rounds, fresh, momentum)
+            bank[batch] = normalize_rows(momentum * bank[batch] + (1.0 - momentum) * fresh)
+            momentum_update(protos, labels[batch], fresh, momentum)
             sequential_momentum(expected_bank, batch, fresh, momentum)
             sequential_momentum(expected_protos, labels[batch], fresh, momentum)
-            assert len(prototype_rounds[2]) == np.bincount(labels[batch]).max()
         np.testing.assert_array_equal(bank, expected_bank)
         np.testing.assert_array_equal(protos, expected_protos)
 
 
-def test_write_rounds_take_each_occurrence_in_turn():
-    """Round j writes the j-th occurrence of each slot of a batch, in every
-    batch of the epoch; a batch of distinct slots is one round."""
-    rounds = write_rounds([[1, 1, 1, 2, 2, 3, 4], [4, 0, 3, 2, 6, 1, 5]], 7)
-    slots, rows, stops = rounds[0]
-    assert stops == [4, 6, 7]
-    np.testing.assert_array_equal(slots, [1, 2, 3, 4, 1, 2, 1])
-    np.testing.assert_array_equal(rows, [0, 3, 5, 6, 1, 4, 2])
-    slots, rows, stops = rounds[1]
-    assert stops == [7]
-    np.testing.assert_array_equal(slots[np.argsort(rows)], [4, 0, 3, 2, 6, 1, 5])
+def test_momentum_update_takes_each_occurrence_in_turn(rng):
+    """Round j writes the j-th occurrence of each slot, so repeated and
+    distinct slots alike end as the per-row loop leaves them."""
+    for slots in ([1, 1, 1, 2, 2, 3, 4], [4, 0, 3, 2, 6, 1, 5]):
+        bank, fresh = unit_rows(rng, 7, 3), unit_rows(rng, len(slots), 3)
+        expected = bank.copy()
+        sequential_momentum(expected, slots, fresh, 0.3)
+        momentum_update(bank, slots, fresh, 0.3)
+        np.testing.assert_array_equal(bank, expected)
 
 
-def test_write_rounds_name_the_first_slot_out_of_range():
-    """One line, however many batches the epoch holds."""
+def test_momentum_update_names_the_first_slot_out_of_range():
+    """One line, naming the batch's first slot outside the bank."""
+    bank = np.eye(7)
     with pytest.raises(ValueError, match=r"^slot -1 out of range \[0, 7\)$"):
-        write_rounds([[0, 1, 2], [6, -1, 9]], 7)
+        momentum_update(bank, [6, -1, 9], np.eye(3, 7), 0.5)
+    np.testing.assert_array_equal(bank, np.eye(7))
 
 
 def test_mine_rejects_bad_anchor_labels():

@@ -149,35 +149,40 @@ def test_oversize_neg_token_rate_rejected_before_any_epoch(monkeypatch):
 
 
 def test_losses_read_snapshot_before_updates(monkeypatch):
-    """Within an iteration every loss and mining read happens before the
-    first memory write."""
-    timeline = []
+    """Within an iteration every loss and mining read sees both banks as
+    they were when the step began; both banks change by its end."""
+    seen = []
 
-    def spy(module, name, kind):
+    def spy(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            timeline.append(kind)
+            assert all(np.array_equal(now, then) for now, then in seen[-1][1:])
+            seen[-1][0] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(training_mod.losses_mod, "softmax_ce", "read")
-    spy(training_mod.memory_mod, "mine", "read")
-    spy(training_mod.memory_mod, "momentum_update", "write")
-    ds = tiny_dataset()
-    batch = 4
-    train(tiny_config(epochs=1, batch_size=batch), ds)
-    # three loss kernels and one mining pass, then one batched write per bank
-    iteration = ["read"] * 4 + ["write"] * 2
-    assert len(timeline) >= len(iteration)
-    assert len(timeline) % len(iteration) == 0
-    assert timeline == iteration * (len(timeline) // len(iteration))
+    def step(*args):
+        bank, protos = args[6], args[8]
+        seen.append([0, (bank, bank.copy()), (protos, protos.copy())])
+        out = real_step(*args)
+        assert not any(np.array_equal(now, then) for now, then in seen[-1][1:])
+        return out
+
+    spy(training_mod.losses_mod, "softmax_ce")
+    spy(training_mod.memory_mod, "mine")
+    real_step = training_mod.train_step
+    monkeypatch.setattr(training_mod, "train_step", step)
+    train(tiny_config(epochs=1, batch_size=4), tiny_dataset())
+    # three loss kernels and one mining pass in each step
+    assert len(seen) >= 2
+    assert [calls for calls, *_ in seen] == [4] * len(seen)
 
 
 def test_step_runs_the_encoder_head_once(monkeypatch):
     """The backward reads the forward's record: one train_step evaluates
     the image-feature head once, for all anchors at once."""
-    from tokmem.memory import compute_prototypes, label_runs, write_rounds
+    from tokmem.memory import compute_prototypes, label_runs
 
     calls = []
     real = training_mod.encoder_mod._head
@@ -195,9 +200,8 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     batch = np.array([0, 7, 14, 21])
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
     runs = label_runs(labels)
-    rounds = write_rounds([batch], len(bank))[0], write_rounds([labels[batch]], 4)[0]
     training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
-                            labels[batch], rounds, bank, runs, compute_prototypes(bank, runs),
+                            labels[batch], bank, runs, compute_prototypes(bank, runs),
                             lr=0.05)
     assert len(calls) == 1
 
@@ -245,7 +249,7 @@ def test_nan_weights_mid_epoch_raise_numeric_error():
     """Weights that an SGD step left NaN give NaN anchor features; mining
     still returns slots in the bank, so the step reports the non-finite
     loss instead of failing on an index."""
-    from tokmem.memory import compute_prototypes, label_runs, write_rounds
+    from tokmem.memory import compute_prototypes, label_runs
 
     cfg = tiny_config()
     ds = tiny_dataset()
@@ -256,10 +260,9 @@ def test_nan_weights_mid_epoch_raise_numeric_error():
     runs = label_runs(labels)
     params.vec[:] = np.nan
     batch = np.array([0, 7, 14, 21])
-    rounds = write_rounds([batch], len(bank))[0], write_rounds([labels[batch]], 4)[0]
     with pytest.raises(NumericError, match="non-finite loss"):
         training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
-                                labels[batch], rounds, bank, runs,
+                                labels[batch], bank, runs,
                                 compute_prototypes(bank, runs), lr=0.05)
 
 
@@ -313,7 +316,7 @@ def _layout(name, rng, n):
 def test_batched_step_matches_per_anchor_oracle(name):
     from oracles import encode_one, per_anchor_step
     from tokmem.linalg import normalize_rows
-    from tokmem.memory import compute_prototypes, label_runs, write_rounds
+    from tokmem.memory import compute_prototypes, label_runs
 
     rng = np.random.Generator(np.random.Philox(key=np.array([55, len(name)],
                                                             dtype=np.uint64)))
@@ -333,11 +336,9 @@ def test_batched_step_matches_per_anchor_oracle(name):
                 compute_prototypes(bank, label_runs(labels)))
 
     p_b, bank_b, protos_b = fresh_state()
-    rounds = (write_rounds([batch], n)[0],
-              write_rounds([labels[batch]], labels.max() + 1)[0])
     step = training_mod.train_step(cfg, p_b, patches[batch],
                                    patch_means(patches[batch], cfg.part_tokens), batch,
-                                   labels[batch], rounds, bank_b, label_runs(labels), protos_b,
+                                   labels[batch], bank_b, label_runs(labels), protos_b,
                                    lr=0.05)
     p_o, bank_o, protos_o = fresh_state()
     rows = per_anchor_step(p_o, patches, batch, bank_o, labels, protos_o, cfg, lr=0.05)
@@ -388,6 +389,20 @@ def test_train_on_a_loaded_dataset_equals_train_on_its_float64_values(tmp_path):
     assert a.log[-1]["mean_total"] is not None
 
 
+def test_train_on_generated_data_equals_train_on_the_saved_pair(tmp_path):
+    """``generate`` returns the float32 values a saved pair stores, so an
+    in-process run trains on what a CLI run trains on: the reference
+    experiment gives the same parameter bytes and the same log."""
+    from conftest import REFERENCE
+
+    generated = generate(REFERENCE.data)
+    save_dataset(generated, tmp_path / "data")
+    a = train(REFERENCE.train, generated)
+    b = train(REFERENCE.train, load_dataset(tmp_path / "data"))
+    assert a.params.vec.tobytes() == b.params.vec.tobytes()
+    assert json.dumps(a.log) == json.dumps(b.log)
+
+
 def test_loaded_dataset_train_peak_memory_is_below_a_float64_copy(tmp_path):
     """Loading and a 1-epoch train hold less than one float64 copy of the
     patches: the file's float32 values, and training's own arrays."""
@@ -403,7 +418,7 @@ def test_loaded_dataset_train_peak_memory_is_below_a_float64_copy(tmp_path):
     assert peak < 8 * spec.num_samples * spec.patches_per_image * spec.patch_input_dim
 
 
-# ------------------------------- planned writes vs the stepwise loop, bytes
+# --------------------------------- batch writes vs the stepwise loop, bytes
 
 def _reference(seed, epochs=3, **data):
     from conftest import REFERENCE
@@ -415,8 +430,9 @@ def _reference(seed, epochs=3, **data):
 @pytest.mark.parametrize("case", ["outliers_included", "outliers_excluded",
                                   "skipped_epoch", "reference_42", "reference_7", "scaled_42"])
 def test_train_equals_stepwise_oracle_bytes(case):
-    """``train`` derives each epoch's write rounds once; the oracle derives
-    them again on every step and adds each step's loss sums as it ends.
+    """``train`` writes the instance batch as one slice and the prototypes
+    in ``momentum_update``'s rounds; the oracle derives both banks' write
+    rounds on every step and adds each step's loss sums as it ends.
     Both give the same parameter bytes and the same log. "scaled_42" is
     the benchmark's scaled shape (200 identities x 30 samples, 1 epoch),
     where the prototype rounds run over 114 clusters."""
