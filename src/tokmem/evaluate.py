@@ -6,8 +6,11 @@ at a time, so no (Q, G) array is made. Only the places of the gallery
 positives are computed: a positive's 0-based place is the number of
 gallery items with a higher similarity, read from one value sort of the
 query's similarity row, plus, only where its value is tied, the number
-of equal similarities at a lower gallery index. One block is held at a
-time and sorted in place; a block with a tie makes its product again to
+of equal similarities at a lower gallery index. Only the similarities
+at or above a query's weakest positive can outrank one, so every lower
+value is lifted to one value just below it before the sort, which
+leaves every place as it was. One block is held at a time and lifted
+and sorted in place; a block with a tie makes its product again to
 read the unsorted row. Average precision is the plain uninterpolated
 form; queries with zero gallery positives are excluded from both
 metrics and reported, never silently counted as zero.
@@ -111,17 +114,24 @@ def _block_places(queries, gallery_features, rows, cols, row_start, positives):
     The place of the positive at column c with similarity s is
     ``#{s' > s} + #{c' < c : s' == s}``. The first term is ``G`` minus the
     right insertion point of s in the value-sorted row; the block is sorted
-    in place. The second is counted in the unsorted row, and only where s
-    is tied: then the block's product is made again, the same call on the
-    same operands, which gives the same bits."""
+    in place. Before the sort, every similarity below its row's weakest
+    positive w is lifted to the one value just below w: it stays below
+    every positive, so neither term changes, and a row of mostly one value
+    sorts faster. A row without positives is lifted whole. The second term
+    is counted in the unsorted row, and only where s is tied: then the
+    block's product is made again, the same call on the same operands,
+    which gives the same bits."""
     sims = queries @ gallery_features.T
+    if not np.isfinite(sims).all():  # before the lift, which would hide a -inf
+        raise ValueError("query-gallery similarities overflow the float range")
     num_g = sims.shape[1]
     keys = sims[rows, cols]
-    sims.sort(axis=1)
-    if not np.isfinite(sims[:, [0, -1]]).all():  # sort puts NaN last
-        raise ValueError("query-gallery similarities overflow the float range")
-    right = np.empty(len(rows), dtype=np.int64)
     query = np.flatnonzero(positives)
+    weakest = np.full(len(sims), np.inf)
+    weakest[query] = np.minimum.reduceat(keys, row_start[query])
+    np.maximum(sims, np.nextafter(weakest, -np.inf)[:, None], out=sims)
+    sims.sort(axis=1)
+    right = np.empty(len(rows), dtype=np.int64)
     bounds = zip(query.tolist(), row_start[query].tolist(),
                  (row_start + positives)[query].tolist())
     for q, start, stop in bounds:
@@ -140,9 +150,11 @@ def _block_places(queries, gallery_features, rows, cols, row_start, positives):
 
 def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> RankingResult:
     """Retrieval metrics of an encoder: encode every sample, then split and
-    rank as ``eval_cfg`` (an ``EvalConfig``) says."""
-    features = encoder_mod.image_feature(
-        params, encoder_mod.patch_means(dataset.patches, params.part_tokens))
+    rank as ``eval_cfg`` (an ``EvalConfig``) says. Raises ValueError for a
+    sample whose patch and stripe means are all zero."""
+    means = encoder_mod.patch_means(dataset.patches, params.part_tokens)
+    encoder_mod.check_not_blank(means)
+    features = encoder_mod.image_feature(params, means)
     query, gallery = synth_mod.split_query_gallery(
         dataset, eval_cfg.query_per_identity, eval_cfg.seed)
     ids = dataset.spec.identities

@@ -134,7 +134,7 @@ def load_dataset(prefix) -> SynthDataset:
     """Read a dataset pair written by :func:`save_dataset`.
 
     The patches are a read-only float32 view of the blob, which every
-    reader widens to float64 a block or batch at a time; the identities
+    reader widens to float64 a patch or batch at a time; the identities
     follow from the spec. A missing, mistyped or invalid manifest field, a
     blob of another length than the spec's patches, or a non-finite patch
     value raise DataFormatError; other fields (an old ``num_samples``) are ignored.
@@ -149,9 +149,8 @@ def load_dataset(prefix) -> SynthDataset:
         raise DataFormatError(
             f"dataset blob has {len(blob)} bytes, expected {expected} from manifest fields")
     patches = blobio.floats_from_bytes(blob).reshape(n, i, d)
-    # a float64 sum of float32 values is finite iff all are; it needs no mask,
-    # and unlike a float32 sum it cannot overflow on finite values
-    with np.errstate(invalid="ignore"):  # inf + -inf is nan: non-finite all the same
-        if not np.isfinite(patches.sum(dtype=np.float64)):
-            raise DataFormatError("dataset blob has non-finite patch values")
+    # max and min propagate NaN, and one of them is ±inf if any value is;
+    # neither makes a temporary or a float64 copy
+    if not (np.isfinite(patches.max()) and np.isfinite(patches.min())):
+        raise DataFormatError("dataset blob has non-finite patch values")
     return SynthDataset(patches=patches, spec=spec)

@@ -182,6 +182,18 @@ def _stripe_means(patches, z):
     return [patches[starts[k]:starts[k + 1]].mean(axis=0) for k in range(z)]
 
 
+def patch_means_by_stack(patches, z):
+    """(1 + Z, ..., d_in) patch and stripe means of (..., I, d_in) stacks,
+    one stack at a time: each is widened to float64 and reduced by its
+    own ``mean``, the form ``tokmem.encoder.patch_means`` must equal bit
+    for bit."""
+    patches = np.asarray(patches)
+    *batch, num_patches, d_in = patches.shape
+    stacks = patches.reshape(-1, num_patches, d_in).astype(np.float64)
+    means = [[x.mean(axis=0), *_stripe_means(x, z)] for x in stacks]
+    return np.stack(means, axis=1).reshape(1 + z, *batch, d_in)
+
+
 def encode_one(params, patches):
     """(image feature, tokens) of one (I, d_in) patch stack, widened to
     float64 as ``encode`` widens it."""

@@ -249,8 +249,8 @@ def test_train_and_eval_reject_nonfinite_patch_exit_2(tmp_path, capsys):
 
 
 def test_blob_with_both_infinities_exits_2_without_a_warning(tmp_path, capsys):
-    """+inf and -inf sum to NaN; the check says non-finite, and numpy's
-    invalid-value warning (an error in this suite) stays silent."""
+    """+inf and -inf in one blob: the check says non-finite, and no numpy
+    invalid-value warning (an error in this suite) comes before it."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
@@ -264,6 +264,14 @@ def test_blob_with_both_infinities_exits_2_without_a_warning(tmp_path, capsys):
         assert capsys.readouterr().err == "error: dataset blob has non-finite patch values\n"
 
 
+def run_cli(command, cfg, *args):
+    """``tokmem <command> --config <cfg>`` in a separate process, so that
+    its stderr is what a user sees, numpy's warnings included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "tokmem.cli", command, "--config", str(cfg),
+                           *args], capture_output=True, text=True, env=env)
+
+
 def test_blank_image_exits_2_naming_the_sample(tmp_path):
     """A sample whose patches are all zero has no feature direction: train
     names it in one stderr line, with no warning before it, and writes no
@@ -274,12 +282,56 @@ def test_blank_image_exits_2_naming_the_sample(tmp_path):
     blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4").reshape(24, -1).copy()
     blob[5] = 0.0
     blob_path.write_bytes(blob.tobytes())
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-m", "tokmem.cli", "train", "--config", str(cfg)],
-                          capture_output=True, text=True, env=env)
+    proc = run_cli("train", cfg)
     assert proc.returncode == 2
     assert proc.stderr == "error: sample 5 is blank: its patch and stripe means are all zero\n"
     assert not list((tmp_path / "run").glob("ckpt*"))
+
+
+def test_eval_of_a_blank_sample_exits_2_and_writes_no_metrics(tmp_path):
+    """eval refuses a blank sample with train's line, before any warning,
+    and writes neither the metrics nor the per-query CSV."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    blob_path = tmp_path / "run" / "data.f32"
+    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4").reshape(24, -1).copy()
+    blob[5] = 0.0
+    blob_path.write_bytes(blob.tobytes())
+    proc = run_cli("eval", cfg, "--per-query-csv", str(tmp_path / "run" / "per_query.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: sample 5 is blank: its patch and stripe means are all zero\n"
+    assert proc.stdout == ""
+    assert not list((tmp_path / "run").glob("metrics*"))
+    assert not list((tmp_path / "run").glob("per_query*"))
+
+
+def test_all_zero_patch_exits_2_naming_sample_and_patch(tmp_path):
+    """One all-zero patch in a sample that is not blank has a token with no
+    direction: train names the sample and the patch in one stderr line,
+    with no warning before it, and keeps the previous checkpoint; -0.0
+    counts as zero too. eval reads no token: it scores such a dataset."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    run = tmp_path / "run"
+    checkpoint = [(run / name).read_bytes() for name in ("ckpt.json", "ckpt.f32", "log.jsonl")]
+    blob = np.frombuffer((run / "data.f32").read_bytes(), dtype="<f4").reshape(24, 6, 5).copy()
+    blob[5, 3] = 0.0
+    blob[7, 1] = -0.0
+    (run / "data.f32").write_bytes(blob.tobytes())
+    proc = run_cli("train", cfg)
+    assert (proc.returncode, proc.stderr) == (2, "error: sample 5 patch 3 is all zero: its "
+                                                 "token has no direction\n")
+    blob[5, 3] = blob[4, 3]
+    (run / "data.f32").write_bytes(blob.tobytes())
+    proc = run_cli("train", cfg)
+    assert (proc.returncode, proc.stderr) == (2, "error: sample 7 patch 1 is all zero: its "
+                                                 "token has no direction\n")
+    assert [(run / name).read_bytes() for name in ("ckpt.json", "ckpt.f32",
+                                                   "log.jsonl")] == checkpoint
+    proc = run_cli("eval", cfg)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("spread", [1e39, 1e308])

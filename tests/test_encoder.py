@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tokmem.encoder import (EncoderParams, encode, encode_backward,
+from oracles import patch_means_by_stack
+from tokmem.encoder import (CHUNK, EncoderParams, encode, encode_backward,
                             image_feature, init_params, load_checkpoint,
                             part_slices, patch_means, save_checkpoint)
 from tokmem.errors import DataFormatError
@@ -164,9 +165,8 @@ def test_patch_means_of_a_batch_are_rows_of_the_whole(rng, num_patches, z):
         b = rng.permutation(40)[:size]
         np.testing.assert_array_equal(whole[:, b], patch_means(x[b], z))
     np.testing.assert_array_equal(whole[:, 3], patch_means(x[3], z))
-    # float32 stacks, widened a block at a time, give the float64 means bit
-    # for bit: over a count that is no multiple of the block, and with a
-    # second leading axis whose rows straddle the blocks
+    # float32 stacks give the means of their float64 copy bit for bit, also
+    # with a second leading axis
     x32 = (rng.normal(size=(2 * BLOCK + 3, num_patches, 4))
            * rng.choice([1e-3, 1.0, 1e3], size=(2 * BLOCK + 3, 1, 1))).astype(np.float32)
     wide = patch_means(x32.astype(np.float64), z)
@@ -174,6 +174,21 @@ def test_patch_means_of_a_batch_are_rows_of_the_whole(rng, num_patches, z):
     stacked = patch_means(x32.reshape(7, 37, num_patches, 4), z)
     assert stacked.shape == (1 + z, 7, 37, 4)
     assert stacked.tobytes() == wide.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_patches,z", [(6, 6), (5, 5), (9, 4), (16, 3), (7, 1)])
+def test_patch_means_equal_the_per_stack_mean_oracle(rng, dtype, num_patches, z):
+    """Bit for bit the per-stack ``mean`` of the float64 stacks: stripes of
+    width 1 (Z = I), a remainder stripe (9 = 2 + 2 + 2 + 3, 16 = 5 + 5 + 6),
+    patch magnitudes from 1e-3 to 1e30 within each stack, where the order
+    of the adds shows in the bits, and more stacks than one ``CHUNK``."""
+    count = CHUNK + 7  # the last chunk of stacks is a short one
+    scale = 10.0 ** rng.uniform(-3, 30, size=(count, num_patches, 1))
+    x = (rng.normal(size=(count, num_patches, 3)) * scale).astype(dtype)
+    assert patch_means(x, z).tobytes() == patch_means_by_stack(x, z).tobytes()
+    stacked = x[:50].reshape(5, 10, num_patches, 3)
+    assert patch_means(stacked, z).tobytes() == patch_means_by_stack(stacked, z).tobytes()
 
 
 def test_patch_means_rejects_fewer_than_two_axes():

@@ -84,11 +84,16 @@ def test_nonfinite_features_rejected():
 
 
 def test_overflowing_similarities_rejected():
-    """Finite features whose dot products overflow have no order to rank."""
+    """Finite features whose dot products overflow have no order to rank,
+    also where the product is -inf, below the weakest positive, where
+    lifting it to that positive would hide it."""
+    cases = [([[1e200], [1.0]], [0, 0]), ([[-1e200], [1.0]], [0, 0]),
+             ([[-1e200], [1.0]], [1, 0])]  # last: the -inf is no positive
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="similarities overflow the float range"):
-            evaluate_retrieval(np.array([[1e200]]), np.zeros(1),
-                               np.array([[1e200], [1.0]]), np.zeros(2), k_max=1)
+        for gallery, gallery_ids in cases:
+            with pytest.raises(ValueError, match="similarities overflow the float range"):
+                evaluate_retrieval(np.array([[1e200]]), np.zeros(1), np.array(gallery),
+                                   np.array(gallery_ids), k_max=1)
 
 
 @pytest.mark.parametrize("num_query_ids, num_gallery_ids", [(2, 3), (1, 2), (1, 4)])
@@ -160,6 +165,51 @@ def test_metrics_bit_equal_stable_argsort_oracle(kind, seed):
     assert result.per_query_ap.tobytes() == ap.tobytes()
     assert result.cmc.tobytes() == cmc.tobytes()
     assert result.mean_ap == mean_ap
+
+
+def assert_equals_stable_argsort_oracle(query, query_ids, gallery, gallery_ids):
+    k_max = len(gallery)
+    ap, cmc, mean_ap = retrieval_by_stable_argsort(query, query_ids, gallery, gallery_ids,
+                                                   k_max)
+    result = evaluate_retrieval(query, query_ids, gallery, gallery_ids, k_max)
+    assert result.per_query_ap.tobytes() == ap.tobytes()
+    assert result.cmc.tobytes() == cmc.tobytes()
+    assert result.mean_ap == mean_ap
+
+
+BELOW_HALF = np.nextafter(0.5, -np.inf)  # what a weakest positive 0.5 lifts lower values to
+
+
+@pytest.mark.parametrize("sims, positive", [
+    # a negative already at the lifted value, beside lower ones lifted to it
+    ([BELOW_HALF, 0.5, 0.1, 0.7, BELOW_HALF, 0.6], [0, 1, 0, 0, 0, 1]),
+    # negatives tied with the weakest positive, at lower and at higher indices
+    ([0.5, 0.9, 0.2, 0.5, 0.5, 0.1, 0.5], [0, 1, 0, 0, 1, 0, 0]),
+    # the weakest positive is the row minimum: nothing is lifted
+    ([0.3, 0.1, 0.8, 0.5, 0.2], [0, 1, 1, 0, 0]),
+    # ... and tied with negatives on both sides
+    ([0.1, 0.1, 0.8, 0.5, 0.1], [0, 1, 1, 0, 0]),
+])
+def test_lifted_ranking_edge_cases_equal_the_oracle(sims, positive):
+    """Lifting the similarities below a query's weakest positive to one
+    value just below it changes no place, bit for bit."""
+    q, g = gallery_with_sims(sims)
+    assert_equals_stable_argsort_oracle(q[None], np.ones(1), g, np.array(positive))
+
+
+@pytest.mark.parametrize("first_valid", [0, 5, BLOCK + 2])
+def test_queries_without_positives_inside_a_block_equal_the_oracle(rng, first_valid):
+    """Queries without gallery positives sit among valid ones in a block, and
+    with ``first_valid > BLOCK`` fill a whole block; each valid row is lifted
+    to its own weakest positive. The queries are the identity, so each
+    query's similarities are a column of scores in steps of 1/4, most of
+    them tied."""
+    num_q, num_g = BLOCK + 9, 30
+    scores = rng.integers(0, 6, size=(num_q, num_g)) / 4.0
+    query_ids = rng.integers(0, 6, num_q)  # ids 4 and 5: no gallery positive
+    query_ids[:first_valid] = 5
+    gallery_ids = rng.integers(0, 4, num_g)
+    assert_equals_stable_argsort_oracle(np.eye(num_q), query_ids, scores.T, gallery_ids)
 
 
 def test_ap_worked_example():

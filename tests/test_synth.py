@@ -203,3 +203,20 @@ def test_truncated_blob_rejected(tmp_path):
 def test_missing_files_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("values, finite", [
+    ([np.nan], False), ([np.inf], False), ([-np.inf], False), ([np.inf, -np.inf], False),
+    ([np.nan, np.inf], False), ([3.4028235e38, -3.4028235e38], True)])
+def test_load_refuses_exactly_the_non_finite_blobs(tmp_path, values, finite):
+    """NaN, either infinity or both are refused, in any sample; the float32
+    extremes on both sides load as they are."""
+    ds = generate(make_spec())
+    patches = ds.patches.copy()
+    patches.flat[[1, -2][:len(values)]] = values
+    save_dataset(dataclasses.replace(ds, patches=patches), tmp_path / "data")
+    if finite:
+        assert load_dataset(tmp_path / "data").patches.tobytes() == patches.tobytes()
+    else:
+        with pytest.raises(DataFormatError, match="non-finite patch values"):
+            load_dataset(tmp_path / "data")
