@@ -259,8 +259,7 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
 
     # Image-feature path: f = normalize(W_head[0] xbar + mean_z W_head[z] xbar_z).
     g_pre = _normalize_backward(grad_image_feature, pre).reshape(-1, d)
-    for h, mean in enumerate(means):
-        g_w_head[h] = g_pre.T @ mean.reshape(-1, d_in)
+    g_w_head[...] = g_pre.T @ means.reshape(len(means), -1, d_in)
     g_w_head[1:] /= len(means) - 1
     return grad
 

@@ -72,8 +72,10 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     if not valid.any():
         raise ValueError("every query lacks gallery positives")
     rows, cols, row_start = gather_runs(order, lo, hi)
-    places = _positive_places(query_features, gallery_features, rows, cols, row_start,
-                              positives)
+    # one (BLOCK, G) block of similarities at a time, freed on return
+    places = np.concatenate([
+        _block_places(query_features[q:q + BLOCK], gallery_features, rows, cols, q)
+        for q in range(0, num_q, BLOCK)])
     # a positive's hit count is its index among its row's ascending places
     hits = np.arange(1, len(rows) + 1) - row_start[rows]
     precision_sums = np.bincount(rows, weights=hits / (places + 1), minlength=num_q)
@@ -90,26 +92,12 @@ def evaluate_retrieval(query_features: np.ndarray, query_ids: np.ndarray,
     )
 
 
-def _positive_places(query_features, gallery_features, rows, cols, row_start, positives):
-    """0-based ranking places of the positives ``(rows, cols)`` of the
-    query-gallery similarities, given row-major, sorted within each row.
-
-    The queries are scored ``BLOCK`` rows at a time, so no more than one
-    ``(BLOCK, G)`` block of similarities is held."""
-    places = np.empty(len(rows), dtype=np.int64)
-    ends = row_start + positives
-    for q in range(0, len(query_features), BLOCK):
-        stop = min(q + BLOCK, len(query_features))
-        lo, hi = row_start[q], ends[stop - 1]
-        # the block's arrays are freed on return, before the next is made
-        places[lo:hi] = _block_places(query_features[q:stop], gallery_features,
-                                      rows[lo:hi] - q, cols[lo:hi], row_start[q:stop] - lo,
-                                      positives[q:stop])
-    return places
-
-
-def _block_places(queries, gallery_features, rows, cols, row_start, positives):
-    """:func:`_positive_places` of one block of query rows.
+def _block_places(queries, gallery_features, rows, cols, first):
+    """0-based ranking places of the positives of the query rows
+    ``first:first + len(queries)``. ``(rows, cols)`` are all the positives
+    of the query-gallery similarities, row-major, sorted within each row;
+    the block finds its own with one ``searchsorted``. Every block is
+    multiplied and checked for overflow, one without positives too.
 
     The place of the positive at column c with similarity s is
     ``#{s' > s} + #{c' < c : s' == s}``. The first term is ``G`` minus the
@@ -125,15 +113,17 @@ def _block_places(queries, gallery_features, rows, cols, row_start, positives):
     if not np.isfinite(sims).all():  # before the lift, which would hide a -inf
         raise ValueError("query-gallery similarities overflow the float range")
     num_g = sims.shape[1]
+    starts = np.searchsorted(rows, np.arange(first, first + len(queries) + 1))
+    rows, cols = rows[starts[0]:starts[-1]] - first, cols[starts[0]:starts[-1]]
+    starts -= starts[0]
     keys = sims[rows, cols]
-    query = np.flatnonzero(positives)
+    query = np.flatnonzero(starts[1:] > starts[:-1])
     weakest = np.full(len(sims), np.inf)
-    weakest[query] = np.minimum.reduceat(keys, row_start[query])
+    weakest[query] = np.minimum.reduceat(keys, starts[query])
     np.maximum(sims, np.nextafter(weakest, -np.inf)[:, None], out=sims)
     sims.sort(axis=1)
     right = np.empty(len(rows), dtype=np.int64)
-    bounds = zip(query.tolist(), row_start[query].tolist(),
-                 (row_start + positives)[query].tolist())
+    bounds = zip(query.tolist(), starts[query].tolist(), starts[query + 1].tolist())
     for q, start, stop in bounds:
         right[start:stop] = np.searchsorted(sims[q], keys[start:stop], side="right")
     places = num_g - right

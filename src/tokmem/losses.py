@@ -39,21 +39,13 @@ __all__ = ["LossOutput", "patch_rate", "select_constraint_tokens", "softmax_ce"]
 class LossOutput:
     """``value`` holds one non-negative negative-log-probability per row.
 
-    ``grad_tokens`` is present when the candidates are per-row (the
-    constraint loss's tokens); it follows the candidates' layout, and is
-    computed when read, so a caller holding the candidates constant skips it.
+    ``grad_tokens`` follows the candidates' layout; it is None when the
+    candidates are shared.
     """
 
     value: np.ndarray
     grad_image_feature: np.ndarray
-    token_terms: tuple | None = None  # (coeff, f, t) of grad_tokens
-
-    @property
-    def grad_tokens(self) -> np.ndarray | None:
-        if self.token_terms is None:
-            return None
-        coeff, f, temperature = self.token_terms
-        return coeff[:, :, None] * f[:, None, :] / temperature
+    grad_tokens: np.ndarray | None = None
 
 
 def patch_rate(num_patches: int, rate: float) -> int:
@@ -107,7 +99,8 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
       d/d f      = (1/t) sum_k (w_k - [k == target]) c_k
       d/d c_k    = (1/t) (w_k - [k == target]) f
 
-    ``grad_tokens`` holds d/d c_k for per-row candidates; shared
+    ``grad_tokens`` holds d/d c_k for every per-row candidate set, so the
+    anchor term's mined entries get one, which the caller drops; shared
     candidates are memory constants and get none.
     """
     if not temperature > 0.0:  # NaN fails too
@@ -135,4 +128,4 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
         return LossOutput(value=value, grad_image_feature=(coeff @ cand) / temperature)
     grad_f = (coeff[:, None, :] @ cand)[:, 0, :] / temperature
     return LossOutput(value=value, grad_image_feature=grad_f,
-                      token_terms=(coeff, f, temperature))
+                      grad_tokens=coeff[:, :, None] * f[:, None, :] / temperature)

@@ -86,13 +86,17 @@ def test_nonfinite_features_rejected():
 def test_overflowing_similarities_rejected():
     """Finite features whose dot products overflow have no order to rank,
     also where the product is -inf, below the weakest positive, where
-    lifting it to that positive would hide it."""
-    cases = [([[1e200], [1.0]], [0, 0]), ([[-1e200], [1.0]], [0, 0]),
-             ([[-1e200], [1.0]], [1, 0])]  # last: the -inf is no positive
+    lifting it to that positive would hide it, and where the overflowing
+    query has no positive, beside a valid one or alone in the last block."""
+    big, valid = [1e200], [1.0]
+    cases = [([big], [0], [[1e200], [1.0]], [0, 0]), ([big], [0], [[-1e200], [1.0]], [0, 0]),
+             ([big], [0], [[-1e200], [1.0]], [1, 0]),  # the -inf is no positive
+             ([big, valid], [9, 0], [[1e200], [1.0]], [0, 0]),
+             ([valid] * BLOCK + [big], [0] * BLOCK + [9], [[1e200], [1.0]], [0, 0])]
     with np.errstate(over="ignore"):
-        for gallery, gallery_ids in cases:
+        for queries, query_ids, gallery, gallery_ids in cases:
             with pytest.raises(ValueError, match="similarities overflow the float range"):
-                evaluate_retrieval(np.array([[1e200]]), np.zeros(1), np.array(gallery),
+                evaluate_retrieval(np.array(queries), np.array(query_ids), np.array(gallery),
                                    np.array(gallery_ids), k_max=1)
 
 
@@ -315,8 +319,10 @@ def test_excluded_queries_counted(rng):
 @pytest.mark.parametrize("trial", range(6))
 def test_positives_match_the_match_matrix(monkeypatch, trial):
     """The positives the ranking sees, from one grouping of the gallery ids,
-    are those of the (Q, G) match matrix: per-query counts and the
-    row-major (row, column) pairs. One query id is absent from the gallery."""
+    are those of the (Q, G) match matrix: the row-major (row, column)
+    pairs, split into query blocks of 7 rows, every block scored and each
+    placing its own queries' positives. One query id is absent from the
+    gallery."""
     import tokmem.evaluate as evaluate_mod
 
     rng = np.random.Generator(np.random.Philox(key=np.array([313, trial], dtype=np.uint64)))
@@ -324,23 +330,27 @@ def test_positives_match_the_match_matrix(monkeypatch, trial):
     gallery_ids = rng.integers(0, num_ids, size=num_g)
     query_ids = np.append(rng.integers(0, num_ids, size=num_q), num_ids)
     query_ids[0] = gallery_ids[0]  # at least one query is scored
-    seen = {}
-    real = evaluate_mod._positive_places
+    blocks = []
+    real = evaluate_mod._block_places
 
-    def spy(query_features, gallery_features, rows, cols, row_start, positives):
-        seen.update(rows=rows, cols=cols, row_start=row_start, positives=positives)
-        return real(query_features, gallery_features, rows, cols, row_start, positives)
+    def spy(queries, gallery_features, rows, cols, first):
+        places = real(queries, gallery_features, rows, cols, first)
+        mine = (rows >= first) & (rows < first + len(queries))
+        blocks.append((first, len(queries), rows[mine], cols[mine], places))
+        return places
 
-    monkeypatch.setattr(evaluate_mod, "_positive_places", spy)
+    monkeypatch.setattr(evaluate_mod, "BLOCK", 7)
+    monkeypatch.setattr(evaluate_mod, "_block_places", spy)
     result = evaluate_retrieval(unit_rows(rng, len(query_ids), 4), query_ids,
                                 unit_rows(rng, num_g, 4), gallery_ids, k_max=1)
     matches = gallery_ids == query_ids[:, None]
-    np.testing.assert_array_equal(seen["positives"], matches.sum(axis=1))
+    assert [(first, size) for first, size, *_ in blocks] == [
+        (first, min(7, len(query_ids) - first)) for first in range(0, len(query_ids), 7)]
     rows, cols = np.nonzero(matches)
-    np.testing.assert_array_equal(seen["rows"], rows)
-    np.testing.assert_array_equal(seen["cols"], cols)
-    np.testing.assert_array_equal(seen["row_start"],
-                                  np.cumsum(seen["positives"]) - seen["positives"])
+    np.testing.assert_array_equal(np.concatenate([block[2] for block in blocks]), rows)
+    np.testing.assert_array_equal(np.concatenate([block[3] for block in blocks]), cols)
+    for first, size, block_rows, _, places in blocks:
+        assert len(places) == matches[first:first + size].sum() == len(block_rows)
     assert np.isnan(result.per_query_ap[-1])
     assert result.excluded_queries == (matches.sum(axis=1) == 0).sum()
 

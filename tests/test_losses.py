@@ -209,6 +209,19 @@ def test_anchor_gradients_match_finite_differences():
         assert relative_error(out.grad_image_feature, numeric) < 1e-4
 
 
+def test_masked_per_row_candidates_get_zero_token_gradients(rng):
+    """Per-row candidates, as ``train_step`` mines them for the anchor
+    term, get ``grad_tokens``; a masked candidate has weight 0, so its
+    gradient is exactly zero, while the others keep (w_k - [k == 0]) f / t."""
+    f, cand = unit_rows(rng, 3, 4), unit_rows(rng, 15, 4).reshape(3, 5, 4)
+    valid = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
+    out = softmax_ce(f, cand, 0, temperature=0.1, valid=valid)
+    assert out.grad_tokens.shape == cand.shape
+    assert (out.grad_tokens[~valid] == 0.0).all()
+    np.testing.assert_array_equal(out.grad_tokens[1, 0], np.zeros(4))  # only its positive
+    assert (out.grad_tokens[valid & (np.arange(5) > 0)] != 0.0).any(axis=1).all()
+
+
 # ------------------------------------------------------------- combinations
 # ``train_step`` sums the three terms as w_con*con + w_pro*pro + w_anc*anc;
 # the SGD step is linear in that sum's gradient, so parameter changes add
