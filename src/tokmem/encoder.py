@@ -37,7 +37,7 @@ from .linalg import normalize_rows, row_norms
 
 __all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
            "encode_backward", "image_feature", "part_slices", "patch_means",
-           "check_not_blank", "save_checkpoint", "load_checkpoint"]
+           "save_checkpoint", "load_checkpoint"]
 
 
 class EncoderParams:
@@ -133,7 +133,8 @@ def patch_means(patches: np.ndarray, part_tokens: int) -> np.ndarray:
     means are reduced over its own patches alone, and
     ``patch_means(x)[:, b]`` equals ``patch_means(x[b])`` bit for bit.
     The stacks are summed ``CHUNK`` at a time, which stay in cache across
-    the heads' adds; no copy of them is made."""
+    the heads' adds; no copy of them is made. Raises ValueError naming the
+    first stack (flat index) whose means are all zero: no feature direction."""
     patches = np.asarray(patches)
     if patches.ndim < 2:
         raise ValueError("patches must be (..., I, d_in)")
@@ -149,16 +150,10 @@ def patch_means(patches: np.ndarray, part_tokens: int) -> np.ndarray:
             for j in rest:
                 acc += chunk[:, j]
             acc /= 1 + len(rest)
-    return means.reshape(1 + part_tokens, *batch, d_in)
-
-
-def check_not_blank(means: np.ndarray) -> None:
-    """Raise ValueError naming the first sample of the (1 + Z, N, d_in)
-    ``patch_means`` whose patch and stripe means are all zero: its image
-    feature has no direction to normalize."""
-    blank = np.flatnonzero(~means.any(axis=0).any(axis=1))
+    blank = np.flatnonzero(~means.any(axis=(0, 2)))
     if blank.size:
         raise ValueError(f"sample {blank[0]} is blank: its patch and stripe means are all zero")
+    return means.reshape(1 + part_tokens, *batch, d_in)
 
 
 def _check_means(params: EncoderParams, means: np.ndarray,

@@ -140,11 +140,10 @@ def _block_places(queries, gallery_features, rows, cols, first):
 
 def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> RankingResult:
     """Retrieval metrics of an encoder: encode every sample, then split and
-    rank as ``eval_cfg`` (an ``EvalConfig``) says. Raises ValueError for a
-    sample whose patch and stripe means are all zero."""
-    means = encoder_mod.patch_means(dataset.patches, params.part_tokens)
-    encoder_mod.check_not_blank(means)
-    features = encoder_mod.image_feature(params, means)
+    rank as ``eval_cfg`` (an ``EvalConfig``) says. ``encoder.patch_means``
+    raises ValueError for a sample whose patch and stripe means are all zero."""
+    features = encoder_mod.image_feature(
+        params, encoder_mod.patch_means(dataset.patches, params.part_tokens))
     query, gallery = synth_mod.split_query_gallery(
         dataset, eval_cfg.query_per_identity, eval_cfg.seed)
     ids = dataset.spec.identities

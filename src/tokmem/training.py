@@ -141,18 +141,17 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
 
     Log record keys: epoch, mean_constraint, mean_proto, mean_anchor,
     mean_total, C (cluster count), outliers, lr. Loss means are null for
-    a skipped epoch (not enough clustered samples). Raises ValueError for
-    a sample whose patch and stripe means are all zero or for an all-zero
-    patch, before any epoch, and NumericError on
-    a non-finite loss, and after an epoch that leaves a weight no float32
-    checkpoint can store.
+    a skipped epoch (not enough clustered samples). Raises ValueError,
+    before any epoch, for a sample whose patch and stripe means are all
+    zero (``encoder.patch_means``) or for an all-zero patch, and
+    NumericError on a non-finite loss and after an epoch that leaves a
+    weight no float32 checkpoint can store.
     """
     config.validate(dataset.spec)
 
     params = encoder_mod.init_params(config.feature_dim, dataset.spec.patch_input_dim,
                                      config.part_tokens, config.seed)
     means = encoder_mod.patch_means(dataset.patches, config.part_tokens)
-    encoder_mod.check_not_blank(means)
     zero = np.argwhere(~dataset.patches.any(axis=2))
     if zero.size:
         raise ValueError(f"sample {zero[0, 0]} patch {zero[0, 1]} is all zero: "

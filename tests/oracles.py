@@ -17,8 +17,8 @@ not check:
   the encoder (forward and backward), DBSCAN, batch sampling, the
   learning rate, token selection, ``label_runs``, ``compute_prototypes``,
   ``gather_runs`` and ``normalize_rows``. It reads the epoch's features
-  as its instance bank, and re-derives on every step the mining checks,
-  the write rounds, the softmax cross-entropies and the loss sums.
+  as its instance bank and has its own copy of the mining checks, the
+  write rounds, the softmax cross-entropies and the loss sums.
 """
 
 import numpy as np
@@ -156,8 +156,9 @@ def retrieval_by_stable_argsort(query_features, query_ids, gallery_features,
 # selection, three softmax cross-entropies, mining and backward pass per
 # anchor, with per-anchor sorts and sequential momentum updates. It reuses
 # only the pipeline stages the batching leaves alone (init, DBSCAN, batch
-# sampling, prototypes) and is the equivalence oracle for the
-# batched step in tokmem.training.
+# sampling), computes its own prototypes as the normalized mean of each
+# cluster's bank rows, and is the equivalence oracle for the batched step
+# in tokmem.training.
 
 def _unit(v):
     return v / np.linalg.norm(v)
@@ -337,13 +338,14 @@ def per_anchor_train(config, dataset):
 
 # ------------------------------------------------------ stepwise training loop
 #
-# The batched training loop as it ran before its label work was planned
-# once per epoch: every step re-derives its anchors' label checks and
-# candidate counts (``stepwise_mine``) and each bank's write rounds
-# (``stepwise_momentum``), and softmax_ce indexes its target column with
-# a row arange. It shares the encoder, DBSCAN, batch sampling, prototypes
-# and token selection with tokmem, and is the byte-identity oracle for
-# tokmem.training.train.
+# A frozen copy of the batched training loop, kept as the byte-identity
+# oracle for tokmem.training.train so that every later refactor of the
+# loop must reproduce it. Its steps check their anchors' labels and count
+# their candidates (``stepwise_mine``) and derive each bank's write rounds
+# (``stepwise_momentum``) as ``train`` does, in code of their own, and
+# softmax_ce indexes its target column with a row arange. It shares the
+# encoder, DBSCAN, batch sampling, prototypes and token selection with
+# tokmem.
 
 def stepwise_softmax_ce(f, cand, target, temperature, valid=None):
     """(value, grad_image_feature, grad_tokens or None) of one batched

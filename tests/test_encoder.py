@@ -196,6 +196,25 @@ def test_patch_means_rejects_fewer_than_two_axes():
         patch_means(np.zeros(6), 2)
 
 
+def test_patch_means_refuse_a_blank_stack_by_its_flat_index(rng):
+    """A stack whose patch and stripe means are all zero has no feature
+    direction; the refusal names its flat index, also past the first
+    ``CHUNK`` and with two leading axes, where ``-0.0`` counts as zero."""
+    message = "sample {} is blank: its patch and stripe means are all zero"
+    flat = rng.normal(size=(CHUNK + 5, 6, 3))
+    flat[CHUNK + 2] = 0.0
+    with pytest.raises(ValueError, match=f"^{message.format(CHUNK + 2)}$"):
+        patch_means(flat, 2)
+    stacked = rng.normal(size=(3, 4, 6, 3)).astype(np.float32)
+    stacked[1, 2] = -0.0
+    with pytest.raises(ValueError, match=f"^{message.format(6)}$"):
+        patch_means(stacked, 2)
+    # one non-zero patch, in the last stripe, gives the stack a direction
+    stacked[1, 2, -1, 0] = 1.0
+    means = patch_means(stacked, 2)
+    assert means[:, 1, 2].any(axis=-1).tolist() == [True, False, True]
+
+
 def test_encode_rejects_patches_of_another_width(rng):
     params = init_params(4, 6, 2, seed=9)
     patches = rng.normal(size=(3, 5, 7))
