@@ -22,7 +22,7 @@ from . import gradcheck as gradcheck_mod
 from . import synth as synth_mod
 from . import training as train_mod
 from .config import RunConfig, check_distinct_files, load_run_config
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError, check_made_by
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,11 +69,8 @@ def _cmd_gen_data(args) -> int:
 def _load_dataset(cfg: RunConfig) -> synth_mod.SynthDataset:
     """The dataset at ``paths.dataset``; ConfigError unless its spec is ``cfg.data``."""
     ds = synth_mod.load_dataset(cfg.paths.dataset)
-    found = ds.spec.to_dict()
-    for name, expected in cfg.data.to_dict().items():
-        if found[name] != expected:
-            raise ConfigError(f"dataset {cfg.paths.dataset} has `data.{name}` {found[name]}, "
-                              f"config has {expected}; run gen-data again")
+    check_made_by({"data": vars(ds.spec)}, {"data": cfg.data},
+                  f"dataset {cfg.paths.dataset}", "gen-data")
     return ds
 
 
@@ -92,6 +89,7 @@ def _cmd_train(args) -> int:
         return EXIT_NUMERIC_ERROR
     log = "".join(json.dumps(record) + "\n" for record in result.log)
     encoder_mod.save_checkpoint(result.params, cfg.paths.checkpoint,
+                                {"data": cfg.data, "train": cfg.train},
                                 with_files=[(cfg.paths.log, log.encode())])
     if result.log:
         last = result.log[-1]
@@ -113,23 +111,13 @@ def _cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     check_distinct_files(cfg.paths, args.config, args.per_query_csv)
     ds = _load_dataset(cfg)
-    params = encoder_mod.load_checkpoint(cfg.paths.checkpoint)
-    _check_checkpoint_dims(cfg, params)
+    params = encoder_mod.load_checkpoint(cfg.paths.checkpoint,
+                                         {"data": cfg.data, "train": cfg.train})
     result = evaluate_mod.evaluate_encoder(params, ds, cfg.eval)
     evaluate_mod.write_metrics(result, cfg.paths.metrics, per_query_csv=args.per_query_csv)
     print(f"mAP={result.mean_ap:.4f} rank1={result.cmc[0]:.4f} "
           f"queries={result.num_queries} excluded={result.excluded_queries}")
     return EXIT_OK
-
-
-def _check_checkpoint_dims(cfg: RunConfig, params: encoder_mod.EncoderParams) -> None:
-    pairs = [("feature_dim", params.feature_dim, cfg.train.feature_dim),
-             ("patch_input_dim", params.patch_input_dim, cfg.data.patch_input_dim),
-             ("part_tokens", params.part_tokens, cfg.train.part_tokens)]
-    for name, actual, expected in pairs:
-        if actual != expected:
-            raise ConfigError(
-                f"checkpoint {name} {actual} does not match config {expected}")
 
 
 def _cmd_gradcheck(args) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blobio
-from .errors import DataFormatError, check_fields
+from .errors import DataFormatError, check_fields, check_made_by
 from .linalg import normalize_rows, row_norms
 
 __all__ = ["EncoderParams", "EncodeOutput", "init_params", "encode",
@@ -94,20 +94,12 @@ class EncodeOutput:
 # 9.6 ms for all N = 6,000 stacks in one pass, on a 2-core Xeon
 CHUNK = 512
 
-# encoder dimension (a checkpoint manifest field) -> its least valid value
-_DIMS = {"feature_dim": 2, "patch_input_dim": 1, "part_tokens": 1}
-
-
-def _dim_rules(dims: dict) -> list[tuple]:
-    """The :func:`check_fields` rows of ``_DIMS`` for ``dims``, keyed like it."""
-    return [(name, dims[name] >= low, f">= {low}") for name, low in _DIMS.items()]
-
-
 def init_params(feature_dim: int, patch_input_dim: int, part_tokens: int,
                 seed: int) -> EncoderParams:
     """Entries i.i.d. Gaussian with std 1/sqrt(d_in), Philox-keyed by seed."""
-    dims = dict(zip(_DIMS, (feature_dim, patch_input_dim, part_tokens)))
-    check_fields(dims, _dim_rules(dims))
+    check_fields(locals(), [("feature_dim", feature_dim >= 2, ">= 2"),
+                            ("patch_input_dim", patch_input_dim >= 1, ">= 1"),
+                            ("part_tokens", part_tokens >= 1, ">= 1")])
     rng = np.random.Generator(np.random.Philox(key=seed))
     std = 1.0 / np.sqrt(patch_input_dim)
     vec = std * rng.normal(size=(2 + part_tokens) * feature_dim * patch_input_dim)
@@ -259,22 +251,23 @@ def encode_backward(out: EncodeOutput, grad_image_feature: np.ndarray,
     return grad
 
 
-def save_checkpoint(params: EncoderParams, prefix, with_files=()) -> None:
-    """Manifest records dims; blob is ``params.vec`` as float32.
-    ``with_files`` (``(path, bytes)`` entries) are written with the
-    checkpoint, see :func:`blobio.write_pair`."""
-    manifest = {name: getattr(params, name) for name in _DIMS}
+def save_checkpoint(params: EncoderParams, prefix, made_by: dict, with_files=()) -> None:
+    """Manifest records ``made_by``, the ``data`` and ``train`` sections that
+    made ``params``; blob is ``params.vec`` as float32. ``with_files``
+    (``(path, bytes)`` entries) go with it, see :func:`blobio.write_pair`."""
+    manifest = {section: vars(config) for section, config in made_by.items()}
     blobio.write_pair(prefix, manifest, blobio.floats_to_bytes(params.vec), with_files)
 
 
-def load_checkpoint(prefix) -> EncoderParams:
+def load_checkpoint(prefix, made_by: dict) -> EncoderParams:
+    """The checkpoint at ``prefix`` if it records ``made_by`` (ConfigError
+    otherwise, see :func:`errors.check_made_by`), read with its dims."""
     manifest, blob = blobio.read_pair(prefix)
-    dims = {name: blobio.manifest_field(manifest, name, "int", prefix) for name in _DIMS}
-    check_fields(dims, _dim_rules(dims), DataFormatError,
-                 lambda name: f"{prefix}: manifest field {name!r}")
-    d, d_in, z = dims.values()
+    check_made_by(manifest, made_by, f"checkpoint {prefix}", "train")
+    data, train = made_by["data"], made_by["train"]
+    d, d_in, z = train.feature_dim, data.patch_input_dim, train.part_tokens
     count = (2 + z) * d * d_in
     if len(blob) != 4 * count:
         raise DataFormatError(
-            f"checkpoint blob has {len(blob)} bytes, expected {4 * count} from manifest dims")
+            f"checkpoint blob has {len(blob)} bytes, expected {4 * count} from the config's dims")
     return EncoderParams(blobio.floats_from_bytes(blob), d, d_in)

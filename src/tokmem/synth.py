@@ -62,9 +62,6 @@ class SynthSpec:
         ``[k * samples_per_identity, (k + 1) * samples_per_identity)``."""
         return np.arange(self.num_samples) // self.samples_per_identity
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class SynthDataset:
@@ -127,7 +124,7 @@ def save_dataset(ds: SynthDataset, prefix) -> None:
     values in sample-major, patch-major, coordinate order. Identities are
     not stored; sample n has identity n // samples_per_identity.
     """
-    blobio.write_pair(prefix, ds.spec.to_dict(), blobio.floats_to_bytes(ds.patches))
+    blobio.write_pair(prefix, vars(ds.spec), blobio.floats_to_bytes(ds.patches))
 
 
 def load_dataset(prefix) -> SynthDataset:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tokmem.gradcheck as gradcheck_mod
 from tokmem.cli import main
+from tokmem.config import load_run_config
 from tokmem.encoder import init_params, load_checkpoint
 from tokmem.linalg import BLOCK
 
@@ -44,6 +45,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def made_by(cfg):
+    """The config sections a checkpoint trained under config file ``cfg`` records."""
+    run = load_run_config(cfg)
+    return {"data": run.data, "train": run.train}
 
 
 def test_gen_data_writes_files_and_prints_counts(tmp_path, capsys):
@@ -156,14 +163,14 @@ def test_train_writes_checkpoint_and_log(tmp_path, capsys):
     assert len(lines) == 3
     records = [json.loads(line) for line in lines]
     assert [r["epoch"] for r in records] == [0, 1, 2]
-    load_checkpoint(tmp_path / "run" / "ckpt")
+    load_checkpoint(tmp_path / "run" / "ckpt", made_by(cfg))
 
 
 def test_train_zero_epochs_checkpoint_is_initial(tmp_path):
     cfg = write_config(tmp_path, train={"epochs": 0})
     main(["gen-data", "--config", str(cfg)])
     assert main(["train", "--config", str(cfg)]) == 0
-    params = load_checkpoint(tmp_path / "run" / "ckpt")
+    params = load_checkpoint(tmp_path / "run" / "ckpt", made_by(cfg))
     fresh = init_params(8, 5, 2, seed=11)
     np.testing.assert_array_equal(params.vec, fresh.vec.astype(np.float32))
     assert (tmp_path / "run" / "log.jsonl").read_text() == ""
@@ -609,59 +616,89 @@ def test_dataset_with_a_trailing_label_column_exits_2(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("value", [None, [8], 8.7])
+@pytest.mark.parametrize("value", [None, [8], 8.7, 8.0])
 def test_checkpoint_manifest_bad_dim_exits_2(tmp_path, capsys, value):
+    """A mistyped dim in the checkpoint's record is a field that differs, 8.0
+    from 8 included."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
     manifest_path = tmp_path / "run" / "ckpt.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["feature_dim"] = value
+    manifest["train"]["feature_dim"] = value
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "feature_dim" in err and "must be an integer" in err
-    assert len(err.strip().splitlines()) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: checkpoint {tmp_path / 'run' / 'ckpt'} has `train.feature_dim` "
+                     f"{json.dumps(value)}, config has 8; run train again"]
 
 
 @pytest.mark.parametrize("dims,field", [
-    ({"feature_dim": -8, "patch_input_dim": -5}, "feature_dim"),
+    ({"feature_dim": -8, "part_tokens": -3}, "feature_dim"),
     ({"patch_input_dim": 0}, "patch_input_dim"),
     ({"part_tokens": 0}, "part_tokens"),
 ])
 def test_checkpoint_manifest_dim_out_of_range_exits_2(tmp_path, capsys, dims, field):
-    """The blob is cut to the length the bad dims ask for, so only the
-    range check can catch them."""
+    """Dims out of range in the record, the blob and ``blob_bytes`` cut to
+    the length they ask for: refused by the record alone, naming the first."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
     manifest_path, blob_path = tmp_path / "run" / "ckpt.json", tmp_path / "run" / "ckpt.f32"
-    manifest = {**json.loads(manifest_path.read_text()), **dims}
-    d, d_in, z = (manifest[k] for k in ("feature_dim", "patch_input_dim", "part_tokens"))
-    size = 4 * (2 + z) * d * d_in
+    manifest = json.loads(manifest_path.read_text())
+    section = {"feature_dim": "train", "patch_input_dim": "data", "part_tokens": "train"}
+    for name, value in dims.items():
+        manifest[section[name]][name] = value
+    d, z = manifest["train"]["feature_dim"], manifest["train"]["part_tokens"]
+    size = 4 * (2 + z) * d * manifest["data"]["patch_input_dim"]
     blob_path.write_bytes(blob_path.read_bytes()[:size])
     manifest["blob_bytes"] = size
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["eval", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert f"{tmp_path / 'run' / 'ckpt'}: manifest field '{field}' must be >=" in err
-    assert len(err.strip().splitlines()) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert f"has `{section[field]}.{field}` {dims[field]}, config has " in lines[0]
+    assert lines[0].endswith("; run train again")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda manifest: manifest["train"].pop("epochs"), "records no `train.epochs`"),
+    (lambda manifest: manifest.update(train=[3]), "records no `train` section"),
+    (lambda manifest: manifest.pop("data"), "records no `data` section"),
+], ids=["missing_field", "section_not_an_object", "missing_section"])
+def test_checkpoint_record_damaged_exits_2_with_one_line(tmp_path, capsys, damage, message):
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    manifest_path = tmp_path / "run" / "ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    damage(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {tmp_path / 'run' / 'ckpt'} "
+                                       f"{message}; run train again\n")
 
 
 @pytest.mark.parametrize("name, damage, commands, message", [
     ("data.f32", None, ("train", "eval"), "missing blob"),
     ("ckpt.f32", None, ("eval",), "missing blob"),
     ("data.json", "{", ("train", "eval"), "is not valid JSON"),
-    # 4 bytes x (2 + Z) x 8 x 5: the blob and its blob_bytes are Z = 2's
-    ("ckpt.json", {"part_tokens": 3}, ("eval",),
-     "checkpoint blob has 640 bytes, expected 800 from manifest dims"),
+    # 4 bytes x (2 + Z) x 8 x 5: the blob and its blob_bytes are cut to
+    # Z = 1's length, the config's Z is 2
+    ("ckpt.json", {"blob_bytes": 480}, ("eval",),
+     "checkpoint blob has 480 bytes, expected 640 from the config's dims"),
+    # the manifest older code wrote: the three dims and no record
+    ("ckpt.json", json.dumps({"blob_bytes": 640, "feature_dim": 8, "format_version": 1,
+                              "part_tokens": 2, "patch_input_dim": 5}), ("eval",),
+     "records no `data` section; run train again"),
 ])
 def test_damaged_artifact_exits_2_with_one_line(tmp_path, capsys, name, damage, commands,
                                                 message):
     """``damage`` None deletes the file, a string replaces its text, and a
-    dict sets manifest fields."""
+    dict sets manifest fields and cuts the blob beside it to ``blob_bytes``."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
@@ -671,7 +708,10 @@ def test_damaged_artifact_exits_2_with_one_line(tmp_path, capsys, name, damage, 
     elif isinstance(damage, str):
         path.write_text(damage)
     else:
-        path.write_text(json.dumps({**json.loads(path.read_text()), **damage}))
+        manifest = {**json.loads(path.read_text()), **damage}
+        path.write_text(json.dumps(manifest))
+        blob_path = path.with_suffix(".f32")
+        blob_path.write_bytes(blob_path.read_bytes()[:manifest["blob_bytes"]])
     capsys.readouterr()
     for command in commands:
         assert main([command, "--config", str(cfg)]) == 2
@@ -771,13 +811,33 @@ def test_eval_corrupted_blob_exits_2(tmp_path, capsys):
     assert "blob" in err and "manifest" in err
 
 
-def test_eval_dimension_mismatch_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("overrides, field", [
+    ({"train": {"weight_anchor": 0.0, "epochs": 5, "seed": 7}}, "train.epochs"),
+    ({"data": {"seed": 7}}, "data.seed"),
+    ({"train": {"feature_dim": 16}}, "train.feature_dim"),
+], ids=["other_train_settings", "other_dataset", "other_dims"])
+def test_stale_checkpoint_exits_2_and_writes_no_metrics(tmp_path, capsys, overrides, field):
+    """``eval`` under a config other than the one that trained the checkpoint
+    (a fresh dataset from ``gen-data`` under it included) exits 2 with one
+    line naming the first differing field; the metrics of an earlier eval
+    keep their bytes, and none are written where there were none."""
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     main(["train", "--config", str(cfg)])
-    mismatched = write_config(tmp_path, train={"feature_dim": 16})
-    assert main(["eval", "--config", str(mismatched)]) == 2
-    assert "feature_dim" in capsys.readouterr().err
+    assert main(["eval", "--config", str(cfg)]) == 0
+    metrics = tmp_path / "run" / "metrics.json"
+    earlier = metrics.read_bytes()
+    stale = write_config(tmp_path, **overrides)
+    if "data" in overrides:
+        assert main(["gen-data", "--config", str(stale)]) == 0
+    capsys.readouterr()
+    for kept in (earlier, None):
+        assert main(["eval", "--config", str(stale)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and f"has `{field}` " in lines[0], lines
+        assert lines[0].endswith("; run train again")
+        assert (metrics.read_bytes() if metrics.exists() else None) == kept
+        metrics.unlink(missing_ok=True)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,8 @@ from tokmem.encoder import (CHUNK, EncoderParams, encode, encode_backward,
                             part_slices, patch_means, save_checkpoint)
 from tokmem.errors import DataFormatError
 from tokmem.linalg import BLOCK, finite_diff_grad, relative_error
+from tokmem.synth import SynthSpec
+from tokmem.training import TrainConfig
 
 
 def fwd(params, patches):
@@ -413,24 +415,31 @@ def test_batch_axes_match_single_images(rng):
     np.testing.assert_allclose(grad, summed, rtol=1e-12, atol=1e-12)
 
 
+# the config sections that make and read a checkpoint of dims (6, 5, 3)
+MADE_BY = {"data": SynthSpec(num_identities=4, samples_per_identity=3, patches_per_image=6,
+                             patch_input_dim=5, identity_spread=0.1, noise_patch_prob=0.1,
+                             seed=0),
+           "train": TrainConfig(feature_dim=6, part_tokens=3)}
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = init_params(6, 5, 3, seed=17)
-    save_checkpoint(params, tmp_path / "ckpt")
-    loaded = load_checkpoint(tmp_path / "ckpt")
+    save_checkpoint(params, tmp_path / "ckpt", MADE_BY)
+    loaded = load_checkpoint(tmp_path / "ckpt", MADE_BY)
     assert (loaded.feature_dim, loaded.patch_input_dim, loaded.part_tokens) == (6, 5, 3)
     np.testing.assert_array_equal(loaded.vec, params.vec.astype(np.float32))
 
 
 def test_checkpoint_blob_is_the_vector_as_float32(tmp_path):
     params = init_params(6, 5, 3, seed=17)
-    save_checkpoint(params, tmp_path / "ckpt")
+    save_checkpoint(params, tmp_path / "ckpt", MADE_BY)
     assert (tmp_path / "ckpt.f32").read_bytes() == params.vec.astype("<f4").tobytes()
 
 
 def test_checkpoint_truncated_blob_rejected(tmp_path):
     params = init_params(6, 5, 3, seed=17)
-    save_checkpoint(params, tmp_path / "ckpt")
+    save_checkpoint(params, tmp_path / "ckpt", MADE_BY)
     blob = (tmp_path / "ckpt.f32").read_bytes()
     (tmp_path / "ckpt.f32").write_bytes(blob[:-4])
     with pytest.raises(DataFormatError):
-        load_checkpoint(tmp_path / "ckpt")
+        load_checkpoint(tmp_path / "ckpt", MADE_BY)
