@@ -51,15 +51,17 @@ def write_atomic(files) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def write_pair(prefix: str | Path, manifest: dict, blob: bytes,
+def write_pair(prefix: str | Path, manifest: dict, blob,
                with_files=()) -> tuple[Path, Path]:
-    """Write ``<prefix>.json`` and ``<prefix>.f32``; returns both paths. The
-    blob is renamed into place before the manifest. ``with_files``, more
+    """Write ``<prefix>.json`` and ``<prefix>.f32``; returns both paths.
+    ``blob`` is any bytes-like object, written from its own buffer with no
+    copy (see :func:`floats_buffer`), and renamed into place before the
+    manifest. ``with_files``, more
     ``(path, data)`` entries, are written by the same :func:`write_atomic`
     call after the pair: a failed write before any rename leaves the
     previous pair and files, but a failed rename of one of them leaves the
     new pair beside the previous file."""
-    manifest = dict(manifest, format_version=FORMAT_VERSION, blob_bytes=len(blob))
+    manifest = dict(manifest, format_version=FORMAT_VERSION, blob_bytes=memoryview(blob).nbytes)
     manifest_path, blob_path = pair_paths(prefix)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     write_atomic([(blob_path, blob), (manifest_path, text.encode()), *with_files])
@@ -141,8 +143,10 @@ def manifest_field(manifest: dict, name: str, annotation: str, source):
     return decode(manifest[name], annotation, label)
 
 
-def floats_to_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype=F32).tobytes()
+def floats_buffer(arr: np.ndarray) -> memoryview:
+    """The values of ``arr`` as little-endian float32 bytes: a flat view of
+    its own buffer if it holds them already, C-ordered, else of one copy."""
+    return memoryview(np.ascontiguousarray(arr, dtype=F32)).cast("B")
 
 
 def floats_from_bytes(buf: bytes) -> np.ndarray:

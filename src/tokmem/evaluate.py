@@ -147,7 +147,9 @@ def evaluate_encoder(params, dataset: synth_mod.SynthDataset, eval_cfg) -> Ranki
     query, gallery = synth_mod.split_query_gallery(
         dataset, eval_cfg.query_per_identity, eval_cfg.seed)
     ids = dataset.spec.identities
-    return evaluate_retrieval(features[query], ids[query], features[gallery], ids[gallery],
+    query_features, gallery_features = features[query], features[gallery]
+    del features  # the ranking holds the two halves only
+    return evaluate_retrieval(query_features, ids[query], gallery_features, ids[gallery],
                               eval_cfg.k_max)
 
 

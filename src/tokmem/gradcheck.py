@@ -50,7 +50,8 @@ def _softmax_ce_error(f: np.ndarray, cand: np.ndarray, target, temperature: floa
     x0, analytic = f.ravel(), out.grad_image_feature.ravel()
     if wrt_cand:
         x0 = np.concatenate([x0, cand.ravel()])
-        analytic = np.concatenate([analytic, out.grad_tokens.ravel()])
+        grad_cand = out.coeff[:, :, None] * f[:, None, :] / temperature
+        analytic = np.concatenate([analytic, grad_cand.ravel()])
     return relative_error(analytic, finite_diff_grad(value_at, x0, STEP))
 
 

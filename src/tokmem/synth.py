@@ -22,13 +22,14 @@ import numpy as np
 
 from . import blobio
 from .errors import DataFormatError, check_fields
-from .linalg import normalize_rows
+from .linalg import CHUNK, normalize_rows
 
 __all__ = ["SynthSpec", "SynthDataset", "generate", "split_query_gallery",
            "save_dataset", "load_dataset"]
 
 MAX_SEED = 2**64  # every seed keys a Philox generator: a 64-bit unsigned integer
 SEED_RANGE = f"[0, 2**{MAX_SEED.bit_length() - 1})"
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -75,28 +76,42 @@ class SynthDataset:
 
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate the dataset described by ``spec``; a pure function of the
-    spec. It holds two (N, I, d_in) float64 arrays at most, and returns the
-    patches as float32, the values every saved pair trains on."""
+    spec. The patches are built ``CHUNK`` stacks at a time, widened to
+    float64 only to scale the jitter and add the anchors, so it holds two
+    float32 (N, I, d_in) arrays, the patches and the noise values, and one
+    float64 chunk at most; the patches are returned as float32, the values
+    every saved pair trains on."""
     spec.validate()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
 
     anchors = normalize_rows(rng.normal(size=(spec.num_identities, d)))
+    ids = spec.identities
     # Fixed draw order (clean jitter, noise values, noise mask) keeps the
-    # stream layout independent of the mask outcome. The clean patches,
-    # anchor + spread * jitter, are built in place.
-    patches = rng.normal(size=(n, i, d))
-    with np.errstate(over="ignore"):  # a spread past float64 range is refused below
-        patches *= spec.identity_spread
-    patches += anchors[spec.identities][:, None, :]
-    noise = rng.normal(size=(n, i, d))
+    # stream layout independent of the mask outcome; a Philox stream drawn
+    # in chunks holds the values of one draw. The clean patches, anchor +
+    # spread * jitter, are built in place in each chunk.
+    patches = np.empty((n, i, d), dtype=np.float32)
+    beyond = np.zeros((n, i), dtype=bool)  # a clean patch past the float32 range
+    with np.errstate(over="ignore"):  # refused below unless the mask replaces it
+        for s in range(0, n, CHUNK):
+            clean = rng.normal(size=(min(CHUNK, n - s), i, d))
+            clean *= spec.identity_spread
+            clean += anchors[ids[s:s + CHUNK]][:, None, :]
+            if clean.max() > F32_MAX or clean.min() < -F32_MAX:  # rare: flag its patches
+                beyond[s:s + CHUNK] = ((clean.max(axis=2) > F32_MAX)
+                                       | (clean.min(axis=2) < -F32_MAX))
+            patches[s:s + CHUNK] = clean
+    del clean  # the noise chunks take its place
+    noise = np.empty_like(patches)
+    for s in range(0, n, CHUNK):
+        noise[s:s + CHUNK] = rng.normal(size=(min(CHUNK, n - s), i, d))
     mask = rng.random(size=(n, i)) < spec.noise_patch_prob
     np.copyto(patches, noise, where=mask[:, :, None])
-    del noise, mask  # freed first, the float32 copy keeps the peak at two arrays
-    if max(patches.max(), -patches.min()) > np.finfo(np.float32).max:  # no temporary
+    if (beyond & ~mask).any():
         raise ValueError(f"identity_spread {spec.identity_spread} puts patch values beyond "
                          "the float32 range (about ±3.4e38)")
-    return SynthDataset(patches=patches.astype(np.float32), spec=spec)
+    return SynthDataset(patches=patches, spec=spec)
 
 
 def split_query_gallery(ds: SynthDataset, query_per_identity: int,
@@ -124,7 +139,7 @@ def save_dataset(ds: SynthDataset, prefix) -> None:
     values in sample-major, patch-major, coordinate order. Identities are
     not stored; sample n has identity n // samples_per_identity.
     """
-    blobio.write_pair(prefix, vars(ds.spec), blobio.floats_to_bytes(ds.patches))
+    blobio.write_pair(prefix, vars(ds.spec), blobio.floats_buffer(ds.patches))
 
 
 def load_dataset(prefix) -> SynthDataset:

@@ -5,16 +5,17 @@ only, so ``train`` computes them once (``encoder.patch_means``). Per
 epoch: re-project them with the current encoder into fresh features,
 cluster those into a label vector, index it once (``memory.label_runs``),
 take the features themselves, unit rows already, as the instance bank
-(a bank kept from the last epoch would hold stale features), and
-compute the cluster prototypes. Each ``train_step`` then runs in one
-array pass over the batch: encode, token selection, the three losses
-against the frozen memory snapshot (one mining matmul), one batched
-backward (its token adjoint on the selected tokens only), the memory
-writes, and one plain SGD step. Every loss reads the snapshot before
-any write, and each bank's write equals writing its rows in batch
-order: an epoch's batches are disjoint slices of one permutation, so
-the instance write is one slice, and the prototypes, whose labels
-repeat, take ``memory.momentum_update``'s rounds. Gradients are added
+(a bank kept from the last epoch would hold stale features) with a
+float32 copy that mining ranks, and compute the cluster prototypes.
+Each ``train_step`` then runs in one array pass over the batch: encode,
+token selection, the three losses against the frozen memory snapshot
+(one float32 mining matmul), one batched backward (its token adjoint
+on the selected tokens only), the memory writes, and one plain SGD
+step. Every loss reads the snapshot before any write, and each bank's
+write equals writing its rows in batch order: an epoch's batches are
+disjoint slices of one permutation, so the instance write is one slice,
+and the prototypes, whose labels repeat, take
+``memory.momentum_update``'s rounds. Gradients are added
 in a fixed order, and an epoch's loss sums in one ``np.sum`` over its
 steps' values, so a config reproduces bit-identically on one platform.
 
@@ -180,6 +181,8 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
                 continue
 
             bank = features
+            # mining ranks in float32; its transpose is the contiguous (D, N) operand
+            bank32 = np.asfortranarray(bank, dtype=np.float32)
             runs = memory_mod.label_runs(labels)
             protos = memory_mod.compute_prototypes(bank, runs)
             steps = []
@@ -187,7 +190,7 @@ def train(config: TrainConfig, dataset: SynthDataset) -> TrainResult:
                 try:
                     steps.append(train_step(config, params, dataset.patches.take(batch, axis=0),
                                             means.take(batch, axis=1), batch, labels[batch],
-                                            bank, runs, protos, lr))
+                                            bank, bank32, runs, protos, lr))
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} iteration {iteration}",
@@ -222,17 +225,19 @@ class StepLosses:
 
 def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
                patches: np.ndarray, means: np.ndarray, indices: np.ndarray,
-               labels: np.ndarray, bank: np.ndarray, runs, protos: np.ndarray,
-               lr: float) -> StepLosses:
+               labels: np.ndarray, bank: np.ndarray, bank32: np.ndarray, runs,
+               protos: np.ndarray, lr: float) -> StepLosses:
     """One iteration on a batch of B clustered anchors, in place on
-    ``params``, ``bank`` and ``protos``.
+    ``params``, ``bank``, ``bank32`` and ``protos``.
 
     ``patches`` (B, I, d_in) are the anchors' patch stacks, ``means``
     their (1 + Z, B, d_in) ``encoder.patch_means``, ``indices`` their
     distinct slots in the (N, D) instance ``bank`` (a batch of
     ``sample_batches``), and ``labels`` their cluster ids, their slots in
-    ``protos``, the (C, D) prototype bank; ``runs`` is the bank's
-    ``memory.label_runs`` index. Raises NumericError, before any write,
+    ``protos``, the (C, D) prototype bank. ``bank32`` is the float32 copy
+    of ``bank`` that mining ranks (the anchor loss reads ``bank``'s rows),
+    written after ``bank``; ``runs`` is their ``memory.label_runs``
+    index. Raises NumericError, before any write,
     if an anchor's total loss is not finite; its diagnostics name the
     first such ``sample``.
     """
@@ -247,7 +252,7 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
     # Missing negatives get -inf logits. A row without any candidate then
     # scores only its positive: its anchor term is exactly 0 with zero
     # gradient, the same as leaving the term out.
-    picked, valid = memory_mod.mine(bank, runs, f, labels, config.num_negatives,
+    picked, valid = memory_mod.mine(bank32, runs, f, labels, config.num_negatives,
                                     config.anchor_include_outliers)
     anc = losses_mod.softmax_ce(f, bank.take(picked, axis=0), 0, t, valid=valid)
     w_con, w_pro, w_anc = (config.weight_constraint, config.weight_prototype,
@@ -264,11 +269,14 @@ def train_step(config: TrainConfig, params: encoder_mod.EncoderParams,
 
     grad_f = (w_con * con.grad_image_feature + w_pro * pro.grad_image_feature
               + w_anc * anc.grad_image_feature)
-    grad = encoder_mod.encode_backward(out, grad_f, selected, w_con * con.grad_tokens)
+    # the constraint tokens are live encoder outputs; the mined entries are constants
+    grad_tokens = con.coeff[:, :, None] * f[:, None, :] / t
+    grad = encoder_mod.encode_backward(out, grad_f, selected, w_con * grad_tokens)
 
     # Writes only now, after every read of the snapshot.
     mu = config.momentum
     bank[indices] = normalize_rows(mu * bank[indices] + (1.0 - mu) * f)
+    bank32[indices] = bank[indices]
     memory_mod.momentum_update(protos, labels, f, mu)
 
     params.vec -= (lr / f.shape[0]) * grad

@@ -18,7 +18,14 @@ not check:
   learning rate, token selection, ``label_runs``, ``compute_prototypes``,
   ``gather_runs`` and ``normalize_rows``. It reads the epoch's features
   as its instance bank and has its own copy of the mining checks, the
-  write rounds, the softmax cross-entropies and the loss sums.
+  write rounds, the softmax cross-entropies and the loss sums. It mines
+  in float64, where ``train`` ranks a float32 copy of the bank: the
+  equality also checks that float32 picks the same entries there.
+
+``generate_one_draw`` is the dataset generator as it was before it drew
+in chunks: every (N, I, d_in) array in one draw, in float64, and the
+float32-range check on the finished patches. tokmem's ``generate`` must
+equal it byte for byte, refusals included.
 """
 
 import numpy as np
@@ -479,3 +486,23 @@ def stepwise_train(config, dataset):
             record["mean_total"] = sums["total"] / sample_count
             log.append(record)
     return params, log
+
+
+def generate_one_draw(spec):
+    """(N, I, d_in) float32 patches of ``spec``, each array drawn whole in
+    float64; ValueError if a patch the mask keeps is beyond float32 range."""
+    from tokmem.linalg import normalize_rows
+
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    n, i, d = spec.num_samples, spec.patches_per_image, spec.patch_input_dim
+    anchors = normalize_rows(rng.normal(size=(spec.num_identities, d)))
+    patches = rng.normal(size=(n, i, d))
+    with np.errstate(over="ignore"):
+        patches *= spec.identity_spread
+    patches += anchors[spec.identities][:, None, :]
+    noise = rng.normal(size=(n, i, d))
+    mask = rng.random(size=(n, i)) < spec.noise_patch_prob
+    np.copyto(patches, noise, where=mask[:, :, None])
+    if max(patches.max(), -patches.min()) > np.finfo(np.float32).max:
+        raise ValueError("patch values beyond the float32 range")
+    return patches.astype(np.float32)

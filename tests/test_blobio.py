@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tokmem.blobio import read_pair, write_pair
+from tokmem.blobio import floats_buffer, read_pair, write_pair
 from tokmem.errors import DataFormatError
 
 
@@ -13,6 +14,18 @@ def test_round_trip_leaves_only_the_pair(tmp_path):
     manifest, blob = read_pair(tmp_path / "pair")
     assert manifest["n"] == 2 and blob == b"new blob"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.f32", "pair.json"]
+
+
+def test_blob_is_written_from_an_array_buffer(tmp_path):
+    """A blob may be any bytes-like object; the manifest records its byte
+    length, not its length in elements or rows."""
+    values = np.arange(6, dtype=np.float64).reshape(2, 3)
+    write_pair(tmp_path / "rows", {}, np.asarray(values, dtype="<f4"))
+    write_pair(tmp_path / "flat", {}, floats_buffer(values))
+    for name in ("rows", "flat"):
+        manifest, blob = read_pair(tmp_path / name)
+        assert manifest["blob_bytes"] == 24
+        assert blob == values.astype("<f4").tobytes()
 
 
 def test_failed_manifest_write_keeps_previous_pair(tmp_path, monkeypatch):

@@ -909,7 +909,7 @@ def test_train_numeric_failure_exits_3_with_diagnostics(tmp_path, capsys, monkey
 
     def broken(image_features, *args, **kwargs):
         return LossOutput(value=np.full(len(image_features), np.nan),
-                          grad_image_feature=np.zeros_like(image_features))
+                          grad_image_feature=np.zeros_like(image_features), coeff=None)
 
     cfg = write_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])

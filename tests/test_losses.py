@@ -85,6 +85,11 @@ def test_select_matches_full_sort_oracle(trial):
 # token candidates, the prototype loss with one shared prototype set, the
 # anchor loss with constant memory candidates. These tests use B = 1.
 
+def token_grads(out, f, temperature):
+    """d value / d c_k of per-row candidates, as ``train_step`` forms it."""
+    return out.coeff[:, :, None] * f[:, None, :] / temperature
+
+
 def constraint(f, pos, negs, temperature):
     return softmax_ce(f[None], np.vstack([pos, negs])[None], 0, temperature)
 
@@ -114,7 +119,8 @@ def test_constraint_gradients_match_finite_differences():
         vecs = unit_rows(rng, 2 + r, d)
         f, toks = vecs[0], vecs[1:]
         out = softmax_ce(f[None], toks[None], 0, temperature=0.1)
-        analytic = np.concatenate([out.grad_image_feature[0], out.grad_tokens[0].ravel()])
+        analytic = np.concatenate([out.grad_image_feature[0],
+                                   token_grads(out, f[None], 0.1)[0].ravel()])
 
         def value_at(x):
             return softmax_ce(x[None, :d], x[d:].reshape(1, 1 + r, d), 0,
@@ -129,7 +135,7 @@ def test_constraint_token_gradients_sum_to_zero(rng):
     weight-coefficient times the image feature) cancel exactly."""
     vecs = unit_rows(rng, 6, 4)
     f, pos, negs = vecs[0], vecs[1], vecs[2:]
-    grad_tokens = constraint(f, pos, negs, temperature=0.05).grad_tokens[0]
+    grad_tokens = token_grads(constraint(f, pos, negs, temperature=0.05), f[None], 0.05)[0]
     np.testing.assert_allclose(grad_tokens.sum(axis=0), np.zeros(4), atol=1e-12)
     # recover the weights from the gradients and check they sum to 1
     coeffs = grad_tokens @ f * 0.05  # w - [is positive]
@@ -143,7 +149,7 @@ def test_prototype_two_equal_prototypes_closed_form():
     protos = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     out = softmax_ce(f, protos, 0, temperature=0.7)
     assert out.value[0] == pytest.approx(math.log(2), abs=1e-12)
-    assert out.grad_tokens is None
+    np.testing.assert_allclose(out.coeff, [[-0.5, 0.5]], atol=1e-15)
 
 
 def test_prototype_own_prototype_closed_form():
@@ -184,7 +190,7 @@ def test_anchor_uniform_similarities_closed_form():
     f, tokens = token_set_for([0.2] * 5)
     out = softmax_ce(f[None], tokens, 0, temperature=0.05)
     assert out.value[0] == pytest.approx(math.log(5), abs=1e-12)
-    assert out.grad_tokens is None
+    np.testing.assert_allclose(out.coeff, [[-0.8, 0.2, 0.2, 0.2, 0.2]], atol=1e-15)
 
 
 def test_anchor_dominant_positive_is_tiny():
@@ -211,15 +217,15 @@ def test_anchor_gradients_match_finite_differences():
 
 def test_masked_per_row_candidates_get_zero_token_gradients(rng):
     """Per-row candidates, as ``train_step`` mines them for the anchor
-    term, get ``grad_tokens``; a masked candidate has weight 0, so its
-    gradient is exactly zero, while the others keep (w_k - [k == 0]) f / t."""
+    term; a masked candidate has weight 0, so its gradient is exactly
+    zero, while the others keep (w_k - [k == 0]) f / t."""
     f, cand = unit_rows(rng, 3, 4), unit_rows(rng, 15, 4).reshape(3, 5, 4)
     valid = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-    out = softmax_ce(f, cand, 0, temperature=0.1, valid=valid)
-    assert out.grad_tokens.shape == cand.shape
-    assert (out.grad_tokens[~valid] == 0.0).all()
-    np.testing.assert_array_equal(out.grad_tokens[1, 0], np.zeros(4))  # only its positive
-    assert (out.grad_tokens[valid & (np.arange(5) > 0)] != 0.0).any(axis=1).all()
+    grad_tokens = token_grads(softmax_ce(f, cand, 0, temperature=0.1, valid=valid), f, 0.1)
+    assert grad_tokens.shape == cand.shape
+    assert (grad_tokens[~valid] == 0.0).all()
+    np.testing.assert_array_equal(grad_tokens[1, 0], np.zeros(4))  # only its positive
+    assert (grad_tokens[valid & (np.arange(5) > 0)] != 0.0).any(axis=1).all()
 
 
 # ------------------------------------------------------------- combinations
@@ -240,7 +246,8 @@ def step_with(labels=(0, 0, 1, 1, 2, 2, -1, 0), **overrides):
     before = params.vec.copy()
     runs = label_runs(labels)
     step = train_step(cfg, params, patches[batch], means[:, batch], batch, labels[batch],
-                      bank, runs, compute_prototypes(bank, runs), lr=0.1)
+                      bank, bank.astype(np.float32), runs, compute_prototypes(bank, runs),
+                      lr=0.1)
     return step, params.vec - before
 
 

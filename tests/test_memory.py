@@ -80,6 +80,18 @@ def negatives(mem, anchor, label, k, include_outliers=True):
     return picked[0, 1:][valid[0, 1:]]
 
 
+def test_mine_ranks_in_the_bank_dtype():
+    """Row 1 is more similar to the anchor than row 0 by 8e-10, which
+    float64 resolves and float32 rounds away: a float32 bank ties the two
+    and takes the lower index, as ``training.train``'s mining copy does."""
+    bank = np.array([[1.0, 0.0], [1.0, 1e-9], [0.0, 1.0]])
+    runs = label_runs(np.array([1, 1, 0]))
+    anchor = np.array([[0.6, 0.8]])
+    assert mine(bank, runs, anchor, np.array([0]), 1)[0][0, 1] == 1
+    bank32 = np.asfortranarray(bank, dtype=np.float32)
+    assert mine(bank32, runs, anchor, np.array([0]), 1)[0][0, 1] == 0
+
+
 def test_hardest_positive_is_least_similar():
     anchor = np.array([1.0, 0.0])
     feats = on_angles([0.1, 1.2, 0.6])

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import generate_one_draw
 from tokmem.errors import DataFormatError
+from tokmem.linalg import CHUNK
 from tokmem.synth import (SynthSpec, generate, load_dataset, save_dataset,
                           split_query_gallery)
 
@@ -50,17 +52,91 @@ def test_invalid_spec_names_field(field, value, message):
 
 
 def test_peak_memory_is_two_patch_arrays():
-    """The patches are built in place: generation holds the patches and
-    the noise values, and no third (N, I, d_in) array."""
-    spec = make_spec(num_identities=50, samples_per_identity=20, patches_per_image=16,
+    """The patches are built a chunk at a time: generation holds the
+    float32 patches and noise values, one float64 chunk and some (N, I)
+    per-patch values (the mask's draw), and no float64 (N, I, d_in) array."""
+    spec = make_spec(num_identities=50, samples_per_identity=40, patches_per_image=16,
                      patch_input_dim=16, noise_patch_prob=0.1)
+    n, i, d = spec.num_samples, 16, 16
+    assert n > 3 * CHUNK
+    generate(make_spec())  # numpy's first-call allocations are not the generator's
     tracemalloc.start()
     try:
         generate(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 8 * spec.num_samples * 16 * 16
+    assert peak <= 2 * 4 * n * i * d + 8 * CHUNK * i * d + 8 * n * i
+
+
+@pytest.mark.parametrize("num_identities, samples_per_identity, spread, noise", [
+    (2, 3, 0.1, 0.2),                 # below one chunk
+    (8, CHUNK // 8, 0.1, 0.2),        # exactly one chunk
+    (19, 27, 0.1, 0.2),               # one stack past it
+    (41, 40, 0.1, 0.3),               # several chunks
+    (41, 40, 0.1, 0.0),               # no noise patch
+    (41, 40, 0.0, 0.3),               # every clean patch its anchor
+])
+def test_generate_equals_the_one_draw_generator(num_identities, samples_per_identity,
+                                                spread, noise):
+    """Drawing in chunks gives the bytes of drawing each array whole."""
+    spec = make_spec(num_identities=num_identities, samples_per_identity=samples_per_identity,
+                     identity_spread=spread, noise_patch_prob=noise, seed=31)
+    patches = generate(spec).patches
+    assert patches.dtype == np.float32
+    assert patches.tobytes() == generate_one_draw(spec).tobytes()
+
+
+def one_draw_refuses(spec):
+    try:
+        generate_one_draw(spec)
+    except ValueError:
+        return True
+    return False
+
+
+def assert_generates_as_one_draw(spec):
+    if one_draw_refuses(spec):
+        with pytest.raises(ValueError, match="float32 range"):
+            generate(spec)
+    else:
+        assert generate(spec).patches.tobytes() == generate_one_draw(spec).tobytes()
+
+
+@pytest.mark.parametrize("spread", [1e37, 1e38, 1e39, 1e308])
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_refuses_exactly_what_the_one_draw_generator_refuses(spread, noise):
+    """A spread whose clean patches pass the float32 range, float64's
+    included (1e308), is refused where the one-draw generator refuses it."""
+    for seed in range(4):
+        assert_generates_as_one_draw(make_spec(identity_spread=spread,
+                                               noise_patch_prob=noise, seed=seed))
+
+
+def test_spread_past_range_under_noise_patches_only_is_no_refusal():
+    """Every patch of a small spec is noise at noise_patch_prob 0.999 for
+    most seeds; then no clean value is kept, and a spread that puts each
+    of them past float32 range is no refusal."""
+    def spec(seed):
+        return make_spec(identity_spread=1e39, noise_patch_prob=0.999, seed=seed)
+
+    seed = next(seed for seed in range(100) if not one_draw_refuses(spec(seed)))
+    assert generate(spec(seed)).patches.tobytes() == generate_one_draw(spec(seed)).tobytes()
+
+
+def test_range_is_checked_after_the_mask():
+    """A seed whose clean draw has values past float32 range (the spec
+    without noise is refused) that the mask replaces every one of."""
+    def masked_away(seed):
+        clean = make_spec(identity_spread=1e38, seed=seed)
+        return (one_draw_refuses(clean)
+                and not one_draw_refuses(dataclasses.replace(clean, noise_patch_prob=0.5)))
+
+    seed = next(seed for seed in range(1000) if masked_away(seed))
+    with pytest.raises(ValueError, match="float32 range"):
+        generate(make_spec(identity_spread=1e38, seed=seed))
+    assert_generates_as_one_draw(make_spec(identity_spread=1e38, noise_patch_prob=0.5,
+                                           seed=seed))
 
 
 def test_zero_spread_zero_noise_collapses_to_anchor():
@@ -161,6 +237,21 @@ def test_load_peak_memory_is_the_blob(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * blob_bytes + 64 * 1024
+
+
+def test_save_holds_no_copy_of_the_blob(tmp_path):
+    """The blob is written from the patches' own buffer."""
+    ds = generate(make_spec(num_identities=50, samples_per_identity=20, patches_per_image=16,
+                            patch_input_dim=16, noise_patch_prob=0.1))
+    save_dataset(generate(make_spec()), tmp_path / "first")  # first-call allocations
+    tracemalloc.start()
+    try:
+        save_dataset(ds, tmp_path / "data")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "data.f32").read_bytes() == ds.patches.tobytes()
+    assert peak <= 64 * 1024 < ds.patches.nbytes / 10
 
 
 def test_dataset_blob_is_the_patches_as_float32(tmp_path):

@@ -149,8 +149,10 @@ def test_oversize_neg_token_rate_rejected_before_any_epoch(monkeypatch):
 
 
 def test_losses_read_snapshot_before_updates(monkeypatch):
-    """Within an iteration every loss and mining read sees both banks as
-    they were when the step began; both banks change by its end."""
+    """Within an iteration every loss and mining read sees the banks (the
+    instance bank, its float32 mining copy and the prototypes) as they
+    were when the step began; the bank and the prototypes change by its
+    end."""
     seen = []
 
     def spy(module, name):
@@ -163,10 +165,11 @@ def test_losses_read_snapshot_before_updates(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     def step(*args):
-        bank, protos = args[6], args[8]
-        seen.append([0, (bank, bank.copy()), (protos, protos.copy())])
+        bank, bank32, protos = args[6], args[7], args[9]
+        seen.append([0, (bank, bank.copy()), (protos, protos.copy()), (bank32, bank32.copy())])
         out = real_step(*args)
-        assert not any(np.array_equal(now, then) for now, then in seen[-1][1:])
+        # the float32 copy may round a small change of the bank away
+        assert not any(np.array_equal(now, then) for now, then in seen[-1][1:3])
         return out
 
     spy(training_mod.losses_mod, "softmax_ce")
@@ -201,9 +204,34 @@ def test_step_runs_the_encoder_head_once(monkeypatch):
     monkeypatch.setattr(training_mod.encoder_mod, "_head", spy)
     runs = label_runs(labels)
     training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
-                            labels[batch], bank, runs, compute_prototypes(bank, runs),
-                            lr=0.05)
+                            labels[batch], bank, bank.astype(np.float32), runs,
+                            compute_prototypes(bank, runs), lr=0.05)
     assert len(calls) == 1
+
+
+def test_step_writes_the_float32_mining_bank_after_the_bank():
+    """``train`` mines from a float32 copy of the instance bank; a step
+    writes its slots into the copy from the float64 bank's new rows. The
+    bank holds another encoder's features, so that the writes move them
+    by more than float32 rounds away."""
+    from tokmem.memory import compute_prototypes, label_runs
+
+    cfg = tiny_config()
+    ds = tiny_dataset()
+    params = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed)
+    labels = np.repeat(np.arange(4), 6)
+    means = patch_means(ds.patches, cfg.part_tokens)
+    other = init_params(cfg.feature_dim, ds.spec.patch_input_dim, cfg.part_tokens, cfg.seed + 1)
+    bank = image_feature(other, means)
+    bank32 = bank.astype(np.float32)
+    before = bank.copy()
+    batch = np.array([0, 7, 14, 21])
+    runs = label_runs(labels)
+    training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
+                            labels[batch], bank, bank32, runs,
+                            compute_prototypes(bank, runs), lr=0.05)
+    assert not np.array_equal(bank32, before.astype(np.float32))
+    np.testing.assert_array_equal(bank32, bank.astype(np.float32))
 
 
 def test_train_computes_the_patch_means_once(monkeypatch):
@@ -262,7 +290,7 @@ def test_nan_weights_mid_epoch_raise_numeric_error():
     batch = np.array([0, 7, 14, 21])
     with pytest.raises(NumericError, match="non-finite loss"):
         training_mod.train_step(cfg, params, ds.patches[batch], means[:, batch], batch,
-                                labels[batch], bank, runs,
+                                labels[batch], bank, bank.astype(np.float32), runs,
                                 compute_prototypes(bank, runs), lr=0.05)
 
 
@@ -338,8 +366,8 @@ def test_batched_step_matches_per_anchor_oracle(name):
     p_b, bank_b, protos_b = fresh_state()
     step = training_mod.train_step(cfg, p_b, patches[batch],
                                    patch_means(patches[batch], cfg.part_tokens), batch,
-                                   labels[batch], bank_b, label_runs(labels), protos_b,
-                                   lr=0.05)
+                                   labels[batch], bank_b, bank_b.astype(np.float32),
+                                   label_runs(labels), protos_b, lr=0.05)
     p_o, bank_o, protos_o = fresh_state()
     rows = per_anchor_step(p_o, patches, batch, bank_o, labels, protos_o, cfg, lr=0.05)
 
