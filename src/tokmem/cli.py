@@ -10,6 +10,7 @@ names every artifact it reads or writes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_INPUT_ERROR)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each ``parse_args`` call
+    returns a new namespace, and the parser keeps nothing between calls."""
     parser = _Parser(
         prog="tokmem",
         description="token-constrained contrastive learning on synthetic identity data")
@@ -108,8 +112,9 @@ def _fmt(value) -> str:
 
 
 def _cmd_eval(args) -> int:
-    cfg = load_run_config(args.config)
-    check_distinct_files(cfg.paths, args.config, args.per_query_csv)
+    cfg = load_run_config(args.config)  # checks the config's own paths
+    if args.per_query_csv is not None:
+        check_distinct_files(cfg.paths, args.config, args.per_query_csv)
     ds = _load_dataset(cfg)
     params = encoder_mod.load_checkpoint(cfg.paths.checkpoint,
                                          {"data": cfg.data, "train": cfg.train})

@@ -123,13 +123,14 @@ def split_query_gallery(ds: SynthDataset, query_per_identity: int,
         raise ValueError(
             f"query_per_identity must be in [1, {spi - 1}], got {query_per_identity}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # identity k's samples are k * spi + [0, spi), see SynthSpec.identities
-    query_idx = np.sort(np.concatenate(
-        [k * spi + rng.permutation(spi)[:query_per_identity]
-         for k in range(ds.spec.num_identities)]))
-    mask = np.ones(ds.spec.num_samples, dtype=bool)
-    mask[query_idx] = False
-    return query_idx, np.flatnonzero(mask)
+    # Row k permutes identity k's samples k * spi + [0, spi) (see
+    # SynthSpec.identities): one call on the rows draws from the stream
+    # as a permutation(spi) call per identity, in identity order, would.
+    num_ids = ds.spec.num_identities
+    perm = rng.permuted(np.tile(np.arange(spi), (num_ids, 1)), axis=1)
+    perm += spi * np.arange(num_ids)[:, None]
+    query, gallery = np.hsplit(perm, [query_per_identity])
+    return np.sort(query, axis=1).ravel(), np.sort(gallery, axis=1).ravel()
 
 
 def save_dataset(ds: SynthDataset, prefix) -> None:

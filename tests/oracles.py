@@ -25,7 +25,10 @@ not check:
 ``generate_one_draw`` is the dataset generator as it was before it drew
 in chunks: every (N, I, d_in) array in one draw, in float64, and the
 float32-range check on the finished patches. tokmem's ``generate`` must
-equal it byte for byte, refusals included.
+equal it byte for byte, refusals included. ``split_per_identity`` is the
+query/gallery split as it was before it drew in one call: a
+``permutation`` call per identity, in identity order; tokmem's
+``split_query_gallery`` must return its indices.
 """
 
 import numpy as np
@@ -506,3 +509,17 @@ def generate_one_draw(spec):
     if max(patches.max(), -patches.min()) > np.finfo(np.float32).max:
         raise ValueError("patch values beyond the float32 range")
     return patches.astype(np.float32)
+
+
+def split_per_identity(spec, query_per_identity, seed):
+    """Sorted query and gallery indices of ``spec``'s samples: identity k's
+    queries are the first ``query_per_identity`` entries of
+    ``k * spi + permutation(spi)``, one call per identity from one
+    generator keyed by ``seed``; the gallery is every other sample."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    spi = spec.samples_per_identity
+    query = np.sort(np.concatenate([k * spi + rng.permutation(spi)[:query_per_identity]
+                                    for k in range(spec.num_identities)]))
+    mask = np.ones(spec.num_samples, dtype=bool)
+    mask[query] = False
+    return query, np.flatnonzero(mask)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokmem.gradcheck as gradcheck_mod
-from tokmem.cli import main
+from tokmem.cli import _build_parser, main
 from tokmem.config import load_run_config
 from tokmem.encoder import init_params, load_checkpoint
 from tokmem.linalg import BLOCK
@@ -781,6 +781,31 @@ def test_eval_per_query_csv(tmp_path):
     assert main(["eval", "--config", str(cfg), "--per-query-csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 9
+
+
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_reused_parser_keeps_no_option_between_calls(tmp_path, capsys):
+    """The one parser of a process hands each call only its own options:
+    an ``eval`` after one given ``--per-query-csv`` writes no CSV, and a
+    usage error after good commands is still one line and exit 2."""
+    cfg = write_config(tmp_path)
+    main(["gen-data", "--config", str(cfg)])
+    main(["train", "--config", str(cfg)])
+    csv_path = tmp_path / "run" / "per_query.csv"
+    assert main(["eval", "--config", str(cfg), "--per-query-csv", str(csv_path)]) == 0
+    csv_path.unlink()
+    assert main(["eval", "--config", str(cfg)]) == 0
+    assert not csv_path.exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--config", str(cfg), "--per-query-csv"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: argument --per-query-csv: expected one argument\n"
+    assert captured.out == ""
 
 
 def test_eval_is_byte_deterministic_over_several_query_blocks(tmp_path):

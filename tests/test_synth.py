@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import generate_one_draw
+from oracles import generate_one_draw, split_per_identity
 from tokmem.errors import DataFormatError
 from tokmem.linalg import CHUNK
 from tokmem.synth import (SynthSpec, generate, load_dataset, save_dataset,
@@ -208,6 +208,24 @@ def test_split_matches_per_identity_scan():
         [draws.permutation(np.flatnonzero(ids == k))[:2] for k in range(5)]))
     np.testing.assert_array_equal(query, expected)
     np.testing.assert_array_equal(gallery, np.setdiff1d(np.arange(20), expected))
+
+
+@pytest.mark.parametrize("num_identities, spi, query, seed", [
+    (20, 15, 3, 7),        # the reference shape
+    (200, 30, 3, 7),       # the `scaled` shape
+    (20, 2, 1, 7),         # the smallest identity: one query, one gallery sample
+    (20, 15, 14, 7),       # one gallery sample per identity
+    (20, 15, 3, 0),
+    (20, 15, 3, 2**64 - 1),
+], ids=["reference", "scaled", "spi_2", "query_spi_minus_1", "seed_0", "seed_max"])
+def test_split_equals_the_per_identity_loop(num_identities, spi, query, seed):
+    """One draw for every identity takes the Philox stream as one
+    ``permutation`` call per identity did: the same indices, same dtype."""
+    spec = make_spec(num_identities=num_identities, samples_per_identity=spi,
+                     patch_input_dim=1)
+    expected = split_per_identity(spec, query, seed)
+    for got, want in zip(split_query_gallery(generate(spec), query, seed), expected):
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_save_load_round_trip(tmp_path):
