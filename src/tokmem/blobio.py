@@ -19,14 +19,15 @@ import numpy as np
 from .errors import DataFormatError
 
 FORMAT_VERSION = 1
-BLOB_SUFFIX = ".f32"
+PAIR_SUFFIXES = (".json", ".f32")  # the manifest's and the blob's, after the prefix
 
 F32 = np.dtype("<f4")
 
 
 def pair_paths(prefix: str | Path) -> tuple[Path, Path]:
     """Suffixes are appended, not substituted, so dotted prefixes stay intact."""
-    return Path(str(prefix) + ".json"), Path(str(prefix) + BLOB_SUFFIX)
+    manifest, blob = (Path(f"{prefix}{suffix}") for suffix in PAIR_SUFFIXES)
+    return manifest, blob
 
 
 def write_atomic(files) -> None:

@@ -7,14 +7,16 @@ outliers with label -1. Cluster ids are dense and follow each cluster's
 smallest core index, and a border point within eps of several clusters'
 cores joins the lowest-numbered one.
 
-No (N, N) array is built. A pair neighbours when its dot product is at
-least eps's floor, found once by bisection over the float64 values, and
-the neighbour pairs are computed once from row blocks of dot products
-and replayed: the first pass counts each point's neighbours, which
-finds the core points; the second joins the core-core pairs in a
-union-find forest whose roots are the smallest core index of each
-component, and keeps each non-core point's few core neighbours. Pairs
-too many to keep are computed again for the second pass instead.
+No (N, N) array is built, nor a (BLOCK, N) one. A pair neighbours when
+its dot product is at least eps's floor, found once by bisection over
+the float64 values, and the neighbour pairs are computed once from
+(BLOCK, TILE) tiles of dot products and replayed: the first pass counts
+each point's neighbours, which finds the core points; the second joins
+the core-core pairs in a union-find forest whose roots are the smallest
+core index of each component, and keeps each non-core point's few core
+neighbours. Pairs too many to keep are computed again for the second
+pass instead. Point indices are int32: N float64 features fit in memory
+first.
 """
 
 from __future__ import annotations
@@ -23,12 +25,18 @@ import functools
 
 import numpy as np
 
-from .linalg import BLOCK, row_norms
+from .linalg import row_norms
 
 __all__ = ["OUTLIER", "dbscan"]
 
 OUTLIER = -1
 ZERO_DIST = 1e-12   # neighbour radius floor: round-off of a unit-norm dot is ~1e-15
+BLOCK = 128        # rows per block of dot products
+# columns per tile of a row block's strip: a (BLOCK, TILE) float64 tile is
+# 1 MB. On epoch-0 features at N = 6,000 (seeds 42, 952 and 3, one BLAS
+# thread) this width ran fastest of 128 to N: 39.5-59.4 ms, against
+# 41.1-61.3 ms at 2,048 columns and 42.3-60.0 ms at N
+TILE = 8 * BLOCK
 
 
 def dbscan(features: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -59,10 +67,11 @@ def _label(n, sweep, min_pts):
     pass counts each point's neighbours, which finds the core points. In
     the second, a core pair joins two components of a union-find forest,
     and a core point and a non-core point make the latter a border point.
-    Up to ``BLOCK * n / 4`` pairs, half the bytes of one (BLOCK, n) float
-    block, are held at a time: the first pass's chunks while they total
-    that many, which the second pass replays (past it, it calls ``sweep()``
-    again), and the core pairs that wait in ``links``."""
+    Up to ``BLOCK * n / 4`` pairs, ``2 * BLOCK * n`` bytes of int32 indices,
+    are held at a time: the first pass's chunks while they total that
+    many, which the second pass replays (past it, it calls ``sweep()``
+    again), and the core pairs that wait in ``links``. The replayed chunks
+    go before the last join."""
     cap = BLOCK * n // 4
     degree = np.ones(n, dtype=np.int64)  # every point neighbours itself
     kept, pairs = [], 0
@@ -75,7 +84,7 @@ def _label(n, sweep, min_pts):
             kept.clear()
     core = degree >= min_pts
 
-    root = np.arange(n)
+    root = np.arange(n, dtype=np.int32)
     links, held, border = [], 0, []
     for a, b in kept if pairs <= cap else sweep():
         core_a, core_b = core[a], core[b]
@@ -86,7 +95,8 @@ def _label(n, sweep, min_pts):
         border.append((np.where(core_a, b, a)[one], np.where(core_a, a, b)[one]))
         if held >= cap:
             _join(root, links)
-            links, held = [], 0
+            held = 0
+    kept.clear()
     _join(root, links)
 
     first = core & (root == np.arange(n))  # the smallest core index of each cluster
@@ -121,48 +131,57 @@ def _dot_floor(radius: float) -> float:
 
 
 def _neighbour_pairs(features, floor):
-    """Yield index arrays ``(a, b)`` with ``a < b``: every pair of distinct
-    neighbouring points once, in chunks of at most about ``BLOCK * BLOCK``
+    """Yield int32 index arrays ``(a, b)`` with ``a < b``: every pair of
+    distinct neighbouring points once, in chunks of at most ``BLOCK * TILE``
     pairs, and in the same order on every call.
 
     Each row block makes one diagonal block, which numpy computes with syrk
     (one triangle, mirrored) and so exactly symmetric, of which the upper
-    triangle is read, and one gemm strip right of it. So the neighbour
-    relation is exactly symmetric, and a second sweep sees the same bits.
-    ``dot >= floor`` is ``min(1 - dot, 2) <= radius`` (:func:`_dot_floor`);
-    the clamp keeps a radius >= 2 from failing round-off above 2. Exact
-    duplicates, at distance 0, round to at most ~1e-15 whichever kernel
-    computed their block, so every pair within ZERO_DIST neighbours,
-    whatever eps."""
+    triangle is read, and then the strip right of it, ``TILE`` columns at
+    a time, with gemm. So the neighbour relation is exactly symmetric, a
+    second sweep sees the same bits, and no block is wider than ``TILE``.
+    The tiling moves the last bits of some dot products, but only the
+    decisions ``dot >= floor`` leave this function, and they did not move
+    on any data tried (see ROADMAP). ``dot >= floor`` is
+    ``min(1 - dot, 2) <= radius`` (:func:`_dot_floor`); the clamp keeps a
+    radius >= 2 from failing round-off above 2. Exact duplicates, at
+    distance 0, round to at most ~1e-15 whichever kernel computed their
+    block, so every pair within ZERO_DIST neighbours, whatever eps."""
     n = len(features)
     for i in range(0, n, BLOCK):
         rows = features[i:i + BLOCK]
-        end = i + len(rows)
-        a, b = np.divmod(np.flatnonzero(rows @ rows.T >= floor), len(rows))
+        a, b = _nonzero(rows @ rows.T >= floor)
         upper = a < b
         yield a[upper] + i, b[upper] + i
-        if end == n:
-            return
-        strip = rows @ features[end:].T >= floor
-        step = max(1, len(rows) * BLOCK * BLOCK // max(np.count_nonzero(strip), 1))
-        for start in range(0, len(rows), step):
-            a, b = np.divmod(np.flatnonzero(strip[start:start + step]), n - end)
-            yield a + (i + start), b + end
+        for j in range(i + len(rows), n, TILE):
+            a, b = _nonzero(rows @ features[j:j + TILE].T >= floor)
+            yield a + i, b + j
+
+
+def _nonzero(tile):
+    """The int32 (row, column) indices of a 2-D bool tile's true entries,
+    row-major: ``np.nonzero`` took 6 times as long on a (BLOCK, TILE) tile."""
+    return np.divmod(np.flatnonzero(tile).astype(np.int32), tile.shape[1])
 
 
 def _join(root, links):
     """Join the components of the pairs in ``links`` into the forest
     ``root``, in which every point points at its root, the smallest index
-    of its component; it still does on return."""
+    of its component; it still does on return. Empties ``links``, whose
+    pairs it holds concatenated, and narrows them one array at a time."""
     if not links:
         return
     a, b = (np.concatenate(side) for side in zip(*links))
+    links.clear()
     while True:
         root_a, root_b = root[a], root[b]
         apart = root_a != root_b
         if not apart.any():
             return
-        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        a = a[apart]
+        b = b[apart]
+        root_a = root_a[apart]
+        root_b = root_b[apart]
         # each larger root points at the smallest root it is paired with
         np.minimum.at(root, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
         while True:  # pointer jumping, until every point points at a root again

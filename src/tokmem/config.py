@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blobio import decode, pair_paths, read_json_object
+from .blobio import PAIR_SUFFIXES, decode, read_json_object
 from .errors import ConfigError, check_fields
 from .synth import MAX_SEED, SEED_RANGE, SynthSpec
 from .training import TrainConfig
@@ -31,6 +31,7 @@ from .training import TrainConfig
 __all__ = ["EvalConfig", "RunPaths", "RunConfig", "check_distinct_files", "load_run_config"]
 
 FORMAT_VERSION = 1
+DIAGNOSTICS_SUFFIX = ".diag.json"  # appended to `paths.log`
 
 
 @dataclass
@@ -50,7 +51,7 @@ class RunPaths:
     @property
     def diagnostics(self) -> Path:
         """Where ``train`` writes the diagnostics of a numeric failure."""
-        return Path(str(self.log) + ".diag.json")
+        return Path(f"{self.log}{DIAGNOSTICS_SUFFIX}")
 
 
 @dataclass
@@ -101,10 +102,13 @@ def check_distinct_files(paths: RunPaths, config: str | Path,
     dataset and checkpoint pairs, ``log``, its ``diagnostics``, ``metrics``
     and ``per_query_csv`` (if given) are distinct files (absolute,
     directories resolved): no artifact may replace another, or the config."""
+    # The suffixed files are named by strings, the text of the Paths they
+    # are written through: building those Paths took most of this check.
     files = [("--config", config)]
-    files += [(f"paths.{name}", path) for name in ("dataset", "checkpoint")
-              for path in pair_paths(getattr(paths, name))]
-    files += [("paths.log", paths.log), ("<paths.log>.diag.json", paths.diagnostics),
+    files += [(f"paths.{name}", f"{getattr(paths, name)}{suffix}")
+              for name in ("dataset", "checkpoint") for suffix in PAIR_SUFFIXES]
+    files += [("paths.log", paths.log),
+              ("<paths.log>.diag.json", f"{paths.log}{DIAGNOSTICS_SUFFIX}"),
               ("paths.metrics", paths.metrics)]
     if per_query_csv is not None:
         files.append(("--per-query-csv", per_query_csv))

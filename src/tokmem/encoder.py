@@ -157,12 +157,13 @@ def _check_means(params: EncoderParams, means: np.ndarray,
 
 def _head(params: EncoderParams, means: np.ndarray) -> np.ndarray:
     """The image feature before normalization, W_head[0] xbar + mean_z W_head[z] xbar_z,
-    from the (1 + Z, ..., d_in) ``patch_means``; each part head is divided
-    by Z and added into the output in place."""
+    from the (1 + Z, ..., d_in) ``patch_means``; each part head is made in
+    one reused buffer, divided by Z and added into the output in place."""
     z = params.part_tokens
     pre = means[0] @ params.w_head[0].T
+    part = np.empty_like(pre)
     for h in range(1, 1 + z):
-        part = means[h] @ params.w_head[h].T
+        np.matmul(means[h], params.w_head[h].T, out=part)
         part /= z
         pre += part
     return pre
@@ -170,8 +171,15 @@ def _head(params: EncoderParams, means: np.ndarray) -> np.ndarray:
 
 def image_feature(params: EncoderParams, means: np.ndarray) -> np.ndarray:
     """The image feature of ``encode`` alone, (..., D), from the stacks'
-    (1 + Z, ..., d_in) ``patch_means``; builds no tokens."""
-    return normalize_rows(_head(params, _check_means(params, means, None)))
+    (1 + Z, ..., d_in) ``patch_means``; builds no tokens. Normalizes in
+    place, ``CHUNK`` rows at a time: each row's norm is its own, so the
+    bits are those of one ``normalize_rows`` call, and the pass holds one
+    chunk's temporaries beside the features instead of two more copies."""
+    pre = _head(params, _check_means(params, means, None))
+    rows = pre.reshape(-1, pre.shape[-1])
+    for s in range(0, len(rows), CHUNK):
+        rows[s:s + CHUNK] = normalize_rows(rows[s:s + CHUNK])
+    return rows.reshape(pre.shape)
 
 
 def encode(params: EncoderParams, patches: np.ndarray, means: np.ndarray) -> EncodeOutput:

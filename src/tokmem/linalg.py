@@ -22,11 +22,12 @@ __all__ = [
     "gather_runs",
 ]
 
-BLOCK = 128  # rows per block of dot products, in DBSCAN and eval; larger raises peak memory
 # patch stacks per pass of encoder.patch_means and synth.generate: 512 KB of
 # float32 patches at the reference shape (16 x 16), which a 2 MB L2 cache
 # holds: patch_means took 6.3 ms against 9.6 ms for all N = 6,000 stacks in
-# one pass, on a 2-core Xeon
+# one pass, on a 2-core Xeon. Also the rows per pass of
+# encoder.image_feature's normalization and memory.compute_prototypes'
+# gather, whose times did not change from 512 rows to all N = 6,000.
 CHUNK = 512
 
 
@@ -118,5 +119,6 @@ def gather_runs(order: np.ndarray, lo: np.ndarray,
     """
     counts = hi - lo
     starts = np.cumsum(counts) - counts
-    rows = np.repeat(np.arange(len(counts)), counts)
-    return rows, order[np.arange(len(rows)) + (lo - starts)[rows]], starts
+    at = np.repeat(lo - starts, counts)
+    at += np.arange(len(at))  # in place: one gather-sized array fewer at once
+    return np.repeat(np.arange(len(counts)), counts), order[at], starts

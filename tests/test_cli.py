@@ -15,7 +15,7 @@ import tokmem.gradcheck as gradcheck_mod
 from tokmem.cli import _build_parser, main
 from tokmem.config import load_run_config
 from tokmem.encoder import init_params, load_checkpoint
-from tokmem.linalg import BLOCK
+from tokmem.evaluate import BLOCK
 
 
 def write_config(tmp_path, **overrides):
@@ -809,7 +809,7 @@ def test_reused_parser_keeps_no_option_between_calls(tmp_path, capsys):
 
 
 def test_eval_is_byte_deterministic_over_several_query_blocks(tmp_path):
-    """150 queries are scored in two blocks of at most ``BLOCK`` (128) rows;
+    """150 queries are scored in three blocks of at most ``BLOCK`` (64) rows;
     a second eval writes the same metrics and per-query CSV bytes."""
     cfg = write_config(tmp_path, data={"num_identities": 50, "samples_per_identity": 4},
                        train={"epochs": 0}, eval={"query_per_identity": 3})

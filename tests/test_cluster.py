@@ -1,13 +1,16 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import unit_rows
+from conftest import REFERENCE, unit_rows
 from oracles import (cosine_dist_oracle, dbscan_oracle, neighbours,
                      partition_of_core_points)
 import tokmem.cluster as cluster_mod
-from tokmem.cluster import BLOCK, OUTLIER, _dot_floor, dbscan
+from tokmem.cluster import BLOCK, OUTLIER, TILE, _dot_floor, _neighbour_pairs, dbscan
+from tokmem.encoder import image_feature, init_params, patch_means
+from tokmem.synth import generate
 
 
 def num_clusters(labels):
@@ -139,7 +142,8 @@ def test_peak_memory_cases_sweep_once_and_twice(rng, monkeypatch):
 
 
 def test_peak_memory_is_linear_in_n(rng):
-    """6,000 spread points: no (N, N) array, only a few (BLOCK, N) ones."""
+    """6,000 spread points: no (N, N) array and no (BLOCK, N) one, only one
+    (BLOCK, TILE) float tile with its bool mask and a few (N,) arrays."""
     feats = unit_rows(rng, 6000, 8)
     n = len(feats)
     tracemalloc.start()
@@ -148,7 +152,7 @@ def test_peak_memory_is_linear_in_n(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * BLOCK * n
+    assert peak <= 9 * BLOCK * TILE + 40 * n
 
 
 def ulps_around(x, count):
@@ -272,9 +276,12 @@ def test_full_labeling_rule_on_hard_instances():
         assert_matches_oracle(feats, eps, int(rng.integers(1, 8)))
 
 
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 641])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 641, TILE - 1, TILE + 1,
+                               BLOCK + TILE - 1, BLOCK + TILE + 1])
 def test_matches_oracle_at_block_edges(n):
-    """Sizes on either side of one, two and five row blocks, clustered
+    """Sizes on either side of one, two and five row blocks, of one tile
+    width, and of the first row block's strip filling one tile, so that
+    its last tile is one column wide or one column short; clustered
     around a few centers, with eps across the distance range."""
     rng = np.random.Generator(np.random.Philox(key=np.array([558, n], dtype=np.uint64)))
     centers = unit_rows(rng, 6, 4)
@@ -282,6 +289,66 @@ def test_matches_oracle_at_block_edges(n):
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     for eps in (0.05, 0.3, 1.0, 1.999, 2.0):
         assert_matches_oracle(feats, eps, min_pts=4)
+
+
+def test_clusters_across_a_tile_boundary_match_oracle(rng):
+    """Two pairs from the first row block to the columns on either side of
+    its strip's first tile boundary, among spread points off their plane:
+    with min_pts = 2 each pair is a cluster only if its tile holds it."""
+    n, edge = BLOCK + 2 * TILE, BLOCK + TILE
+    pairs = {5: 0.0, edge - 1: 0.01, 6: 1.0, edge: 1.01}  # index: angle
+    eps = 1.0 - np.cos(0.05)
+    feats = np.zeros((n, 8))
+    feats[:, 2:] = unit_rows(rng, n, 6)  # at distance 1 from every pair's points
+    feats[list(pairs)] = 0.0
+    feats[list(pairs), :2] = on_circle(list(pairs.values()))
+    expected = np.full(n, OUTLIER)
+    expected[[5, edge - 1]] = 0
+    expected[[6, edge]] = 1
+    np.testing.assert_array_equal(dbscan(feats, eps, 2), expected)
+    assert_matches_oracle(feats, eps, 2)
+
+
+def test_neighbour_pairs_are_each_pair_once_in_one_order(rng):
+    """Over row blocks whose strips make two tiles and a remainder, every
+    neighbouring pair, near the diagonal or far from it, comes once, as
+    int32 ``a < b``, and a second sweep yields the same chunks in the same
+    order."""
+    n = 2 * BLOCK + TILE + 40
+    feats = unit_rows(rng, n, 3)
+    floor = _dot_floor(0.1)
+    sweeps = [list(_neighbour_pairs(feats, floor)) for _ in range(2)]
+    assert len(sweeps[0]) == len(sweeps[1])
+    for (a, b), (a2, b2) in zip(*sweeps):
+        assert a.dtype == b.dtype == np.int32
+        assert len(a) <= BLOCK * TILE
+        np.testing.assert_array_equal(a, a2)
+        np.testing.assert_array_equal(b, b2)
+    a, b = (np.concatenate(side) for side in zip(*sweeps[0]))
+    assert (a < b).all()
+    dots = feats @ feats.T
+    expected = np.flatnonzero(np.triu(dots >= floor, k=1))
+    np.testing.assert_array_equal(np.sort(a.astype(np.int64) * n + b), expected)
+
+
+@pytest.mark.parametrize("seed", [42, 952])
+def test_labels_do_not_depend_on_the_tile_width(monkeypatch, seed):
+    """Tiles change the last bits of some dot products, not the labels:
+    epoch-0 features of the scaled shape (200 identities x 30; seed 952
+    chains 2,533 samples into one cluster) get the same labels with tiles
+    of BLOCK, 2 BLOCK, TILE and N columns."""
+    spec = dataclasses.replace(REFERENCE.data, num_identities=200, samples_per_identity=30,
+                               seed=seed)
+    config = REFERENCE.train
+    params = init_params(config.feature_dim, spec.patch_input_dim, config.part_tokens, seed)
+    feats = image_feature(params, patch_means(generate(spec).patches, config.part_tokens))
+    labels = []
+    for width in (BLOCK, 2 * BLOCK, TILE, len(feats)):
+        monkeypatch.setattr(cluster_mod, "TILE", width)
+        labels.append(dbscan(feats, config.dbscan_eps, config.dbscan_min_pts))
+    assert labels[0].max() > 50  # many clusters, not one or none
+    for other in labels[1:]:
+        np.testing.assert_array_equal(other, labels[0])
 
 
 def test_duplicates_in_different_blocks_are_neighbours(rng):

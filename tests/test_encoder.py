@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import patch_means_by_stack
-from tokmem.encoder import (CHUNK, EncoderParams, encode, encode_backward,
+from tokmem.encoder import (CHUNK, EncoderParams, _head, encode, encode_backward,
                             image_feature, init_params, load_checkpoint,
                             part_slices, patch_means, save_checkpoint)
 from tokmem.errors import DataFormatError
-from tokmem.linalg import BLOCK, finite_diff_grad, relative_error
+from tokmem.linalg import finite_diff_grad, normalize_rows, relative_error
 from tokmem.synth import SynthSpec
 from tokmem.training import TrainConfig
 
@@ -144,6 +144,22 @@ def test_all_outputs_unit_norm(rng):
                                atol=1e-9)
 
 
+def test_image_feature_normalizes_chunks_as_one_call(rng):
+    """``image_feature`` normalizes ``CHUNK`` rows at a time, in place: the
+    bits are those of one ``normalize_rows`` call over the heads, with a
+    last chunk of one row, a row whose squares are subnormal, and with two
+    leading axes."""
+    params = init_params(8, 5, 3, seed=4)
+    means = patch_means(rng.normal(size=(2 * CHUNK + 1, 6, 5)), 3)
+    means[:, 7] *= 1e-160
+    expected = normalize_rows(_head(params, means))
+    assert image_feature(params, means).tobytes() == expected.tobytes()
+    stacked = means.reshape(4, 5, 205, 5)
+    feats = image_feature(params, stacked)
+    assert feats.shape == (5, 205, 8)
+    assert feats.tobytes() == normalize_rows(_head(params, stacked)).tobytes()
+
+
 def test_part_slices_remainder_goes_last():
     slices = part_slices(16, 3)
     assert [s.stop - s.start for s in slices] == [5, 5, 6]
@@ -169,8 +185,8 @@ def test_patch_means_of_a_batch_are_rows_of_the_whole(rng, num_patches, z):
     np.testing.assert_array_equal(whole[:, 3], patch_means(x[3], z))
     # float32 stacks give the means of their float64 copy bit for bit, also
     # with a second leading axis
-    x32 = (rng.normal(size=(2 * BLOCK + 3, num_patches, 4))
-           * rng.choice([1e-3, 1.0, 1e3], size=(2 * BLOCK + 3, 1, 1))).astype(np.float32)
+    x32 = (rng.normal(size=(259, num_patches, 4))
+           * rng.choice([1e-3, 1.0, 1e3], size=(259, 1, 1))).astype(np.float32)
     wide = patch_means(x32.astype(np.float64), z)
     assert patch_means(x32, z).tobytes() == wide.tobytes()
     stacked = patch_means(x32.reshape(7, 37, num_patches, 4), z)

@@ -11,8 +11,8 @@ from oracles import (average_precision_oracle, cmc_oracle, retrieval_by_stable_a
                      topk_by_full_sort)
 from tokmem.config import EvalConfig
 from tokmem.encoder import init_params
-from tokmem.evaluate import evaluate_encoder, evaluate_retrieval, metrics_dict, write_metrics
-from tokmem.linalg import BLOCK
+from tokmem.evaluate import (BLOCK, evaluate_encoder, evaluate_retrieval, metrics_dict,
+                             write_metrics)
 from tokmem.synth import SynthSpec, generate, load_dataset, save_dataset
 
 

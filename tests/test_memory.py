@@ -3,7 +3,8 @@ import pytest
 
 from conftest import unit_rows
 from oracles import sequential_momentum, topk_by_full_sort
-from tokmem.linalg import normalize_rows
+import tokmem.memory as memory_mod
+from tokmem.linalg import CHUNK, normalize_rows
 from tokmem.memory import compute_prototypes, label_runs, mine, momentum_update
 
 
@@ -54,14 +55,23 @@ def test_prototypes_reject_missing_cluster_id():
         compute_prototypes(*mem)
 
 
-@pytest.mark.parametrize("trial", range(12))
+@pytest.mark.parametrize("trial", [*range(12), "chunks"])
 def test_prototypes_match_per_cluster_mean_bitwise(trial):
     """Each prototype is bit for bit the normalized mean of the bank rows
-    with its label, in ascending row order; outliers are left out."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([778, trial], dtype=np.uint64)))
-    num_clusters = 1 + 3 * trial
-    rest = rng.integers(-1, num_clusters, size=int(rng.integers(0, 600)))
-    labels = rng.permutation(np.concatenate([np.arange(num_clusters), [-1], rest]))
+    with its label, in ascending row order; outliers are left out. The
+    members are added ``CHUNK`` at a time: the "chunks" bank has a
+    cluster that spans three chunks and clusters cut by a chunk boundary."""
+    if trial == "chunks":
+        rng = np.random.Generator(np.random.Philox(key=781))
+        sizes = [2 * CHUNK + 5, 3, CHUNK - 1, 40]
+        num_clusters = len(sizes)
+        labels = rng.permutation(np.concatenate(
+            [np.full(size, c) for c, size in enumerate(sizes)] + [np.full(30, -1)]))
+    else:
+        rng = np.random.Generator(np.random.Philox(key=np.array([778, trial], dtype=np.uint64)))
+        num_clusters = 1 + 3 * trial
+        rest = rng.integers(-1, num_clusters, size=int(rng.integers(0, 600)))
+        labels = rng.permutation(np.concatenate([np.arange(num_clusters), [-1], rest]))
     bank = unit_rows(rng, len(labels), int(rng.integers(2, 40)))
     expected = np.stack([normalize_rows(bank[labels == c].mean(axis=0))
                          for c in range(num_clusters)])
@@ -225,6 +235,28 @@ def test_mining_matches_full_sort_oracle(trial):
                                           np.arange(1 + min(k, n)) <= neg_pool.size)
             expected = neg_pool[topk_by_full_sort(sims[neg_pool], min(k, neg_pool.size))]
             np.testing.assert_array_equal(picked[row, 1:][valid[row, 1:]], expected)
+
+
+def test_mining_a_few_anchors_at_a_time_picks_what_one_gather_picks(monkeypatch):
+    """``mine`` gathers the clusters of ``POSITIVES // largest`` anchors at
+    a time: one anchor at a time, two, and the whole batch at once pick
+    the same slots, with and without outliers, beside a cluster of 644."""
+    rng = np.random.Generator(np.random.Philox(key=780))
+    sizes = [644, 31, 44, 50]
+    labels = rng.permutation(np.concatenate(
+        [np.full(size, c) for c, size in enumerate(sizes)] + [np.full(60, -1)]))
+    mem = memory_from(unit_rows(rng, len(labels), 6), labels)
+    anchor_labels = np.array([0, 1, 0, 2, 3, 0, 0, 1, 2])
+    anchors = unit_rows(rng, len(anchor_labels), 6)
+    widths = (1, 2 * 644, memory_mod.POSITIVES)
+    for include_outliers in (True, False):
+        results = []
+        for positives in widths:
+            monkeypatch.setattr(memory_mod, "POSITIVES", positives)
+            results.append(mine(*mem, anchors, anchor_labels, 5, include_outliers))
+        for picked, valid in results[1:]:
+            np.testing.assert_array_equal(picked, results[0][0])
+            np.testing.assert_array_equal(valid, results[0][1])
 
 
 def test_with_outliers_dominates_without(rng):

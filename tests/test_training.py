@@ -446,6 +446,32 @@ def test_loaded_dataset_train_peak_memory_is_below_a_float64_copy(tmp_path):
     assert peak < 8 * spec.num_samples * spec.patches_per_image * spec.patch_input_dim
 
 
+@pytest.mark.parametrize("seed", [42, 952])
+def test_scaled_train_peak_memory_is_its_data_and_2_5_mb(tmp_path, seed):
+    """A 1-epoch train at the scaled shape (200 identities x 30) holds the
+    arrays it must, the float32 patches, their float64 patch means, the
+    features and their float32 copy, and at most 2.5 MB besides: DBSCAN's
+    tiles, mining's gathers and each step's arrays. With data and train
+    seed 952, epoch-0 DBSCAN chains 2,533 samples into one cluster, whose
+    anchors' positives mining gathers a bounded part at a time."""
+    from conftest import REFERENCE
+
+    spec = dataclasses.replace(REFERENCE.data, num_identities=200, samples_per_identity=30,
+                               seed=seed)
+    config = dataclasses.replace(REFERENCE.train, epochs=1, seed=seed)
+    save_dataset(generate(spec), tmp_path / "data")
+    tracemalloc.start()
+    try:
+        train(config, load_dataset(tmp_path / "data"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, dim = spec.num_samples, config.feature_dim
+    held = (4 * n * spec.patches_per_image * spec.patch_input_dim
+            + 8 * (1 + config.part_tokens) * n * spec.patch_input_dim + 8 * n * dim + 4 * n * dim)
+    assert peak <= held + 2.5e6
+
+
 # --------------------------------- batch writes vs the stepwise loop, bytes
 
 def _reference(seed, epochs=3, **data):
