@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,26 @@ import pytest
 from tokmem import load_run_config
 from tokmem.evaluate import evaluate_retrieval
 
-# The committed reference experiment, the file CI, the scripts and the
-# benchmark run; training-dependent regression thresholds in the
+ROOT = Path(__file__).resolve().parent.parent
+
+# The committed reference experiment, the file CI, the ablation script and
+# the benchmark run; training-dependent regression thresholds in the
 # acceptance suite are pinned against it.
-REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+REFERENCE_CONFIG = ROOT / "configs" / "reference.json"
 REFERENCE = load_run_config(REFERENCE_CONFIG)
+
+# scripts/run_ablation.py, the one per-seed sweep: criteria 8 and 9 judge
+# the runs it prints.
+_spec = importlib.util.spec_from_file_location("run_ablation", ROOT / "scripts" / "run_ablation.py")
+run_ablation = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_ablation)
+
+
+@pytest.fixture(scope="session")
+def ablation_table():
+    """``run_ablation.run_seed`` on the reference config at every seed of
+    ``run_ablation.SEEDS``: 25 trainings, run once per session."""
+    return {seed: run_ablation.run_seed(REFERENCE, seed) for seed in run_ablation.SEEDS}
 
 
 @pytest.fixture
